@@ -66,6 +66,7 @@ from .graphs import (
     load_graph,
     multi_source_distances,
     set_diameter,
+    set_diameters,
     sphere,
     store_graph,
 )

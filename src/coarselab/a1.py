@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .cover import Cover, CoverParams, _expand, build_cover
 from .geodesics import GeodesicFamily
-from .graphs import MetricGraph, multi_source_distances, set_diameter
+from .graphs import MetricGraph, multi_source_distances, set_diameters
 
 __all__ = [
     "ScopeTooSmallError",
@@ -119,12 +119,10 @@ def build_fat_cover(
     params = CoverParams(r=10 * r, ell=ell, delta=delta, basepoint=basepoint)
     base = build_cover(g, fam, params)
 
-    diam_base = 0
-    for cs in base.sets:
-        d = set_diameter(g, cs.members)
-        if d is None:
-            raise ValueError("cover set spans disconnected vertices")
-        diam_base = max(diam_base, d)
+    diameters = set_diameters(g, [cs.members for cs in base.sets])
+    if None in diameters:
+        raise ValueError("cover set spans disconnected vertices")
+    diam_base = max(diameters, default=0)
 
     n = g.vertex_count
     fat_sets: list[FatSet] = []

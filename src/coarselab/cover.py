@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geodesics import GeodesicFamily
-from .graphs import MetricGraph, distance_vector, multi_source_distances, set_diameter
+from .graphs import MetricGraph, distance_vector, multi_source_distances, set_diameters
 
 __all__ = [
     "CoverParams",
@@ -118,26 +118,32 @@ def build_cover(g: MetricGraph, fam: GeodesicFamily, params: CoverParams) -> Cov
     d_max = int(dist.max())
     n_max = max(1, -(-d_max // band))
 
+    # One stable sort orders the vertices by (distance, id); every level
+    # range [lo, hi] below is a slice of that order.
+    order_arr = np.argsort(dist, kind="stable")
+    sorted_dist = dist[order_arr]
+    order = order_arr.tolist()
+    dist_list = dist.tolist()
+
+    def levels(lo: int, hi: int) -> list[int]:
+        return order[np.searchsorted(sorted_dist, lo, "left") : np.searchsorted(sorted_dist, hi, "right")]
+
     annuli: dict[int, frozenset[int]] = {}
     spheres: dict[int, frozenset[int]] = {}
     for n in range(1, n_max + 1):
-        lo, hi = band * (n - 1), band * n
-        annuli[n] = frozenset(int(v) for v in np.flatnonzero((dist >= lo) & (dist <= hi)))
-        spheres[n] = frozenset(int(v) for v in np.flatnonzero(dist == hi))
+        annuli[n] = frozenset(levels(band * (n - 1), band * n))
+        spheres[n] = frozenset(levels(band * n, band * n))
 
     sets: list[CoverSet] = []
     for n in (1, 2):
         if n in annuli and annuli[n]:
             sets.append(CoverSet(n, None, annuli[n]))
+    anchor_sets = _anchor_sets_all if fam.kind == "all" else _anchor_sets_canonical
     for n in range(3, n_max + 1):
         if not annuli[n]:
             continue
-        level = band * (n - 2)
-        outer = band * n
-        if fam.kind == "all":
-            buckets = _anchor_sets_all(g, dist, annuli[n], level, outer)
-        else:
-            buckets = _anchor_sets_canonical(g, dist, annuli[n], level, outer)
+        zone = levels(band * (n - 2), band * n)
+        buckets = anchor_sets(g, dist_list, zone, band * (n - 2), band * (n - 1))
         for anchor in sorted(buckets):
             sets.append(CoverSet(n, anchor, frozenset(buckets[anchor])))
 
@@ -148,18 +154,19 @@ def build_cover(g: MetricGraph, fam: GeodesicFamily, params: CoverParams) -> Cov
         annuli=annuli,
         spheres=spheres,
         complete=complete,
-        base_distances=tuple(int(d) for d in dist),
+        base_distances=tuple(dist_list),
     )
 
 
-def _anchor_sets_all(g, dist, annulus, level, outer) -> dict[int, set[int]]:
+def _anchor_sets_all(g, dist, zone, level, inner) -> dict[int, set[int]]:
     """Anchors on some geodesic [x, basepoint]: ancestor sets at the target
-    level, propagated through the distance-monotone DAG."""
-    zone = sorted((v for v in range(g.vertex_count) if level <= dist[v] <= outer), key=lambda v: int(dist[v]))
+    level, propagated through the distance-monotone DAG. ``zone`` holds the
+    vertices from ``level`` outwards by (distance, id); those at ``inner``
+    or beyond form the annulus."""
     anc: dict[int, frozenset[int]] = {}
     buckets: dict[int, set[int]] = {}
     for v in zone:
-        dv = int(dist[v])
+        dv = dist[v]
         if dv == level:
             anc[v] = frozenset((v,))
         else:
@@ -168,27 +175,26 @@ def _anchor_sets_all(g, dist, annulus, level, outer) -> dict[int, set[int]]:
                 if dist[u] == dv - 1 and u in anc:
                     acc |= anc[u]
             anc[v] = frozenset(acc)
-        if v in annulus:
+        if dv >= inner:
             for s in anc[v]:
                 buckets.setdefault(s, set()).add(v)
     return buckets
 
 
-def _anchor_sets_canonical(g, dist, annulus, level, outer) -> dict[int, set[int]]:
+def _anchor_sets_canonical(g, dist, zone, level, inner) -> dict[int, set[int]]:
     """Anchor = crossing of the canonical geodesic [x, basepoint] at the
     target level; the canonical step from x is its least neighbor closer
-    to the basepoint."""
-    zone = sorted((v for v in range(g.vertex_count) if level <= dist[v] <= outer), key=lambda v: int(dist[v]))
+    to the basepoint. ``zone`` and ``inner`` as in :func:`_anchor_sets_all`."""
     cross: dict[int, int] = {}
     buckets: dict[int, set[int]] = {}
     for v in zone:
-        dv = int(dist[v])
+        dv = dist[v]
         if dv == level:
             cross[v] = v
         else:
             step = min(u for u in g.neighbors(v) if dist[u] == dv - 1)
             cross[v] = cross[step] if step in cross else -1
-        if v in annulus and cross[v] >= 0:
+        if dv >= inner and cross[v] >= 0:
             buckets.setdefault(cross[v], set()).add(v)
     return buckets
 
@@ -208,10 +214,10 @@ def verify_diameters(g: MetricGraph, cover: Cover) -> CoverDiameterReport:
     bound = 40 * cover.params.width
     best = 0
     best_incomplete: int | None = None
-    for cs in cover.sets:
-        d = set_diameter(g, cs.members)
-        if d is None:
-            raise ValueError("cover set spans disconnected vertices")
+    diameters = set_diameters(g, [cs.members for cs in cover.sets])
+    if None in diameters:
+        raise ValueError("cover set spans disconnected vertices")
+    for cs, d in zip(cover.sets, diameters):
         if cs.n in cover.complete:
             best = max(best, d)
         else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "all_geodesics",
     "canonical_geodesic",
     "set_diameter",
+    "set_diameters",
     "load_graph",
     "store_graph",
 ]
@@ -165,12 +167,10 @@ class MetricGraph:
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices) in CSR layout, cached; neighbor order is sorted."""
         if self._arrays_cache is None:
+            adj = self._adj
             indptr = np.zeros(self.vertex_count + 1, dtype=np.int64)
-            for i, ns in enumerate(self._adj):
-                indptr[i + 1] = indptr[i] + len(ns)
-            indices = np.empty(int(indptr[-1]), dtype=np.int32)
-            for i, ns in enumerate(self._adj):
-                indices[indptr[i] : indptr[i + 1]] = ns
+            np.cumsum(np.fromiter(map(len, adj), dtype=np.int64, count=self.vertex_count), out=indptr[1:])
+            indices = np.fromiter(chain.from_iterable(adj), dtype=np.int32, count=int(indptr[-1]))
             self._arrays_cache = (indptr, indices)
         return self._arrays_cache
 
@@ -365,24 +365,58 @@ def canonical_geodesic(g: MetricGraph, u: int, v: int) -> Path:
 def set_diameter(g: MetricGraph, members: Iterable[int]) -> int | None:
     """Max pairwise distance within ``members``, measured in g (not the
     induced subgraph); ``None`` if some pair is unreachable."""
-    ms = sorted(set(members))
-    if not ms:
-        raise ValueError("set_diameter of an empty set")
-    for m in ms:
-        g.check_vertex(m)
+    return set_diameters(g, [members])[0]
+
+
+def set_diameters(g: MetricGraph, member_sets: Iterable[Iterable[int]]) -> list[int | None]:
+    """:func:`set_diameter` of every set in ``member_sets``, in order.
+
+    Every member of every set is validated before any distance is taken;
+    an empty set anywhere raises. On a tree the whole batch costs two
+    batched LCA sweeps over all members together (an exact double sweep
+    per set, reduced per segment). On other graphs each set gets an exact
+    centre-pruned BFS scan.
+    """
+    sets = [sorted(set(members)) for members in member_sets]
+    for ms in sets:
+        if not ms:
+            raise ValueError("set_diameter of an empty set")
+        for m in ms:
+            g.check_vertex(m)
+    if not sets:
+        return []
+    if g.is_tree:
+        return _tree_set_diameters(g.tree_metric(), sets)
+    return [_scan_diameter(g, ms) for ms in sets]
+
+
+def _tree_set_diameters(tm: "_TreeMetric", sets: list[list[int]]) -> list[int]:
+    # Double sweep is exact for subsets of a tree metric (four-point
+    # condition: the vertex farthest from any start is a diameter end).
+    # All sets run at once as segments of one flat member array.
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    flat = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=int(sizes.sum()))
+    starts = np.zeros(len(sets), dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    seg = np.repeat(np.arange(len(sets)), sizes)
+    d0 = tm.pair_distances(flat[starts][seg], flat)
+    # First farthest member of each set: every segment holds its maximum,
+    # so the first hit at or after a segment's start lies inside it.
+    hits = np.flatnonzero(d0 == np.maximum.reduceat(d0, starts)[seg])
+    far = flat[hits[np.searchsorted(hits, starts)]]
+    d1 = tm.pair_distances(far[seg], flat)
+    return np.maximum.reduceat(d1, starts).tolist()
+
+
+def _scan_diameter(g: MetricGraph, ms: list[int]) -> int | None:
+    """Exact centre-pruned scan of one sorted, validated, nonempty set.
+
+    Seed the best value by a two-sweep, then only members far from the
+    center can still extend it: an unscanned pair (u, v) satisfies
+    d(u,v) <= d(u,c) + d(c,v).
+    """
     if len(ms) == 1:
         return 0
-    if g.is_tree:
-        # Double sweep is exact for subsets of a tree metric (four-point
-        # condition: the vertex farthest from any start is a diameter end).
-        tm = g.tree_metric()
-        arr = np.asarray(ms, dtype=np.int64)
-        d0 = tm.distances(ms[0], arr)
-        far = int(arr[int(np.argmax(d0))])
-        return int(tm.distances(far, arr).max())
-    # General graphs: exact center-pruned scan. Seed the best value by a
-    # two-sweep, then only members far from the center can still extend it:
-    # an unscanned pair (u, v) satisfies d(u,v) <= d(u,c) + d(c,v).
     arr = np.asarray(ms, dtype=np.int64)
     row_c = distance_vector(g, ms[0])
     dc = row_c[arr]
@@ -427,7 +461,7 @@ class _TreeMetric:
                     depth[w] = depth[u] + 1
                     q.append(w)
         k = max(1, int(np.ceil(np.log2(max(2, n)))))
-        up = np.empty((k, n), dtype=np.int64)
+        up = np.empty((k, n), dtype=np.int32)  # vertex ids fit; depths stay int64
         root_mask = parent < 0
         up[0] = np.where(root_mask, np.arange(n), parent)
         for i in range(1, k):
@@ -438,8 +472,8 @@ class _TreeMetric:
 
     def lca_pairs(self, a_in: np.ndarray, b_in: np.ndarray) -> np.ndarray:
         depth, up = self.depth, self.up
-        a = a_in.astype(np.int64).copy()
-        b = b_in.astype(np.int64).copy()
+        a = a_in.astype(np.int64)
+        b = b_in.astype(np.int64)
         diff = depth[a] - depth[b]
         for k in range(self.levels):
             bit = 1 << k
@@ -459,14 +493,14 @@ class _TreeMetric:
         a[neq] = up[0][a[neq]]
         return a
 
-    def lca(self, u: int, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64)
-        return self.lca_pairs(np.full(xs.shape, u, dtype=np.int64), xs)
+    def pair_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Exact tree distances ``d(a[i], b[i])`` of two aligned id arrays."""
+        anc = self.lca_pairs(a, b)
+        return self.depth[a] + self.depth[b] - 2 * self.depth[anc]
 
     def distances(self, u: int, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.int64)
-        anc = self.lca(u, xs)
-        return self.depth[u] + self.depth[xs] - 2 * self.depth[anc]
+        return self.pair_distances(np.full(xs.shape, u, dtype=np.int64), xs)
 
     def pairwise(self, us, vs) -> np.ndarray:
         """|us| x |vs| matrix of exact tree distances."""
@@ -474,15 +508,11 @@ class _TreeMetric:
         vs = np.asarray(vs, dtype=np.int64)
         if us.size == 0 or vs.size == 0:
             return np.zeros((us.size, vs.size), dtype=np.int64)
-        a = np.repeat(us, vs.size)
-        b = np.tile(vs, us.size)
-        anc = self.lca_pairs(a, b)
-        d = self.depth[a] + self.depth[b] - 2 * self.depth[anc]
-        return d.reshape(us.size, vs.size)
+        return self.pair_distances(np.repeat(us, vs.size), np.tile(vs, us.size)).reshape(us.size, vs.size)
 
     def path(self, u: int, v: int) -> list[int]:
         """The unique u-v path, via parent pointers through the meet."""
-        anc = int(self.lca(u, np.asarray([v]))[0])
+        anc = int(self.lca_pairs(np.asarray([u]), np.asarray([v]))[0])
         up_side = []
         a = u
         while a != anc:

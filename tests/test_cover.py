@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from coarselab.cover import (
@@ -11,7 +13,7 @@ from coarselab.cover import (
     verify_diameters,
 )
 from coarselab.geodesics import GeodesicFamily
-from coarselab.graphs import MetricGraph, bfs_distances, set_diameter
+from coarselab.graphs import MetricGraph, bfs_distances, canonical_geodesic, set_diameter
 from coarselab.spaces import broom_tree, farey_truncation, grid
 
 
@@ -134,6 +136,73 @@ class TestBuildCover:
         for cs in cov.sets:
             covered |= cs.members
         assert covered == set(range(36))
+
+
+def random_strip(seed: int, width: int = 3, length: int = 30) -> MetricGraph:
+    """A width-by-length lattice strip with random edges removed while it
+    stays connected: a long non-tree with many tied geodesics."""
+    rng = random.Random(seed)
+    edges = [(i * length + j, i * length + j + 1) for i in range(width) for j in range(length - 1)]
+    edges += [(i * length + j, (i + 1) * length + j) for i in range(width - 1) for j in range(length)]
+    for e in rng.sample(edges, len(edges)):
+        if rng.random() < 0.3:
+            rest = [f for f in edges if f != e]
+            if MetricGraph(width * length, rest).is_connected:
+                edges = rest
+    g = MetricGraph(width * length, edges, name=f"strip_{seed}")
+    assert g.is_connected and not g.is_tree
+    return g
+
+
+def oracle_sets(g: MetricGraph, kind: str, band: int, base: int):
+    """The cover's sets from the definition alone. Annuli 1 and 2 stay
+    whole. For n >= 3, x joins anchor s (at level band*(n-2)) when s lies
+    on a geodesic [x, base] ("all": d(x,s) + d(s,base) == d(x,base)) or
+    on the canonical geodesic ("canonical")."""
+    db = bfs_distances(g, base)
+    n_max = max(1, -(-max(db) // band))
+    out = []
+    for n in range(1, n_max + 1):
+        annulus = [x for x in range(g.vertex_count) if band * (n - 1) <= db[x] <= band * n]
+        if not annulus:
+            continue
+        if n <= 2:
+            out.append((n, None, frozenset(annulus)))
+            continue
+        level = band * (n - 2)
+        groups: dict[int, set[int]] = {}
+        if kind == "all":
+            for s in (v for v in range(g.vertex_count) if db[v] == level):
+                ds = bfs_distances(g, s)
+                groups[s] = {x for x in annulus if ds[x] + level == db[x]}
+        else:
+            for x in annulus:
+                s = canonical_geodesic(g, x, base).vertices[db[x] - level]
+                groups.setdefault(s, set()).add(x)
+        out += [(n, s, frozenset(groups[s])) for s in sorted(groups) if groups[s]]
+    return out
+
+
+class TestAnchorOracle:
+    # r = 1 gives the narrowest band (10); anchored sets (n >= 3) need
+    # distances beyond 20, which grid:12, the 50-cycle and the strips have.
+    @pytest.mark.parametrize("kind", ["all", "canonical"])
+    @pytest.mark.parametrize(
+        "g, base",
+        [
+            (grid(5).graph, 0),
+            (grid(6).graph, 14),
+            (grid(12).graph, 0),
+            (grid(12).graph, 12),
+            (MetricGraph(50, [(i, (i + 1) % 50) for i in range(50)], name="cycle_50"), 0),
+            *[(random_strip(seed), seed) for seed in range(4)],
+        ],
+        ids=lambda v: getattr(v, "name", str(v)),
+    )
+    def test_non_tree_cover_matches_definition(self, g, base, kind):
+        fam = GeodesicFamily(g, kind)
+        cov = build_cover(g, fam, CoverParams(r=1, ell=0, delta=0, basepoint=base))
+        assert [(cs.n, cs.anchor, cs.members) for cs in cov.sets] == oracle_sets(g, kind, 10, base)
 
 
 class TestVerifyDiameters:

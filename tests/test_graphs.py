@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from coarselab.graphs import (
     distance_vector,
     load_graph,
     set_diameter,
+    set_diameters,
     sphere,
     store_graph,
 )
@@ -60,6 +62,17 @@ class TestConstruction:
         assert path_graph(5).is_tree
         assert not cycle_graph(4).is_tree
         assert not MetricGraph(3, [(0, 1)]).is_tree  # disconnected
+
+    @pytest.mark.parametrize(
+        "g", [random_graph(3), cycle_graph(6), MetricGraph(4, [(0, 3)]), MetricGraph(0, [])], ids=str
+    )
+    def test_csr_arrays_match_adjacency(self, g):
+        indptr, indices = g.csr_arrays()
+        assert indptr.dtype == np.int64 and indices.dtype == np.int32
+        assert indptr.tolist()[0] == 0 and len(indptr) == g.vertex_count + 1
+        for v in range(g.vertex_count):
+            assert tuple(indices[indptr[v] : indptr[v + 1]].tolist()) == g.neighbors(v)
+        assert int(indptr[-1]) == 2 * g.edge_count == len(indices)
 
 
 class TestDistance:
@@ -231,6 +244,69 @@ class TestSetDiameter:
         assert g.is_tree
         members = rng.sample(range(n), rng.randint(1, n))
         assert set_diameter(g, members) == brute_diameter(g, members)
+
+
+def random_tree(rng, n: int) -> MetricGraph:
+    # grow by attaching each vertex to a random earlier one
+    return MetricGraph(n, [(rng.randint(0, v - 1), v) for v in range(1, n)], name="rtree")
+
+
+def diameter_batch(rng, n: int):
+    """Member lists and the batch built from them: overlapping samples, a
+    repeated set, a singleton, and non-set iterables with duplicates."""
+    a, b, c = (rng.sample(range(n), rng.randint(1, n)) for _ in range(3))
+    s = rng.randrange(n)
+    pairs = [
+        (a, set(a)),
+        (b, frozenset(b)),
+        (c, iter(c)),
+        ([s], (s,)),
+        (a + a[::2], list(a + a[::2])),
+        (b, tuple(b + b)),
+    ]
+    rng.shuffle(pairs)
+    return [m for m, _ in pairs], [x for _, x in pairs]
+
+
+class TestSetDiameters:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_trees_match_brute_force(self, seed):
+        import random as rnd
+
+        rng = rnd.Random(seed)
+        g = random_tree(rng, rng.randint(2, 40))
+        assert g.is_tree
+        members, batch = diameter_batch(rng, g.vertex_count)
+        assert set_diameters(g, batch) == [brute_diameter(g, ms) for ms in members]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_non_trees_match_brute_force(self, seed):
+        import random as rnd
+
+        g = random_graph(seed)
+        if g.is_tree:
+            g = random_graph(seed + 100, edge_prob=0.6)
+        assert not g.is_tree
+        members, batch = diameter_batch(rnd.Random(seed + 1000), g.vertex_count)
+        assert set_diameters(g, batch) == [brute_diameter(g, ms) for ms in members]
+
+    def test_set_spanning_two_components_is_none_alone(self):
+        g = MetricGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)], name="path_and_triangle")
+        assert set_diameters(g, [{0, 2}, {1, 4}, [3, 4, 5, 3], {5}]) == [2, None, 1, 0]
+
+    def test_empty_batch(self):
+        assert set_diameters(path_graph(3), []) == []
+
+    @pytest.mark.parametrize("g", [path_graph(5), cycle_graph(5)], ids=["tree", "cycle"])
+    def test_empty_set_mid_batch_raises(self, g):
+        with pytest.raises(ValueError, match="set_diameter of an empty set"):
+            set_diameters(g, [{0, 1}, set(), {2}])
+
+    @pytest.mark.parametrize("g", [path_graph(5), cycle_graph(5)], ids=["tree", "cycle"])
+    @pytest.mark.parametrize("bad", [7, -1, 1.5])
+    def test_invalid_member_raises(self, g, bad):
+        with pytest.raises(ValueError, match=f"invalid vertex id {bad!r}"):
+            set_diameters(g, [{0, 3}, [0, bad]])
 
 
 class TestPathType:
