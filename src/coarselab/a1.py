@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .cover import Cover, CoverParams, _expand, build_cover
 from .geodesics import GeodesicFamily
-from .graphs import MetricGraph, multi_source_distances, set_diameters
+from .graphs import MetricGraph, multi_source_distances, set_diameter
 
 __all__ = [
     "ScopeTooSmallError",
@@ -119,7 +119,7 @@ def build_fat_cover(
     params = CoverParams(r=10 * r, ell=ell, delta=delta, basepoint=basepoint)
     base = build_cover(g, fam, params)
 
-    diameters = set_diameters(g, [cs.members for cs in base.sets])
+    diameters = set_diameter(g, [cs.members for cs in base.sets], batch=True)
     if None in diameters:
         raise ValueError("cover set spans disconnected vertices")
     diam_base = max(diameters, default=0)

@@ -362,32 +362,39 @@ def canonical_geodesic(g: MetricGraph, u: int, v: int) -> Path:
     return Path(tuple(path))
 
 
-def set_diameter(g: MetricGraph, members: Iterable[int]) -> int | None:
+def set_diameter(
+    g: MetricGraph, members: Iterable[int] | Iterable[Iterable[int]], *, batch: bool = False
+) -> int | None | list[int | None]:
     """Max pairwise distance within ``members``, measured in g (not the
-    induced subgraph); ``None`` if some pair is unreachable."""
-    return set_diameters(g, [members])[0]
+    induced subgraph); ``None`` if some pair is unreachable.
 
-
-def set_diameters(g: MetricGraph, member_sets: Iterable[Iterable[int]]) -> list[int | None]:
-    """:func:`set_diameter` of every set in ``member_sets``, in order.
-
-    Every member of every set is validated before any distance is taken;
-    an empty set anywhere raises. On a tree the whole batch costs two
-    batched LCA sweeps over all members together (an exact double sweep
-    per set, reduced per segment). On other graphs each set gets an exact
-    centre-pruned BFS scan.
+    With ``batch=True``, ``members`` is an iterable of vertex sets and the
+    list of their diameters is returned, in order (see
+    :func:`set_diameters`). Every member of every set is validated before
+    any distance is taken; an empty set anywhere raises. On a tree the
+    whole batch costs two batched LCA sweeps over all members together (an
+    exact double sweep per set, reduced per segment). On other graphs each
+    set gets an exact centre-pruned BFS scan.
     """
-    sets = [sorted(set(members)) for members in member_sets]
+    sets = [sorted(set(ms)) for ms in (members if batch else [members])]
     for ms in sets:
         if not ms:
             raise ValueError("set_diameter of an empty set")
         for m in ms:
             g.check_vertex(m)
     if not sets:
-        return []
-    if g.is_tree:
-        return _tree_set_diameters(g.tree_metric(), sets)
-    return [_scan_diameter(g, ms) for ms in sets]
+        diameters = []
+    elif g.is_tree:
+        diameters = _tree_set_diameters(g.tree_metric(), sets)
+    else:
+        diameters = [_scan_diameter(g, ms) for ms in sets]
+    return diameters if batch else diameters[0]
+
+
+def set_diameters(g: MetricGraph, member_sets: Iterable[Iterable[int]]) -> list[int | None]:
+    """:func:`set_diameter` of every set in ``member_sets``, in order; on a
+    tree, two batched LCA sweeps over all members together."""
+    return set_diameter(g, member_sets, batch=True)
 
 
 def _tree_set_diameters(tm: "_TreeMetric", sets: list[list[int]]) -> list[int]:

@@ -298,6 +298,11 @@ class TestSetDiameters:
         assert set_diameters(path_graph(3), []) == []
 
     @pytest.mark.parametrize("g", [path_graph(5), cycle_graph(5)], ids=["tree", "cycle"])
+    def test_batch_form_of_set_diameter(self, g):
+        batch = [{0, 2}, {1}, [4, 0, 4]]
+        assert set_diameter(g, batch, batch=True) == set_diameters(g, batch) == [set_diameter(g, ms) for ms in batch]
+
+    @pytest.mark.parametrize("g", [path_graph(5), cycle_graph(5)], ids=["tree", "cycle"])
     def test_empty_set_mid_batch_raises(self, g):
         with pytest.raises(ValueError, match="set_diameter of an empty set"):
             set_diameters(g, [{0, 1}, set(), {2}])
