@@ -8,6 +8,7 @@ capacity/growth probes, and an asymptotic-dimension formula calculator.
 
 from .a1 import (
     A1Map,
+    ClaimViolation,
     FatCover,
     FatCoverOrderError,
     ScopeTooSmallError,
@@ -50,8 +51,6 @@ from .geodesics import (
     PropertyBReport,
     PropertyBViolation,
     check_property_b,
-    g_set,
-    g_set_r,
     thin_delta,
 )
 from .graphs import (

@@ -20,16 +20,16 @@ On a truncation, bounds are only asserted on the safe core: vertices whose
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cover import Cover, CoverParams, _expand, build_cover
+from .cover import Cover, CoverParams, build_cover
 from .geodesics import GeodesicFamily
-from .graphs import MetricGraph, multi_source_distances, set_diameter
+from .graphs import MetricGraph, _bfs, distance, multi_source_distances, set_diameter
 
 __all__ = [
     "ScopeTooSmallError",
+    "ClaimViolation",
     "FatCoverOrderError",
     "FatSet",
     "FatCover",
@@ -52,7 +52,12 @@ class ScopeTooSmallError(RuntimeError):
     """The truncation cannot host the construction at this scale."""
 
 
-class FatCoverOrderError(RuntimeError):
+class ClaimViolation(RuntimeError):
+    """A verified claim of the construction failed: a theorem alarm that
+    must never fire on correct code and true premises."""
+
+
+class FatCoverOrderError(ClaimViolation):
     """A safe vertex lies in more than 2D fattened sets, contradicting the
     verified multiplicity premise."""
 
@@ -127,7 +132,7 @@ def build_fat_cover(
     n = g.vertex_count
     fat_sets: list[FatSet] = []
     for cs in base.sets:
-        members = frozenset(_expand(g, cs.members, 2 * r))
+        members = frozenset(_bfs(g, cs.members, 2 * r))
         if len(members) == n:
             raise ScopeTooSmallError(
                 f"scope too small for r={r}: a fattened set covers the whole truncation"
@@ -173,21 +178,12 @@ def _interior_depths(g: MetricGraph, members: frozenset[int]) -> dict[int, int]:
     step, so a BFS inside the induced subgraph seeded with the boundary-
     adjacent vertices at depth 1 is exact.
     """
-    depth: dict[int, int] = {}
-    q: deque[int] = deque()
-    for v in members:
-        if any(w not in members for w in g.neighbors(v)):
-            depth[v] = 1
-            q.append(v)
-    while q:
-        u = q.popleft()
-        du = depth[u] + 1
-        for w in g.neighbors(u):
-            if w in members and w not in depth:
-                depth[w] = du
-                q.append(w)
+    boundary = [v for v in members if any(w not in members for w in g.neighbors(v))]
     # A member with no path to the complement can only happen when the set
     # is the whole component; the builder rejects that case upstream.
+    depth = _bfs(g, boundary, within=members)
+    for v in depth:
+        depth[v] += 1
     return depth
 
 
@@ -208,25 +204,10 @@ def lebesgue_check(g: MetricGraph, fc: FatCover) -> LebesgueReport:
             return LebesgueReport(False, rad, x)
         if rad == 0:
             continue
-        ball_x = _small_ball(g, x, rad)
+        ball_x = _bfs(g, (x,), rad).keys()
         if not any(ball_x <= fc.sets[i].members for i in candidates):
             return LebesgueReport(False, rad, x)
     return LebesgueReport(True, rad, None)
-
-
-def _small_ball(g: MetricGraph, x: int, radius: int) -> set[int]:
-    seen = {x: 0}
-    q = deque([x])
-    while q:
-        u = q.popleft()
-        d = seen[u]
-        if d == radius:
-            continue
-        for w in g.neighbors(u):
-            if w not in seen:
-                seen[w] = d + 1
-                q.append(w)
-    return set(seen)
 
 
 def phi(g: MetricGraph, fc: FatCover, x: int) -> dict[int, Fraction]:
@@ -241,7 +222,7 @@ def phi(g: MetricGraph, fc: FatCover, x: int) -> dict[int, Fraction]:
             "uncovered or every set containing it has an empty complement"
         )
     if total < fc.r:
-        raise ValueError(
+        raise ClaimViolation(
             f"Lebesgue consequence failed at vertex {x}: complement-distance sum "
             f"{total} < r = {fc.r}"
         )
@@ -310,24 +291,10 @@ def variation(g: MetricGraph, fc: FatCover, z: int, w: int, anchors: dict[int, i
     dz = _depth_profile(fc, z)
     dw = _depth_profile(fc, w)
     comp = sum(abs(dz.get(i, 0) - dw.get(i, 0)) for i in set(dz) | set(dw))
-    d = _pair_distance(g, z, w)
+    d = distance(g, z, w)
+    if d is None:
+        raise ValueError(f"vertices {z} and {w} are unreachable from each other")
     return VariationReport(distance=d, l1=l1, max_phi_diff=max_diff, complement_diff_sum=comp)
-
-
-def _pair_distance(g: MetricGraph, z: int, w: int) -> int:
-    if z == w:
-        return 0
-    seen = {z: 0}
-    q = deque([z])
-    while q:
-        u = q.popleft()
-        for x in g.neighbors(u):
-            if x not in seen:
-                seen[x] = seen[u] + 1
-                if x == w:
-                    return seen[x]
-                q.append(x)
-    raise ValueError(f"vertices {z} and {w} are unreachable from each other")
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import calculator
 from .a1 import (
+    ClaimViolation,
     FatCover,
-    FatCoverOrderError,
     ScopeTooSmallError,
     VariationSweepReport,
     a1_map,
@@ -39,7 +39,7 @@ from .a1 import (
 )
 from .cover import CoverParams, asdim_upper_from_D, build_cover, multiplicity, store_cover, verify_diameters
 from .geodesics import GeodesicFamily, PropertyBReport, check_property_b, thin_delta
-from .graphs import MetricGraph, load_graph, store_graph
+from .graphs import MetricGraph, bfs_distances, load_graph, store_graph
 from .probes import discrete_capacity, growth_probe
 from .spaces import LabeledGraph, broom_tree, farey_truncation, grid, regular_tree
 
@@ -410,8 +410,6 @@ def _support_radius_ok(g: MetricGraph, fat: FatCover, anchors: dict[int, int], b
         if tm is not None:
             worst = int(tm.distances(anchor, members).max())
         else:
-            from .graphs import bfs_distances
-
             row = bfs_distances(g, anchor)
             worst = max(row[int(v)] for v in members)
         if worst > bound:
@@ -621,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScopeTooSmallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCOPE
-    except FatCoverOrderError as exc:
+    except ClaimViolation as exc:
         print(f"THEOREM ALARM: {exc}", file=sys.stderr)
         return EXIT_ALARM
     except (SpaceSpecError, ValueError) as exc:

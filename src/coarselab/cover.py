@@ -19,13 +19,12 @@ label the incomplete ones.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geodesics import GeodesicFamily
-from .graphs import MetricGraph, distance_vector, multi_source_distances, set_diameter
+from .graphs import MetricGraph, _bfs, distance_vector, multi_source_distances, set_diameter
 
 __all__ = [
     "CoverParams",
@@ -273,7 +272,7 @@ def multiplicity(
     eligible_mask = set(eligible)
     counts: dict[int, int] = {}
     for cs in cover.sets:
-        for v in _expand(g, cs.members, radius):
+        for v in cs.members if radius == 0 else _bfs(g, cs.members, radius):
             if v in eligible_mask:
                 counts[v] = counts.get(v, 0) + 1
     max_mult = 0
@@ -286,23 +285,6 @@ def multiplicity(
     bound = None if d_constant is None else 2 * d_constant
     passed = None if bound is None else max_mult <= bound
     return MultiplicityReport(radius, max_mult, witness, bound, passed)
-
-
-def _expand(g: MetricGraph, members: frozenset[int], radius: int):
-    if radius == 0:
-        return members
-    seen = dict.fromkeys(members, 0)
-    q = deque(members)
-    while q:
-        u = q.popleft()
-        d = seen[u]
-        if d == radius:
-            continue
-        for w in g.neighbors(u):
-            if w not in seen:
-                seen[w] = d + 1
-                q.append(w)
-    return seen.keys()
 
 
 def asdim_upper_from_D(d_constant: int) -> int:

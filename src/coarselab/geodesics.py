@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
@@ -41,6 +40,8 @@ from .graphs import (
     GEODESIC_CAP,
     MetricGraph,
     Path,
+    _bfs,
+    _distance_to_set,
     all_geodesics,
     bfs_distances,
     canonical_geodesic,
@@ -49,8 +50,6 @@ from .graphs import (
 
 __all__ = [
     "GeodesicFamily",
-    "g_set",
-    "g_set_r",
     "HyperbolicityReport",
     "thin_delta",
     "PropertyBViolation",
@@ -138,14 +137,6 @@ class GeodesicFamily:
                     continue
                 out.update(w for w in range(g.vertex_count) if ra[w] >= 0 and ra[w] + rb[w] == d)
         return out
-
-
-def g_set(fam: GeodesicFamily, a: int, b: int) -> set[int]:
-    return fam.union(a, b)
-
-
-def g_set_r(fam: GeodesicFamily, a: int, b: int, r: int) -> set[int]:
-    return fam.union_r(a, b, r)
 
 
 # -- thin triangles ----------------------------------------------------
@@ -250,7 +241,7 @@ def _dist_to_set_fn(g: MetricGraph, tables: "_SmallTables | None", tm):
         targets = set(other)
         best = 0
         for v in side:
-            best = max(best, _min_distance_to_set(g, v, targets))
+            best = max(best, _distance_to_set(g, v, targets))
         return best
 
     return generic
@@ -271,38 +262,6 @@ def _canonical_from_matrix(g: MetricGraph, dmat: np.ndarray, u: int, v: int) -> 
         cur = min(w for w in g.neighbors(cur) if dmat[w, v] == dmat[cur, v] - 1)
         path.append(cur)
     return Path(tuple(path))
-
-
-def _min_distance_to_set(g: MetricGraph, v: int, targets: set[int]) -> int:
-    if v in targets:
-        return 0
-    dist = {v: 0}
-    q = deque([v])
-    while q:
-        u = q.popleft()
-        for w in g.neighbors(u):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                if w in targets:
-                    return dist[w]
-                q.append(w)
-    raise ValueError("target set unreachable")
-
-
-def _ball_dict(g: MetricGraph, x: int, radius: int) -> dict[int, int]:
-    """Local ball with distances, cost proportional to the ball itself."""
-    seen = {x: 0}
-    q = deque([x])
-    while q:
-        u = q.popleft()
-        d = seen[u]
-        if d == radius:
-            continue
-        for w in g.neighbors(u):
-            if w not in seen:
-                seen[w] = d + 1
-                q.append(w)
-    return seen
 
 
 # -- boundedness checker -----------------------------------------------
@@ -427,10 +386,8 @@ def check_property_b(
 
     tm = g.tree_metric() if g.is_tree else None
     tables = None
-    shared_adj: list[list[int]] | None = None
     if tm is None and n <= _SMALL_GRAPH_MAX:
         tables = _SmallTables.build(g, with_sigma=(fam.kind == "all"))
-        shared_adj = [list(g.neighbors(v)) for v in range(n)]
 
     observed = 0
     samples = 0
@@ -444,7 +401,7 @@ def check_property_b(
         if tm is not None:
             worker: _TreePairChecker | _PairChecker = _TreePairChecker(g, tm, a, b, ell, k, r_max)
         else:
-            worker = _PairChecker(fam, tables, shared_adj, a, b, ell, k, r_max)
+            worker = _PairChecker(fam, tables, a, b, ell, k, r_max)
         if not worker.reachable:
             continue
         pairs_checked += 1
@@ -501,8 +458,8 @@ class _TreePairChecker:
         self.path = tm.path(a, b)
         self.d_ab = len(self.path) - 1
         self.pos = {v: i for i, v in enumerate(self.path)}
-        ball_a = _ball_dict(g, a, r_max)
-        ball_b = _ball_dict(g, b, r_max)
+        ball_a = _bfs(g, (a,), r_max)
+        ball_b = _bfs(g, (b,), r_max)
         self.A = sorted(ball_a)
         self.B = sorted(ball_b)
         self.da_A = np.asarray([ball_a[v] for v in self.A], dtype=np.int64)
@@ -523,7 +480,7 @@ class _TreePairChecker:
     def _neighborhood(self, c: int) -> list[int]:
         hood = self._hoods.get(c)
         if hood is None:
-            hood = [c] if self.k == 0 else sorted(_ball_dict(self.g, c, self.k))
+            hood = [c] if self.k == 0 else sorted(_bfs(self.g, (c,), self.k))
             self._hoods[c] = hood
         return hood
 
@@ -600,7 +557,6 @@ class _PairChecker:
         self,
         fam: GeodesicFamily,
         tables: _SmallTables | None,
-        shared_adj: list[list[int]] | None,
         a: int,
         b: int,
         ell: int,
@@ -629,7 +585,7 @@ class _PairChecker:
             # full tables: work in global indices
             self.env = np.arange(n, dtype=np.int64)
             self.local_of: dict[int, int] | _IdentityIndex = _IdentityIndex(n)
-            self.local_adj = shared_adj
+            self.local_adj = g._adj
         else:
             env = np.flatnonzero(reach & (da + db <= self.d_ab + 4 * r_max))
             self.env = env
@@ -655,18 +611,9 @@ class _PairChecker:
             if self.tables is not None:
                 row = self.tables.dist[src].astype(np.int64)
             else:
-                m = len(self.env)
-                row = np.full(m, -1, dtype=np.int64)
-                s = self.local_of[src]
-                row[s] = 0
-                q = deque([s])
-                while q:
-                    u = q.popleft()
-                    du = row[u] + 1
-                    for w in self.local_adj[u]:
-                        if row[w] < 0:
-                            row[w] = du
-                            q.append(w)
+                dist = _bfs(self.g, (src,), within=self.local_of)
+                row = np.full(len(self.env), -1, dtype=np.int64)
+                row[[self.local_of[v] for v in dist]] = list(dist.values())
             self._rows[src] = row
         return row
 
@@ -708,7 +655,7 @@ class _PairChecker:
                 row = self.tables.dist[c]
                 hood = [int(v) for v in np.flatnonzero((row >= 0) & (row <= self.k))]
             else:
-                hood = sorted(_ball_dict(self.g, c, self.k))
+                hood = sorted(_bfs(self.g, (c,), self.k))
             self._hoods[c] = hood
         return hood
 

@@ -10,14 +10,23 @@ Graphs are immutable after construction and safe to share between threads;
 all operations are pure functions of their inputs. Distances are integers;
 an unreachable pair is reported as ``None`` rather than an error so probes
 on disconnected truncations stay total.
+
+Every breadth-first search in the package runs here. The private kernel
+``_bfs`` is bounded and multi-source and returns a dict, so its cost follows
+the ball, not the graph; it serves every local search (balls, spheres,
+fattened sets, interior depths, pair neighbourhoods, envelope rows, conflict
+balls). Full distance rows (tables, geodesic enumeration, tree depths, the
+safe core) stay list-backed in ``bfs_distances``/``multi_source_distances``;
+``distance_vector`` switches to a numpy level-synchronous BFS from
+``_NP_BFS_MIN`` vertices up. ``distance`` and the thin-triangle defect stop
+at the first target they reach.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -203,43 +212,83 @@ class MetricGraph:
 def bfs_distances(g: MetricGraph, source: int, cutoff: int | None = None) -> list[int]:
     """Distances from ``source`` to every vertex; ``-1`` marks unreachable
     (or beyond ``cutoff``)."""
-    g.check_vertex(source)
-    dist = [-1] * g.vertex_count
-    dist[source] = 0
-    q = deque([source])
-    adj = g._adj
-    while q:
-        u = q.popleft()
-        du = dist[u]
-        if cutoff is not None and du >= cutoff:
-            continue
-        for w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = du + 1
-                q.append(w)
-    return dist
+    return _dense_bfs(g, (source,), cutoff)
 
 
 def multi_source_distances(g: MetricGraph, sources: Iterable[int], cutoff: int | None = None) -> list[int]:
     """Distance to the nearest of ``sources`` for every vertex, ``-1`` beyond reach."""
+    return _dense_bfs(g, sources, cutoff)
+
+
+def _dense_bfs(g: MetricGraph, sources: Iterable[int], cutoff: int | None) -> list[int]:
     dist = [-1] * g.vertex_count
-    q: deque[int] = deque()
+    queue = []
     for s in sources:
         g.check_vertex(s)
         if dist[s] != 0:
             dist[s] = 0
-            q.append(s)
+            queue.append(s)
+    limit = g.vertex_count if cutoff is None else cutoff
     adj = g._adj
-    while q:
-        u = q.popleft()
+    for u in queue:
         du = dist[u]
-        if cutoff is not None and du >= cutoff:
+        if du >= limit:
             continue
+        du += 1
         for w in adj[u]:
             if dist[w] < 0:
-                dist[w] = du + 1
-                q.append(w)
+                dist[w] = du
+                queue.append(w)
     return dist
+
+
+def _bfs(
+    g: MetricGraph, sources: Iterable[int], radius: int | None = None, within: Collection[int] | None = None
+) -> dict[int, int]:
+    """Distance to the nearest of ``sources`` for every vertex within
+    ``radius`` of them, keyed in the order a FIFO search reaches them. With
+    ``within`` given, the search steps only onto vertices in it."""
+    seen = bytearray(g.vertex_count)
+    dist: dict[int, int] = {}
+    queue = []
+    for s in sources:
+        g.check_vertex(s)
+        if not seen[s]:
+            seen[s] = 1
+            dist[s] = 0
+            queue.append(s)
+    limit = g.vertex_count if radius is None else radius
+    adj = g._adj
+    for u in queue:
+        du = dist[u]
+        if du >= limit:
+            continue
+        du += 1
+        for w in adj[u]:
+            if not seen[w] and (within is None or w in within):
+                seen[w] = 1
+                dist[w] = du
+                queue.append(w)
+    return dist
+
+
+def _distance_to_set(g: MetricGraph, v: int, targets: Collection[int]) -> int | None:
+    """d(v, targets), stopping at the first target reached; ``None`` when
+    no target is reachable."""
+    if v in targets:
+        return 0
+    dist = {v: 0}
+    queue = [v]
+    adj = g._adj
+    for u in queue:
+        du = dist[u] + 1
+        for w in adj[u]:
+            if w not in dist:
+                if w in targets:
+                    return du
+                dist[w] = du
+                queue.append(w)
+    return None
 
 
 def distance_vector(g: MetricGraph, source: int) -> np.ndarray:
@@ -279,26 +328,21 @@ def distance(g: MetricGraph, u: int, v: int) -> int | None:
     """Shortest-path distance, ``None`` when u and v lie in different components."""
     g.check_vertex(u)
     g.check_vertex(v)
-    if u == v:
-        return 0
-    d = bfs_distances(g, u)[v]
-    return None if d < 0 else d
+    return _distance_to_set(g, u, (v,))
 
 
 def ball(g: MetricGraph, x: int, r: int) -> set[int]:
     """``{v : d(x, v) <= r}``."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    dist = bfs_distances(g, x, cutoff=r)
-    return {v for v, d in enumerate(dist) if 0 <= d <= r}
+    return set(_bfs(g, (x,), r))
 
 
 def sphere(g: MetricGraph, x: int, r: int) -> set[int]:
     """``{v : d(x, v) = r}``; ``sphere(g, x, 0) == {x}``."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    dist = bfs_distances(g, x, cutoff=r)
-    return {v for v, d in enumerate(dist) if d == r}
+    return {v for v, d in _bfs(g, (x,), r).items() if d == r}
 
 
 # -- geodesics ---------------------------------------------------------
@@ -453,24 +497,16 @@ class _TreeMetric:
 
     def __init__(self, g: MetricGraph):
         n = g.vertex_count
-        parent = np.full(n, -1, dtype=np.int64)
-        depth = np.zeros(n, dtype=np.int64)
-        seen = [False] * n
-        q = deque([0])
-        seen[0] = True
-        adj = g._adj
-        while q:
-            u = q.popleft()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = u
-                    depth[w] = depth[u] + 1
-                    q.append(w)
+        depth = np.asarray(bfs_distances(g, 0), dtype=np.int64)
+        # On a tree the parent of v is its unique neighbour at depth - 1;
+        # the root 0 has none and is its own parent.
+        indptr, indices = g.csr_arrays()
+        tail = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+        up_edge = depth[indices] == depth[tail] - 1
         k = max(1, int(np.ceil(np.log2(max(2, n)))))
         up = np.empty((k, n), dtype=np.int32)  # vertex ids fit; depths stay int64
-        root_mask = parent < 0
-        up[0] = np.where(root_mask, np.arange(n), parent)
+        up[0, 0] = 0
+        up[0][tail[up_edge]] = indices[up_edge]
         for i in range(1, k):
             up[i] = up[i - 1][up[i - 1]]
         self.depth = depth

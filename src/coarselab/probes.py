@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
-from .graphs import MetricGraph, ball
+from .graphs import MetricGraph, _bfs, ball
 from .spaces import LabeledGraph
 
 __all__ = [
@@ -73,20 +73,8 @@ def discrete_capacity(
 
 
 def _near_candidates(g: MetricGraph, v: int, cand: set[int], d_sep: int) -> set[int]:
-    """Candidates at distance < d_sep from v, by a local dictionary BFS."""
-    if d_sep == 2:
-        return set(g.neighbors(v)) & cand
-    seen = {v: 0}
-    q = [v]
-    for u in q:
-        du = seen[u]
-        if du == d_sep - 1:
-            continue
-        for w in g.neighbors(u):
-            if w not in seen:
-                seen[w] = du + 1
-                q.append(w)
-    return {w for w in seen if w != v and w in cand}
+    """Candidates at distance < d_sep from v."""
+    return {w for w in _bfs(g, (v,), d_sep - 1) if w != v and w in cand}
 
 
 def _greedy_independent_set(g: MetricGraph, candidates: list[int], cand: set[int], d_sep: int) -> list[int]:

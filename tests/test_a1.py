@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from coarselab.a1 import (
+    ClaimViolation,
     FatCover,
+    FatCoverOrderError,
     FatSet,
     ScopeTooSmallError,
     _interior_depths,
@@ -159,6 +161,20 @@ class TestPhi:
             for x in sorted(fat.safe)[::151]:
                 total = sum(fat.sets[i].depth[x] for i in fat.sets_of[x])
                 assert total >= r
+
+
+    def test_sum_below_r_is_a_claim_violation(self):
+        g = path_graph(9)
+        members = frozenset({3, 4, 5})
+        fs = FatSet(1, None, members, _interior_depths(g, members))
+        fc = FatCover(
+            r=2, d_constant=1, base=None, sets=(fs,), sets_of={v: (0,) for v in members},
+            diam_base=2, safe=frozenset(members), order_max=1,
+        )
+        assert phi(g, fc, 4) == {0: Fraction(1)}
+        with pytest.raises(ClaimViolation, match="Lebesgue consequence failed at vertex 3"):
+            phi(g, fc, 3)
+        assert issubclass(FatCoverOrderError, ClaimViolation)
 
 
 class TestAnchors:

@@ -1,3 +1,7 @@
+import pytest
+
+from coarselab import cli, geodesics, graphs
+from coarselab.a1 import ClaimViolation
 from coarselab.cli import main, parse_space
 from coarselab.graphs import load_graph, store_graph
 from coarselab.spaces import broom_tree
@@ -143,6 +147,53 @@ class TestA1:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_claim_violation_exits_1(self, capsys, monkeypatch):
+        def failing_phi(g, fc, x):
+            raise ClaimViolation(f"Lebesgue consequence failed at vertex {x}")
+
+        monkeypatch.setattr(cli, "phi", failing_phi)
+        code, _, err = run_cli(capsys, "a1", "--space", "broom:130", "--r", "1", "--pair-budget", "12")
+        assert code == 1
+        assert "THEOREM ALARM: Lebesgue consequence failed" in err
+
+
+def forced_backends(monkeypatch):
+    """Send every full-graph BFS through numpy and every non-tree graph
+    through the large-graph backends (generic thin_delta, envelope propb)."""
+    monkeypatch.setattr(graphs, "_NP_BFS_MIN", 0)
+    monkeypatch.setattr(geodesics, "_SMALL_GRAPH_MAX", 0)
+
+
+class TestBackendsAgree:
+    """Reports from the large-graph backends equal the default ones."""
+
+    @pytest.mark.parametrize("space", ["farey:8", "farey:10", "grid:6"])
+    @pytest.mark.parametrize("family", ["all", "canonical"])
+    def test_delta(self, capsys, monkeypatch, space, family):
+        args = ("delta", "--space", space, "--family", family, "--budget", "300")
+        default = run_cli(capsys, *args)
+        forced_backends(monkeypatch)
+        assert run_cli(capsys, *args) == default
+        assert default[0] == 0
+
+    @pytest.mark.parametrize("space", ["farey:8", "farey:10", "grid:6"])
+    @pytest.mark.parametrize("family", ["all", "canonical"])
+    @pytest.mark.parametrize("k", ["0", "2"])
+    def test_propb(self, capsys, monkeypatch, space, family, k):
+        args = ("propb", "--space", space, "--family", family, "--k", k, "--ell", "1", "--pair-budget", "60")
+        default = run_cli(capsys, *args)
+        forced_backends(monkeypatch)
+        assert run_cli(capsys, *args) == default
+        assert "qualifying_found=yes" in default[1]
+
+    @pytest.mark.parametrize("family", ["all", "canonical"])
+    def test_cover_numpy_bfs(self, capsys, monkeypatch, family):
+        args = ("cover", "--space", "broom:20", "--r", "1", "--family", family, "--radius", "1", "--dump")
+        default = run_cli(capsys, *args)
+        monkeypatch.setattr(graphs, "_NP_BFS_MIN", 0)
+        assert run_cli(capsys, *args) == default
+        assert default[0] == 0
 
 
 class TestProbe:

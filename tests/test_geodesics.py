@@ -6,8 +6,6 @@ from conftest import brute_shortest_paths, floyd_warshall, random_graph
 from coarselab.geodesics import (
     GeodesicFamily,
     check_property_b,
-    g_set,
-    g_set_r,
     thin_delta,
 )
 from coarselab.graphs import MetricGraph, canonical_geodesic, distance
@@ -41,13 +39,13 @@ class TestGSet:
         leaf_a = b.vertex_of("4.4")
         leaf_b = b.vertex_of("6.6")
         expected = set(canonical_geodesic(b.graph, leaf_a, leaf_b).vertices)
-        assert g_set(fam, leaf_a, leaf_b) == expected
-        assert g_set_r(fam, leaf_a, leaf_b, 0) == expected
+        assert fam.union(leaf_a, leaf_b) == expected
+        assert fam.union_r(leaf_a, leaf_b, 0) == expected
 
     def test_same_point(self):
         g = random_graph(3)
         fam = GeodesicFamily.all_of(g)
-        assert g_set(fam, 1, 1) == {1}
+        assert fam.union(1, 1) == {1}
 
     @pytest.mark.parametrize("seed", range(20))
     def test_all_family_matches_enumeration(self, seed):
@@ -59,7 +57,7 @@ class TestGSet:
                 if not paths and u != v:
                     continue
                 expected = {w for p in paths for w in p} if u != v else {u}
-                assert g_set(fam, u, v) == expected
+                assert fam.union(u, v) == expected
 
     @pytest.mark.parametrize("seed", range(10))
     def test_canonical_subset_of_all(self, seed):
@@ -70,12 +68,12 @@ class TestGSet:
             for v in range(g.vertex_count):
                 if u == v or distance(g, u, v) is None:
                     continue
-                assert g_set(fc, u, v) <= g_set(fa, u, v)
+                assert fc.union(u, v) <= fa.union(u, v)
 
     def test_g_set_r_union_over_balls(self):
         g = cycle_graph(6)
         fam = GeodesicFamily.all_of(g)
-        got = g_set_r(fam, 0, 3, 1)
+        got = fam.union_r(0, 3, 1)
         # independent recomputation from scratch
         expected = set()
         for ap in (5, 0, 1):

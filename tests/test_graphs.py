@@ -1,4 +1,8 @@
+import ast
 import itertools
+import random
+from collections import deque
+from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from coarselab.graphs import (
     GraphFormatError,
     MetricGraph,
     Path,
+    _bfs,
+    _distance_to_set,
     all_geodesics,
     ball,
     bfs_distances,
@@ -312,6 +318,121 @@ class TestSetDiameters:
     def test_invalid_member_raises(self, g, bad):
         with pytest.raises(ValueError, match=f"invalid vertex id {bad!r}"):
             set_diameters(g, [{0, 3}, [0, bad]])
+
+
+def brute_bfs(g: MetricGraph, sources, radius, within) -> dict[int, int]:
+    """Bounded multi-source distances by relaxing every allowed edge until
+    nothing changes; no queue, no visiting order."""
+    allowed = set(range(g.vertex_count)) if within is None else set(within) | set(sources)
+    dist = {s: 0 for s in sources}
+    changed = True
+    while changed:
+        changed = False
+        for u, v in g.edges():
+            for a, b in ((u, v), (v, u)):
+                if a in dist and b in allowed and dist.get(b, g.vertex_count) > dist[a] + 1:
+                    dist[b] = dist[a] + 1
+                    changed = True
+    return {v: d for v, d in dist.items() if radius is None or d <= radius}
+
+
+def kernel_graph(seed: int) -> MetricGraph:
+    # sparse draws are mostly disconnected, dense ones mostly connected
+    return random_graph(seed, max_vertices=14, edge_prob=(0.1, 0.2, 0.35)[seed % 3])
+
+
+class TestBfsKernel:
+    def test_oracle_graphs_include_disconnected(self):
+        connected = [kernel_graph(seed).is_connected for seed in range(30)]
+        assert 5 <= connected.count(False) <= 25
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_networkx_and_brute_force(self, seed):
+        nx = pytest.importorskip("networkx")
+        g = kernel_graph(seed)
+        n = g.vertex_count
+        rng = random.Random(seed)
+        a, b = rng.randrange(n), rng.randrange(n)
+        cut = set(rng.sample(range(n), n // 2))
+        full = nx.Graph()
+        full.add_nodes_from(range(n))
+        full.add_edges_from(g.edges())
+        for sources, radius, within in itertools.product(
+            ([a], [a, b], [b, a, b, b]), (0, 1, 3, None), (None, cut)
+        ):
+            got = _bfs(g, sources, radius, within)
+            assert got == brute_bfs(g, sources, radius, within)
+            region = full if within is None else full.subgraph(within | set(sources))
+            assert got == nx.multi_source_dijkstra_path_length(region, set(sources), cutoff=radius)
+            # FIFO order: the distinct sources first, then by distance
+            assert list(got)[: len(set(sources))] == list(dict.fromkeys(sources))
+            assert list(got.values()) == sorted(got.values())
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_distance_to_set(self, seed):
+        g = kernel_graph(seed)
+        rng = random.Random(seed)
+        targets = set(rng.sample(range(g.vertex_count), rng.randint(1, 3)))
+        for v in range(g.vertex_count):
+            reach = [d for t, d in brute_bfs(g, [v], None, None).items() if t in targets]
+            assert _distance_to_set(g, v, targets) == (min(reach) if reach else None)
+
+    @pytest.mark.parametrize("bad", [5, -1, 1.5])
+    def test_invalid_source_raises(self, bad):
+        with pytest.raises(ValueError, match=f"invalid vertex id {bad!r}"):
+            _bfs(path_graph(5), [0, bad])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tree_metric_parents_and_depths(self, seed):
+        rng = random.Random(seed)
+        g = random_tree(rng, rng.randint(1, 60))
+        n = g.vertex_count
+        parent, depth = [0] * n, [0] * n
+        seen = {0}
+        q = deque([0])
+        while q:
+            u = q.popleft()
+            for w in g.neighbors(u):
+                if w not in seen:
+                    seen.add(w)
+                    parent[w], depth[w] = u, depth[u] + 1
+                    q.append(w)
+        tm = g.tree_metric()
+        assert tm.depth.tolist() == depth
+        assert tm.up[0].tolist() == parent
+
+
+def _grows_own_queue(loop: ast.For | ast.While) -> bool:
+    """A loop that appends to the container it iterates or tests: a BFS queue."""
+    if isinstance(loop, ast.For):
+        walked = {loop.iter.id} if isinstance(loop.iter, ast.Name) else set()
+    else:
+        walked = {n.id for n in ast.walk(loop.test) if isinstance(n, ast.Name)}
+    grown = {
+        c.func.value.id
+        for c in ast.walk(loop)
+        if isinstance(c, ast.Call)
+        and isinstance(c.func, ast.Attribute)
+        and c.func.attr in ("append", "appendleft", "extend")
+        and isinstance(c.func.value, ast.Name)
+    }
+    return bool(walked & grown)
+
+
+def test_traversals_live_in_graphs():
+    """Only graphs.py walks a queue or imports deque: every other module
+    reaches a BFS through the graphs functions."""
+    package = FilePath(__file__).resolve().parent.parent / "src" / "coarselab"
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.alias) and node.name == "deque" or isinstance(node, ast.Attribute) and node.attr == "deque":
+                offenders.append(f"{path.name}:{node.lineno} deque")
+            if isinstance(node, (ast.For, ast.While)) and _grows_own_queue(node):
+                offenders.append(f"{path.name}:{node.lineno} queue loop")
+    assert offenders == []
 
 
 class TestPathType:
