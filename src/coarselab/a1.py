@@ -10,9 +10,13 @@ cover has r as a Lebesgue number, each point x gets exact rational weights
 each set V an anchor point x_V maximizing its complement distance, and x
 the finitely supported probability vector a_x = sum_V phi_V(x) * delta_{x_V}.
 
-Everything in this module is exact: weights are ``fractions.Fraction``
-values, sums to one are equalities, and all inequality checks are integer
-comparisons. No floats appear anywhere.
+Everything in this module is exact. A point's weights are integers: its
+depth profile (set -> d(x, complement)) gives the numerators, and their
+total is the one shared denominator; folding the profile onto the anchors
+gives the numerators of a_x. Sums to one are integer equalities and all
+inequality checks are integer cross-multiplications. ``fractions.Fraction``
+values appear only at the public boundary: ``phi``, ``a1_map``/``A1Map``,
+``variation`` and the fields of the reports. No floats appear anywhere.
 
 On a truncation, bounds are only asserted on the safe core: vertices whose
 ``5r``-ball stays inside the complete annuli of the base cover.
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .cover import Cover, CoverParams, build_cover
 from .geodesics import GeodesicFamily
@@ -82,6 +87,24 @@ class FatCover:
     diam_base: int
     safe: frozenset[int]
     order_max: int
+
+    @cached_property
+    def anchors(self) -> dict[int, int]:
+        """Anchor of each set: the member deepest inside it, least id on
+        ties. Computed once per cover; see :func:`select_anchors`."""
+        anchors: dict[int, int] = {}
+        for i, fs in enumerate(self.sets):
+            best_depth = 0
+            best_v: int | None = None
+            for v in sorted(fs.members):
+                d = fs.depth.get(v, 0)
+                if d > best_depth:
+                    best_depth = d
+                    best_v = v
+            if best_v is None:
+                raise ValueError(f"fattened set {i} has empty interior")
+            anchors[i] = best_v
+        return anchors
 
 
 @dataclass(frozen=True)
@@ -178,7 +201,8 @@ def _interior_depths(g: MetricGraph, members: frozenset[int]) -> dict[int, int]:
     step, so a BFS inside the induced subgraph seeded with the boundary-
     adjacent vertices at depth 1 is exact.
     """
-    boundary = [v for v in members if any(w not in members for w in g.neighbors(v))]
+    adj = g._adj
+    boundary = [v for v in members if any(w not in members for w in adj[v])]
     # A member with no path to the complement can only happen when the set
     # is the whole component; the builder rejects that case upstream.
     depth = _bfs(g, boundary, within=members)
@@ -214,6 +238,18 @@ def phi(g: MetricGraph, fc: FatCover, x: int) -> dict[int, Fraction]:
     """Exact rational weights of x against the fattened sets; zero entries
     are omitted and the returned values sum to exactly 1."""
     g.check_vertex(x)
+    depths, total = _weights(fc, x)
+    return {i: Fraction(d, total) for i, d in sorted(depths.items())}
+
+
+def _depth_profile(fc: FatCover, x: int) -> dict[int, int]:
+    return {i: fc.sets[i].depth[x] for i in fc.sets_of.get(x, ()) if x in fc.sets[i].depth}
+
+
+def _weights(fc: FatCover, x: int) -> tuple[dict[int, int], int]:
+    """phi(x) in integers: the depth profile of x, whose values are the
+    numerators, and their total, the shared denominator. Raises as
+    :func:`phi` does when the total is 0 or below r."""
     depths = _depth_profile(fc, x)
     total = sum(depths.values())
     if total == 0:
@@ -226,42 +262,59 @@ def phi(g: MetricGraph, fc: FatCover, x: int) -> dict[int, Fraction]:
             f"Lebesgue consequence failed at vertex {x}: complement-distance sum "
             f"{total} < r = {fc.r}"
         )
-    return {i: Fraction(d, total) for i, d in sorted(depths.items())}
+    return depths, total
 
 
-def _depth_profile(fc: FatCover, x: int) -> dict[int, int]:
-    return {i: fc.sets[i].depth[x] for i in fc.sets_of.get(x, ()) if x in fc.sets[i].depth}
+def _anchor_numerators(depths: dict[int, int], anchors: dict[int, int]) -> dict[int, int]:
+    """Fold a depth profile onto the anchors: the numerators of a_x over
+    the profile's total."""
+    nums: dict[int, int] = {}
+    for i, d in depths.items():
+        z = anchors[i]
+        nums[z] = nums.get(z, 0) + d
+    return nums
 
 
 def select_anchors(g: MetricGraph, fc: FatCover) -> dict[int, int]:
     """Anchor of each set: the member deepest inside it, least id on ties.
     Its weight against the set is automatically nonzero."""
-    anchors: dict[int, int] = {}
-    for i, fs in enumerate(fc.sets):
-        best_depth = 0
-        best_v: int | None = None
-        for v in sorted(fs.members):
-            d = fs.depth.get(v, 0)
-            if d > best_depth:
-                best_depth = d
-                best_v = v
-        if best_v is None:
-            raise ValueError(f"fattened set {i} has empty interior")
-        anchors[i] = best_v
-    return anchors
+    return dict(fc.anchors)
 
 
 def a1_map(g: MetricGraph, fc: FatCover, x: int, anchors: dict[int, int] | None = None) -> A1Map:
     """The probability vector a_x: weight phi_V(x) placed at the anchor of
     each set containing x; colliding anchors accumulate."""
     if anchors is None:
-        anchors = select_anchors(g, fc)
-    weights = phi(g, fc, x)
+        anchors = fc.anchors
     entries: dict[int, Fraction] = {}
-    for i, w in weights.items():
+    for i, w in phi(g, fc, x).items():
         z = anchors[i]
-        entries[z] = entries.get(z, Fraction(0)) + w
+        entries[z] = entries[z] + w if z in entries else w
     return A1Map(x, dict(sorted(entries.items())))
+
+
+def _pair_numerators(
+    pz: dict[int, int], sz: int, nz: dict[int, int], pw: dict[int, int], sw: int, nw: dict[int, int]
+) -> tuple[bool, int, int, int]:
+    """The variation chain of the pair z, w from their depth profiles,
+    totals and anchor numerators: whether every per-set depth step is at
+    most 1, the summed displacement, and the numerators over ``sz * sw`` of
+    the largest per-set weight difference and of ||a_z - a_w||_1."""
+    step_ok = True
+    comp = 0
+    phi_num = 0
+    for i in pz.keys() | pw.keys():
+        dz = pz.get(i, 0)
+        dw = pw.get(i, 0)
+        step = abs(dz - dw)
+        if step > 1:
+            step_ok = False
+        comp += step
+        num = abs(dz * sw - dw * sz)
+        if num > phi_num:
+            phi_num = num
+    l1_num = sum(abs(nz.get(v, 0) * sw - nw.get(v, 0) * sz) for v in nz.keys() | nw.keys())
+    return step_ok, comp, phi_num, l1_num
 
 
 @dataclass(frozen=True)
@@ -277,24 +330,20 @@ def variation(g: MetricGraph, fc: FatCover, z: int, w: int, anchors: dict[int, i
     variation bound chains through: the largest per-set weight difference
     and the summed complement-distance displacement."""
     if anchors is None:
-        anchors = select_anchors(g, fc)
-    az = a1_map(g, fc, z, anchors).entries
-    aw = a1_map(g, fc, w, anchors).entries
-    l1 = sum((abs(az.get(v, Fraction(0)) - aw.get(v, Fraction(0))) for v in set(az) | set(aw)), Fraction(0))
-    pz = phi(g, fc, z)
-    pw = phi(g, fc, w)
-    max_diff = Fraction(0)
-    for i in set(pz) | set(pw):
-        diff = abs(pz.get(i, Fraction(0)) - pw.get(i, Fraction(0)))
-        if diff > max_diff:
-            max_diff = diff
-    dz = _depth_profile(fc, z)
-    dw = _depth_profile(fc, w)
-    comp = sum(abs(dz.get(i, 0) - dw.get(i, 0)) for i in set(dz) | set(dw))
+        anchors = fc.anchors
+    g.check_vertex(z)
+    pz, sz = _weights(fc, z)
+    g.check_vertex(w)
+    pw, sw = _weights(fc, w)
+    _, comp, phi_num, l1_num = _pair_numerators(
+        pz, sz, _anchor_numerators(pz, anchors), pw, sw, _anchor_numerators(pw, anchors)
+    )
     d = distance(g, z, w)
     if d is None:
         raise ValueError(f"vertices {z} and {w} are unreachable from each other")
-    return VariationReport(distance=d, l1=l1, max_phi_diff=max_diff, complement_diff_sum=comp)
+    return VariationReport(
+        distance=d, l1=Fraction(l1_num, sz * sw), max_phi_diff=Fraction(phi_num, sz * sw), complement_diff_sum=comp
+    )
 
 
 @dataclass(frozen=True)
@@ -326,23 +375,23 @@ def variation_sweep(g: MetricGraph, fc: FatCover) -> VariationSweepReport:
     All comparisons are integer cross-multiplications; the returned sups
     are exact fractions.
     """
-    anchors = select_anchors(g, fc)
+    anchors = fc.anchors
     dd = fc.d_constant
     r = fc.r
-    phi_bound = Fraction(4 * dd + 1, r)
-    l1_bound = Fraction((4 * dd + 1) ** 2, r)
+    phi_top = 4 * dd + 1  # the phi bound is phi_top / r, the l1 bound l1_top / r
+    l1_top = phi_top * phi_top
     comp_bound = 4 * dd
 
-    profiles: dict[int, dict[int, int]] = {}
-    totals: dict[int, int] = {}
+    # Pairs run with z ascending and w > z, so once z's pairs are done its
+    # entry is never read again and is dropped.
+    points: dict[int, tuple[dict[int, int], int, dict[int, int]]] = {}
 
-    def profile(x: int) -> tuple[dict[int, int], int]:
-        p = profiles.get(x)
+    def point(x: int) -> tuple[dict[int, int], int, dict[int, int]]:
+        p = points.get(x)
         if p is None:
-            p = _depth_profile(fc, x)
-            profiles[x] = p
-            totals[x] = sum(p.values())
-        return p, totals[x]
+            depths = _depth_profile(fc, x)
+            p = points[x] = (depths, sum(depths.values()), _anchor_numerators(depths, anchors))
+        return p
 
     sup_l1_num, sup_l1_den = 0, 1
     sup_phi_num, sup_phi_den = 0, 1
@@ -350,49 +399,36 @@ def variation_sweep(g: MetricGraph, fc: FatCover) -> VariationSweepReport:
     pairs = 0
     witness: tuple[int, int] | None = None
     safe = fc.safe
+    adj = g._adj
     for z in sorted(safe):
-        for w in g.neighbors(z):
+        for w in adj[z]:
             if w <= z or w not in safe:
                 continue
             pairs += 1
-            pz, sz = profile(z)
-            pw, sw = profile(w)
-            comp = 0
-            for i in set(pz) | set(pw):
-                step = abs(pz.get(i, 0) - pw.get(i, 0))
-                if step > 1:
-                    step_ok = False
-                comp += step
-                # phi difference |nz/sz - nw/sw| vs (4D+1)/r, cross-multiplied
-                num = abs(pz.get(i, 0) * sw - pw.get(i, 0) * sz)
-                den = sz * sw
-                if num * phi_bound.denominator > phi_bound.numerator * den:
-                    phi_ok = False
-                if num * sup_phi_den > sup_phi_num * den:
-                    sup_phi_num, sup_phi_den = num, den
+            pz, sz, nz = point(z)
+            pw, sw, nw = point(w)
+            step, comp, phi_num, l1_num = _pair_numerators(pz, sz, nz, pw, sw, nw)
+            den = sz * sw
+            if not step:
+                step_ok = False
             if comp > comp_bound:
                 comp_ok = False
-            nz: dict[int, int] = {}
-            for i, d in pz.items():
-                a = anchors[i]
-                nz[a] = nz.get(a, 0) + d
-            nw: dict[int, int] = {}
-            for i, d in pw.items():
-                a = anchors[i]
-                nw[a] = nw.get(a, 0) + d
-            l1_num = sum(abs(nz.get(v, 0) * sw - nw.get(v, 0) * sz) for v in set(nz) | set(nw))
-            l1_den = sz * sw
-            if l1_num * l1_bound.denominator > l1_bound.numerator * l1_den:
+            if phi_num * r > phi_top * den:
+                phi_ok = False
+            if phi_num * sup_phi_den > sup_phi_num * den:
+                sup_phi_num, sup_phi_den = phi_num, den
+            if l1_num * r > l1_top * den:
                 l1_ok = False
-            if l1_num * sup_l1_den > sup_l1_num * l1_den:
-                sup_l1_num, sup_l1_den = l1_num, l1_den
+            if l1_num * sup_l1_den > sup_l1_num * den:
+                sup_l1_num, sup_l1_den = l1_num, den
                 witness = (z, w)
+        points.pop(z, None)
     return VariationSweepReport(
         pairs_checked=pairs,
         sup_l1=Fraction(sup_l1_num, sup_l1_den),
         sup_phi_diff=Fraction(sup_phi_num, sup_phi_den),
-        l1_bound=l1_bound,
-        phi_bound=phi_bound,
+        l1_bound=Fraction(l1_top, r),
+        phi_bound=Fraction(phi_top, r),
         complement_bound=comp_bound,
         l1_ok=l1_ok,
         phi_ok=phi_ok,
@@ -405,7 +441,7 @@ def variation_sweep(g: MetricGraph, fc: FatCover) -> VariationSweepReport:
 def store_a1_maps(g: MetricGraph, fc: FatCover) -> str:
     """Dump format: one line per safe vertex,
     ``a x=<id> : <anchor>=<num>/<den> ...`` with anchors ascending."""
-    anchors = select_anchors(g, fc)
+    anchors = fc.anchors
     lines = []
     for x in sorted(fc.safe):
         entries = a1_map(g, fc, x, anchors).entries

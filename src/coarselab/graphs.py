@@ -104,6 +104,7 @@ class MetricGraph:
         "_edge_count",
         "_arrays_cache",
         "_connected",
+        "_root_row",
         "_tree_metric",
     )
 
@@ -129,6 +130,7 @@ class MetricGraph:
         self._edge_count = count
         self._arrays_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._connected: bool | None = None
+        self._root_row: list[int] | None = None
         self._tree_metric: _TreeMetric | None = None
 
     # -- structure -----------------------------------------------------
@@ -165,8 +167,10 @@ class MetricGraph:
             if self.vertex_count == 0:
                 self._connected = True
             else:
-                seen = bfs_distances(self, 0)
-                self._connected = all(d >= 0 for d in seen)
+                row = bfs_distances(self, 0)
+                self._connected = min(row) >= 0
+                if self._connected and self._edge_count == self.vertex_count - 1:
+                    self._root_row = row  # a tree's depths from 0, kept for tree_metric
         return self._connected
 
     @property
@@ -187,7 +191,8 @@ class MetricGraph:
         if not self.is_tree:
             raise ValueError("tree_metric is only defined for trees")
         if self._tree_metric is None:
-            self._tree_metric = _TreeMetric(self)
+            self._tree_metric = _TreeMetric(self, self._root_row)
+            self._root_row = None
         return self._tree_metric
 
     def __repr__(self) -> str:
@@ -495,9 +500,9 @@ def _scan_diameter(g: MetricGraph, ms: list[int]) -> int | None:
 class _TreeMetric:
     """Binary-lifting LCA structure giving vectorized exact tree distances."""
 
-    def __init__(self, g: MetricGraph):
+    def __init__(self, g: MetricGraph, depths_from_0: list[int]):
         n = g.vertex_count
-        depth = np.asarray(bfs_distances(g, 0), dtype=np.int64)
+        depth = np.asarray(depths_from_0, dtype=np.int64)
         # On a tree the parent of v is its unique neighbour at depth - 1;
         # the root 0 has none and is its own parent.
         indptr, indices = g.csr_arrays()

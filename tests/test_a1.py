@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,12 +10,15 @@ from coarselab.a1 import (
     FatCoverOrderError,
     FatSet,
     ScopeTooSmallError,
+    _anchor_numerators,
     _interior_depths,
+    _weights,
     a1_map,
     build_fat_cover,
     lebesgue_check,
     phi,
     select_anchors,
+    store_a1_maps,
     variation,
     variation_sweep,
 )
@@ -25,6 +30,14 @@ from coarselab.spaces import broom_tree
 @pytest.fixture(scope="module")
 def broom400_fat():
     b = broom_tree(400)
+    fam = GeodesicFamily.all_of(b.graph)
+    fat = build_fat_cover(b.graph, fam, r=1, delta=0, d_constant=1, basepoint=b.basepoint)
+    return b, fat
+
+
+@pytest.fixture(scope="module")
+def broom130_fat():
+    b = broom_tree(130)
     fam = GeodesicFamily.all_of(b.graph)
     fat = build_fat_cover(b.graph, fam, r=1, delta=0, d_constant=1, basepoint=b.basepoint)
     return b, fat
@@ -292,8 +305,6 @@ class TestVariation:
 
 class TestDumpFormat:
     def test_lines_sorted_and_exact(self):
-        from coarselab.a1 import store_a1_maps
-
         b = broom_tree(130)
         fam = GeodesicFamily.all_of(b.graph)
         fat = build_fat_cover(b.graph, fam, r=1, delta=0, d_constant=1, basepoint=b.basepoint)
@@ -309,3 +320,100 @@ class TestDumpFormat:
             parts = dict(p.split("=") for p in body.split())
             assert {int(z): Fraction(v) for z, v in parts.items()} == expected
             assert sorted(int(z) for z in parts) == [int(z) for z in parts]
+
+
+def oracle_maps(fat):
+    """x -> a_x for every safe x, built straight from the sets' depth maps:
+    each set's anchor is its deepest member (least id on ties), and x puts
+    d(x, V^c) / sum_W d(x, W^c) on the anchor of every set V holding it."""
+    anchors = [min(fs.depth, key=lambda v: (-fs.depth[v], v)) for fs in fat.sets]
+    maps = {}
+    for x in fat.safe:
+        held = [(anchors[i], fs.depth[x]) for i, fs in enumerate(fat.sets) if x in fs.depth]
+        total = sum(d for _, d in held)
+        entries = {}
+        for z, d in held:
+            entries[z] = entries.get(z, 0) + Fraction(d, total)
+        maps[x] = entries
+    return maps
+
+
+class TestIntegerCore:
+    @pytest.mark.parametrize("cover", ["broom130_fat", "broom400_fat"])
+    def test_numerators_and_dump_match_oracle(self, request, cover):
+        b, fat = request.getfixturevalue(cover)
+        oracle = oracle_maps(fat)
+        for x in sorted(fat.safe):
+            depths, total = _weights(fat, x)
+            nums = _anchor_numerators(depths, fat.anchors)
+            assert sum(nums.values()) == total
+            assert {z: Fraction(n, total) for z, n in nums.items()} == oracle[x]
+        expected = [
+            f"a x={x} : " + " ".join(f"{z}={v.numerator}/{v.denominator}" for z, v in sorted(oracle[x].items()))
+            for x in sorted(fat.safe)
+        ]
+        assert store_a1_maps(b.graph, fat).splitlines() == expected
+
+    def test_sweep_sups_are_pointwise_maxima(self, broom130_fat):
+        b, fat = broom130_fat
+        g = b.graph
+        reports = [
+            variation(g, fat, z, w) for z in sorted(fat.safe) for w in g.neighbors(z) if w > z and w in fat.safe
+        ]
+        sweep = variation_sweep(g, fat)
+        assert sweep.pairs_checked == len(reports)
+        assert sweep.sup_l1 == max(rep.l1 for rep in reports)
+        assert sweep.sup_phi_diff == max(rep.max_phi_diff for rep in reports)
+
+    def test_total_below_r_raises_like_phi(self):
+        g = path_graph(9)
+        members = frozenset({3, 4, 5})
+        fs = FatSet(1, None, members, _interior_depths(g, members))
+        fc = FatCover(
+            r=2, d_constant=1, base=None, sets=(fs,), sets_of={v: (0,) for v in members},
+            diam_base=2, safe=frozenset(members), order_max=1,
+        )
+        assert _weights(fc, 4) == ({0: 2}, 2)
+        with pytest.raises(ClaimViolation, match="Lebesgue consequence failed at vertex 3"):
+            _weights(fc, 3)
+        with pytest.raises(ValueError, match="vertex 7 has no positive complement distance"):
+            _weights(fc, 7)
+
+    def test_anchors_computed_once_per_cover(self, broom400_fat):
+        b, fat = broom400_fat
+        anchors = fat.anchors
+        x = min(fat.safe)
+        variation(b.graph, fat, x, x)
+        a1_map(b.graph, fat, x)
+        assert fat.anchors is anchors
+        # the public form hands out a copy, so callers cannot edit the cache
+        assert select_anchors(b.graph, fat) == anchors
+        assert select_anchors(b.graph, fat) is not anchors
+
+
+def test_fractions_only_at_the_boundary():
+    """cli.py names no Fraction, and in a1.py only phi, a1_map, A1Map,
+    variation and the arguments of report constructors build one: every
+    per-vertex check runs on integer numerators."""
+    package = Path(__file__).resolve().parent.parent / "src" / "coarselab"
+    cli_tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    named = [n.lineno for n in ast.walk(cli_tree) if isinstance(n, ast.Name) and n.id == "Fraction"]
+    named += [n.lineno for n in ast.walk(cli_tree) if isinstance(n, ast.alias) and n.name == "Fraction"]
+    assert named == []
+
+    allowed = {"phi", "a1_map", "A1Map", "variation"}
+    offenders = []
+
+    def visit(node, scope, in_report):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and scope is None:
+            scope = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id.endswith("Report"):
+                in_report = True
+            elif node.func.id == "Fraction" and scope not in allowed and not in_report:
+                offenders.append(f"a1.py:{node.lineno} in {scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, in_report)
+
+    visit(ast.parse((package / "a1.py").read_text(encoding="utf-8")), None, False)
+    assert offenders == []

@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from coarselab import cli, geodesics, graphs
+from coarselab import a1, cli, geodesics, graphs
 from coarselab.a1 import ClaimViolation
 from coarselab.cli import main, parse_space
 from coarselab.graphs import load_graph, store_graph
@@ -157,6 +159,32 @@ class TestA1:
         assert code == 1
         assert "THEOREM ALARM: Lebesgue consequence failed" in err
 
+    def test_total_below_r_in_the_integer_loop_exits_1(self, capsys, monkeypatch):
+        real = a1._depth_profile
+
+        def first_set_at_depth_1(fc, x):
+            return {i: 1 for i in list(real(fc, x))[:1]}
+
+        monkeypatch.setattr(a1, "_depth_profile", first_set_at_depth_1)
+        code, _, err = run_cli(capsys, "a1", "--space", "broom:250", "--r", "2", "--pair-budget", "4")
+        assert code == 1
+        assert "THEOREM ALARM: Lebesgue consequence failed at vertex" in err
+        assert "sum 1 < r = 2" in err
+
+    # sha256 of stdout, recorded before the per-vertex checks moved from
+    # Fractions to integer numerators
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("a1 --space broom:160 --r 1 --dump-maps", "20fac7ff7985ef7267f75c60456bb737095d6a0700f1cf3b3ce249175b32c51b"),
+            ("a1 --space broom:300 --r 2", "f45de95eda9e93365303ad515b75fbf1f7f970eb7a6446f63c8f4f2172335345"),
+        ],
+    )
+    def test_reports_are_pinned(self, capsys, argv, digest):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 def forced_backends(monkeypatch):
     """Send every full-graph BFS through numpy and every non-tree graph
@@ -186,6 +214,24 @@ class TestBackendsAgree:
         forced_backends(monkeypatch)
         assert run_cli(capsys, *args) == default
         assert "qualifying_found=yes" in default[1]
+
+    @pytest.mark.parametrize("space", ["broom:10", "tree:3,4"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("delta", "--family", "canonical", "--budget", "300"),
+            ("delta", "--family", "all", "--budget", "300"),
+            ("propb", "--family", "all", "--k", "0", "--ell", "1", "--pair-budget", "60"),
+            ("propb", "--family", "canonical", "--k", "2", "--ell", "1", "--pair-budget", "60"),
+        ],
+    )
+    def test_tree_against_table(self, capsys, monkeypatch, space, args):
+        argv = (args[0], "--space", space, *args[1:])
+        default = run_cli(capsys, *argv)
+        # a tree seen as a general graph takes the full-table backends
+        monkeypatch.setattr(graphs.MetricGraph, "is_tree", property(lambda self: False))
+        assert run_cli(capsys, *argv) == default
+        assert default[0] == 0
 
     @pytest.mark.parametrize("family", ["all", "canonical"])
     def test_cover_numpy_bfs(self, capsys, monkeypatch, family):

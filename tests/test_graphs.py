@@ -401,6 +401,24 @@ class TestBfsKernel:
         assert tm.depth.tolist() == depth
         assert tm.up[0].tolist() == parent
 
+    def test_tree_metric_reuses_the_connectivity_bfs(self, monkeypatch):
+        from coarselab import graphs
+        from coarselab.spaces import broom_tree
+
+        sources = []
+        real = graphs.bfs_distances
+
+        def counting(g, source, cutoff=None):
+            sources.append(source)
+            return real(g, source, cutoff)
+
+        monkeypatch.setattr(graphs, "bfs_distances", counting)
+        g = broom_tree(30).graph
+        tm = g.tree_metric()
+        assert sources == [0]
+        assert g.tree_metric() is tm and sources == [0]
+        assert tm.depth.tolist() == real(g, 0)
+
 
 def _grows_own_queue(loop: ast.For | ast.While) -> bool:
     """A loop that appends to the container it iterates or tests: a BFS queue."""
