@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geodesics import GeodesicFamily
-from .graphs import MetricGraph, _bfs, distance_vector, multi_source_distances, set_diameter
+from .graphs import MetricGraph, _bfs, _canonical_step, distance_vector, multi_source_distances, set_diameter
 
 __all__ = [
     "CoverParams",
@@ -182,8 +182,8 @@ def _anchor_sets_all(g, dist, zone, level, inner) -> dict[int, set[int]]:
 
 def _anchor_sets_canonical(g, dist, zone, level, inner) -> dict[int, set[int]]:
     """Anchor = crossing of the canonical geodesic [x, basepoint] at the
-    target level; the canonical step from x is its least neighbor closer
-    to the basepoint. ``zone`` and ``inner`` as in :func:`_anchor_sets_all`."""
+    target level, reached by canonical steps towards the basepoint.
+    ``zone`` and ``inner`` as in :func:`_anchor_sets_all`."""
     cross: dict[int, int] = {}
     buckets: dict[int, set[int]] = {}
     for v in zone:
@@ -191,7 +191,7 @@ def _anchor_sets_canonical(g, dist, zone, level, inner) -> dict[int, set[int]]:
         if dv == level:
             cross[v] = v
         else:
-            step = min(u for u in g.neighbors(v) if dist[u] == dv - 1)
+            step = _canonical_step(g._adj, dist, v)
             cross[v] = cross[step] if step in cross else -1
         if dv >= inner and cross[v] >= 0:
             buckets.setdefault(cross[v], set()).add(v)

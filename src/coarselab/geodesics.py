@@ -19,6 +19,9 @@ Every instance that is checked is checked exactly: integer distances,
 exact shortest-path counting, no tolerances. Trees are handled through a
 vectorized ancestor structure, small graphs through full distance tables,
 and large graphs pair-locally through the geodesic envelope of the pair.
+:func:`thin_delta` takes one path on every graph, an early-exit search from
+each side vertex to the other two sides; its only table walks canonical
+sides of small graphs.
 
 Convention note: ``observed_D`` is a single constant, the max over all
 checked radii r <= r_max. Some formulations in the literature let the
@@ -41,6 +44,7 @@ from .graphs import (
     MetricGraph,
     Path,
     _bfs,
+    _canonical_walk,
     _distance_to_set,
     all_geodesics,
     bfs_distances,
@@ -174,9 +178,11 @@ def thin_delta(
     if n < 3:
         return HyperbolicityReport(0, None, 0, True)
 
-    tm = g.tree_metric() if g.is_tree else None
-    tables = _SmallTables.build(g) if tm is None and n <= _SMALL_GRAPH_MAX else None
-    dist_to_set = _dist_to_set_fn(g, tables, tm)
+    # Canonical sides of small graphs walk a shared distance table; every
+    # other side comes from the family itself.
+    rows = None
+    if fam.kind == "canonical" and n <= _SMALL_GRAPH_MAX:
+        rows = [bfs_distances(g, s) for s in range(n)]
 
     total_triples = math.comb(n, 3)
     exhaustive_triples = total_triples <= budget
@@ -197,9 +203,9 @@ def thin_delta(
     truncated_resolution = False
     out_of_budget = False
     for x, y, z in triples:
-        gxy, t1 = _resolve_paths(g, fam, tables, tm, x, y)
-        gyz, t2 = _resolve_paths(g, fam, tables, tm, y, z)
-        gxz, t3 = _resolve_paths(g, fam, tables, tm, x, z)
+        gxy, t1 = _resolve_paths(fam, rows, x, y)
+        gyz, t2 = _resolve_paths(fam, rows, y, z)
+        gxz, t3 = _resolve_paths(fam, rows, x, z)
         truncated_resolution = truncated_resolution or t1 or t2 or t3
         for sxy, syz, sxz in itertools.product(gxy, gyz, gxz):
             if checked >= budget:
@@ -209,9 +215,11 @@ def thin_delta(
             worst = 0
             sides = (sxy.vertices, syz.vertices, sxz.vertices)
             for i in range(3):
-                d = dist_to_set(sides[i], sides[(i + 1) % 3] + sides[(i + 2) % 3])
-                if d > worst:
-                    worst = d
+                others = {*sides[(i + 1) % 3], *sides[(i + 2) % 3]}
+                for v in sides[i]:
+                    d = _distance_to_set(g, v, others)
+                    if d > worst:
+                        worst = d
             if witness is None or worst > delta:
                 delta = worst
                 witness = (sxy, syz, sxz)
@@ -221,47 +229,10 @@ def thin_delta(
     return HyperbolicityReport(delta, witness, checked, exhaustive)
 
 
-def _dist_to_set_fn(g: MetricGraph, tables: "_SmallTables | None", tm):
-    if tables is not None:
-        dmat = tables.dist
-
-        def from_matrix(side, other):
-            return int(dmat[np.ix_(side, sorted(set(other)))].min(axis=1).max())
-
-        return from_matrix
-    if tm is not None:
-
-        def from_tree(side, other):
-            ou = np.asarray(sorted(set(other)), dtype=np.int64)
-            return int(tm.pairwise(np.asarray(side, dtype=np.int64), ou).min(axis=1).max())
-
-        return from_tree
-
-    def generic(side, other):
-        targets = set(other)
-        best = 0
-        for v in side:
-            best = max(best, _distance_to_set(g, v, targets))
-        return best
-
-    return generic
-
-
-def _resolve_paths(g, fam, tables, tm, u, v) -> tuple[list[Path], bool]:
-    if tm is not None:
-        return [Path(tuple(tm.path(u, v)))], False
-    if fam.kind == "canonical" and tables is not None:
-        return [_canonical_from_matrix(g, tables.dist, u, v)], False
-    return fam.geodesics(u, v)
-
-
-def _canonical_from_matrix(g: MetricGraph, dmat: np.ndarray, u: int, v: int) -> Path:
-    path = [u]
-    cur = u
-    while cur != v:
-        cur = min(w for w in g.neighbors(cur) if dmat[w, v] == dmat[cur, v] - 1)
-        path.append(cur)
-    return Path(tuple(path))
+def _resolve_paths(fam: GeodesicFamily, rows: list[list[int]] | None, u: int, v: int) -> tuple[list[Path], bool]:
+    if rows is None:
+        return fam.geodesics(u, v)
+    return [Path(tuple(_canonical_walk(fam.graph._adj, rows[v], u)))], False
 
 
 # -- boundedness checker -----------------------------------------------
@@ -299,23 +270,14 @@ class PropertyBReport:
 class _SmallTables:
     """Full distance (and optional shortest-path-count) tables."""
 
-    def __init__(self, dist: np.ndarray, sigma_rows: list[list[int]] | None):
-        self.dist = dist
-        self.sigma_rows = sigma_rows
-        self.sigma_matrix: np.ndarray | None = None
-        if sigma_rows is not None:
-            peak = max((max(row) for row in sigma_rows), default=0)
-            if peak < _SIGMA_VECTOR_MAX:
-                self.sigma_matrix = np.asarray(sigma_rows, dtype=np.int64)
-
-    @staticmethod
-    def build(g: MetricGraph, with_sigma: bool = False) -> "_SmallTables":
+    def __init__(self, g: MetricGraph, with_sigma: bool = False):
         rows = [bfs_distances(g, s) for s in range(g.vertex_count)]
-        dist = np.asarray(rows, dtype=np.int32)
-        sigma = None
-        if with_sigma and not g.is_tree:
+        self.dist = np.asarray(rows, dtype=np.int32)
+        self.sigma_matrix: np.ndarray | None = None
+        if with_sigma:
             sigma = [_sigma_row(g, rows[s], s) for s in range(g.vertex_count)]
-        return _SmallTables(dist, sigma)
+            if max(map(max, sigma), default=0) < _SIGMA_VECTOR_MAX:
+                self.sigma_matrix = np.asarray(sigma, dtype=np.int64)
 
 
 def _sigma_row(g: MetricGraph, dist: list[int], s: int) -> list[int]:
@@ -387,7 +349,7 @@ def check_property_b(
     tm = g.tree_metric() if g.is_tree else None
     tables = None
     if tm is None and n <= _SMALL_GRAPH_MAX:
-        tables = _SmallTables.build(g, with_sigma=(fam.kind == "all"))
+        tables = _SmallTables(g, with_sigma=(fam.kind == "all"))
 
     observed = 0
     samples = 0
@@ -623,14 +585,8 @@ class _PairChecker:
         key = (u, v)
         cached = self._canonical_cache.get(key)
         if cached is None:
-            row = self._local_bfs(v)
-            cur = self.local_of[u]
-            tgt = self.local_of[v]
-            out = [u]
-            while cur != tgt:
-                cur = min(w for w in self.local_adj[cur] if row[w] == row[cur] - 1)
-                out.append(int(self.env[cur]))
-            cached = tuple(out)
+            walk = _canonical_walk(self.local_adj, self._local_bfs(v), self.local_of[u])
+            cached = tuple(int(self.env[w]) for w in walk)
             self._canonical_cache[key] = cached
         return cached
 

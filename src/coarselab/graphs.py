@@ -20,6 +20,9 @@ safe core) stay list-backed in ``bfs_distances``/``multi_source_distances``;
 ``distance_vector`` switches to a numpy level-synchronous BFS from
 ``_NP_BFS_MIN`` vertices up. ``distance`` and the thin-triangle defect stop
 at the first target they reach.
+
+The canonical tie-break (step to the least-id neighbour one closer) lives
+in ``_canonical_step``; every canonical path and cover anchor uses it.
 """
 
 from __future__ import annotations
@@ -403,12 +406,23 @@ def canonical_geodesic(g: MetricGraph, u: int, v: int) -> Path:
     dv = bfs_distances(g, v)
     if dv[u] < 0:
         raise ValueError(f"vertices {u} and {v} are unreachable from each other")
+    return Path(tuple(_canonical_walk(g._adj, dv, u)))
+
+
+def _canonical_step(adj, dist, v: int) -> int:
+    """v's least-id neighbour one closer to the target of ``dist`` (ids may
+    be local, if their order matches the global one)."""
+    closer = dist[v] - 1
+    return min(w for w in adj[v] if dist[w] == closer)
+
+
+def _canonical_walk(adj, dist, u: int) -> list[int]:
+    """Canonical steps from u down ``dist`` to its target."""
     path = [u]
-    cur = u
-    while cur != v:
-        cur = min(w for w in g._adj[cur] if dv[w] == dv[cur] - 1)
-        path.append(cur)
-    return Path(tuple(path))
+    while dist[u]:
+        u = _canonical_step(adj, dist, u)
+        path.append(u)
+    return path
 
 
 def set_diameter(

@@ -187,8 +187,9 @@ class TestA1:
 
 
 def forced_backends(monkeypatch):
-    """Send every full-graph BFS through numpy and every non-tree graph
-    through the large-graph backends (generic thin_delta, envelope propb)."""
+    """Send every full-graph BFS through numpy, every non-tree propb through
+    the envelope backend, and every canonical thin_delta side through
+    canonical_geodesic instead of the distance-table walk."""
     monkeypatch.setattr(graphs, "_NP_BFS_MIN", 0)
     monkeypatch.setattr(geodesics, "_SMALL_GRAPH_MAX", 0)
 
@@ -214,6 +215,16 @@ class TestBackendsAgree:
         forced_backends(monkeypatch)
         assert run_cli(capsys, *args) == default
         assert "qualifying_found=yes" in default[1]
+
+    @pytest.mark.parametrize("space", ["farey:8", "farey:10", "grid:6"])
+    def test_propb_sigma_overflow(self, capsys, monkeypatch, space):
+        args = ("propb", "--space", space, "--family", "all", "--k", "0", "--ell", "1", "--pair-budget", "60")
+        default = run_cli(capsys, *args)
+        # every path count now counts as too large for int64 products, so
+        # k = 0 takes the exact per-instance fallback
+        monkeypatch.setattr(geodesics, "_SIGMA_VECTOR_MAX", 1)
+        assert run_cli(capsys, *args) == default
+        assert "violations_total=0" not in default[1]
 
     @pytest.mark.parametrize("space", ["broom:10", "tree:3,4"])
     @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from conftest import brute_shortest_paths, floyd_warshall, random_graph
+from coarselab import geodesics
 from coarselab.geodesics import (
     GeodesicFamily,
     check_property_b,
@@ -16,20 +18,50 @@ def cycle_graph(n):
     return MetricGraph(n, [(i, (i + 1) % n) for i in range(n)], name=f"cycle_{n}")
 
 
-def brute_thin_delta_all(g):
+def triangle_defect(dist, sides):
+    """Worst distance from a side vertex to the union of the other two sides."""
+    worst = 0
+    for i in range(3):
+        other = set(sides[(i + 1) % 3]) | set(sides[(i + 2) % 3])
+        worst = max(worst, max(min(int(dist[v][w]) for w in other) for v in sides[i]))
+    return worst
+
+
+def brute_thin_delta(g, kind):
     """Independent thinness oracle: enumerate every geodesic combination of
-    every vertex triple and take the worst side defect."""
+    every vertex triple and take the worst side defect. For the canonical
+    kind each side is the lexicographically least shortest path."""
     dist = floyd_warshall(g)
+
+    def sides(u, v):
+        paths = brute_shortest_paths(g, u, v)
+        return paths[:1] if kind == "canonical" else paths
+
     best = 0
     for x, y, z in itertools.combinations(range(g.vertex_count), 3):
-        for sxy in brute_shortest_paths(g, x, y):
-            for syz in brute_shortest_paths(g, y, z):
-                for sxz in brute_shortest_paths(g, x, z):
-                    for side, o1, o2 in ((sxy, syz, sxz), (syz, sxy, sxz), (sxz, sxy, syz)):
-                        other = set(o1) | set(o2)
-                        worst = max(min(int(dist[v][w]) for w in other) for v in side)
-                        best = max(best, worst)
+        for tri in itertools.product(sides(x, y), sides(y, z), sides(x, z)):
+            best = max(best, triangle_defect(dist, tri))
     return best
+
+
+def random_tree(seed, max_vertices=9):
+    rng = random.Random(seed)
+    n = rng.randint(3, max_vertices)
+    return MetricGraph(n, [(rng.randrange(v), v) for v in range(1, n)], name=f"tree_{seed}")
+
+
+def connected_random_graphs(count, max_vertices=9):
+    out = []
+    seed = 0
+    while len(out) < count:
+        g = random_graph(seed, max_vertices=max_vertices, edge_prob=0.4)
+        if g.vertex_count >= 3 and g.is_connected:
+            out.append(g)
+        seed += 1
+    return out
+
+
+ORACLE_GRAPHS = connected_random_graphs(20) + [random_tree(seed) for seed in range(10)]
 
 
 class TestGSet:
@@ -95,28 +127,40 @@ class TestThinDelta:
         fam = GeodesicFamily.all_of(g)
         rep = thin_delta(g, fam, budget=10_000)
         assert rep.exhaustive
-        assert rep.delta == brute_thin_delta_all(g)
+        assert rep.delta == brute_thin_delta(g, "all")
 
     def test_small_grid_matches_oracle(self):
         sp = grid(3)
         fam = GeodesicFamily.all_of(sp.graph)
         rep = thin_delta(sp.graph, fam, budget=200_000)
         assert rep.exhaustive
-        assert rep.delta == brute_thin_delta_all(sp.graph)
+        assert rep.delta == brute_thin_delta(sp.graph, "all")
 
     def test_witness_realizes_delta(self):
         sp = grid(4)
         fam = GeodesicFamily.canonical_of(sp.graph)
         rep = thin_delta(sp.graph, fam, budget=50_000)
         assert rep.exhaustive
-        sides = rep.witness_triangle
-        dist = floyd_warshall(sp.graph)
-        worst = 0
-        for i in range(3):
-            other = set(sides[(i + 1) % 3].vertices) | set(sides[(i + 2) % 3].vertices)
-            for v in sides[i].vertices:
-                worst = max(worst, min(int(dist[v][w]) for w in other))
-        assert worst == rep.delta
+        sides = [s.vertices for s in rep.witness_triangle]
+        assert triangle_defect(floyd_warshall(sp.graph), sides) == rep.delta
+
+    @pytest.mark.parametrize("index", range(len(ORACLE_GRAPHS)))
+    @pytest.mark.parametrize("kind", ["all", "canonical"])
+    def test_matches_oracle_with_and_without_table(self, monkeypatch, index, kind):
+        g = ORACLE_GRAPHS[index]
+        expected = brute_thin_delta(g, kind)
+        dist = floyd_warshall(g)
+        for small_max in (geodesics._SMALL_GRAPH_MAX, 0):
+            monkeypatch.setattr(geodesics, "_SMALL_GRAPH_MAX", small_max)
+            rep = thin_delta(g, GeodesicFamily(g, kind), budget=10**6)
+            assert rep.exhaustive
+            assert rep.delta == expected
+            sxy, syz, sxz = (s.vertices for s in rep.witness_triangle)
+            x, y, z = sxy[0], syz[0], sxz[-1]
+            for side, (u, v) in ((sxy, (x, y)), (syz, (y, z)), (sxz, (x, z))):
+                paths = brute_shortest_paths(g, u, v)
+                assert side in (paths[:1] if kind == "canonical" else paths)
+            assert triangle_defect(dist, (sxy, syz, sxz)) == expected
 
     def test_seed_independent_when_exhaustive(self):
         g = cycle_graph(6)
