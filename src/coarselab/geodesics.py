@@ -17,11 +17,12 @@ Instance enumeration is exhaustive when the pair universe fits the budget,
 otherwise a seeded deterministic sample is drawn and reported as such.
 Every instance that is checked is checked exactly: integer distances,
 exact shortest-path counting, no tolerances. Trees are handled through a
-vectorized ancestor structure, small graphs through full distance tables,
-and large graphs pair-locally through the geodesic envelope of the pair.
-:func:`thin_delta` takes one path on every graph, an early-exit search from
-each side vertex to the other two sides; its only table walks canonical
-sides of small graphs.
+vectorized ancestor structure; other graphs pair by pair inside the
+geodesic envelope of the pair, reading distance rows from one memoised
+store per call (``graphs._Rows``), or from a store confined to the envelope
+when it is smaller than the graph. :func:`thin_delta` takes one path on
+every graph, an early-exit search from each side vertex to the other two
+sides; canonical sides walk rows of the same kind of store.
 
 Convention note: ``observed_D`` is a single constant, the max over all
 checked radii r <= r_max. Some formulations in the literature let the
@@ -46,10 +47,9 @@ from .graphs import (
     _bfs,
     _canonical_walk,
     _distance_to_set,
+    _Rows,
     all_geodesics,
-    bfs_distances,
     canonical_geodesic,
-    distance_vector,
 )
 
 __all__ = [
@@ -60,9 +60,6 @@ __all__ = [
     "PropertyBReport",
     "check_property_b",
 ]
-
-# Graphs at or below this vertex count get full distance/path-count tables.
-_SMALL_GRAPH_MAX = 512
 
 # Shortest-path counts above this bound fall back from vectorized int64
 # products to exact per-instance big-integer counting.
@@ -81,6 +78,12 @@ class GeodesicFamily:
     graph: MetricGraph
     kind: Literal["all", "canonical"]
     cap: int = GEODESIC_CAP
+
+    def __post_init__(self):
+        if self.kind not in ("all", "canonical"):
+            raise ValueError(f"geodesic family kind must be 'all' or 'canonical', got {self.kind!r}")
+        if self.cap < 1:
+            raise ValueError("cap must be positive")
 
     @staticmethod
     def all_of(graph: MetricGraph, cap: int = GEODESIC_CAP) -> "GeodesicFamily":
@@ -102,45 +105,32 @@ class GeodesicFamily:
         For the ALL kind this comes from the distance identity
         d(u,w) + d(w,v) = d(u,v), which is exact and needs no enumeration.
         """
-        g = self.graph
-        g.check_vertex(u)
-        g.check_vertex(v)
-        if self.kind == "canonical":
-            return set(canonical_geodesic(g, u, v).vertices)
-        du = bfs_distances(g, u)
-        dv = bfs_distances(g, v)
-        if du[v] < 0:
-            raise ValueError(f"vertices {u} and {v} are unreachable from each other")
-        d = du[v]
-        return {w for w in range(g.vertex_count) if du[w] >= 0 and du[w] + dv[w] == d}
+        return self.union_r(u, v, 0)
 
     def union_r(self, a: int, b: int, r: int) -> set[int]:
         """G(a, b; r): the union of G(a', b') over a' in N(a;r), b' in N(b;r)."""
         if r < 0:
             raise ValueError("r must be nonnegative")
         g = self.graph
-        da = bfs_distances(g, a)
-        db = bfs_distances(g, b)
+        rows = _Rows(g)
+        da, db = rows[a], rows[b]
         if da[b] < 0:
             raise ValueError(f"vertices {a} and {b} are unreachable from each other")
-        ball_a = [x for x, d in enumerate(da) if 0 <= d <= r]
-        ball_b = [x for x, d in enumerate(db) if 0 <= d <= r]
-        out: set[int] = set()
+        ball_a = np.flatnonzero((da >= 0) & (da <= r)).tolist()
+        ball_b = np.flatnonzero((db >= 0) & (db <= r)).tolist()
         if self.kind == "canonical":
-            for ap in ball_a:
-                for bp in ball_b:
-                    out.update(canonical_geodesic(g, ap, bp).vertices)
+            out: set[int] = set()
+            for bp in ball_b:
+                dist = rows[bp].tolist()
+                for ap in ball_a:
+                    out.update(_canonical_walk(g._adj, dist, ap))
             return out
-        rows = {x: bfs_distances(g, x) for x in set(ball_a) | set(ball_b)}
+        on = np.zeros(g.vertex_count, dtype=bool)
         for ap in ball_a:
             ra = rows[ap]
             for bp in ball_b:
-                rb = rows[bp]
-                d = ra[bp]
-                if d < 0:
-                    continue
-                out.update(w for w in range(g.vertex_count) if ra[w] >= 0 and ra[w] + rb[w] == d)
-        return out
+                on |= (ra >= 0) & (ra + rows[bp] == ra[bp])
+        return set(np.flatnonzero(on).tolist())
 
 
 # -- thin triangles ----------------------------------------------------
@@ -178,11 +168,7 @@ def thin_delta(
     if n < 3:
         return HyperbolicityReport(0, None, 0, True)
 
-    # Canonical sides of small graphs walk a shared distance table; every
-    # other side comes from the family itself.
-    rows = None
-    if fam.kind == "canonical" and n <= _SMALL_GRAPH_MAX:
-        rows = [bfs_distances(g, s) for s in range(n)]
+    rows = _Rows(g)
 
     total_triples = math.comb(n, 3)
     exhaustive_triples = total_triples <= budget
@@ -229,10 +215,11 @@ def thin_delta(
     return HyperbolicityReport(delta, witness, checked, exhaustive)
 
 
-def _resolve_paths(fam: GeodesicFamily, rows: list[list[int]] | None, u: int, v: int) -> tuple[list[Path], bool]:
-    if rows is None:
-        return fam.geodesics(u, v)
-    return [Path(tuple(_canonical_walk(fam.graph._adj, rows[v], u)))], False
+def _resolve_paths(fam: GeodesicFamily, rows: _Rows, u: int, v: int) -> tuple[list[Path], bool]:
+    # A canonical side walks the memoised row of its far end.
+    if fam.kind == "canonical":
+        return [Path(tuple(_canonical_walk(fam.graph._adj, rows[v].tolist(), u)))], False
+    return fam.geodesics(u, v)
 
 
 # -- boundedness checker -----------------------------------------------
@@ -265,34 +252,6 @@ class PropertyBReport:
     @property
     def clean(self) -> bool:
         return self.violations_total == 0
-
-
-class _SmallTables:
-    """Full distance (and optional shortest-path-count) tables."""
-
-    def __init__(self, g: MetricGraph, with_sigma: bool = False):
-        rows = [bfs_distances(g, s) for s in range(g.vertex_count)]
-        self.dist = np.asarray(rows, dtype=np.int32)
-        self.sigma_matrix: np.ndarray | None = None
-        if with_sigma:
-            sigma = [_sigma_row(g, rows[s], s) for s in range(g.vertex_count)]
-            if max(map(max, sigma), default=0) < _SIGMA_VECTOR_MAX:
-                self.sigma_matrix = np.asarray(sigma, dtype=np.int64)
-
-
-def _sigma_row(g: MetricGraph, dist: list[int], s: int) -> list[int]:
-    # exact shortest-path counts from s, as python ints (no overflow)
-    sig = [0] * g.vertex_count
-    sig[s] = 1
-    order = sorted((d, v) for v, d in enumerate(dist) if d > 0)
-    for _, v in order:
-        dv = dist[v]
-        total = 0
-        for u in g.neighbors(v):
-            if dist[u] == dv - 1:
-                total += sig[u]
-        sig[v] = total
-    return sig
 
 
 def _pair_from_rank(rank: int, n: int) -> tuple[int, int]:
@@ -347,9 +306,7 @@ def check_property_b(
         pair_iter = (_pair_from_rank(t, n) for t in ranks)
 
     tm = g.tree_metric() if g.is_tree else None
-    tables = None
-    if tm is None and n <= _SMALL_GRAPH_MAX:
-        tables = _SmallTables(g, with_sigma=(fam.kind == "all"))
+    rows = _Rows(g)
 
     observed = 0
     samples = 0
@@ -363,7 +320,7 @@ def check_property_b(
         if tm is not None:
             worker: _TreePairChecker | _PairChecker = _TreePairChecker(g, tm, a, b, ell, k, r_max)
         else:
-            worker = _PairChecker(fam, tables, a, b, ell, k, r_max)
+            worker = _PairChecker(fam, rows, a, b, ell, k, r_max)
         if not worker.reachable:
             continue
         pairs_checked += 1
@@ -506,88 +463,43 @@ class _TreePairChecker:
 
 
 class _PairChecker:
-    """Exact per-pair verification for non-tree graphs.
+    """Exact per-pair verification for non-tree graphs, in global ids.
 
-    Small graphs run against shared full tables. Large graphs are
-    localized to the geodesic envelope of the pair: every shortest path
-    between N(a;r) and N(b;r) for r <= r_max lies in
-    E = {w : d(a,w) + d(w,b) <= d(a,b) + 4 r_max}, so all distance and
-    path-count questions are answered inside the subgraph induced on E.
+    Every shortest path between N(a;r) and N(b;r) for r <= r_max lies in the
+    envelope E = {w : d(a,w) + d(w,b) <= d(a,b) + 4 r_max}, so every
+    distance and path-count question is answered inside the subgraph
+    induced on E: from the shared rows when E is the whole graph, else from
+    a store confined to E.
     """
 
-    def __init__(
-        self,
-        fam: GeodesicFamily,
-        tables: _SmallTables | None,
-        a: int,
-        b: int,
-        ell: int,
-        k: int,
-        r_max: int,
-    ):
+    def __init__(self, fam: GeodesicFamily, rows: _Rows, a: int, b: int, ell: int, k: int, r_max: int):
         self.fam = fam
         self.g = fam.graph
-        self.a, self.b, self.ell, self.k, self.r_max = a, b, ell, k, r_max
-        self.tables = tables
-        g = self.g
-        n = g.vertex_count
-        if tables is not None:
-            da = tables.dist[a].astype(np.int64)
-            db = tables.dist[b].astype(np.int64)
-        else:
-            da = distance_vector(g, a).astype(np.int64)
-            db = distance_vector(g, b).astype(np.int64)
+        self.ell, self.k = ell, k
+        da, db = rows[a], rows[b]
         self.reachable = bool(da[b] >= 0)
         if not self.reachable:
             return
-        self.d_ab = int(da[b])
+        d_ab = int(da[b])
         self.da, self.db = da, db
         reach = (da >= 0) & (db >= 0)
-        if tables is not None:
-            # full tables: work in global indices
-            self.env = np.arange(n, dtype=np.int64)
-            self.local_of: dict[int, int] | _IdentityIndex = _IdentityIndex(n)
-            self.local_adj = g._adj
-        else:
-            env = np.flatnonzero(reach & (da + db <= self.d_ab + 4 * r_max))
-            self.env = env
-            self.local_of = {int(v): i for i, v in enumerate(env)}
-            self.local_adj = [
-                [self.local_of[w] for w in g.neighbors(int(v)) if w in self.local_of] for v in env
-            ]
-        self.ball_a = sorted(int(v) for v in np.flatnonzero(reach & (da <= r_max)))
-        self.ball_b = sorted(int(v) for v in np.flatnonzero(reach & (db <= r_max)))
-        self._rows: dict[int, np.ndarray] = {}
+        env = reach & (da + db <= d_ab + 4 * r_max)
+        self.rows = rows if env.all() else _Rows(self.g, within=set(np.flatnonzero(env).tolist()))
+        self.reach = reach
         self._hoods: dict[int, list[int]] = {}
         self._canonical_cache: dict[tuple[int, int], tuple[int, ...]] = {}
         if fam.kind == "all":
-            self.g_ab = [int(v) for v in np.flatnonzero(reach & (da + db == self.d_ab))]
+            self.g_ab = np.flatnonzero(reach & (da + db == d_ab)).tolist()
         else:
-            self.g_ab = sorted(set(self._canonical_local(a, b)))
+            self.g_ab = sorted(set(self._canonical(a, b)))
 
-    # -- local machinery --
-
-    def _local_bfs(self, src: int) -> np.ndarray:
-        row = self._rows.get(src)
-        if row is None:
-            if self.tables is not None:
-                row = self.tables.dist[src].astype(np.int64)
-            else:
-                dist = _bfs(self.g, (src,), within=self.local_of)
-                row = np.full(len(self.env), -1, dtype=np.int64)
-                row[[self.local_of[v] for v in dist]] = list(dist.values())
-            self._rows[src] = row
-        return row
-
-    def _canonical_local(self, u: int, v: int) -> tuple[int, ...]:
-        # Canonical geodesics only step through shortest-path vertices,
-        # all inside the envelope, so the local walk equals the global one.
+    def _canonical(self, u: int, v: int) -> tuple[int, ...]:
+        # Canonical geodesics only step through shortest-path vertices, all
+        # inside the envelope, so a walk on confined rows equals the global one.
         key = (u, v)
         cached = self._canonical_cache.get(key)
         if cached is None:
-            walk = _canonical_walk(self.local_adj, self._local_bfs(v), self.local_of[u])
-            cached = tuple(int(self.env[w]) for w in walk)
-            self._canonical_cache[key] = cached
+            cached = self._canonical_cache[key] = tuple(_canonical_walk(self.g._adj, self.rows[v].tolist(), u))
         return cached
 
     def depth(self, c: int) -> int:
@@ -598,20 +510,14 @@ class _PairChecker:
 
     def _sets_at(self, r: int) -> tuple[list[int], list[int]]:
         return (
-            [v for v in self.ball_a if self.da[v] <= r],
-            [v for v in self.ball_b if self.db[v] <= r],
+            np.flatnonzero(self.reach & (self.da <= r)).tolist(),
+            np.flatnonzero(self.reach & (self.db <= r)).tolist(),
         )
 
     def _neighborhood(self, c: int) -> list[int]:
         hood = self._hoods.get(c)
         if hood is None:
-            if self.k == 0:
-                hood = [c]
-            elif self.tables is not None:
-                row = self.tables.dist[c]
-                hood = [int(v) for v in np.flatnonzero((row >= 0) & (row <= self.k))]
-            else:
-                hood = sorted(_bfs(self.g, (c,), self.k))
+            hood = [c] if self.k == 0 else sorted(_bfs(self.g, (c,), self.k))
             self._hoods[c] = hood
         return hood
 
@@ -630,30 +536,30 @@ class _PairChecker:
             members: set[int] = set()
             for ap in A:
                 for bp in B:
-                    members.update(self._canonical_local(ap, bp))
+                    members.update(self._canonical(ap, bp))
             return members
-        rows_a = np.stack([self._local_bfs(x) for x in A])
-        rows_b = np.stack([self._local_bfs(x) for x in B])
-        mab = rows_a[:, [self.local_of[x] for x in B]]
+        rows_a = np.stack([self.rows[x] for x in A])
+        rows_b = np.stack([self.rows[x] for x in B])
+        mab = rows_a[:, B]
         ok = (rows_a[:, None, :] >= 0) & (rows_b[None, :, :] >= 0) & (mab[:, :, None] >= 0)
         hit = ok & (rows_a[:, None, :] + rows_b[None, :, :] == mab[:, :, None])
-        mask = hit.any(axis=(0, 1))
-        return {int(self.env[i]) for i in np.flatnonzero(mask)}
+        return set(np.flatnonzero(hit.any(axis=(0, 1))).tolist())
 
     # -- intersection clause --
 
     def violations(self, r: int, cs: list[int]):
         A, B = self._sets_at(r)
         if self.fam.kind == "canonical":
-            yield from self._violations_canonical(A, B, cs)
-        elif self.k == 0 and self.tables is not None and self.tables.sigma_matrix is not None:
-            yield from self._violations_sigma(A, B, cs)
-        else:
-            yield from self._violations_general(A, B, cs)
+            return self._violations_canonical(A, B, cs)
+        if self.k == 0:
+            on_all = self._on_every_geodesic(A, B, cs)
+            if on_all is not None:
+                return self._violations_sigma(A, B, cs, on_all)
+        return self._violations_general(A, B, cs)
 
     def _violations_canonical(self, A, B, cs):
         pairs = [(ap, bp) for ap in A for bp in B]
-        paths = [self._canonical_local(ap, bp) for ap, bp in pairs]
+        paths = [self._canonical(ap, bp) for ap, bp in pairs]
         sets = [frozenset(p) for p in paths]
         for c in cs:
             hood = set(self._neighborhood(c))
@@ -662,20 +568,28 @@ class _PairChecker:
                     yield c, Path(p)
                     break
 
-    def _violations_sigma(self, A, B, cs):
+    def _on_every_geodesic(self, A, B, cs) -> np.ndarray | None:
         # c lies on every shortest a'→b' path iff the distance identity
         # holds and the path counts multiply: sig(a',c)·sig(c,b') = sig(a',b').
-        dmat = self.tables.dist
-        sig = self.tables.sigma_matrix
-        dab = dmat[np.ix_(A, B)].astype(np.int64)
-        sab = sig[np.ix_(A, B)]
-        dac = dmat[np.ix_(A, cs)].astype(np.int64)
-        dcb = dmat[np.ix_(cs, B)].astype(np.int64)
-        sac = sig[np.ix_(A, cs)]
-        scb = sig[np.ix_(cs, B)]
-        on_all = (dac[:, None, :] + np.transpose(dcb)[None, :, :] == dab[:, :, None]) & (
-            sac[:, None, :] * np.transpose(scb)[None, :, :] == sab[:, :, None]
+        # Counts are symmetric, so b's rows give sig(c,b'). Returns the
+        # |A| x |B| x |cs| mask, or None when a count is too large for exact
+        # int64 products.
+        sig_a = [self.rows.sigma(x) for x in A]
+        sig_b = [self.rows.sigma(x) for x in B]
+        sab = [[s[y] for y in B] for s in sig_a]
+        sac = [[s[c] for c in cs] for s in sig_a]
+        sbc = [[s[c] for c in cs] for s in sig_b]
+        if max(max(map(max, m)) for m in (sab, sac, sbc)) >= _SIGMA_VECTOR_MAX:
+            return None
+        sab, sac, sbc = (np.asarray(m, dtype=np.int64) for m in (sab, sac, sbc))
+        rows_a = np.stack([self.rows[x] for x in A])
+        rows_b = np.stack([self.rows[x] for x in B])
+        dab, dac, dbc = rows_a[:, B], rows_a[:, cs], rows_b[:, cs]
+        return (dac[:, None, :] + dbc[None, :, :] == dab[:, :, None]) & (
+            sac[:, None, :] * sbc[None, :, :] == sab[:, :, None]
         )
+
+    def _violations_sigma(self, A, B, cs, on_all):
         avoidable = ~on_all
         for idx, c in enumerate(cs):
             cells = np.argwhere(avoidable[:, :, idx])
@@ -706,59 +620,29 @@ class _PairChecker:
                 yield found
 
     def _avoiding_geodesic(self, ap: int, bp: int, hood: set[int]) -> Path | None:
-        # Count shortest a'→b' paths avoiding the neighborhood by DP over
-        # the shortest-path DAG, then walk a witness backwards through
-        # positive counts.
-        row_a = self._local_bfs(ap)
-        row_b = self._local_bfs(bp)
-        start = self.local_of[ap]
-        tgt = self.local_of[bp]
-        d = row_a[tgt]
+        # Mark the shortest-path-DAG vertices outside the neighbourhood that
+        # a' reaches through such vertices, level by level, then walk back
+        # from b' through the least-id marked predecessor.
+        row_a = self.rows[ap]
+        d = row_a[bp]
         if d < 0:
             return None
-        allowed = {
-            v
-            for v in range(len(self.env))
-            if row_a[v] >= 0
-            and row_b[v] >= 0
-            and row_a[v] + row_b[v] == d
-            and int(self.env[v]) not in hood
-        }
-        if start not in allowed or tgt not in allowed:
+        row_b = self.rows[bp]
+        on = np.flatnonzero((row_a >= 0) & (row_b >= 0) & (row_a + row_b == d))
+        level = {v: lv for v, lv in zip(on.tolist(), row_a[on].tolist()) if v not in hood}
+        if ap not in level or bp not in level:
             return None
-        count: dict[int, int] = {start: 1}
-        for v in sorted(allowed, key=lambda x: int(row_a[x])):
-            if v == start:
-                continue
-            total = 0
-            for u in self.local_adj[v]:
-                if u in allowed and row_a[u] == row_a[v] - 1:
-                    total += count.get(u, 0)
-            count[v] = total
-        if count.get(tgt, 0) == 0:
+        adj = self.g._adj
+        reached = {ap}
+        for v in sorted(level, key=level.__getitem__):
+            closer = level[v] - 1
+            if any(u in reached and level[u] == closer for u in adj[v]):
+                reached.add(v)
+        if bp not in reached:
             return None
         rev = [bp]
-        cur = tgt
-        while cur != start:
-            cur = min(
-                u
-                for u in self.local_adj[cur]
-                if u in allowed and row_a[u] == row_a[cur] - 1 and count.get(u, 0) > 0
-            )
-            rev.append(int(self.env[cur]))
+        cur = bp
+        while cur != ap:
+            cur = min(u for u in adj[cur] if u in reached and level[u] == level[cur] - 1)
+            rev.append(cur)
         return Path(tuple(rev[::-1]))
-
-
-class _IdentityIndex:
-    """Dict-like identity map over range(n) for the full-table mode."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __getitem__(self, key: int) -> int:
-        return key
-
-    def __contains__(self, key: int) -> bool:
-        return 0 <= key < self.n

@@ -15,11 +15,13 @@ Every breadth-first search in the package runs here. The private kernel
 ``_bfs`` is bounded and multi-source and returns a dict, so its cost follows
 the ball, not the graph; it serves every local search (balls, spheres,
 fattened sets, interior depths, pair neighbourhoods, envelope rows, conflict
-balls). Full distance rows (tables, geodesic enumeration, tree depths, the
-safe core) stay list-backed in ``bfs_distances``/``multi_source_distances``;
+balls). Full distance rows (geodesic enumeration, tree depths, the safe
+core) stay list-backed in ``bfs_distances``/``multi_source_distances``;
 ``distance_vector`` switches to a numpy level-synchronous BFS from
 ``_NP_BFS_MIN`` vertices up. ``distance`` and the thin-triangle defect stop
-at the first target they reach.
+at the first target they reach. The geodesics layer reads its distance and
+shortest-path-count rows from one on-demand store, ``_Rows``, which keeps
+them while they fit in ``_ROW_CELLS`` cells.
 
 The canonical tie-break (step to the least-id neighbour one closer) lives
 in ``_canonical_step``; every canonical path and cover anchor uses it.
@@ -56,6 +58,10 @@ GEODESIC_CAP = 10_000
 # Above this vertex count, full-graph BFS switches to the numpy
 # level-synchronous implementation.
 _NP_BFS_MIN = 20_000
+
+# A row store keeps the rows it computes while they total at most this many
+# cells (8 MB of int32 distances); past that it recomputes a row per request.
+_ROW_CELLS = 2**21
 
 
 @dataclass(frozen=True)
@@ -332,6 +338,57 @@ def distance_vector(g: MetricGraph, source: int) -> np.ndarray:
     return dist
 
 
+class _Rows:
+    """Distance rows of one graph, computed on demand and memoised while the
+    store holds at most ``_ROW_CELLS`` cells.
+
+    ``rows[s]`` is the read-only int32 distance row from ``s`` in global
+    ids; it reads -1 where a vertex is unreachable or, with ``within``
+    given, where a search stepping only onto vertices of ``within`` does
+    not reach. ``rows.sigma(s)`` is the row of exact shortest-path counts
+    from ``s`` along those distances, as Python ints.
+    """
+
+    __slots__ = ("g", "within", "_dist", "_sigma")
+
+    def __init__(self, g: MetricGraph, within: Collection[int] | None = None):
+        self.g = g
+        self.within = within
+        self._dist: dict[int, np.ndarray] = {}
+        self._sigma: dict[int, list[int]] = {}
+
+    def _has_room(self) -> bool:
+        return (len(self._dist) + len(self._sigma) + 1) * self.g.vertex_count <= _ROW_CELLS
+
+    def __getitem__(self, s: int) -> np.ndarray:
+        row = self._dist.get(s)
+        if row is None:
+            if self.within is None:
+                row = distance_vector(self.g, s)
+            else:
+                dist = _bfs(self.g, (s,), within=self.within)
+                row = np.full(self.g.vertex_count, -1, dtype=np.int32)
+                row[list(dist)] = list(dist.values())
+            row.flags.writeable = False
+            if self._has_room():
+                self._dist[s] = row
+        return row
+
+    def sigma(self, s: int) -> list[int]:
+        sig = self._sigma.get(s)
+        if sig is None:
+            dist = self[s].tolist()
+            sig = [0] * len(dist)
+            sig[s] = 1
+            adj = self.g._adj
+            for _, v in sorted((d, v) for v, d in enumerate(dist) if d > 0):
+                closer = dist[v] - 1
+                sig[v] = sum(sig[u] for u in adj[v] if dist[u] == closer)
+            if self._has_room():
+                self._sigma[s] = sig
+        return sig
+
+
 def distance(g: MetricGraph, u: int, v: int) -> int | None:
     """Shortest-path distance, ``None`` when u and v lie in different components."""
     g.check_vertex(u)
@@ -410,8 +467,7 @@ def canonical_geodesic(g: MetricGraph, u: int, v: int) -> Path:
 
 
 def _canonical_step(adj, dist, v: int) -> int:
-    """v's least-id neighbour one closer to the target of ``dist`` (ids may
-    be local, if their order matches the global one)."""
+    """v's least-id neighbour one closer to the target of ``dist``."""
     closer = dist[v] - 1
     return min(w for w in adj[v] if dist[w] == closer)
 

@@ -186,12 +186,31 @@ class TestA1:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout, recorded before the delta and propb distance rows moved
+# into one memoised store. At rmax 1 the grid:10 envelopes are smaller than
+# the graph.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("delta --space farey:30 --budget 2000", "f9980b4f182d09ddd34a522c54fdd6da0c7fbbd09185ae653061fb03f7e5636c"),
+        ("delta --space grid:8 --family all --budget 2000", "2ed03c0ff3363d66985841f41fe38c4761cc4ff12061327e783654cd13135c67"),
+        ("propb --space farey:30 --ell 2 --k 2 --pair-budget 100", "da1c422eec846d290c0b5f06ebcb6494cda2fa7b8eb4e4ecf57300da9e373ca1"),
+        ("propb --space farey:12 --ell 0 --k 0 --pair-budget 300", "89894d848e66c8ee298b0aa7d30d9f075259ecc9439d2842c865a5b8229706dc"),
+        ("propb --space grid:10 --rmax 1 --k 1 --pair-budget 200", "aeca216b517e6709973cc20e0066acc47bfa6ff33755daa831d9e0e6c5ad2a9c"),
+        ("propb --space grid:8 --family canonical --k 0 --rmax 2", "fc3bb35966026bd4aae84a6cdff86a8c22954e72867f42de6ae8d416652c8ebd"),
+    ],
+)
+def test_reports_are_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def forced_backends(monkeypatch):
-    """Send every full-graph BFS through numpy, every non-tree propb through
-    the envelope backend, and every canonical thin_delta side through
-    canonical_geodesic instead of the distance-table walk."""
+    """Send every full-graph BFS through numpy and keep no distance row in
+    memory, so every row is searched afresh on each request."""
     monkeypatch.setattr(graphs, "_NP_BFS_MIN", 0)
-    monkeypatch.setattr(geodesics, "_SMALL_GRAPH_MAX", 0)
+    monkeypatch.setattr(graphs, "_ROW_CELLS", 0)
 
 
 class TestBackendsAgree:
@@ -239,7 +258,7 @@ class TestBackendsAgree:
     def test_tree_against_table(self, capsys, monkeypatch, space, args):
         argv = (args[0], "--space", space, *args[1:])
         default = run_cli(capsys, *argv)
-        # a tree seen as a general graph takes the full-table backends
+        # a tree seen as a general graph takes the distance-row backends
         monkeypatch.setattr(graphs.MetricGraph, "is_tree", property(lambda self: False))
         assert run_cli(capsys, *argv) == default
         assert default[0] == 0

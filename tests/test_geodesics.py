@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import brute_shortest_paths, floyd_warshall, random_graph
-from coarselab import geodesics
+from coarselab import graphs
 from coarselab.geodesics import (
     GeodesicFamily,
     check_property_b,
@@ -115,6 +115,18 @@ class TestGSet:
         assert got == expected
 
 
+class TestFamilyValidation:
+    def test_unknown_kind_raises(self):
+        g = cycle_graph(5)
+        with pytest.raises(ValueError, match="kind"):
+            GeodesicFamily(g, "Canonical")
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_nonpositive_cap_raises(self, cap):
+        with pytest.raises(ValueError, match="cap"):
+            GeodesicFamily.all_of(cycle_graph(5), cap=cap)
+
+
 class TestThinDelta:
     def test_trees_are_zero_thin(self):
         for space in (broom_tree(15), regular_tree(3, 4)):
@@ -150,8 +162,9 @@ class TestThinDelta:
         g = ORACLE_GRAPHS[index]
         expected = brute_thin_delta(g, kind)
         dist = floyd_warshall(g)
-        for small_max in (geodesics._SMALL_GRAPH_MAX, 0):
-            monkeypatch.setattr(geodesics, "_SMALL_GRAPH_MAX", small_max)
+        # with the rows memoised, then with every row searched afresh
+        for cells in (graphs._ROW_CELLS, 0):
+            monkeypatch.setattr(graphs, "_ROW_CELLS", cells)
             rep = thin_delta(g, GeodesicFamily(g, kind), budget=10**6)
             assert rep.exhaustive
             assert rep.delta == expected
@@ -288,3 +301,81 @@ class TestPropertyB:
         rep = check_property_b(fam, ell=0, k=0, r_max=1, pair_budget=100, seed=0)
         # canonical geodesics between fattened endpoints still dodge c
         assert rep.violations_total > 0
+
+
+def brute_property_b(g, kind, ell, k, r_max):
+    """Independent boundedness oracle: every instance (a, b, r, c) from
+    shortest-path enumeration. Returns the max |G(a,b;r) ∩ N(c;k)|, whether
+    any instance qualified, the number of instances, and the violating ones."""
+    dist = floyd_warshall(g)
+    n = g.vertex_count
+    paths = {}
+
+    def family(u, v):
+        if (u, v) not in paths:
+            found = brute_shortest_paths(g, u, v)
+            paths[(u, v)] = found[:1] if kind == "canonical" else found
+        return paths[(u, v)]
+
+    def ball(x, r):
+        return [y for y in range(n) if dist[x][y] <= r]
+
+    observed, qualifying, instances, violating = 0, False, 0, set()
+    for a, b in itertools.combinations(range(n), 2):
+        if dist[a][b] == float("inf"):
+            continue
+        g_ab = {w for p in family(a, b) for w in p}
+        depth = {c: min(dist[a][c], dist[b][c]) for c in g_ab}
+        qualifying = qualifying or any(depth[c] >= ell for c in g_ab)
+        for r in range(r_max + 1):
+            paths_r = [p for ap in ball(a, r) for bp in ball(b, r) for p in family(ap, bp)]
+            g_abr = {w for p in paths_r for w in p}
+            for c in sorted(c for c in g_ab if depth[c] >= r + ell):
+                instances += 1
+                hood = {w for w in range(n) if dist[c][w] <= k}
+                observed = max(observed, len(g_abr & hood))
+                if any(not hood.intersection(p) for p in paths_r):
+                    violating.add((a, b, r, c))
+    return observed, qualifying, instances, violating
+
+
+def non_tree_random_graphs(count, min_vertices=6, max_vertices=11):
+    out = []
+    seed = 0
+    while len(out) < count:
+        g = random_graph(seed, max_vertices=max_vertices, edge_prob=0.35)
+        if g.vertex_count >= min_vertices and not g.is_tree:
+            out.append(g)
+        seed += 1
+    return out
+
+
+PROPB_GRAPHS = non_tree_random_graphs(10)
+
+
+class TestPropertyBOracle:
+    """check_property_b against brute force, exhaustively, on connected and
+    disconnected random graphs. With r_max <= 1 most pair envelopes are
+    strict subsets of the graph; with r_max = 2 many cover it."""
+
+    @pytest.mark.parametrize("index", range(len(PROPB_GRAPHS)))
+    @pytest.mark.parametrize("kind", ["all", "canonical"])
+    def test_matches_brute_force(self, index, kind):
+        g = PROPB_GRAPHS[index]
+        dist = floyd_warshall(g)
+        n = g.vertex_count
+        fam = GeodesicFamily(g, kind)
+        for r_max, k, ell in itertools.product((0, 1, 2), (0, 1), (0, 1)):
+            rep = check_property_b(
+                fam, ell=ell, k=k, r_max=r_max, pair_budget=n * n, c_budget=n, violation_cap=n**4
+            )
+            observed, qualifying, instances, violating = brute_property_b(g, kind, ell, k, r_max)
+            assert rep.exhaustive
+            assert (rep.observed_D, rep.qualifying_found) == (observed, qualifying)
+            assert (rep.samples_checked, rep.violations_total) == (instances, len(violating))
+            assert {(v.a, v.b, v.r, v.c) for v in rep.intersection_violations} == violating
+            for v in rep.intersection_violations:
+                path = v.geodesic.vertices
+                assert path in brute_shortest_paths(g, path[0], path[-1])[: 1 if kind == "canonical" else None]
+                assert dist[v.a][path[0]] <= v.r and dist[v.b][path[-1]] <= v.r
+                assert all(dist[w][v.c] > k for w in path)

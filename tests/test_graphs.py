@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_diameter, brute_shortest_paths, floyd_warshall, random_graph
+from coarselab import graphs
 from coarselab.graphs import (
     GraphFormatError,
     MetricGraph,
     Path,
     _bfs,
+    _Rows,
     _distance_to_set,
     all_geodesics,
     ball,
@@ -420,6 +422,32 @@ class TestBfsKernel:
         assert tm.depth.tolist() == real(g, 0)
 
 
+class TestRowStore:
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("memoised", [True, False])
+    def test_rows_and_path_counts_match_brute_force(self, monkeypatch, seed, memoised):
+        if not memoised:
+            monkeypatch.setattr(graphs, "_ROW_CELLS", 0)
+        g = kernel_graph(seed)
+        n = g.vertex_count
+        cut = set(random.Random(seed).sample(range(n), n // 2))
+        for within in (None, cut):
+            rows = _Rows(g, within)
+            for s in range(n):
+                row = rows[s]
+                expected = brute_bfs(g, [s], None, within)
+                assert row.dtype == np.int32 and not row.flags.writeable
+                assert row.tolist() == [expected.get(v, -1) for v in range(n)]
+                assert (rows[s] is row) == memoised
+        rows = _Rows(g)
+        for s in range(n):
+            assert rows.sigma(s) == [len(brute_shortest_paths(g, s, v)) for v in range(n)]
+
+    def test_invalid_source_raises(self):
+        with pytest.raises(ValueError, match="invalid vertex id 5"):
+            _Rows(path_graph(5))[5]
+
+
 def _grows_own_queue(loop: ast.For | ast.While) -> bool:
     """A loop that appends to the container it iterates or tests: a BFS queue."""
     if isinstance(loop, ast.For):
@@ -451,6 +479,19 @@ def test_traversals_live_in_graphs():
             if isinstance(node, (ast.For, ast.While)) and _grows_own_queue(node):
                 offenders.append(f"{path.name}:{node.lineno} queue loop")
     assert offenders == []
+
+
+def test_geodesics_reads_full_rows_from_the_store():
+    """geodesics.py never runs a full-row BFS itself: every distance row it
+    reads comes from the memoised store in graphs."""
+    source = FilePath(__file__).resolve().parent.parent / "src" / "coarselab" / "geodesics.py"
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+    }
+    assert "_Rows" in called
+    assert called.isdisjoint({"bfs_distances", "distance_vector"})
 
 
 class TestPathType:
