@@ -18,11 +18,10 @@ otherwise a seeded deterministic sample is drawn and reported as such.
 Every instance that is checked is checked exactly: integer distances,
 exact shortest-path counting, no tolerances. Trees are handled through a
 vectorized ancestor structure; other graphs pair by pair inside the
-geodesic envelope of the pair, reading distance rows from one memoised
-store per call (``graphs._Rows``), or from a store confined to the envelope
-when it is smaller than the graph. :func:`thin_delta` takes one path on
-every graph, an early-exit search from each side vertex to the other two
-sides; canonical sides walk rows of the same kind of store.
+geodesic envelope of the pair, reading distance and path-count rows from
+one memoised store per call (``graphs._Rows``). :func:`thin_delta` takes
+one path on every graph, an early-exit search from each side vertex to the
+other two sides; canonical sides walk rows of the same kind of store.
 
 Convention note: ``observed_D`` is a single constant, the max over all
 checked radii r <= r_max. Some formulations in the literature let the
@@ -47,6 +46,7 @@ from .graphs import (
     _bfs,
     _canonical_walk,
     _distance_to_set,
+    _SIGMA_MAX,
     _Rows,
     all_geodesics,
     canonical_geodesic,
@@ -61,9 +61,9 @@ __all__ = [
     "check_property_b",
 ]
 
-# Shortest-path counts above this bound fall back from vectorized int64
-# products to exact per-instance big-integer counting.
-_SIGMA_VECTOR_MAX = 2**31
+# Shortest-path counts at or above this bound (row stores saturate there)
+# fall back from vectorized int64 products to exact per-instance search.
+_SIGMA_VECTOR_MAX = _SIGMA_MAX
 
 
 @dataclass(frozen=True)
@@ -463,13 +463,12 @@ class _TreePairChecker:
 
 
 class _PairChecker:
-    """Exact per-pair verification for non-tree graphs, in global ids.
+    """Exact per-pair verification for non-tree graphs, in global ids, on
+    the rows of the store shared by one :func:`check_property_b` call.
 
     Every shortest path between N(a;r) and N(b;r) for r <= r_max lies in the
-    envelope E = {w : d(a,w) + d(w,b) <= d(a,b) + 4 r_max}, so every
-    distance and path-count question is answered inside the subgraph
-    induced on E: from the shared rows when E is the whole graph, else from
-    a store confined to E.
+    envelope E = {w : d(a,w) + d(w,b) <= d(a,b) + 4 r_max}; the union
+    G(a,b;r) is computed on E's columns only.
     """
 
     def __init__(self, fam: GeodesicFamily, rows: _Rows, a: int, b: int, ell: int, k: int, r_max: int):
@@ -482,10 +481,9 @@ class _PairChecker:
             return
         d_ab = int(da[b])
         self.da, self.db = da, db
-        reach = (da >= 0) & (db >= 0)
-        env = reach & (da + db <= d_ab + 4 * r_max)
-        self.rows = rows if env.all() else _Rows(self.g, within=set(np.flatnonzero(env).tolist()))
-        self.reach = reach
+        self.rows = rows
+        self.reach = reach = (da >= 0) & (db >= 0)
+        self.envelope = np.flatnonzero(reach & (da + db <= d_ab + 4 * r_max))
         self._hoods: dict[int, list[int]] = {}
         self._canonical_cache: dict[tuple[int, int], tuple[int, ...]] = {}
         if fam.kind == "all":
@@ -494,8 +492,6 @@ class _PairChecker:
             self.g_ab = sorted(set(self._canonical(a, b)))
 
     def _canonical(self, u: int, v: int) -> tuple[int, ...]:
-        # Canonical geodesics only step through shortest-path vertices, all
-        # inside the envelope, so a walk on confined rows equals the global one.
         key = (u, v)
         cached = self._canonical_cache.get(key)
         if cached is None:
@@ -538,12 +534,14 @@ class _PairChecker:
                 for bp in B:
                     members.update(self._canonical(ap, bp))
             return members
-        rows_a = np.stack([self.rows[x] for x in A])
-        rows_b = np.stack([self.rows[x] for x in B])
-        mab = rows_a[:, B]
+        # Every member lies in the envelope, so only its columns are compared.
+        env = self.envelope
+        mab = np.stack([self.rows[x][B] for x in A])
+        rows_a = np.stack([self.rows[x][env] for x in A])
+        rows_b = np.stack([self.rows[x][env] for x in B])
         ok = (rows_a[:, None, :] >= 0) & (rows_b[None, :, :] >= 0) & (mab[:, :, None] >= 0)
         hit = ok & (rows_a[:, None, :] + rows_b[None, :, :] == mab[:, :, None])
-        return set(np.flatnonzero(hit.any(axis=(0, 1))).tolist())
+        return set(env[hit.any(axis=(0, 1))].tolist())
 
     # -- intersection clause --
 
@@ -574,20 +572,22 @@ class _PairChecker:
         # Counts are symmetric, so b's rows give sig(c,b'). Returns the
         # |A| x |B| x |cs| mask, or None when a count is too large for exact
         # int64 products.
-        sig_a = [self.rows.sigma(x) for x in A]
-        sig_b = [self.rows.sigma(x) for x in B]
-        sab = [[s[y] for y in B] for s in sig_a]
-        sac = [[s[c] for c in cs] for s in sig_a]
-        sbc = [[s[c] for c in cs] for s in sig_b]
-        if max(max(map(max, m)) for m in (sab, sac, sbc)) >= _SIGMA_VECTOR_MAX:
+        nb = len(B)
+        dist_a, sig_a = self._gather(A, B + cs)
+        dbc, sbc = self._gather(B, cs)
+        if max(sig_a.max(), sbc.max()) >= _SIGMA_VECTOR_MAX:
             return None
-        sab, sac, sbc = (np.asarray(m, dtype=np.int64) for m in (sab, sac, sbc))
-        rows_a = np.stack([self.rows[x] for x in A])
-        rows_b = np.stack([self.rows[x] for x in B])
-        dab, dac, dbc = rows_a[:, B], rows_a[:, cs], rows_b[:, cs]
+        dab, dac = dist_a[:, :nb], dist_a[:, nb:]
+        sab, sac = sig_a[:, :nb], sig_a[:, nb:]
         return (dac[:, None, :] + dbc[None, :, :] == dab[:, :, None]) & (
             sac[:, None, :] * sbc[None, :, :] == sab[:, :, None]
         )
+
+    def _gather(self, X, cols) -> tuple[np.ndarray, np.ndarray]:
+        # Distance and path-count rows of X at cols, each x's rows read
+        # back to back so a full store recomputes its distance row once.
+        both = [(self.rows[x][cols], self.rows.sigma(x)[cols]) for x in X]
+        return np.stack([d for d, _ in both]), np.stack([s for _, s in both])
 
     def _violations_sigma(self, A, B, cs, on_all):
         avoidable = ~on_all

@@ -14,14 +14,13 @@ on disconnected truncations stay total.
 Every breadth-first search in the package runs here. The private kernel
 ``_bfs`` is bounded and multi-source and returns a dict, so its cost follows
 the ball, not the graph; it serves every local search (balls, spheres,
-fattened sets, interior depths, pair neighbourhoods, envelope rows, conflict
-balls). Full distance rows (geodesic enumeration, tree depths, the safe
+fattened sets, interior depths, pair neighbourhoods, conflict balls). Full distance rows (geodesic enumeration, tree depths, the safe
 core) stay list-backed in ``bfs_distances``/``multi_source_distances``;
 ``distance_vector`` switches to a numpy level-synchronous BFS from
 ``_NP_BFS_MIN`` vertices up. ``distance`` and the thin-triangle defect stop
 at the first target they reach. The geodesics layer reads its distance and
 shortest-path-count rows from one on-demand store, ``_Rows``, which keeps
-them while they fit in ``_ROW_CELLS`` cells.
+at most ``_ROW_CELLS`` cells of them.
 
 The canonical tie-break (step to the least-id neighbour one closer) lives
 in ``_canonical_step``; every canonical path and cover anchor uses it.
@@ -59,9 +58,14 @@ GEODESIC_CAP = 10_000
 # level-synchronous implementation.
 _NP_BFS_MIN = 20_000
 
-# A row store keeps the rows it computes while they total at most this many
-# cells (8 MB of int32 distances); past that it recomputes a row per request.
+# A row store keeps at most this many int32 cells (8 MB); a shortest-path
+# count row takes two cells per vertex. A store that would overflow empties
+# itself first.
 _ROW_CELLS = 2**21
+
+# Shortest-path counts in a row store saturate at this bound, so every sum
+# of a vertex's predecessor counts stays exact in int64.
+_SIGMA_MAX = 2**31
 
 
 @dataclass(frozen=True)
@@ -339,53 +343,61 @@ def distance_vector(g: MetricGraph, source: int) -> np.ndarray:
 
 
 class _Rows:
-    """Distance rows of one graph, computed on demand and memoised while the
-    store holds at most ``_ROW_CELLS`` cells.
+    """Distance rows of one graph, computed on demand and memoised in at
+    most ``_ROW_CELLS`` int32 cells.
 
     ``rows[s]`` is the read-only int32 distance row from ``s`` in global
-    ids; it reads -1 where a vertex is unreachable or, with ``within``
-    given, where a search stepping only onto vertices of ``within`` does
-    not reach. ``rows.sigma(s)`` is the row of exact shortest-path counts
-    from ``s`` along those distances, as Python ints.
+    ids; it reads -1 where a vertex is unreachable. ``rows.sigma(s)`` is
+    the read-only int64 row of shortest-path counts from ``s``: exact below
+    ``_SIGMA_MAX``, and ``_SIGMA_MAX`` for every count at or above it.
     """
 
-    __slots__ = ("g", "within", "_dist", "_sigma")
+    __slots__ = ("g", "_dist", "_sigma", "_cells")
 
-    def __init__(self, g: MetricGraph, within: Collection[int] | None = None):
+    def __init__(self, g: MetricGraph):
         self.g = g
-        self.within = within
         self._dist: dict[int, np.ndarray] = {}
-        self._sigma: dict[int, list[int]] = {}
+        self._sigma: dict[int, np.ndarray] = {}
+        self._cells = 0
 
-    def _has_room(self) -> bool:
-        return (len(self._dist) + len(self._sigma) + 1) * self.g.vertex_count <= _ROW_CELLS
+    def _keep(self, table: dict[int, np.ndarray], s: int, row: np.ndarray) -> None:
+        row.flags.writeable = False
+        cells = row.nbytes // 4
+        if self._cells + cells > _ROW_CELLS:
+            # A full store starts over, so the rows in current use stay memoised.
+            self._dist.clear()
+            self._sigma.clear()
+            self._cells = 0
+        if cells <= _ROW_CELLS:
+            table[s] = row
+            self._cells += cells
 
     def __getitem__(self, s: int) -> np.ndarray:
         row = self._dist.get(s)
         if row is None:
-            if self.within is None:
-                row = distance_vector(self.g, s)
-            else:
-                dist = _bfs(self.g, (s,), within=self.within)
-                row = np.full(self.g.vertex_count, -1, dtype=np.int32)
-                row[list(dist)] = list(dist.values())
-            row.flags.writeable = False
-            if self._has_room():
-                self._dist[s] = row
+            row = distance_vector(self.g, s)
+            self._keep(self._dist, s, row)
         return row
 
-    def sigma(self, s: int) -> list[int]:
+    def sigma(self, s: int) -> np.ndarray:
         sig = self._sigma.get(s)
         if sig is None:
-            dist = self[s].tolist()
-            sig = [0] * len(dist)
+            dist = self[s]
+            indptr, indices = self.g.csr_arrays()
+            tail = np.repeat(np.arange(self.g.vertex_count, dtype=np.int32), np.diff(indptr))
+            # Edges of the shortest-path DAG from s, grouped by the level of their head.
+            step = dist[indices] == dist[tail] + 1
+            tail, head = tail[step], indices[step]
+            order = np.argsort(dist[head], kind="stable")
+            tail, head = tail[order], head[order]
+            bounds = np.searchsorted(dist[head], np.arange(1, int(dist.max()) + 2))
+            sig = np.zeros(self.g.vertex_count, dtype=np.int64)
             sig[s] = 1
-            adj = self.g._adj
-            for _, v in sorted((d, v) for v, d in enumerate(dist) if d > 0):
-                closer = dist[v] - 1
-                sig[v] = sum(sig[u] for u in adj[v] if dist[u] == closer)
-            if self._has_room():
-                self._sigma[s] = sig
+            for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+                level = head[lo:hi]
+                np.add.at(sig, level, sig[tail[lo:hi]])
+                sig[level] = np.minimum(sig[level], _SIGMA_MAX)
+            self._keep(self._sigma, s, sig)
         return sig
 
 

@@ -214,7 +214,10 @@ def forced_backends(monkeypatch):
 
 
 class TestBackendsAgree:
-    """Reports from the large-graph backends equal the default ones."""
+    """Reports with every full-graph BFS through numpy and no memoised
+    distance or path-count row (``forced_backends``) equal the default ones.
+    Both runs take the same delta and propb algorithms; what differs is the
+    BFS kernel and whether rows come from the memo or are recomputed."""
 
     @pytest.mark.parametrize("space", ["farey:8", "farey:10", "grid:6"])
     @pytest.mark.parametrize("family", ["all", "canonical"])

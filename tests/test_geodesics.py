@@ -355,8 +355,9 @@ PROPB_GRAPHS = non_tree_random_graphs(10)
 
 class TestPropertyBOracle:
     """check_property_b against brute force, exhaustively, on connected and
-    disconnected random graphs. With r_max <= 1 most pair envelopes are
-    strict subsets of the graph; with r_max = 2 many cover it."""
+    disconnected random graphs. With r_max <= 1 most pair envelopes, whose
+    columns bound the union G(a,b;r), are strict subsets of the graph; with
+    r_max = 2 many cover it."""
 
     @pytest.mark.parametrize("index", range(len(PROPB_GRAPHS)))
     @pytest.mark.parametrize("kind", ["all", "canonical"])

@@ -430,18 +430,43 @@ class TestRowStore:
             monkeypatch.setattr(graphs, "_ROW_CELLS", 0)
         g = kernel_graph(seed)
         n = g.vertex_count
-        cut = set(random.Random(seed).sample(range(n), n // 2))
-        for within in (None, cut):
-            rows = _Rows(g, within)
-            for s in range(n):
-                row = rows[s]
-                expected = brute_bfs(g, [s], None, within)
-                assert row.dtype == np.int32 and not row.flags.writeable
-                assert row.tolist() == [expected.get(v, -1) for v in range(n)]
-                assert (rows[s] is row) == memoised
         rows = _Rows(g)
         for s in range(n):
-            assert rows.sigma(s) == [len(brute_shortest_paths(g, s, v)) for v in range(n)]
+            row = rows[s]
+            expected = brute_bfs(g, [s], None, None)
+            assert row.dtype == np.int32 and not row.flags.writeable
+            assert row.tolist() == [expected.get(v, -1) for v in range(n)]
+            assert (rows[s] is row) == memoised
+        rows = _Rows(g)
+        for s in range(n):
+            sig = rows.sigma(s)
+            assert sig.dtype == np.int64 and not sig.flags.writeable
+            assert sig.tolist() == [len(brute_shortest_paths(g, s, v)) for v in range(n)]
+            assert (rows.sigma(s) is sig) == memoised
+
+    def test_path_counts_saturate(self, monkeypatch):
+        # grid:6 corner to corner has C(10, 5) = 252 shortest paths
+        from coarselab.spaces import grid
+
+        monkeypatch.setattr(graphs, "_SIGMA_MAX", 7)
+        g = grid(6).graph
+        sig = _Rows(g).sigma(0).tolist()
+        exact = [len(brute_shortest_paths(g, 0, v)) for v in range(36)]
+        assert max(exact) == 252
+        assert sig == [min(c, 7) for c in exact]
+
+    def test_store_stays_within_its_cells(self, monkeypatch):
+        from coarselab.spaces import grid
+
+        g = grid(6).graph
+        monkeypatch.setattr(graphs, "_ROW_CELLS", 5 * 36)
+        rows = _Rows(g)
+        for s in range(36):
+            rows[s]
+            rows.sigma(s)
+            assert rows._cells <= 5 * 36
+            assert sum(r.nbytes for t in (rows._dist, rows._sigma) for r in t.values()) == 4 * rows._cells
+            assert s in rows._sigma
 
     def test_invalid_source_raises(self):
         with pytest.raises(ValueError, match="invalid vertex id 5"):
