@@ -14,6 +14,7 @@ from .a1 import (
     ScopeTooSmallError,
     a1_map,
     build_fat_cover,
+    check_a1_maps,
     lebesgue_check,
     phi,
     select_anchors,

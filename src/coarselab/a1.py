@@ -18,6 +18,17 @@ inequality checks are integer cross-multiplications. ``fractions.Fraction``
 values appear only at the public boundary: ``phi``, ``a1_map``/``A1Map``,
 ``variation`` and the fields of the reports. No floats appear anywhere.
 
+The whole-core stages (anchors, ``check_a1_maps``, ``variation_sweep``,
+``store_a1_maps``) run on integer numpy arrays held once per cover,
+``FatCover.profiles``: one row per safe vertex, one padded slot per set
+holding it (set id, depth, the set's anchor). Folding onto the anchors,
+totals, positivity and support counts are row reductions; the sweep runs
+over the graph's CSR edge list restricted to the safe core. The arrays are
+int64 while a bound from the largest total shows that no product in the
+sweep can reach 2^63; past it the same code runs on Python ints
+(``dtype=object``). The pointwise ``phi``, ``a1_map`` and ``variation``
+read the sets' depth dicts directly and serve as their oracles.
+
 On a truncation, bounds are only asserted on the safe core: vertices whose
 ``5r``-ball stays inside the complete annuli of the base cover.
 """
@@ -27,10 +38,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
+
+import numpy as np
 
 from .cover import Cover, CoverParams, build_cover
 from .geodesics import GeodesicFamily
-from .graphs import MetricGraph, _bfs, distance, multi_source_distances, set_diameter
+from .graphs import MetricGraph, _bfs, bfs_distances, distance, multi_source_distances, set_diameter
 
 __all__ = [
     "ScopeTooSmallError",
@@ -39,6 +54,8 @@ __all__ = [
     "FatSet",
     "FatCover",
     "A1Map",
+    "A1MapsReport",
+    "DepthProfiles",
     "VariationReport",
     "VariationSweepReport",
     "LebesgueReport",
@@ -47,6 +64,7 @@ __all__ = [
     "phi",
     "select_anchors",
     "a1_map",
+    "check_a1_maps",
     "variation",
     "variation_sweep",
     "store_a1_maps",
@@ -89,22 +107,29 @@ class FatCover:
     order_max: int
 
     @cached_property
+    def profiles(self) -> DepthProfiles:
+        """The safe core's depth profiles as integer arrays, built once per
+        cover; see :class:`DepthProfiles`."""
+        return _depth_profiles(self)
+
+    @cached_property
     def anchors(self) -> dict[int, int]:
         """Anchor of each set: the member deepest inside it, least id on
         ties. Computed once per cover; see :func:`select_anchors`."""
-        anchors: dict[int, int] = {}
-        for i, fs in enumerate(self.sets):
-            best_depth = 0
-            best_v: int | None = None
-            for v in sorted(fs.members):
-                d = fs.depth.get(v, 0)
-                if d > best_depth:
-                    best_depth = d
-                    best_v = v
-            if best_v is None:
-                raise ValueError(f"fattened set {i} has empty interior")
-            anchors[i] = best_v
-        return anchors
+        return dict(enumerate(self.profiles.set_anchor.tolist()))
+
+
+class DepthProfiles(NamedTuple):
+    """Depth profiles of the safe core in padded slots. Row k belongs to
+    ``vertex[k]``, the safe vertices ascending; its slots hold the sets
+    containing it in ascending id order, then padding (set -1, depth 0,
+    anchor -1). All arrays are int64."""
+
+    vertex: np.ndarray  # (rows,)
+    set_id: np.ndarray  # (rows, width)
+    depth: np.ndarray  # (rows, width): d(vertex, complement of the set)
+    anchor: np.ndarray  # (rows, width): the anchor of the slot's set
+    set_anchor: np.ndarray  # (sets,): the anchor of every set
 
 
 @dataclass(frozen=True)
@@ -242,16 +267,17 @@ def phi(g: MetricGraph, fc: FatCover, x: int) -> dict[int, Fraction]:
     return {i: Fraction(d, total) for i, d in sorted(depths.items())}
 
 
-def _depth_profile(fc: FatCover, x: int) -> dict[int, int]:
-    return {i: fc.sets[i].depth[x] for i in fc.sets_of.get(x, ()) if x in fc.sets[i].depth}
-
-
 def _weights(fc: FatCover, x: int) -> tuple[dict[int, int], int]:
     """phi(x) in integers: the depth profile of x, whose values are the
     numerators, and their total, the shared denominator. Raises as
     :func:`phi` does when the total is 0 or below r."""
-    depths = _depth_profile(fc, x)
+    depths = {i: fc.sets[i].depth[x] for i in fc.sets_of.get(x, ()) if x in fc.sets[i].depth}
     total = sum(depths.values())
+    _check_total(fc, x, total)
+    return depths, total
+
+
+def _check_total(fc: FatCover, x: int, total: int) -> None:
     if total == 0:
         raise ValueError(
             f"vertex {x} has no positive complement distance: either it is "
@@ -262,7 +288,6 @@ def _weights(fc: FatCover, x: int) -> tuple[dict[int, int], int]:
             f"Lebesgue consequence failed at vertex {x}: complement-distance sum "
             f"{total} < r = {fc.r}"
         )
-    return depths, total
 
 
 def _anchor_numerators(depths: dict[int, int], anchors: dict[int, int]) -> dict[int, int]:
@@ -293,28 +318,140 @@ def a1_map(g: MetricGraph, fc: FatCover, x: int, anchors: dict[int, int] | None 
     return A1Map(x, dict(sorted(entries.items())))
 
 
-def _pair_numerators(
-    pz: dict[int, int], sz: int, nz: dict[int, int], pw: dict[int, int], sw: int, nw: dict[int, int]
-) -> tuple[bool, int, int, int]:
-    """The variation chain of the pair z, w from their depth profiles,
-    totals and anchor numerators: whether every per-set depth step is at
-    most 1, the summed displacement, and the numerators over ``sz * sw`` of
-    the largest per-set weight difference and of ||a_z - a_w||_1."""
-    step_ok = True
-    comp = 0
-    phi_num = 0
-    for i in pz.keys() | pw.keys():
-        dz = pz.get(i, 0)
-        dw = pw.get(i, 0)
-        step = abs(dz - dw)
-        if step > 1:
-            step_ok = False
-        comp += step
-        num = abs(dz * sw - dw * sz)
-        if num > phi_num:
-            phi_num = num
-    l1_num = sum(abs(nz.get(v, 0) * sw - nw.get(v, 0) * sz) for v in nz.keys() | nw.keys())
-    return step_ok, comp, phi_num, l1_num
+# -- the safe core as integer arrays ------------------------------------
+
+
+def _depth_profiles(fc: FatCover) -> DepthProfiles:
+    """:class:`DepthProfiles` from the sets' depth maps; a set with no
+    member of positive depth raises."""
+    sizes = [len(fs.depth) for fs in fc.sets]
+    count = sum(sizes)
+    set_id = np.repeat(np.arange(len(fc.sets), dtype=np.int64), sizes)
+    vertex = np.fromiter(chain.from_iterable(fs.depth for fs in fc.sets), np.int64, count)
+    depth = np.fromiter(chain.from_iterable(fs.depth.values() for fs in fc.sets), np.int64, count)
+
+    # Anchors: per set, the deepest member of positive depth, least id on ties.
+    inner = depth > 0
+    order = np.lexsort((vertex[inner], -depth[inner], set_id[inner]))
+    by_set = set_id[inner][order]
+    lead = np.ones(by_set.size, dtype=bool)
+    lead[1:] = by_set[1:] != by_set[:-1]
+    set_anchor = np.full(len(fc.sets), -1, dtype=np.int64)
+    set_anchor[by_set[lead]] = vertex[inner][order][lead]
+    empty = np.flatnonzero(set_anchor < 0)
+    if empty.size:
+        raise ValueError(f"fattened set {empty[0]} has empty interior")
+
+    # Safe rows; the entries run in ascending set order, so a stable sort
+    # by row keeps each row's sets ascending.
+    safe = np.sort(np.fromiter(fc.safe, np.int64, len(fc.safe)))
+    on_safe = np.isin(vertex, safe)
+    row = np.searchsorted(safe, vertex[on_safe])
+    order = np.argsort(row, kind="stable")
+    row, set_id, depth = row[order], set_id[on_safe][order], depth[on_safe][order]
+    counts = np.bincount(row, minlength=len(safe))
+    width = max(1, int(counts.max(initial=0)))
+    slot = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    slots = np.full((len(safe), width), -1, dtype=np.int64)
+    slots[row, slot] = set_id
+    depths = np.zeros((len(safe), width), dtype=np.int64)
+    depths[row, slot] = depth
+    anchor = np.where(slots >= 0, set_anchor[slots], -1)
+    return DepthProfiles(safe, slots, depths, anchor, set_anchor)
+
+
+def _totals(fc: FatCover, p: DepthProfiles) -> np.ndarray:
+    """Each safe vertex's total depth, its weights' shared denominator.
+    Raises as :func:`phi` does at the least vertex whose total is 0 or
+    below r."""
+    total = p.depth.sum(axis=1)
+    low = np.flatnonzero(total < fc.r)
+    if low.size:
+        _check_total(fc, int(p.vertex[low[0]]), int(total[low[0]]))
+    return total
+
+
+def _anchor_fold(p: DepthProfiles) -> tuple[np.ndarray, np.ndarray]:
+    """Fold each row's slots onto their anchors: the anchors ascending,
+    each with the summed depth of its sets (the numerators of a_x over the
+    row's total), then padding (anchor -1, numerator 0)."""
+    held = p.set_id >= 0
+    num = np.zeros_like(p.depth)
+    lead = held.copy()  # a slot leads its anchor when no earlier slot shares it
+    for i in range(held.shape[1]):
+        for j in range(held.shape[1]):
+            same = held[:, j] & (p.anchor[:, j] == p.anchor[:, i])
+            num[:, i] += p.depth[:, j] * same
+            if j < i:
+                lead[:, i] &= ~same
+    key = np.where(lead, p.anchor, np.iinfo(np.int64).max)
+    order = np.argsort(key, axis=1, kind="stable")
+    lead = np.take_along_axis(lead, order, axis=1)
+    return (
+        np.where(lead, np.take_along_axis(key, order, axis=1), -1),
+        np.where(lead, np.take_along_axis(num, order, axis=1), 0),
+    )
+
+
+@dataclass(frozen=True)
+class A1MapsReport:
+    """The identities of the maps a_x over the safe core. ``widest`` is
+    the first vertex of largest support and ``widest_phi`` its weights as
+    the arrays give them, for comparison with :func:`phi`."""
+
+    checked: int
+    norm_ok: bool
+    positive_ok: bool
+    max_support: int
+    widest: int
+    widest_phi: dict[int, Fraction]
+    support_radius_bound: int
+    support_radius_ok: bool
+
+
+def check_a1_maps(g: MetricGraph, fc: FatCover) -> A1MapsReport:
+    """Check a_x = sum_V (d(x, V^c) / total) delta_{anchor V} on every safe
+    vertex, on its integer numerators: they sum to the total, each is
+    positive, and their count is the support. Raises as :func:`phi` does at
+    the least vertex whose total is 0 or below r, so every total checked
+    is at least r. The support radius holds when every member of every set
+    is within ``4r + diam_base`` of the set's anchor, since the support
+    points of a_x are anchors of sets containing x."""
+    p = fc.profiles
+    total = _totals(fc, p)
+    fold_anchor, fold_num = _anchor_fold(p)
+    held = fold_anchor >= 0
+    support = held.sum(axis=1)
+    k = int(support.argmax())
+    bound = 4 * fc.r + fc.diam_base
+    return A1MapsReport(
+        checked=len(p.vertex),
+        norm_ok=bool((fold_num.sum(axis=1) == total).all()),
+        positive_ok=bool((fold_num > 0)[held].all()),
+        max_support=int(support[k]),
+        widest=int(p.vertex[k]),
+        widest_phi={
+            i: Fraction(d, int(total[k])) for i, d in zip(p.set_id[k].tolist(), p.depth[k].tolist()) if i >= 0
+        },
+        support_radius_bound=bound,
+        support_radius_ok=_support_radius_ok(g, fc, bound),
+    )
+
+
+def _support_radius_ok(g: MetricGraph, fc: FatCover, bound: int) -> bool:
+    anchors = fc.profiles.set_anchor
+    if g.is_tree:
+        sizes = [len(fs.members) for fs in fc.sets]
+        members = np.fromiter(chain.from_iterable(fs.members for fs in fc.sets), np.int64, sum(sizes))
+        return bool((g.tree_metric().pair_distances(np.repeat(anchors, sizes), members) <= bound).all())
+    for fs, anchor in zip(fc.sets, anchors.tolist()):
+        row = bfs_distances(g, anchor)
+        if max(row[v] for v in fs.members) > bound:
+            return False
+    return True
+
+
+# -- variation ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -335,9 +472,11 @@ def variation(g: MetricGraph, fc: FatCover, z: int, w: int, anchors: dict[int, i
     pz, sz = _weights(fc, z)
     g.check_vertex(w)
     pw, sw = _weights(fc, w)
-    _, comp, phi_num, l1_num = _pair_numerators(
-        pz, sz, _anchor_numerators(pz, anchors), pw, sw, _anchor_numerators(pw, anchors)
-    )
+    comp = sum(abs(pz.get(i, 0) - pw.get(i, 0)) for i in pz.keys() | pw.keys())
+    phi_num = max((abs(pz.get(i, 0) * sw - pw.get(i, 0) * sz) for i in pz.keys() | pw.keys()), default=0)
+    nz = _anchor_numerators(pz, anchors)
+    nw = _anchor_numerators(pw, anchors)
+    l1_num = sum(abs(nz.get(v, 0) * sw - nw.get(v, 0) * sz) for v in nz.keys() | nw.keys())
     d = distance(g, z, w)
     if d is None:
         raise ValueError(f"vertices {z} and {w} are unreachable from each other")
@@ -361,6 +500,14 @@ class VariationSweepReport:
     witness_pair: tuple[int, int] | None
 
 
+# Largest value an int64 product may take. When a bound from the largest
+# total exceeds it, the sweep runs its array code on Python ints.
+_INT64_MAX = 2**63 - 1
+
+# Adjacent pairs per block of the sweep.
+_SWEEP_BLOCK = 2**12
+
+
 def variation_sweep(g: MetricGraph, fc: FatCover) -> VariationSweepReport:
     """Check every adjacent safe pair against the exact variation bounds.
 
@@ -372,79 +519,120 @@ def variation_sweep(g: MetricGraph, fc: FatCover) -> VariationSweepReport:
     * per set, |phi(z) - phi(w)| <= (4D+1)/r;
     * ||a_z - a_w||_1 <= (4D+1)^2 / r.
 
+    The pairs are the graph's edges z < w inside the safe core, taken
+    together as arrays. Over the denominator ``s_z * s_w`` (the product
+    of the totals) the per-set differences are |d_z s_w - d_w s_z| and
+    the l1 distance sums |n_z s_w - n_w s_z| over the anchor numerators.
     All comparisons are integer cross-multiplications; the returned sups
-    are exact fractions.
+    are exact fractions, and the witness is the first pair in (z, w) order
+    that attains the l1 sup.
     """
-    anchors = fc.anchors
     dd = fc.d_constant
     r = fc.r
     phi_top = 4 * dd + 1  # the phi bound is phi_top / r, the l1 bound l1_top / r
     l1_top = phi_top * phi_top
     comp_bound = 4 * dd
 
-    # Pairs run with z ascending and w > z, so once z's pairs are done its
-    # entry is never read again and is dropped.
-    points: dict[int, tuple[dict[int, int], int, dict[int, int]]] = {}
+    p = fc.profiles
+    fold_anchor, fold_num = _anchor_fold(p)
+    depth, total = p.depth, p.depth.sum(axis=1)
+    top = int(total.max(initial=0))
+    # l1 numerators reach 2 s_z s_w <= 2 top^2; the largest product is one
+    # of them times a denominator, r or l1_top.
+    if 2 * top * top * max(top * top, r, l1_top) > _INT64_MAX:
+        depth, fold_num, total = depth.astype(object), fold_num.astype(object), total.astype(object)
 
-    def point(x: int) -> tuple[dict[int, int], int, dict[int, int]]:
-        p = points.get(x)
-        if p is None:
-            depths = _depth_profile(fc, x)
-            p = points[x] = (depths, sum(depths.values()), _anchor_numerators(depths, anchors))
-        return p
+    indptr, indices = g.csr_arrays()
+    tail = np.repeat(np.arange(g.vertex_count, dtype=indices.dtype), np.diff(indptr))
+    safe = np.zeros(g.vertex_count, dtype=bool)
+    safe[p.vertex] = True
+    pick = (tail < indices) & safe[tail] & safe[indices]
+    row_z = np.searchsorted(p.vertex, tail[pick])
+    row_w = np.searchsorted(p.vertex, indices[pick])
+    den = total[row_z] * total[row_w]
 
-    sup_l1_num, sup_l1_den = 0, 1
-    sup_phi_num, sup_phi_den = 0, 1
-    l1_ok = phi_ok = comp_ok = step_ok = True
-    pairs = 0
-    witness: tuple[int, int] | None = None
-    safe = fc.safe
-    adj = g._adj
-    for z in sorted(safe):
-        for w in adj[z]:
-            if w <= z or w not in safe:
-                continue
-            pairs += 1
-            pz, sz, nz = point(z)
-            pw, sw, nw = point(w)
-            step, comp, phi_num, l1_num = _pair_numerators(pz, sz, nz, pw, sw, nw)
-            den = sz * sw
-            if not step:
-                step_ok = False
-            if comp > comp_bound:
-                comp_ok = False
-            if phi_num * r > phi_top * den:
-                phi_ok = False
-            if phi_num * sup_phi_den > sup_phi_num * den:
-                sup_phi_num, sup_phi_den = phi_num, den
-            if l1_num * r > l1_top * den:
-                l1_ok = False
-            if l1_num * sup_l1_den > sup_l1_num * den:
-                sup_l1_num, sup_l1_den = l1_num, den
-                witness = (z, w)
-        points.pop(z, None)
+    # Blocks of pairs bound the (pairs x width) temporaries.
+    phi_num = np.zeros(len(den), dtype=depth.dtype)
+    l1_num = np.zeros(len(den), dtype=depth.dtype)
+    step_ok = comp_ok = True
+    for lo in range(0, len(den), _SWEEP_BLOCK):
+        block = slice(lo, lo + _SWEEP_BLOCK)
+        z, w = row_z[block], row_w[block]
+        step, cross = _pair_diffs(p.set_id, depth, total, z, w)
+        step_ok = step_ok and bool((step <= 1).all())
+        comp_ok = comp_ok and bool((step.sum(axis=1) <= comp_bound).all())
+        phi_num[block] = cross.max(axis=1)
+        l1_num[block] = _pair_diffs(fold_anchor, fold_num, total, z, w)[1].sum(axis=1)
+
+    best_phi = _first_max(phi_num, den)
+    best_l1 = _first_max(l1_num, den)
     return VariationSweepReport(
-        pairs_checked=pairs,
-        sup_l1=Fraction(sup_l1_num, sup_l1_den),
-        sup_phi_diff=Fraction(sup_phi_num, sup_phi_den),
+        pairs_checked=len(den),
+        sup_l1=Fraction(int(l1_num[best_l1]), int(den[best_l1])) if best_l1 is not None else Fraction(0),
+        sup_phi_diff=Fraction(int(phi_num[best_phi]), int(den[best_phi])) if best_phi is not None else Fraction(0),
         l1_bound=Fraction(l1_top, r),
         phi_bound=Fraction(phi_top, r),
         complement_bound=comp_bound,
-        l1_ok=l1_ok,
-        phi_ok=phi_ok,
+        l1_ok=bool((l1_num * r <= l1_top * den).all()),
+        phi_ok=bool((phi_num * r <= phi_top * den).all()),
         complement_ok=comp_ok,
         step_ok=step_ok,
-        witness_pair=witness,
+        witness_pair=(int(p.vertex[row_z[best_l1]]), int(p.vertex[row_w[best_l1]])) if best_l1 is not None else None,
     )
+
+
+def _pair_diffs(
+    keys: np.ndarray, vals: np.ndarray, total: np.ndarray, z: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Line up the padded (key, value) rows of each pair z, w (keys unique
+    within a row, -1 pads), a key a row lacks having value 0 there. Over
+    z's slots, then over w's slots whose key z lacks, return the steps
+    |v_z - v_w| and the cross differences |v_z s_w - v_w s_z|, s being the
+    row totals."""
+    kz, kw, vz, vw = keys[z], keys[w], vals[z], vals[w]
+    at_z = np.zeros(kz.shape, dtype=vals.dtype)  # w's value at each key of z
+    w_only = vw.copy()
+    for i in range(kz.shape[1]):
+        held = kz[:, i] >= 0
+        for j in range(kw.shape[1]):
+            eq = (kz[:, i] == kw[:, j]) & held
+            at_z[:, i] += vw[:, j] * eq
+            w_only[:, j] *= ~eq
+    sz, sw = total[z, None], total[w, None]
+    step = np.concatenate([abs(vz - at_z), w_only], axis=1)
+    cross = np.concatenate([abs(vz * sw - at_z * sz), w_only * sz], axis=1)
+    return step, cross
+
+
+def _first_max(num: np.ndarray, den: np.ndarray) -> int | None:
+    """Index of the first pair with the largest num/den, by a pairwise
+    tournament of exact cross-multiplications; ``None`` when no ratio is
+    positive. A zero denominator comes with a zero numerator and counts
+    as 0."""
+    den = np.where(den == 0, 1, den)
+    idx = np.arange(len(num))
+    while idx.size > 1:
+        # Each entry holds the first maximum of a run of pairs; the later
+        # of two neighbouring runs wins only with a strictly larger ratio.
+        even = idx.size - idx.size % 2
+        a, b = idx[0:even:2], idx[1:even:2]
+        idx = np.concatenate([np.where(num[b] * den[a] > num[a] * den[b], b, a), idx[even:]])
+    return int(idx[0]) if idx.size and num[idx[0]] > 0 else None
 
 
 def store_a1_maps(g: MetricGraph, fc: FatCover) -> str:
     """Dump format: one line per safe vertex,
-    ``a x=<id> : <anchor>=<num>/<den> ...`` with anchors ascending."""
-    anchors = fc.anchors
-    lines = []
-    for x in sorted(fc.safe):
-        entries = a1_map(g, fc, x, anchors).entries
-        body = " ".join(f"{z}={v.numerator}/{v.denominator}" for z, v in sorted(entries.items()))
-        lines.append(f"a x={x} : {body}")
+    ``a x=<id> : <anchor>=<num>/<den> ...`` with anchors ascending and
+    every weight in lowest terms."""
+    p = fc.profiles
+    total = _totals(fc, p)[:, None]
+    fold_anchor, fold_num = _anchor_fold(p)
+    div = np.gcd(fold_num, total)
+    held = fold_anchor >= 0
+    entries = [
+        f"{z}={n}/{d}"
+        for z, n, d in zip(fold_anchor[held].tolist(), (fold_num // div)[held].tolist(), (total // div)[held].tolist())
+    ]
+    ends = np.cumsum(held.sum(axis=1)).tolist()
+    lines = [f"a x={x} : " + " ".join(entries[s:e]) for x, s, e in zip(p.vertex.tolist(), [0] + ends[:-1], ends)]
     return "\n".join(lines) + "\n"

@@ -21,26 +21,22 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import calculator
 from .a1 import (
     ClaimViolation,
     FatCover,
     ScopeTooSmallError,
     VariationSweepReport,
-    _anchor_numerators,
-    _weights,
     build_fat_cover,
+    check_a1_maps,
     lebesgue_check,
     phi,
-    select_anchors,
     store_a1_maps,
     variation_sweep,
 )
 from .cover import CoverParams, asdim_upper_from_D, build_cover, multiplicity, store_cover, verify_diameters
 from .geodesics import GeodesicFamily, PropertyBReport, check_property_b, thin_delta
-from .graphs import MetricGraph, bfs_distances, load_graph, store_graph
+from .graphs import load_graph, store_graph
 from .probes import discrete_capacity, growth_probe
 from .spaces import LabeledGraph, broom_tree, farey_truncation, grid, regular_tree
 
@@ -333,44 +329,23 @@ def pipeline_a1(
     checks["lebesgue"] = leb.passed
 
     lines.append("# section a1")
-    anchors = select_anchors(g, fat)
-    support_bound = 4 * r + fat.diam_base
-    # a_x = sum_V (d(x, V^c) / total) delta_{anchor V}, checked on its integer
-    # numerators over the total. _weights raises ClaimViolation where the
-    # total is below r, so every total that reaches the checks is >= r.
-    norm_ok = True
-    nonneg_ok = True
-    max_support = 0
-    widest = None
-    for x in sorted(fat.safe):
-        depths, total = _weights(fat, x)
-        nums = _anchor_numerators(depths, anchors)
-        if sum(nums.values()) != total:
-            norm_ok = False
-        if min(nums.values()) <= 0:
-            nonneg_ok = False
-        if len(nums) > max_support:
-            max_support = len(nums)
-            widest = x
+    maps = check_a1_maps(g, fat)
     # The Fraction boundary must agree with the integer core: compare phi
     # with the numerators at the first vertex of largest support.
-    depths, total = _weights(fat, widest)
-    weights = phi(g, fat, widest)
-    if weights.keys() != depths.keys() or any(w * total != depths[i] for i, w in weights.items()):
-        norm_ok = False
-    support_radius_ok = _support_radius_ok(g, fat, anchors, support_bound)
+    weights = phi(g, fat, maps.widest)
+    norm_ok = maps.norm_ok and weights == maps.widest_phi
     checks["l1_norm"] = norm_ok
-    checks["nonneg"] = nonneg_ok
-    checks["support_count"] = max_support <= 2 * d_constant
+    checks["nonneg"] = maps.positive_ok
+    checks["support_count"] = maps.max_support <= 2 * d_constant
     checks["denominator"] = True
-    checks["support_radius"] = support_radius_ok
-    lines.append(f"checked_x={len(fat.safe)}")
+    checks["support_radius"] = maps.support_radius_ok
+    lines.append(f"checked_x={maps.checked}")
     lines.append(f"norm_exact={'yes' if norm_ok else 'no'}")
-    lines.append(f"entries_positive={'yes' if nonneg_ok else 'no'}")
-    lines.append(f"max_support={max_support}")
+    lines.append(f"entries_positive={'yes' if maps.positive_ok else 'no'}")
+    lines.append(f"max_support={maps.max_support}")
     lines.append(f"support_bound_2D={2 * d_constant}")
-    lines.append(f"support_radius_bound={support_bound}")
-    lines.append(f"support_radius_ok={'yes' if support_radius_ok else 'no'}")
+    lines.append(f"support_radius_bound={maps.support_radius_bound}")
+    lines.append(f"support_radius_ok={'yes' if maps.support_radius_ok else 'no'}")
 
     lines.append("# section variation")
     sweep = variation_sweep(g, fat)
@@ -397,28 +372,10 @@ def pipeline_a1(
         propb=rep,
         fat=fat,
         sweep=sweep,
-        support_bound=support_bound,
-        max_support=max_support,
+        support_bound=maps.support_radius_bound,
+        max_support=maps.max_support,
         all_pass=all_pass,
     )
-
-
-def _support_radius_ok(g: MetricGraph, fat: FatCover, anchors: dict[int, int], bound: int) -> bool:
-    """supp(a_x) within N(x; bound) for every x: since support points are
-    anchors of sets containing x, it suffices that every member of every
-    set is within the bound of that set's anchor."""
-    tm = g.tree_metric() if g.is_tree else None
-    for i, fs in enumerate(fat.sets):
-        anchor = anchors[i]
-        members = np.asarray(sorted(fs.members), dtype=np.int64)
-        if tm is not None:
-            worst = int(tm.distances(anchor, members).max())
-        else:
-            row = bfs_distances(g, anchor)
-            worst = max(row[int(v)] for v in members)
-        if worst > bound:
-            return False
-    return True
 
 
 def cmd_a1(args) -> tuple[int, list[str]]:

@@ -67,6 +67,10 @@ _ROW_CELLS = 2**21
 # of a vertex's predecessor counts stays exact in int64.
 _SIGMA_MAX = 2**31
 
+# Id types a batch check settles by one range test; any other type (bool,
+# other numpy integers, floats, ...) is checked id by id.
+_PLAIN_IDS = frozenset({int, np.int64, np.int32})
+
 
 @dataclass(frozen=True)
 class Path:
@@ -174,6 +178,13 @@ class MetricGraph:
         if not isinstance(v, (int, np.integer)) or not (0 <= v < self.vertex_count):
             raise ValueError(f"invalid vertex id {v!r} for graph with {self.vertex_count} vertices")
 
+    def check_vertices(self, vs: Collection[int]) -> None:
+        """:meth:`check_vertex` for a whole batch at once: the ids it accepts
+        pass, and the first id it rejects raises its error."""
+        if len(vs) and not (set(map(type, vs)) <= _PLAIN_IDS and 0 <= min(vs) and max(vs) < self.vertex_count):
+            for v in vs:
+                self.check_vertex(v)
+
     @property
     def is_connected(self) -> bool:
         if self._connected is None:
@@ -239,10 +250,11 @@ def multi_source_distances(g: MetricGraph, sources: Iterable[int], cutoff: int |
 
 
 def _dense_bfs(g: MetricGraph, sources: Iterable[int], cutoff: int | None) -> list[int]:
+    sources = list(sources)
+    g.check_vertices(sources)
     dist = [-1] * g.vertex_count
     queue = []
     for s in sources:
-        g.check_vertex(s)
         if dist[s] != 0:
             dist[s] = 0
             queue.append(s)
@@ -261,16 +273,16 @@ def _dense_bfs(g: MetricGraph, sources: Iterable[int], cutoff: int | None) -> li
 
 
 def _bfs(
-    g: MetricGraph, sources: Iterable[int], radius: int | None = None, within: Collection[int] | None = None
+    g: MetricGraph, sources: Collection[int], radius: int | None = None, within: Collection[int] | None = None
 ) -> dict[int, int]:
     """Distance to the nearest of ``sources`` for every vertex within
     ``radius`` of them, keyed in the order a FIFO search reaches them. With
     ``within`` given, the search steps only onto vertices in it."""
+    g.check_vertices(sources)
     seen = bytearray(g.vertex_count)
     dist: dict[int, int] = {}
     queue = []
     for s in sources:
-        g.check_vertex(s)
         if not seen[s]:
             seen[s] = 1
             dist[s] = 0
@@ -511,8 +523,7 @@ def set_diameter(
     for ms in sets:
         if not ms:
             raise ValueError("set_diameter of an empty set")
-        for m in ms:
-            g.check_vertex(m)
+        g.check_vertices(ms)
     if not sets:
         diameters = []
     elif g.is_tree:

@@ -2,19 +2,23 @@ import ast
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from coarselab import a1
 from coarselab.a1 import (
     ClaimViolation,
     FatCover,
     FatCoverOrderError,
     FatSet,
     ScopeTooSmallError,
+    VariationSweepReport,
     _anchor_numerators,
     _interior_depths,
     _weights,
     a1_map,
     build_fat_cover,
+    check_a1_maps,
     lebesgue_check,
     phi,
     select_anchors,
@@ -23,8 +27,8 @@ from coarselab.a1 import (
     variation_sweep,
 )
 from coarselab.geodesics import GeodesicFamily
-from coarselab.graphs import MetricGraph, ball
-from coarselab.spaces import broom_tree
+from coarselab.graphs import MetricGraph, ball, bfs_distances
+from coarselab.spaces import LabeledGraph, broom_tree, farey_truncation, grid
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +49,64 @@ def broom130_fat():
 
 def path_graph(n):
     return MetricGraph(n, [(i, i + 1) for i in range(n - 1)], name=f"path_{n}")
+
+
+def ball_cover(space, balls, r=1, d_constant=2, scale=1):
+    """A hand-built fattened cover of ``space``: one set per (centre,
+    radius) ball, its depths the true interior depths times ``scale``;
+    every covered vertex is safe."""
+    g = space.graph
+    sets = []
+    for c, rad in balls:
+        members = frozenset(ball(g, c, rad))
+        sets.append(FatSet(0, None, members, {v: scale * d for v, d in _interior_depths(g, members).items()}))
+    sets_of = {}
+    for i, fs in enumerate(sets):
+        for v in fs.members:
+            sets_of.setdefault(v, []).append(i)
+    fat = FatCover(
+        r=r,
+        d_constant=d_constant,
+        base=None,
+        sets=tuple(sets),
+        sets_of={v: tuple(ix) for v, ix in sets_of.items()},
+        diam_base=2 * max(rad for _, rad in balls),
+        safe=frozenset(sets_of),
+        order_max=max(map(len, sets_of.values())),
+    )
+    return space, fat
+
+
+def grid_balls(**kwargs):
+    # Two balls around (3,3) share their centre as anchor; order 5 there.
+    return ball_cover(grid(7), [(24, 1), (24, 2), (25, 2), (18, 2), (30, 2)], **kwargs)
+
+
+@pytest.fixture(scope="module")
+def grid_fat():
+    return grid_balls()
+
+
+@pytest.fixture(scope="module")
+def grid_fat_scaled():
+    """``grid_fat`` with every depth and r times 40: the weights are the
+    same, but every variation bound fails."""
+    return grid_balls(r=40, d_constant=1, scale=40)
+
+
+@pytest.fixture(scope="module")
+def farey_fat():
+    f = farey_truncation(6)
+    balls = [("-5/2", 1), ("-5/2", 2), ("-2/1", 1), ("-3/2", 1), ("-5/3", 2)]
+    return ball_cover(f, [(f.vertex_of(label), rad) for label, rad in balls])
+
+
+@pytest.fixture(scope="module")
+def path_tie_fat():
+    """The intervals [0, 5] and [3, 8] of a path, anchored at 0 and 8: the
+    pairs (2, 3), (3, 4), (4, 5) and (5, 6) all have l1 distance 1/2."""
+    g = path_graph(9)
+    return ball_cover(LabeledGraph(g, tuple(map(str, range(9))), 0), [(1, 4), (7, 4)])
 
 
 class TestBuildFatCover:
@@ -338,8 +400,48 @@ def oracle_maps(fat):
     return maps
 
 
+def assert_sweep_matches_pointwise(g, fat, monkeypatch):
+    """variation_sweep equals the report assembled from pointwise
+    ``variation`` on every adjacent safe pair, on int64 arrays and again
+    with the overflow bound forcing Python ints, in blocks of 3 pairs."""
+    pairs = [(z, w) for z in sorted(fat.safe) for w in g.neighbors(z) if w > z and w in fat.safe]
+    reports = [variation(g, fat, z, w, fat.anchors) for z, w in pairs]
+    dd, r = fat.d_constant, fat.r
+    sup_l1 = max((rep.l1 for rep in reports), default=Fraction(0))
+    steps = [
+        abs(fat.sets[i].depth.get(z, 0) - fat.sets[i].depth.get(w, 0))
+        for z, w in pairs
+        for i in set(fat.sets_of[z]) | set(fat.sets_of[w])
+    ]
+    expected = VariationSweepReport(
+        pairs_checked=len(pairs),
+        sup_l1=sup_l1,
+        sup_phi_diff=max((rep.max_phi_diff for rep in reports), default=Fraction(0)),
+        l1_bound=Fraction((4 * dd + 1) ** 2, r),
+        phi_bound=Fraction(4 * dd + 1, r),
+        complement_bound=4 * dd,
+        l1_ok=all(rep.l1 <= Fraction((4 * dd + 1) ** 2, r) for rep in reports),
+        phi_ok=all(rep.max_phi_diff <= Fraction(4 * dd + 1, r) for rep in reports),
+        complement_ok=all(rep.complement_diff_sum <= 4 * dd for rep in reports),
+        step_ok=all(step <= 1 for step in steps),
+        witness_pair=next(pair for pair, rep in zip(pairs, reports) if rep.l1 == sup_l1) if sup_l1 else None,
+    )
+    assert variation_sweep(g, fat) == expected
+
+    dtypes = []
+    pair_diffs = a1._pair_diffs
+    monkeypatch.setattr(a1, "_pair_diffs", lambda *args: dtypes.append(args[1].dtype) or pair_diffs(*args))
+    monkeypatch.setattr(a1, "_INT64_MAX", 0)
+    monkeypatch.setattr(a1, "_SWEEP_BLOCK", 3)
+    assert variation_sweep(g, fat) == expected
+    assert len(dtypes) == 2 * -(-len(pairs) // 3) and set(dtypes) == {np.dtype(object)}
+
+
+COVERS = ["broom130_fat", "broom400_fat", "grid_fat", "grid_fat_scaled", "farey_fat", "path_tie_fat"]
+
+
 class TestIntegerCore:
-    @pytest.mark.parametrize("cover", ["broom130_fat", "broom400_fat"])
+    @pytest.mark.parametrize("cover", COVERS)
     def test_numerators_and_dump_match_oracle(self, request, cover):
         b, fat = request.getfixturevalue(cover)
         oracle = oracle_maps(fat)
@@ -354,16 +456,44 @@ class TestIntegerCore:
         ]
         assert store_a1_maps(b.graph, fat).splitlines() == expected
 
-    def test_sweep_sups_are_pointwise_maxima(self, broom130_fat):
+    @pytest.mark.parametrize("cover", [c for c in COVERS if c != "broom400_fat"])
+    def test_checks_match_oracle(self, request, cover):
+        b, fat = request.getfixturevalue(cover)
+        oracle = oracle_maps(fat)
+        widest = min(fat.safe, key=lambda x: (-len(oracle[x]), x))
+        rep = check_a1_maps(b.graph, fat)
+        assert (rep.checked, rep.norm_ok, rep.positive_ok) == (len(fat.safe), True, True)
+        assert (rep.max_support, rep.widest) == (len(oracle[widest]), widest)
+        assert rep.widest_phi == phi(b.graph, fat, widest)
+        assert rep.support_radius_bound == 4 * fat.r + fat.diam_base
+        rows = [bfs_distances(b.graph, fat.anchors[i]) for i in range(len(fat.sets))]
+        radius = max(rows[i][v] for i, fs in enumerate(fat.sets) for v in fs.members)
+        assert rep.support_radius_ok == (radius <= rep.support_radius_bound)
+
+    @pytest.mark.parametrize("cover", ["grid_fat", "farey_fat"])
+    def test_non_tree_covers_fold_colliding_anchors(self, request, cover):
+        _, fat = request.getfixturevalue(cover)
+        assert fat.order_max > 2
+        assert any(len({fat.anchors[i] for i in fat.sets_of[x]}) < len(fat.sets_of[x]) for x in fat.safe)
+
+    def test_sweep_sups_are_pointwise_maxima(self, broom130_fat, monkeypatch):
         b, fat = broom130_fat
-        g = b.graph
-        reports = [
-            variation(g, fat, z, w) for z in sorted(fat.safe) for w in g.neighbors(z) if w > z and w in fat.safe
-        ]
-        sweep = variation_sweep(g, fat)
-        assert sweep.pairs_checked == len(reports)
-        assert sweep.sup_l1 == max(rep.l1 for rep in reports)
-        assert sweep.sup_phi_diff == max(rep.max_phi_diff for rep in reports)
+        assert_sweep_matches_pointwise(b.graph, fat, monkeypatch)
+
+    @pytest.mark.parametrize("cover", ["grid_fat", "grid_fat_scaled", "farey_fat", "path_tie_fat"])
+    def test_sweep_matches_pointwise_off_trees(self, request, monkeypatch, cover):
+        b, fat = request.getfixturevalue(cover)
+        assert_sweep_matches_pointwise(b.graph, fat, monkeypatch)
+
+    def test_tied_sup_goes_to_the_earliest_pair(self, path_tie_fat):
+        b, fat = path_tie_fat
+        assert [variation(b.graph, fat, z, z + 1).l1 for z in range(8)] == [0, 0] + [Fraction(1, 2)] * 4 + [0, 0]
+        assert variation_sweep(b.graph, fat).witness_pair == (2, 3)
+
+    def test_scaled_cover_fails_every_bound(self, grid_fat_scaled):
+        b, fat = grid_fat_scaled
+        sweep = variation_sweep(b.graph, fat)
+        assert not (sweep.l1_ok or sweep.phi_ok or sweep.complement_ok or sweep.step_ok)
 
     def test_total_below_r_raises_like_phi(self):
         g = path_graph(9)

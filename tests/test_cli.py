@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from coarselab import a1, cli, geodesics, graphs
@@ -160,12 +161,18 @@ class TestA1:
         assert "THEOREM ALARM: Lebesgue consequence failed" in err
 
     def test_total_below_r_in_the_integer_loop_exits_1(self, capsys, monkeypatch):
-        real = a1._depth_profile
+        real = a1._depth_profiles
 
-        def first_set_at_depth_1(fc, x):
-            return {i: 1 for i in list(real(fc, x))[:1]}
+        def first_set_at_depth_1(fc):
+            p = real(fc)
+            first = np.arange(p.set_id.shape[1]) == 0
+            return p._replace(
+                set_id=np.where(first, p.set_id, -1),
+                depth=np.where(first, np.ones_like(p.depth), 0),
+                anchor=np.where(first, p.anchor, -1),
+            )
 
-        monkeypatch.setattr(a1, "_depth_profile", first_set_at_depth_1)
+        monkeypatch.setattr(a1, "_depth_profiles", first_set_at_depth_1)
         code, _, err = run_cli(capsys, "a1", "--space", "broom:250", "--r", "2", "--pair-budget", "4")
         assert code == 1
         assert "THEOREM ALARM: Lebesgue consequence failed at vertex" in err

@@ -82,6 +82,36 @@ class TestConstruction:
             assert tuple(indices[indptr[v] : indptr[v + 1]].tolist()) == g.neighbors(v)
         assert int(indptr[-1]) == 2 * g.edge_count == len(indices)
 
+    @pytest.mark.parametrize(
+        "v", [0, 7, -1, 8, 1.5, 3.0, np.int64(3), np.int64(8), np.int32(-1), np.uint8(2), np.bool_(True), True, "1"],
+        ids=repr,
+    )
+    def test_batch_check_agrees_with_check_vertex(self, v):
+        g = path_graph(8)
+        try:
+            g.check_vertex(v)
+            expected = None
+        except ValueError as exc:
+            expected = str(exc)
+        for batch in ([v], [0, v, 5], (2, 6, v), {v, 1} if not isinstance(v, np.generic) else [v, 1]):
+            if expected is None:
+                g.check_vertices(batch)
+            else:
+                with pytest.raises(ValueError) as got:
+                    g.check_vertices(batch)
+                assert str(got.value) == expected
+
+    def test_batch_check_reports_the_first_bad_id(self):
+        g = path_graph(8)
+        g.check_vertices([])
+        g.check_vertices(range(8))
+        with pytest.raises(ValueError, match="invalid vertex id 9 for graph with 8 vertices"):
+            g.check_vertices([1, 9, -1, 2.5])
+        with pytest.raises(ValueError, match="invalid vertex id 1.5"):
+            g.check_vertices([True, np.int64(7), 1.5])
+        with pytest.raises(ValueError, match="invalid vertex id True"):
+            MetricGraph(1, []).check_vertices([0, True])
+
 
 class TestDistance:
     def test_path_graph_endpoints(self):
