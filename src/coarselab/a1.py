@@ -45,7 +45,7 @@ import numpy as np
 
 from .cover import Cover, CoverParams, build_cover
 from .geodesics import GeodesicFamily
-from .graphs import MetricGraph, _bfs, bfs_distances, distance, multi_source_distances, set_diameter
+from .graphs import MetricGraph, _bfs, bfs_distances, distance, set_diameter
 
 __all__ = [
     "ScopeTooSmallError",
@@ -192,13 +192,7 @@ def build_fat_cover(
         for v in fs.members:
             sets_of.setdefault(v, []).append(i)
 
-    region = base.complete_region()
-    outside = [v for v in range(n) if v not in region]
-    if outside:
-        dist_out = multi_source_distances(g, outside, cutoff=5 * r)
-        safe = frozenset(v for v in region if not 0 <= dist_out[v] <= 5 * r)
-    else:
-        safe = frozenset(region)
+    safe = base.core(g, 5 * r)
     if not safe:
         raise ScopeTooSmallError(f"scope too small for r={r}: empty safe core")
 

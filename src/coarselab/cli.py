@@ -80,12 +80,6 @@ def _is_farey(spec: str) -> bool:
     return spec.startswith("farey:")
 
 
-def _family(space: LabeledGraph, kind: str) -> GeodesicFamily:
-    if kind == "all":
-        return GeodesicFamily.all_of(space.graph)
-    return GeodesicFamily.canonical_of(space.graph)
-
-
 def _resolve_delta(space: LabeledGraph, given: int | None, budget: int, seed: int, lines: list[str]) -> int:
     """Supplied delta wins; trees are 0-thin by uniqueness of geodesics;
     anything else is measured on the canonical family."""
@@ -131,7 +125,7 @@ def cmd_gen(args) -> tuple[int, list[str]]:
 
 def cmd_delta(args) -> tuple[int, list[str]]:
     space = parse_space(args.space)
-    fam = _family(space, args.family)
+    fam = GeodesicFamily(space.graph, args.family)
     rep = thin_delta(space.graph, fam, budget=args.budget, seed=args.seed)
     lines = ["# section delta"]
     _farey_note(args.space, lines)
@@ -168,7 +162,7 @@ def _propb_lines(rep: PropertyBReport) -> list[str]:
 
 def cmd_propb(args) -> tuple[int, list[str]]:
     space = parse_space(args.space)
-    fam = _family(space, args.family)
+    fam = GeodesicFamily(space.graph, args.family)
     lines = ["# section property_b"]
     _farey_note(args.space, lines)
     lines.append(f"space={args.space}")
@@ -197,7 +191,7 @@ def cmd_propb(args) -> tuple[int, list[str]]:
 
 def cmd_cover(args) -> tuple[int, list[str]]:
     space = parse_space(args.space)
-    fam = _family(space, args.family)
+    fam = GeodesicFamily(space.graph, args.family)
     lines = ["# section cover"]
     _farey_note(args.space, lines)
     lines.append(f"space={args.space}")
@@ -416,7 +410,10 @@ def cmd_probe(args) -> tuple[int, list[str]]:
         _farey_note(args.space, lines)
         center = space.basepoint
         if args.center_label is not None:
-            center = space.vertex_of(args.center_label)
+            try:
+                center = space.vertex_of(args.center_label)
+            except KeyError as exc:
+                raise SpaceSpecError(f"bad --center-label: {exc.args[0]}") from None
         rep = discrete_capacity(space.graph, args.d, center, args.radius, exact_limit=args.exact_limit)
         lines.append(f"capacity D={rep.d_separation} param={args.space} card={rep.cardinality} method={rep.method}")
         return EXIT_OK, lines
@@ -575,22 +572,22 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, lines = _HANDLERS[args.command](args)
+        text = "\n".join(lines) + "\n"
+        out = getattr(args, "out", None)
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except ScopeTooSmallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCOPE
     except ClaimViolation as exc:
         print(f"THEOREM ALARM: {exc}", file=sys.stderr)
         return EXIT_ALARM
-    except (SpaceSpecError, ValueError) as exc:
+    except (SpaceSpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    text = "\n".join(lines) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

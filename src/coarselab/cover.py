@@ -14,12 +14,17 @@ checked exactly, with no tolerance:
 On a finite truncation the outermost annuli lack the geodesics the
 construction relies on, so bounds are asserted on *complete* annuli only
 (outer radius at least ``r+ell`` away from the truncation edge); reports
-label the incomplete ones.
+label the incomplete ones. ``Cover.core`` is the part of the complete
+region whose balls of a given radius stay inside it.
+
+A family enters only as its step towards the basepoint: the canonical
+step, or every neighbour one closer. One propagation in distance order
+gives each vertex the union of its steps' anchor sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +89,6 @@ class Cover:
     annuli: dict[int, frozenset[int]]
     spheres: dict[int, frozenset[int]]
     complete: frozenset[int]
-    base_distances: tuple[int, ...] = field(repr=False)
 
     @property
     def n_max(self) -> int:
@@ -95,6 +99,18 @@ class Cover:
         for n in self.complete:
             out |= self.annuli[n]
         return frozenset(out)
+
+    def core(self, g: MetricGraph, radius: int) -> frozenset[int]:
+        """The complete region's vertices farther than ``radius`` from every
+        vertex outside it: those whose ``radius``-ball stays inside it."""
+        if radius < 0:
+            raise ValueError("radius must be nonnegative")
+        region = self.complete_region()
+        outside = [v for v in range(g.vertex_count) if v not in region]
+        if not outside or radius == 0:
+            return region
+        dist_out = multi_source_distances(g, outside, cutoff=radius)
+        return frozenset(v for v in region if not 0 <= dist_out[v] <= radius)
 
 
 def build_cover(g: MetricGraph, fam: GeodesicFamily, params: CoverParams) -> Cover:
@@ -137,12 +153,12 @@ def build_cover(g: MetricGraph, fam: GeodesicFamily, params: CoverParams) -> Cov
     for n in (1, 2):
         if n in annuli and annuli[n]:
             sets.append(CoverSet(n, None, annuli[n]))
-    anchor_sets = _anchor_sets_all if fam.kind == "all" else _anchor_sets_canonical
+    canonical = fam.kind == "canonical"
     for n in range(3, n_max + 1):
         if not annuli[n]:
             continue
         zone = levels(band * (n - 2), band * n)
-        buckets = anchor_sets(g, dist_list, zone, band * (n - 2), band * (n - 1))
+        buckets = _anchor_sets(g._adj, dist_list, zone, band * (n - 2), band * (n - 1), canonical)
         for anchor in sorted(buckets):
             sets.append(CoverSet(n, anchor, frozenset(buckets[anchor])))
 
@@ -153,48 +169,29 @@ def build_cover(g: MetricGraph, fam: GeodesicFamily, params: CoverParams) -> Cov
         annuli=annuli,
         spheres=spheres,
         complete=complete,
-        base_distances=tuple(dist_list),
     )
 
 
-def _anchor_sets_all(g, dist, zone, level, inner) -> dict[int, set[int]]:
-    """Anchors on some geodesic [x, basepoint]: ancestor sets at the target
-    level, propagated through the distance-monotone DAG. ``zone`` holds the
-    vertices from ``level`` outwards by (distance, id); those at ``inner``
-    or beyond form the annulus."""
+def _anchor_sets(adj, dist, zone, level, inner, canonical) -> dict[int, set[int]]:
+    """Anchors at ``level`` on the family geodesics [x, basepoint], for x in
+    the annulus. ``zone`` holds the vertices from ``level`` outwards by
+    (distance, id); those at ``inner`` or beyond form the annulus. A
+    vertex's anchor set is the union of its family steps' sets: its
+    canonical step, or every neighbour one closer. A vertex with one step
+    shares that step's set."""
     anc: dict[int, frozenset[int]] = {}
     buckets: dict[int, set[int]] = {}
     for v in zone:
         dv = dist[v]
         if dv == level:
-            anc[v] = frozenset((v,))
+            mine = frozenset((v,))
         else:
-            acc: set[int] = set()
-            for u in g.neighbors(v):
-                if dist[u] == dv - 1 and u in anc:
-                    acc |= anc[u]
-            anc[v] = frozenset(acc)
+            steps = (_canonical_step(adj, dist, v),) if canonical else [u for u in adj[v] if dist[u] == dv - 1]
+            mine = anc[steps[0]] if len(steps) == 1 else frozenset().union(*(anc[u] for u in steps))
+        anc[v] = mine
         if dv >= inner:
-            for s in anc[v]:
+            for s in mine:
                 buckets.setdefault(s, set()).add(v)
-    return buckets
-
-
-def _anchor_sets_canonical(g, dist, zone, level, inner) -> dict[int, set[int]]:
-    """Anchor = crossing of the canonical geodesic [x, basepoint] at the
-    target level, reached by canonical steps towards the basepoint.
-    ``zone`` and ``inner`` as in :func:`_anchor_sets_all`."""
-    cross: dict[int, int] = {}
-    buckets: dict[int, set[int]] = {}
-    for v in zone:
-        dv = dist[v]
-        if dv == level:
-            cross[v] = v
-        else:
-            step = _canonical_step(g._adj, dist, v)
-            cross[v] = cross[step] if step in cross else -1
-        if dv >= inner and cross[v] >= 0:
-            buckets.setdefault(cross[v], set()).add(v)
     return buckets
 
 
@@ -259,16 +256,7 @@ def multiplicity(
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if complete_only:
-        region = cover.complete_region()
-        outside = [v for v in range(g.vertex_count) if v not in region]
-        if outside and radius > 0:
-            dist_out = multi_source_distances(g, outside, cutoff=radius)
-            eligible = [v for v in sorted(region) if not 0 <= dist_out[v] <= radius]
-        else:
-            eligible = sorted(region)
-    else:
-        eligible = list(range(g.vertex_count))
+    eligible = sorted(cover.core(g, radius)) if complete_only else list(range(g.vertex_count))
     eligible_mask = set(eligible)
     counts: dict[int, int] = {}
     for cs in cover.sets:

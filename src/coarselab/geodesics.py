@@ -21,7 +21,13 @@ vectorized ancestor structure; other graphs pair by pair inside the
 geodesic envelope of the pair, reading distance and path-count rows from
 one memoised store per call (``graphs._Rows``). :func:`thin_delta` takes
 one path on every graph, an early-exit search from each side vertex to the
-other two sides; canonical sides walk rows of the same kind of store.
+other two sides; every side walks a row of the same kind of store.
+
+A family enters only as its walk down a distance row: the canonical walk
+(the least-id step) or all walks (every step one closer). G(a,b;r) has
+one implementation, ``_PairChecker._members_of_union_r``, which
+:meth:`GeodesicFamily.union_r` also calls; the intersection clause asks
+one question per endpoint pair, whether a family geodesic avoids N(c;k).
 
 Convention note: ``observed_D`` is a single constant, the max over all
 checked radii r <= r_max. Some formulations in the literature let the
@@ -31,6 +37,7 @@ reading and leaves per-radius analysis to the caller.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -44,12 +51,11 @@ from .graphs import (
     MetricGraph,
     Path,
     _bfs,
+    _all_walks,
     _canonical_walk,
     _distance_to_set,
     _SIGMA_MAX,
     _Rows,
-    all_geodesics,
-    canonical_geodesic,
 )
 
 __all__ = [
@@ -93,12 +99,6 @@ class GeodesicFamily:
     def canonical_of(graph: MetricGraph) -> "GeodesicFamily":
         return GeodesicFamily(graph, "canonical")
 
-    def geodesics(self, u: int, v: int) -> tuple[list[Path], bool]:
-        """Resolved geodesics for the pair plus a truncation flag."""
-        if self.kind == "canonical":
-            return [canonical_geodesic(self.graph, u, v)], False
-        return all_geodesics(self.graph, u, v, cap=self.cap)
-
     def union(self, u: int, v: int) -> set[int]:
         """G(u, v): all vertices lying on some family geodesic.
 
@@ -111,26 +111,10 @@ class GeodesicFamily:
         """G(a, b; r): the union of G(a', b') over a' in N(a;r), b' in N(b;r)."""
         if r < 0:
             raise ValueError("r must be nonnegative")
-        g = self.graph
-        rows = _Rows(g)
-        da, db = rows[a], rows[b]
-        if da[b] < 0:
+        checker = _PairChecker(self, _Rows(self.graph), a, b, 0, 0, r)
+        if not checker.reachable:
             raise ValueError(f"vertices {a} and {b} are unreachable from each other")
-        ball_a = np.flatnonzero((da >= 0) & (da <= r)).tolist()
-        ball_b = np.flatnonzero((db >= 0) & (db <= r)).tolist()
-        if self.kind == "canonical":
-            out: set[int] = set()
-            for bp in ball_b:
-                dist = rows[bp].tolist()
-                for ap in ball_a:
-                    out.update(_canonical_walk(g._adj, dist, ap))
-            return out
-        on = np.zeros(g.vertex_count, dtype=bool)
-        for ap in ball_a:
-            ra = rows[ap]
-            for bp in ball_b:
-                on |= (ra >= 0) & (ra + rows[bp] == ra[bp])
-        return set(np.flatnonzero(on).tolist())
+        return checker._members_of_union_r(*checker._sets_at(r))
 
 
 # -- thin triangles ----------------------------------------------------
@@ -216,10 +200,11 @@ def thin_delta(
 
 
 def _resolve_paths(fam: GeodesicFamily, rows: _Rows, u: int, v: int) -> tuple[list[Path], bool]:
-    # A canonical side walks the memoised row of its far end.
+    # Every side walks the memoised row of its far end.
+    dist = rows[v].tolist()
     if fam.kind == "canonical":
-        return [Path(tuple(_canonical_walk(fam.graph._adj, rows[v].tolist(), u)))], False
-    return fam.geodesics(u, v)
+        return [Path(tuple(_canonical_walk(fam.graph._adj, dist, u)))], False
+    return _all_walks(fam.graph._adj, dist, u, fam.cap)
 
 
 # -- boundedness checker -----------------------------------------------
@@ -255,15 +240,18 @@ class PropertyBReport:
 
 
 def _pair_from_rank(rank: int, n: int) -> tuple[int, int]:
-    # unordered pairs (a < b) of range(n), lexicographic rank
-    a = 0
-    remaining = rank
-    row = n - 1
-    while remaining >= row:
-        remaining -= row
+    # Unordered pairs (a < b) of range(n) in lexicographic rank. Rows 0..a-1
+    # hold start(a) = a(2n - a - 1)/2 pairs; a is the largest row with
+    # start(a) <= rank, the root of a quadratic up to integer rounding.
+    def start(a: int) -> int:
+        return a * (2 * n - a - 1) // 2
+
+    a = (2 * n - 1 - math.isqrt((2 * n - 1) ** 2 - 8 * rank)) // 2
+    while start(a) > rank:
+        a -= 1
+    while start(a + 1) <= rank:
         a += 1
-        row -= 1
-    return a, a + 1 + remaining
+    return a, a + 1 + rank - start(a)
 
 
 def check_property_b(
@@ -360,7 +348,22 @@ def check_property_b(
     )
 
 
-class _TreePairChecker:
+class _Neighbourhoods:
+    """N(c;k) of each deep point c, sorted and memoised per pair."""
+
+    g: MetricGraph
+    k: int
+    _hoods: dict[int, list[int]]
+
+    def _neighborhood(self, c: int) -> list[int]:
+        hood = self._hoods.get(c)
+        if hood is None:
+            hood = [c] if self.k == 0 else sorted(_bfs(self.g, (c,), self.k))
+            self._hoods[c] = hood
+        return hood
+
+
+class _TreePairChecker(_Neighbourhoods):
     """Tree fast path: unique geodesics and vectorized ancestor distances.
 
     On a tree the two family kinds coincide (each pair has exactly one
@@ -395,13 +398,6 @@ class _TreePairChecker:
 
     def qualifying_pool(self) -> list[int]:
         return sorted(c for c in self.path if self.depth(c) >= self.ell)
-
-    def _neighborhood(self, c: int) -> list[int]:
-        hood = self._hoods.get(c)
-        if hood is None:
-            hood = [c] if self.k == 0 else sorted(_bfs(self.g, (c,), self.k))
-            self._hoods[c] = hood
-        return hood
 
     def _witness_matrices(self, cs: list[int]) -> tuple[np.ndarray, np.ndarray]:
         need = sorted({w for c in cs for w in self._neighborhood(c)} - self._w_pos.keys())
@@ -462,7 +458,7 @@ class _TreePairChecker:
             yield c, Path(tuple(self.tm.path(ap, bp)))
 
 
-class _PairChecker:
+class _PairChecker(_Neighbourhoods):
     """Exact per-pair verification for non-tree graphs, in global ids, on
     the rows of the store shared by one :func:`check_property_b` call.
 
@@ -472,7 +468,6 @@ class _PairChecker:
     """
 
     def __init__(self, fam: GeodesicFamily, rows: _Rows, a: int, b: int, ell: int, k: int, r_max: int):
-        self.fam = fam
         self.g = fam.graph
         self.ell, self.k = ell, k
         da, db = rows[a], rows[b]
@@ -485,37 +480,25 @@ class _PairChecker:
         self.reach = reach = (da >= 0) & (db >= 0)
         self.envelope = np.flatnonzero(reach & (da + db <= d_ab + 4 * r_max))
         self._hoods: dict[int, list[int]] = {}
-        self._canonical_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-        if fam.kind == "all":
-            self.g_ab = np.flatnonzero(reach & (da + db == d_ab)).tolist()
-        else:
-            self.g_ab = sorted(set(self._canonical(a, b)))
-
-    def _canonical(self, u: int, v: int) -> tuple[int, ...]:
-        key = (u, v)
-        cached = self._canonical_cache.get(key)
-        if cached is None:
-            cached = self._canonical_cache[key] = tuple(_canonical_walk(self.g._adj, self.rows[v].tolist(), u))
-        return cached
+        # canonical(u, v): the canonical u-v geodesic, walked once down v's row
+        self.canonical = None
+        if fam.kind == "canonical":
+            adj = self.g._adj
+            self.canonical = functools.cache(lambda u, v: tuple(_canonical_walk(adj, rows[v].tolist(), u)))
+        self.a, self.b = a, b
 
     def depth(self, c: int) -> int:
         return int(min(self.da[c], self.db[c]))
 
     def qualifying_pool(self) -> list[int]:
-        return sorted(c for c in self.g_ab if self.depth(c) >= self.ell)
+        g_ab = self._members_of_union_r([self.a], [self.b])
+        return sorted(c for c in g_ab if self.depth(c) >= self.ell)
 
     def _sets_at(self, r: int) -> tuple[list[int], list[int]]:
         return (
             np.flatnonzero(self.reach & (self.da <= r)).tolist(),
             np.flatnonzero(self.reach & (self.db <= r)).tolist(),
         )
-
-    def _neighborhood(self, c: int) -> list[int]:
-        hood = self._hoods.get(c)
-        if hood is None:
-            hood = [c] if self.k == 0 else sorted(_bfs(self.g, (c,), self.k))
-            self._hoods[c] = hood
-        return hood
 
     # -- counting --
 
@@ -528,11 +511,11 @@ class _PairChecker:
         return [sum(1 for w in self._neighborhood(c) if w in members) for c in cs]
 
     def _members_of_union_r(self, A: list[int], B: list[int]) -> set[int]:
-        if self.fam.kind == "canonical":
+        if self.canonical is not None:
             members: set[int] = set()
             for ap in A:
                 for bp in B:
-                    members.update(self._canonical(ap, bp))
+                    members.update(self.canonical(ap, bp))
             return members
         # Every member lies in the envelope, so only its columns are compared.
         env = self.envelope
@@ -547,24 +530,11 @@ class _PairChecker:
 
     def violations(self, r: int, cs: list[int]):
         A, B = self._sets_at(r)
-        if self.fam.kind == "canonical":
-            return self._violations_canonical(A, B, cs)
-        if self.k == 0:
+        if self.canonical is None and self.k == 0:
             on_all = self._on_every_geodesic(A, B, cs)
             if on_all is not None:
                 return self._violations_sigma(A, B, cs, on_all)
         return self._violations_general(A, B, cs)
-
-    def _violations_canonical(self, A, B, cs):
-        pairs = [(ap, bp) for ap in A for bp in B]
-        paths = [self._canonical(ap, bp) for ap, bp in pairs]
-        sets = [frozenset(p) for p in paths]
-        for c in cs:
-            hood = set(self._neighborhood(c))
-            for p, s in zip(paths, sets):
-                if not (s & hood):
-                    yield c, Path(p)
-                    break
 
     def _on_every_geodesic(self, A, B, cs) -> np.ndarray | None:
         # c lies on every shortest a'→b' path iff the distance identity
@@ -620,9 +590,14 @@ class _PairChecker:
                 yield found
 
     def _avoiding_geodesic(self, ap: int, bp: int, hood: set[int]) -> Path | None:
-        # Mark the shortest-path-DAG vertices outside the neighbourhood that
-        # a' reaches through such vertices, level by level, then walk back
-        # from b' through the least-id marked predecessor.
+        # A family geodesic from a' to b' that misses the neighbourhood, or
+        # None. The canonical family has one. For all geodesics, mark the
+        # shortest-path-DAG vertices outside the neighbourhood that a'
+        # reaches through such vertices, level by level, then walk back from
+        # b' through the least-id marked predecessor.
+        if self.canonical is not None:
+            path = self.canonical(ap, bp)
+            return Path(path) if hood.isdisjoint(path) else None
         row_a = self.rows[ap]
         d = row_a[bp]
         if d < 0:

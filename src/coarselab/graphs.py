@@ -451,32 +451,7 @@ def all_geodesics(g: MetricGraph, u: int, v: int, cap: int = GEODESIC_CAP) -> tu
     dv = bfs_distances(g, v)
     if dv[u] < 0:
         raise ValueError(f"vertices {u} and {v} are unreachable from each other")
-    adj = g._adj
-    paths: list[Path] = []
-    truncated = False
-    # Iterative DFS over the shortest-path DAG; sorted adjacency makes the
-    # output lexicographic and deterministic.
-    path = [u]
-    iters = [iter([w for w in adj[u] if dv[w] == dv[u] - 1])] if u != v else []
-    if u == v:
-        return [Path((u,))], False
-    while iters:
-        it = iters[-1]
-        step = next(it, None)
-        if step is None:
-            iters.pop()
-            path.pop()
-            continue
-        path.append(step)
-        if step == v:
-            if len(paths) == cap:
-                truncated = True
-                break
-            paths.append(Path(tuple(path)))
-            path.pop()
-            continue
-        iters.append(iter([w for w in adj[step] if dv[w] == dv[step] - 1]))
-    return paths, truncated
+    return _all_walks(g._adj, dv, u, cap)
 
 
 def canonical_geodesic(g: MetricGraph, u: int, v: int) -> Path:
@@ -488,6 +463,33 @@ def canonical_geodesic(g: MetricGraph, u: int, v: int) -> Path:
     if dv[u] < 0:
         raise ValueError(f"vertices {u} and {v} are unreachable from each other")
     return Path(tuple(_canonical_walk(g._adj, dv, u)))
+
+
+def _all_walks(adj, dist, u: int, cap: int) -> tuple[list[Path], bool]:
+    """Every walk from u down ``dist`` to its target in lexicographic order,
+    at most ``cap`` of them, and whether more exist."""
+    if not dist[u]:
+        return [Path((u,))], False
+    paths: list[Path] = []
+    # Iterative DFS over the shortest-path DAG; sorted adjacency makes the
+    # output lexicographic and deterministic.
+    path = [u]
+    iters = [iter([w for w in adj[u] if dist[w] == dist[u] - 1])]
+    while iters:
+        step = next(iters[-1], None)
+        if step is None:
+            iters.pop()
+            path.pop()
+            continue
+        path.append(step)
+        if not dist[step]:
+            if len(paths) == cap:
+                return paths, True
+            paths.append(Path(tuple(path)))
+            path.pop()
+            continue
+        iters.append(iter([w for w in adj[step] if dist[w] == dist[step] - 1]))
+    return paths, False
 
 
 def _canonical_step(adj, dist, v: int) -> int:

@@ -61,6 +61,14 @@ class TestGen:
         assert out == ""
         assert load_graph(target.read_text()).vertex_count == 4
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.txt"
+        code, out, err = run_cli(capsys, "gen", "--space", "grid:3", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err
+
 
 class TestDelta:
     def test_tree_delta_zero(self, capsys):
@@ -291,6 +299,16 @@ class TestProbe:
         assert any(
             line.startswith("capacity D=2 param=farey:20 card=") for line in out.splitlines()
         )
+
+    def test_unknown_center_label_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "probe", "capacity", "--space", "grid:4", "--d", "2", "--radius", "1",
+            "--center-label", "nope",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'nope'" in err
 
     def test_growth_format_and_verdict(self, capsys):
         code, out, _ = run_cli(

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from coarselab.cover import (
     verify_diameters,
 )
 from coarselab.geodesics import GeodesicFamily
-from coarselab.graphs import MetricGraph, bfs_distances, canonical_geodesic, set_diameter
+from coarselab.graphs import MetricGraph, ball, bfs_distances, canonical_geodesic, multi_source_distances, set_diameter
 from coarselab.spaces import broom_tree, farey_truncation, grid
 
 
@@ -154,6 +155,18 @@ def random_strip(seed: int, width: int = 3, length: int = 30) -> MetricGraph:
     return g
 
 
+def deep_random_tree(seed: int, n: int = 90) -> MetricGraph:
+    """A random tree whose parents sit at most three ids back, so it is
+    deeper than 20 from vertex 0 and branches along the way."""
+    rng = random.Random(seed)
+    g = MetricGraph(n, [(rng.randrange(max(0, v - 3), v), v) for v in range(1, n)], name=f"deep_tree_{seed}")
+    assert g.is_tree and max(bfs_distances(g, 0)) > 20
+    return g
+
+
+TREES = [(broom_tree(60).graph, 0), *[(deep_random_tree(seed), 0) for seed in range(3)]]
+
+
 def oracle_sets(g: MetricGraph, kind: str, band: int, base: int):
     """The cover's sets from the definition alone. Annuli 1 and 2 stay
     whole. For n >= 3, x joins anchor s (at level band*(n-2)) when s lies
@@ -204,6 +217,64 @@ class TestAnchorOracle:
         cov = build_cover(g, fam, CoverParams(r=1, ell=0, delta=0, basepoint=base))
         assert [(cs.n, cs.anchor, cs.members) for cs in cov.sets] == oracle_sets(g, kind, 10, base)
 
+    @pytest.mark.parametrize("g, base", TREES, ids=lambda v: getattr(v, "name", str(v)))
+    def test_tree_covers_match_definition(self, g, base):
+        # a tree has one geodesic per pair, so both families give one cover
+        params = CoverParams(r=1, ell=0, delta=0, basepoint=base)
+        covers = {
+            kind: [(cs.n, cs.anchor, cs.members) for cs in build_cover(g, GeodesicFamily(g, kind), params).sets]
+            for kind in ("all", "canonical")
+        }
+        for kind, sets in covers.items():
+            assert sets == oracle_sets(g, kind, 10, base)
+        assert covers["all"] == covers["canonical"]
+        assert any(n >= 3 for n, _, _ in covers["all"])
+
+
+def old_safe_core(g: MetricGraph, cover: Cover, radius: int) -> frozenset[int]:
+    """The complete region minus everything within ``radius`` of a vertex
+    outside it, as multiplicity and the fat cover computed it before
+    ``Cover.core``."""
+    region = cover.complete_region()
+    outside = [v for v in range(g.vertex_count) if v not in region]
+    if not outside or radius == 0:
+        return frozenset(region)
+    dist_out = multi_source_distances(g, outside, cutoff=radius)
+    return frozenset(v for v in region if not 0 <= dist_out[v] <= radius)
+
+
+class TestCore:
+    @pytest.mark.parametrize(
+        "space, params",
+        [
+            (broom_tree(120), dict(r=1, ell=0, delta=0)),
+            (grid(30), dict(r=1, ell=0, delta=0)),
+            (farey_truncation(30), dict(r=1, ell=10, delta=1)),
+        ],
+        ids=["broom120", "grid30", "farey30"],
+    )
+    def test_matches_old_formula(self, space, params):
+        g = space.graph
+        cov = build_cover(g, GeodesicFamily.all_of(g), CoverParams(basepoint=space.basepoint, **params))
+        # the natural cover, and the same cover with every annulus called complete
+        for c in (cov, dataclasses.replace(cov, complete=frozenset(cov.annuli))):
+            for radius in range(11):
+                assert c.core(g, radius) == old_safe_core(g, c, radius)
+        assert cov.core(g, 0) == cov.complete_region()
+
+    def test_ball_stays_inside_region(self, broom120_cover):
+        b, _, cov = broom120_cover
+        region = cov.complete_region()
+        core = cov.core(b.graph, 3)
+        assert core and core < region
+        for v in region:
+            assert (v in core) == (ball(b.graph, v, 3) <= region)
+
+    def test_negative_radius_rejected(self, broom120_cover):
+        b, _, cov = broom120_cover
+        with pytest.raises(ValueError, match="radius"):
+            cov.core(b.graph, -1)
+
 
 class TestVerifyDiameters:
     def test_broom_cover_passes(self, broom120_cover):
@@ -233,7 +304,6 @@ class TestVerifyDiameters:
             annuli=cov.annuli,
             spheres=cov.spheres,
             complete=cov.complete,
-            base_distances=cov.base_distances,
         )
         rep = verify_diameters(b.graph, doctored)
         assert not rep.passed

@@ -7,6 +7,7 @@ from conftest import brute_shortest_paths, floyd_warshall, random_graph
 from coarselab import graphs
 from coarselab.geodesics import (
     GeodesicFamily,
+    _pair_from_rank,
     check_property_b,
     thin_delta,
 )
@@ -113,6 +114,67 @@ class TestGSet:
                 for p in brute_shortest_paths(g, ap, bp):
                     expected |= set(p)
         assert got == expected
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("kind", ["all", "canonical"])
+    def test_union_r_matches_oracle(self, seed, kind):
+        g = random_graph(seed, max_vertices=9, edge_prob=0.35)
+        dist = floyd_warshall(g)
+        n = g.vertex_count
+        fam = GeodesicFamily(g, kind)
+
+        def family(u, v):
+            if kind == "canonical":
+                return [canonical_geodesic(g, u, v).vertices]
+            return brute_shortest_paths(g, u, v)
+
+        for a, b in itertools.product(range(n), repeat=2):
+            if dist[a][b] == float("inf"):
+                with pytest.raises(ValueError, match="unreachable"):
+                    fam.union_r(a, b, 0)
+                continue
+            for r in (0, 1, 2):
+                ball_a = [x for x in range(n) if dist[a][x] <= r]
+                ball_b = [x for x in range(n) if dist[b][x] <= r]
+                expected = {w for ap in ball_a for bp in ball_b for p in family(ap, bp) for w in p}
+                assert fam.union_r(a, b, r) == expected
+
+    def test_union_r_rejects_negative_radius(self):
+        fam = GeodesicFamily.canonical_of(cycle_graph(5))
+        with pytest.raises(ValueError, match="nonnegative"):
+            fam.union_r(0, 2, -1)
+
+
+def old_pair_from_rank(rank, n):
+    """The row-by-row walk _pair_from_rank replaced, kept as its oracle."""
+    a = 0
+    remaining = rank
+    row = n - 1
+    while remaining >= row:
+        remaining -= row
+        a += 1
+        row -= 1
+    return a, a + 1 + remaining
+
+
+class TestPairFromRank:
+    @pytest.mark.parametrize("n", range(2, 61))
+    def test_every_rank_of_small_n(self, n):
+        assert [_pair_from_rank(t, n) for t in range(n * (n - 1) // 2)] == list(itertools.combinations(range(n), 2))
+
+    def test_large_n_against_row_walk(self):
+        n = 45_151
+        total = n * (n - 1) // 2
+        rng = random.Random(0)
+        ranks = rng.sample(range(total), 200)
+        # the first and last rank of rows at both ends, in the middle and under 40 sampled ranks
+        rows = {0, 1, 2, n // 2, n - 3, n - 2, *(old_pair_from_rank(t, n)[0] for t in ranks[:40])}
+        for a in rows:
+            start = a * (2 * n - a - 1) // 2
+            ranks += [start, start + n - 2 - a]
+        ranks += [total - 1]
+        for t in ranks:
+            assert _pair_from_rank(t, n) == old_pair_from_rank(t, n)
 
 
 class TestFamilyValidation:
