@@ -43,9 +43,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cover import Cover, CoverParams, build_cover
+from .cover import Cover, CoverDiameterReport, CoverParams, build_cover, verify_diameters
 from .geodesics import GeodesicFamily
-from .graphs import MetricGraph, _bfs, bfs_distances, distance, set_diameter
+from .graphs import MetricGraph, _bfs, bfs_distances, distance
 
 __all__ = [
     "ScopeTooSmallError",
@@ -105,6 +105,9 @@ class FatCover:
     diam_base: int
     safe: frozenset[int]
     order_max: int
+    # The base cover's diameter check, made once while building; hand-built
+    # covers have none.
+    base_diameters: CoverDiameterReport | None = field(default=None, repr=False)
 
     @cached_property
     def profiles(self) -> DepthProfiles:
@@ -172,10 +175,8 @@ def build_fat_cover(
     params = CoverParams(r=10 * r, ell=ell, delta=delta, basepoint=basepoint)
     base = build_cover(g, fam, params)
 
-    diameters = set_diameter(g, [cs.members for cs in base.sets], batch=True)
-    if None in diameters:
-        raise ValueError("cover set spans disconnected vertices")
-    diam_base = max(diameters, default=0)
+    base_diameters = verify_diameters(g, base)
+    diam_base = max(base_diameters.max_diameter, base_diameters.incomplete_max_diameter or 0)
 
     n = g.vertex_count
     fat_sets: list[FatSet] = []
@@ -210,6 +211,7 @@ def build_fat_cover(
         diam_base=diam_base,
         safe=safe,
         order_max=order_max,
+        base_diameters=base_diameters,
     )
 
 

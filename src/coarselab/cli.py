@@ -301,7 +301,7 @@ def pipeline_a1(
     lines.append(f"base_ell={base.params.ell}")
     lines.append(f"sets={len(base.sets)}")
     lines.append(f"complete={','.join(str(n) for n in sorted(base.complete)) or '-'}")
-    diam = verify_diameters(g, base)
+    diam = fat.base_diameters
     lines.append(f"max_diam={diam.max_diameter}")
     lines.append(f"diam_bound={diam.bound}")
     checks["diam"] = diam.passed

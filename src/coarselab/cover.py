@@ -19,7 +19,11 @@ region whose balls of a given radius stay inside it.
 
 A family enters only as its step towards the basepoint: the canonical
 step, or every neighbour one closer. One propagation in distance order
-gives each vertex the union of its steps' anchor sets.
+gives each vertex the union of its steps' anchor sets. It carries an
+anchor-set id per vertex in an integer array: a vertex with one step
+takes that step's id in one numpy gather per level, and only a vertex
+with several steps (the ``all`` family off trees) has its union built in
+Python. One lexsort of (anchor, vertex) per annulus gives its sets.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geodesics import GeodesicFamily
-from .graphs import MetricGraph, _bfs, _canonical_step, distance_vector, multi_source_distances, set_diameter
+from .graphs import MetricGraph, _bfs, _closer_steps, distance_vector, multi_source_distances, set_diameter
 
 __all__ = [
     "CoverParams",
@@ -133,15 +137,17 @@ def build_cover(g: MetricGraph, fam: GeodesicFamily, params: CoverParams) -> Cov
     d_max = int(dist.max())
     n_max = max(1, -(-d_max // band))
 
-    # One stable sort orders the vertices by (distance, id); every level
-    # range [lo, hi] below is a slice of that order.
-    order_arr = np.argsort(dist, kind="stable")
-    sorted_dist = dist[order_arr]
-    order = order_arr.tolist()
-    dist_list = dist.tolist()
+    # One stable sort orders the vertices by (distance, id); level d is
+    # the slice order[starts[d] : starts[d + 1]].
+    order = np.argsort(dist, kind="stable")
+    starts = np.searchsorted(dist[order], np.arange(d_max + 2)).tolist()
+    # Every set below gathers its members from one object array, so the
+    # sets share one int per vertex.
+    vertex = np.arange(g.vertex_count).astype(object)
+    order_list = vertex[order].tolist()
 
     def levels(lo: int, hi: int) -> list[int]:
-        return order[np.searchsorted(sorted_dist, lo, "left") : np.searchsorted(sorted_dist, hi, "right")]
+        return order_list[starts[min(lo, d_max + 1)] : starts[min(hi, d_max) + 1]]
 
     annuli: dict[int, frozenset[int]] = {}
     spheres: dict[int, frozenset[int]] = {}
@@ -149,18 +155,8 @@ def build_cover(g: MetricGraph, fam: GeodesicFamily, params: CoverParams) -> Cov
         annuli[n] = frozenset(levels(band * (n - 1), band * n))
         spheres[n] = frozenset(levels(band * n, band * n))
 
-    sets: list[CoverSet] = []
-    for n in (1, 2):
-        if n in annuli and annuli[n]:
-            sets.append(CoverSet(n, None, annuli[n]))
-    canonical = fam.kind == "canonical"
-    for n in range(3, n_max + 1):
-        if not annuli[n]:
-            continue
-        zone = levels(band * (n - 2), band * n)
-        buckets = _anchor_sets(g._adj, dist_list, zone, band * (n - 2), band * (n - 1), canonical)
-        for anchor in sorted(buckets):
-            sets.append(CoverSet(n, anchor, frozenset(buckets[anchor])))
+    sets = [CoverSet(n, None, annuli[n]) for n in (1, 2) if annuli.get(n)]
+    sets += _anchored_sets(g, dist, order, starts, vertex, band, fam.kind == "canonical")
 
     complete = frozenset(n for n in annuli if band * n <= d_max - params.width)
     return Cover(
@@ -172,27 +168,89 @@ def build_cover(g: MetricGraph, fam: GeodesicFamily, params: CoverParams) -> Cov
     )
 
 
-def _anchor_sets(adj, dist, zone, level, inner, canonical) -> dict[int, set[int]]:
-    """Anchors at ``level`` on the family geodesics [x, basepoint], for x in
-    the annulus. ``zone`` holds the vertices from ``level`` outwards by
-    (distance, id); those at ``inner`` or beyond form the annulus. A
-    vertex's anchor set is the union of its family steps' sets: its
-    canonical step, or every neighbour one closer. A vertex with one step
-    shares that step's set."""
-    anc: dict[int, frozenset[int]] = {}
-    buckets: dict[int, set[int]] = {}
-    for v in zone:
-        dv = dist[v]
-        if dv == level:
-            mine = frozenset((v,))
-        else:
-            steps = (_canonical_step(adj, dist, v),) if canonical else [u for u in adj[v] if dist[u] == dv - 1]
-            mine = anc[steps[0]] if len(steps) == 1 else frozenset().union(*(anc[u] for u in steps))
-        anc[v] = mine
-        if dv >= inner:
-            for s in mine:
-                buckets.setdefault(s, set()).add(v)
-    return buckets
+def _anchored_sets(
+    g: MetricGraph,
+    dist: np.ndarray,
+    order: np.ndarray,
+    starts: list[int],
+    vertex: np.ndarray,
+    band: int,
+    canonical: bool,
+) -> list[CoverSet]:
+    """The sets of the annuli n >= 3, each split by the anchors at level
+    band*(n-2) on the family geodesics [x, basepoint] of its vertices x.
+
+    Every vertex carries an anchor-set id. With the ``top`` vertices of
+    the anchor level ranked by id, an id k < top stands for the singleton
+    of the k-th, and top + i for the i-th union met in the annulus, kept
+    as a bitset over the ranks. Level by level out from the anchors, one
+    gather copies each vertex's id from its canonical step. In the "all"
+    family a vertex with several neighbours one closer then gets the id
+    of the union of their sets, in Python; on a tree there are none.
+    ``order`` is the (distance, id) vertex order, ``starts`` its level
+    bounds and ``vertex`` the ids as Python ints."""
+    d_max = len(starts) - 2
+    if d_max <= 2 * band:  # no annulus beyond the second
+        return []
+    steps, ptr, heads = _closer_steps(g, dist)
+    # level -> (its vertices with several steps, their steps, how many each)
+    multi: dict[int, tuple[np.ndarray, np.ndarray, list[int]]] = {}
+    if not canonical:
+        counts = np.diff(ptr)
+        for d in range(1, d_max + 1):
+            level = order[starts[d] : starts[d + 1]]
+            vs = level[counts[level] > 1]
+            if vs.size:
+                c = counts[vs]
+                first = np.repeat(ptr[vs] - (np.cumsum(c) - c), c)
+                multi[d] = (vs, heads[first + np.arange(int(c.sum()))], c.tolist())
+    ids = np.empty(g.vertex_count, dtype=np.int64)
+    sets: list[CoverSet] = []
+    for n in range(3, -(-d_max // band) + 1):
+        base = band * (n - 2)
+        anchor_level = order[starts[base] : starts[base + 1]]
+        top = anchor_level.size
+        ids[anchor_level] = np.arange(top)
+        unions: list[int] = []
+        for d in range(base + 1, min(band * n, d_max) + 1):
+            level = order[starts[d] : starts[d + 1]]
+            ids[level] = ids[steps[level]]
+            if d in multi:
+                vs, nbrs, sizes = multi[d]
+                step_ids = ids[nbrs].tolist()
+                out = []
+                pos = 0
+                for c in sizes:
+                    group = step_ids[pos : pos + c]
+                    pos += c
+                    if group.count(group[0]) == c:  # every step carries one id: share it
+                        out.append(group[0])
+                        continue
+                    bits = 0
+                    for k in group:
+                        bits |= unions[k - top] if k >= top else 1 << k
+                    out.append(top + len(unions))
+                    unions.append(bits)
+                ids[vs] = out
+        annulus = order[starts[band * (n - 1)] : starts[min(band * n, d_max) + 1]]
+        ranks = ids[annulus]
+        several = ranks >= top
+        if several.any():
+            # One (rank, vertex) pair per bit of each union id.
+            width = (top + 7) // 8
+            blob = b"".join(unions[k].to_bytes(width, "little") for k in (ranks[several] - top).tolist())
+            packed = np.frombuffer(blob, dtype=np.uint8).reshape(-1, width)
+            rows, cols = np.nonzero(packed)
+            bit_rows, bit = np.nonzero(np.unpackbits(packed[rows, cols][:, None], axis=1, bitorder="little"))
+            ranks = np.concatenate((ranks[~several], cols[bit_rows] * 8 + bit))
+            annulus = np.concatenate((annulus[~several], annulus[several][rows[bit_rows]]))
+        anchors = anchor_level[ranks]
+        by = np.lexsort((annulus, anchors))
+        anchors, vertices = anchors[by], vertex[annulus[by]].tolist()
+        cuts = (np.flatnonzero(anchors[1:] != anchors[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(vertices)]):
+            sets.append(CoverSet(n, int(anchors[lo]), frozenset(vertices[lo:hi])))
+    return sets
 
 
 @dataclass(frozen=True)

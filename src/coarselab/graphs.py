@@ -1,10 +1,13 @@
 """Finite metric graphs with unit edge lengths.
 
 A :class:`MetricGraph` is a simple undirected graph on dense integer vertex
-ids, equipped with the shortest-path metric. Everything downstream (spaces,
-geodesic families, covers, partition maps) is built on top of the operations
-here: BFS distances, balls and spheres, geodesic enumeration, set diameters,
-and the line-oriented graph file format.
+ids, equipped with the shortest-path metric. It is built from an edge list
+or an (E, 2) integer array by one sort of u*n + v keys and stored as CSR
+arrays (``csr_arrays``); the sorted adjacency tuples ``_adj`` that the
+Python traversals read are derived from them once. Everything downstream
+(spaces, geodesic families, covers, partition maps) is built on top of the
+operations here: BFS distances, balls and spheres, geodesic enumeration,
+set diameters, and the line-oriented graph file format.
 
 Graphs are immutable after construction and safe to share between threads;
 all operations are pure functions of their inputs. Distances are integers;
@@ -23,7 +26,9 @@ shortest-path-count rows from one on-demand store, ``_Rows``, which keeps
 at most ``_ROW_CELLS`` cells of them.
 
 The canonical tie-break (step to the least-id neighbour one closer) lives
-in ``_canonical_step``; every canonical path and cover anchor uses it.
+in ``_canonical_step``; every canonical path uses it, and ``_closer_steps``
+gives it for every vertex at once, with all neighbours one closer, as the
+cover's anchor propagation reads them.
 """
 
 from __future__ import annotations
@@ -109,9 +114,10 @@ class GraphFormatError(ValueError):
 class MetricGraph:
     """Immutable simple undirected graph with unit edge lengths.
 
-    Vertex ids are dense in ``[0, vertex_count)``. Adjacency lists are kept
-    sorted, which fixes the vertex-id lexicographic tie-break used across
-    the whole package.
+    Vertex ids are dense in ``[0, vertex_count)``. ``edges`` is any
+    iterable of id pairs or an (E, 2) integer array; duplicates in either
+    orientation count once. Adjacency lists are kept sorted, which fixes
+    the vertex-id lexicographic tie-break used across the whole package.
     """
 
     __slots__ = (
@@ -119,33 +125,37 @@ class MetricGraph:
         "vertex_count",
         "_adj",
         "_edge_count",
-        "_arrays_cache",
+        "_csr",
         "_connected",
         "_root_row",
         "_tree_metric",
     )
 
-    def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]], name: str = "graph"):
+    def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] | np.ndarray, name: str = "graph"):
         if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
         if not name or any(c.isspace() for c in name):
             raise ValueError("graph name must be a nonempty token without whitespace")
-        adj: list[set[int]] = [set() for _ in range(vertex_count)]
-        count = 0
-        for u, v in edges:
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if v not in adj[u]:
-                adj[u].add(v)
-                adj[v].add(u)
-                count += 1
+        n = vertex_count
+        pairs = _edge_array(edges, n)
+        # Both orientations of every edge as u*n + v keys: one sort orders
+        # them by (tail, head) and puts duplicates side by side.
+        keys = np.concatenate((pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]))
+        keys.sort()
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if keys.size else keys
+        tails, heads = np.divmod(keys, max(n, 1))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+        indices = heads.astype(np.int32)
+        indptr.flags.writeable = indices.flags.writeable = False
+        # Gathered from one object array, the tuples share one int per vertex.
+        flat = tuple(np.arange(n).astype(object)[indices].tolist())
+        bounds = indptr.tolist()
         self.name = name
         self.vertex_count = vertex_count
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
-        self._edge_count = count
-        self._arrays_cache: tuple[np.ndarray, np.ndarray] | None = None
+        self._adj: tuple[tuple[int, ...], ...] = tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
+        self._edge_count = keys.size // 2
+        self._csr = (indptr, indices)
         self._connected: bool | None = None
         self._root_row: list[int] | None = None
         self._tree_metric: _TreeMetric | None = None
@@ -202,14 +212,8 @@ class MetricGraph:
         return self.vertex_count > 0 and self._edge_count == self.vertex_count - 1 and self.is_connected
 
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) in CSR layout, cached; neighbor order is sorted."""
-        if self._arrays_cache is None:
-            adj = self._adj
-            indptr = np.zeros(self.vertex_count + 1, dtype=np.int64)
-            np.cumsum(np.fromiter(map(len, adj), dtype=np.int64, count=self.vertex_count), out=indptr[1:])
-            indices = np.fromiter(chain.from_iterable(adj), dtype=np.int32, count=int(indptr[-1]))
-            self._arrays_cache = (indptr, indices)
-        return self._arrays_cache
+        """(indptr, indices) in CSR layout, read-only; neighbor order is sorted."""
+        return self._csr
 
     def tree_metric(self) -> "_TreeMetric":
         if not self.is_tree:
@@ -233,6 +237,30 @@ class MetricGraph:
 
     def __hash__(self) -> int:
         return hash((self.name, self.vertex_count, self._adj))
+
+
+def _edge_array(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> np.ndarray:
+    """``edges`` as an (E, 2) int64 array of ids in ``[0, n)`` without
+    self-loops. The first bad edge in input order raises: out of range,
+    else a self-loop, else a non-integer id (never truncated)."""
+    pairs = edges if isinstance(edges, np.ndarray) else list(edges)
+    arr = np.asarray(pairs) if len(pairs) else np.empty((0, 2), dtype=np.int64)
+    if arr.ndim == 2 and arr.shape[1] == 2 and arr.dtype.kind in "biu":
+        ids = arr.astype(np.int64, copy=False)
+        bad = (ids < 0).any(axis=1) | (ids >= n).any(axis=1) | (ids[:, 0] == ids[:, 1])
+        if not bad.any():
+            return ids
+        pairs = [tuple(pairs[int(np.argmax(bad))])]
+    # Pair by pair: a bad edge found above, or ids numpy could not hold
+    # as one integer array (floats, mixed numpy types, huge ints).
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (isinstance(u, (int, np.integer)) and isinstance(v, (int, np.integer))):
+            raise TypeError(f"edge ({u}, {v}) has a non-integer vertex id")
+    return np.array([(int(u), int(v)) for u, v in pairs], dtype=np.int64).reshape(-1, 2)
 
 
 # -- BFS metric --------------------------------------------------------
@@ -349,7 +377,9 @@ def distance_vector(g: MetricGraph, source: int) -> np.ndarray:
         nbrs = nbrs[dist[nbrs] < 0]
         if nbrs.size == 0:
             break
-        frontier = np.unique(nbrs)
+        # Sorted, the first of each run of equal ids is the new frontier.
+        nbrs.sort()
+        frontier = nbrs[np.concatenate(([True], nbrs[1:] != nbrs[:-1]))]
         dist[frontier] = d
     return dist
 
@@ -496,6 +526,25 @@ def _canonical_step(adj, dist, v: int) -> int:
     """v's least-id neighbour one closer to the target of ``dist``."""
     closer = dist[v] - 1
     return min(w for w in adj[v] if dist[w] == closer)
+
+
+def _closer_steps(g: MetricGraph, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The steps one closer to the target of the distance row ``dist``,
+    by one pass over the CSR arrays: ``(steps, indptr, heads)``, where
+    ``heads[indptr[v] : indptr[v + 1]]`` lists v's neighbours one closer,
+    ascending, and ``steps[v]`` is the least of them, v's
+    :func:`_canonical_step` (-1 where there is none)."""
+    indptr, indices = g.csr_arrays()
+    tails = np.repeat(np.arange(g.vertex_count, dtype=np.int32), np.diff(indptr))
+    closer = dist[indices] == dist[tails] - 1
+    tails, heads = tails[closer], indices[closer]
+    counts = np.bincount(tails, minlength=g.vertex_count)
+    ptr = np.zeros(g.vertex_count + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    steps = np.full(g.vertex_count, -1, dtype=np.int64)
+    # Rows are sorted, so a row's first entry is its least.
+    steps[counts > 0] = heads[ptr[:-1][counts > 0]]
+    return steps, ptr, heads
 
 
 def _canonical_walk(adj, dist, u: int) -> list[int]:

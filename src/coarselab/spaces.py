@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .graphs import MetricGraph, bfs_distances
 
 __all__ = [
@@ -83,16 +85,17 @@ def broom_tree(m: int) -> LabeledGraph:
     """
     if m < 1:
         raise ValueError("broom_tree needs m >= 1")
-    edges = []
+    numerals = [str(i) for i in range(m + 1)]
     labels = ["x0"]
-    nv = 1
     for ray in range(1, m + 1):
-        prev = 0
-        for depth in range(1, ray + 1):
-            labels.append(f"{ray}.{depth}")
-            edges.append((prev, nv))
-            prev = nv
-            nv += 1
+        head = numerals[ray] + "."
+        labels += [head + depth for depth in numerals[1 : ray + 1]]
+    nv = len(labels)
+    # Vertex v > 0 hangs off v - 1, except the first vertex of each ray,
+    # which hangs off the root.
+    parent = np.arange(nv - 1)
+    parent[np.arange(m) * np.arange(1, m + 1) // 2] = 0
+    edges = np.stack((parent, np.arange(1, nv)), axis=1)
     g = MetricGraph(nv, edges, name=f"broom_{m}")
     return LabeledGraph(g, tuple(labels), 0)
 
@@ -105,20 +108,17 @@ def regular_tree(valence: int, depth: int) -> LabeledGraph:
         raise ValueError("regular_tree needs valence >= 2")
     if depth < 1:
         raise ValueError("regular_tree needs depth >= 1")
-    edges = []
     labels = ["r"]
-    frontier = [0]
-    nv = 1
-    for _ in range(depth):
-        nxt = []
-        for u in frontier:
-            kids = valence if u == 0 else valence - 1
-            for k in range(kids):
-                labels.append(f"{labels[u]}.{k}")
-                edges.append((u, nv))
-                nxt.append(nv)
-                nv += 1
-        frontier = nxt
+    parents = []
+    lo = 0  # the current level holds the ids lo .. len(labels) - 1
+    for level in range(depth):
+        kids = valence if level == 0 else valence - 1
+        hi = len(labels)
+        parents.append(np.repeat(np.arange(lo, hi), kids))
+        labels += [f"{labels[u]}.{k}" for u in range(lo, hi) for k in range(kids)]
+        lo = hi
+    nv = len(labels)
+    edges = np.stack((np.concatenate(parents), np.arange(1, nv)), axis=1)
     g = MetricGraph(nv, edges, name=f"tree_{valence}_{depth}")
     return LabeledGraph(g, tuple(labels), 0)
 
@@ -182,16 +182,11 @@ def grid(n: int) -> LabeledGraph:
     """
     if n < 2:
         raise ValueError("grid needs n >= 2")
-    edges = []
-    labels = []
-    for i in range(n):
-        for j in range(n):
-            labels.append(f"({i},{j})")
-            u = i * n + j
-            if i + 1 < n:
-                edges.append((u, (i + 1) * n + j))
-            if j + 1 < n:
-                edges.append((u, i * n + j + 1))
+    labels = [f"({i},{j})" for i in range(n) for j in range(n)]
+    ids = np.arange(n * n).reshape(n, n)
+    down = np.stack((ids[:-1].ravel(), ids[1:].ravel()), axis=1)
+    right = np.stack((ids[:, :-1].ravel(), ids[:, 1:].ravel()), axis=1)
+    edges = np.concatenate((down, right))
     g = MetricGraph(n * n, edges, name=f"grid_{n}")
     return LabeledGraph(g, tuple(labels), 0)
 

@@ -1,7 +1,10 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
+
+from conftest import random_graph
 
 from coarselab.cover import (
     Cover,
@@ -14,7 +17,16 @@ from coarselab.cover import (
     verify_diameters,
 )
 from coarselab.geodesics import GeodesicFamily
-from coarselab.graphs import MetricGraph, ball, bfs_distances, canonical_geodesic, multi_source_distances, set_diameter
+from coarselab.graphs import (
+    MetricGraph,
+    _canonical_step,
+    _closer_steps,
+    ball,
+    bfs_distances,
+    canonical_geodesic,
+    multi_source_distances,
+    set_diameter,
+)
 from coarselab.spaces import broom_tree, farey_truncation, grid
 
 
@@ -167,6 +179,28 @@ def deep_random_tree(seed: int, n: int = 90) -> MetricGraph:
 TREES = [(broom_tree(60).graph, 0), *[(deep_random_tree(seed), 0) for seed in range(3)]]
 
 
+def chorded_tree(tree: MetricGraph, seed: int) -> MetricGraph:
+    """``tree`` with a few chords beyond depth 10 between vertices one or
+    two levels apart, so that past the first anchor level some vertices
+    have one neighbour one closer to the root and others several."""
+    rng = random.Random(seed)
+    depth = bfs_distances(tree, 0)
+    chords = set()
+    while len(chords) < 4:
+        u, v = rng.sample(range(1, tree.vertex_count), 2)
+        if min(depth[u], depth[v]) > 10 and 0 < depth[v] - depth[u] <= 1 + (not chords) and not tree.has_edge(u, v):
+            chords.add((u, v))
+    g = MetricGraph(tree.vertex_count, [*tree.edges(), *chords], name=f"{tree.name}_chords_{seed}")
+    assert max(bfs_distances(g, 0)) > 20
+    return g
+
+
+# On the broom the chords join different rays, so the steps of a chorded
+# vertex lead to different anchors.
+CHORDED = [chorded_tree(deep_random_tree(seed, n=120), seed) for seed in range(3)]
+CHORDED += [chorded_tree(broom_tree(40).graph, seed) for seed in range(3)]
+
+
 def oracle_sets(g: MetricGraph, kind: str, band: int, base: int):
     """The cover's sets from the definition alone. Annuli 1 and 2 stay
     whole. For n >= 3, x joins anchor s (at level band*(n-2)) when s lies
@@ -229,6 +263,39 @@ class TestAnchorOracle:
             assert sets == oracle_sets(g, kind, 10, base)
         assert covers["all"] == covers["canonical"]
         assert any(n >= 3 for n, _, _ in covers["all"])
+
+    @pytest.mark.parametrize("kind", ["all", "canonical"])
+    @pytest.mark.parametrize("g", CHORDED, ids=lambda g: g.name)
+    def test_chorded_tree_cover_matches_definition(self, g, kind):
+        cov = build_cover(g, GeodesicFamily(g, kind), CoverParams(r=1, ell=0, delta=0, basepoint=0))
+        assert [(cs.n, cs.anchor, cs.members) for cs in cov.sets] == oracle_sets(g, kind, 10, 0)
+
+    def test_both_lanes_are_exercised(self):
+        # Beyond the first anchor level (10), some vertex has one step and
+        # some several, and in at least one graph a vertex of an anchored
+        # annulus lies in two of its sets.
+        shared = False
+        for g in CHORDED:
+            dist = np.asarray(bfs_distances(g, 0))
+            _, ptr, _ = _closer_steps(g, dist)
+            steps = np.diff(ptr)[dist > 10]
+            assert (steps == 1).any() and (steps > 1).any(), g.name
+            cov = build_cover(g, GeodesicFamily(g, "all"), CoverParams(r=1, ell=0, delta=0, basepoint=0))
+            for n in {cs.n for cs in cov.sets if cs.anchor is not None}:
+                members = [cs.members for cs in cov.sets if cs.n == n]
+                shared |= sum(map(len, members)) > len(frozenset().union(*members))
+        assert shared
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_step_array_matches_canonical_step(self, seed):
+        g = random_graph(seed, max_vertices=16, edge_prob=(0.15, 0.3, 0.5)[seed % 3])
+        target = random.Random(seed).randrange(g.vertex_count)
+        dist = bfs_distances(g, target)
+        steps, ptr, heads = _closer_steps(g, np.asarray(dist))
+        for v in range(g.vertex_count):
+            closer = [u for u in g.neighbors(v) if dist[v] > 0 and dist[u] == dist[v] - 1]
+            assert heads[ptr[v] : ptr[v + 1]].tolist() == closer
+            assert steps[v] == (_canonical_step(g._adj, dist, v) if closer else -1)
 
 
 def old_safe_core(g: MetricGraph, cover: Cover, radius: int) -> frozenset[int]:

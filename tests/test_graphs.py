@@ -113,6 +113,113 @@ class TestConstruction:
             MetricGraph(1, []).check_vertices([0, True])
 
 
+def oracle_construction(vertex_count, edges):
+    """The set-based constructor ``MetricGraph`` had before it took edge
+    arrays, kept as the oracle: the adjacency tuples and the edge count.
+    Its one change is that a non-integer id, which used to surface as a
+    list-index ``TypeError`` after the range and self-loop checks, raises
+    there with a message naming the edge."""
+    adj = [set() for _ in range(vertex_count)]
+    count = 0
+    for u, v in edges:
+        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            raise ValueError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (isinstance(u, (int, np.integer)) and isinstance(v, (int, np.integer))):
+            raise TypeError(f"edge ({u}, {v}) has a non-integer vertex id")
+        if v not in adj[u]:
+            adj[u].add(v)
+            adj[v].add(u)
+            count += 1
+    return tuple(tuple(sorted(s)) for s in adj), count
+
+
+def edge_forms(edges):
+    """The same edge list as a list, a tuple, a generator, lists of numpy
+    scalars, an object array and int32/int64 arrays."""
+    yield "list", list(edges)
+    yield "tuple", tuple(edges)
+    yield "generator", (e for e in edges)
+    yield "numpy scalars", [(np.int64(u), np.int32(v)) for u, v in edges]
+    # numpy holds uint64 beside int64 only as float64
+    yield "mixed numpy scalars", [(np.uint64(u) if u >= 0 else np.int64(u), np.int64(v)) for u, v in edges]
+    yield "object array", np.array(edges, dtype=object).reshape(-1, 2)
+    for dtype in (np.int32, np.int64):
+        yield dtype.__name__, np.array(edges, dtype=dtype).reshape(-1, 2)
+
+
+def random_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """Random edges with duplicates in both orientations; some vertices
+    stay isolated."""
+    if n < 2:
+        return []
+    live = rng.sample(range(n), rng.randint(2, n))
+    edges = [tuple(rng.sample(live, 2)) for _ in range(rng.randint(0, 3 * n))]
+    return edges + [(v, u) for u, v in rng.sample(edges, len(edges) // 3)]
+
+
+def raised(make):
+    try:
+        make()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestEdgeArrays:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_set_based_oracle(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice([0, 1, 2, rng.randint(3, 30)])
+        edges = random_edges(rng, n)
+        adj, count = oracle_construction(n, edges)
+        indptr = np.cumsum([0, *map(len, adj)])
+        indices = [v for row in adj for v in row]
+        expected = MetricGraph(n, sorted({tuple(sorted(e)) for e in edges}), name="g")
+        for form, given in edge_forms(edges):
+            g = MetricGraph(n, given, name="g")
+            assert g._adj == adj and g.edge_count == count, form
+            assert all(type(v) is int for row in g._adj for v in row), form
+            got_ptr, got_idx = g.csr_arrays()
+            assert got_ptr.dtype == np.int64 and got_idx.dtype == np.int32, form
+            assert got_ptr.tolist() == indptr.tolist() and got_idx.tolist() == indices, form
+            assert g == expected and hash(g) == hash(expected), form
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bad_edges_raise_like_the_oracle(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 12)
+        edges = random_edges(rng, n)
+        bad = [(0, n), (n, 0), (-1, 1), (n + 3, n + 3), (1, 1), (n - 1, n - 1)]
+        if seed % 2:
+            bad += [(0, 1.5), (1.5, 0), (1.0, 0), (0, 2.0), (n + 0.5, 1), (1.5, 1.5)]
+        for _ in range(rng.randint(1, 3)):
+            edges.insert(rng.randint(0, len(edges)), rng.choice(bad))
+        expected = raised(lambda: oracle_construction(n, edges))
+        assert expected is not None
+        for form, given in edge_forms(edges) if seed % 2 == 0 else [("list", edges), ("tuple", tuple(edges))]:
+            assert raised(lambda: MetricGraph(n, given)) == expected, form
+        if seed % 2:
+            arr = np.array(edges, dtype=np.float64)
+            assert raised(lambda: MetricGraph(n, arr)) == raised(lambda: oracle_construction(n, arr))
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (0, 1.5)], "edge (0, 1.5) has a non-integer vertex id"),
+            ([(0, 1), (1, 0.0), (0, 9)], "edge (1, 0.0) has a non-integer vertex id"),
+            ([(0, 1), (2, 2), (0, 9)], "self-loop at vertex 2"),
+            ([(0, 1), (9, 9), (2, 2)], "edge (9, 9) out of range for 3 vertices"),
+            (np.array([[0, 1], [1, 2], [2, -1], [1, 1]]), "edge (2, -1) out of range for 3 vertices"),
+        ],
+    )
+    def test_first_offending_edge_is_named(self, edges, message):
+        with pytest.raises((TypeError, ValueError)) as got:
+            MetricGraph(3, edges)
+        assert str(got.value) == message
+
+
 class TestDistance:
     def test_path_graph_endpoints(self):
         assert distance(path_graph(5), 0, 4) == 4
