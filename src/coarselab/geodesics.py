@@ -19,9 +19,11 @@ Every instance that is checked is checked exactly: integer distances,
 exact shortest-path counting, no tolerances. Trees are handled through a
 vectorized ancestor structure; other graphs pair by pair inside the
 geodesic envelope of the pair, reading distance and path-count rows from
-one memoised store per call (``graphs._Rows``). :func:`thin_delta` takes
-one path on every graph, an early-exit search from each side vertex to the
-other two sides; every side walks a row of the same kind of store.
+one memoised store per call (``graphs._Rows``), which loads the endpoint
+rows of each run of pairs, then the neighbourhood rows a pair reads, in
+batches. :func:`thin_delta` takes one path on every graph, an early-exit
+search from each side vertex to the other two sides; every side walks a
+row of the same kind of store, loaded a run of triples at a time.
 
 A family enters only as its walk down a distance row: the canonical walk
 (the least-id step) or all walks (every step one closer). G(a,b;r) has
@@ -52,6 +54,7 @@ from .graphs import (
     Path,
     _bfs,
     _all_walks,
+    _BLOCK,
     _canonical_walk,
     _distance_to_set,
     _SIGMA_MAX,
@@ -172,39 +175,65 @@ def thin_delta(
     checked = 0
     truncated_resolution = False
     out_of_budget = False
-    for x, y, z in triples:
-        gxy, t1 = _resolve_paths(fam, rows, x, y)
-        gyz, t2 = _resolve_paths(fam, rows, y, z)
-        gxz, t3 = _resolve_paths(fam, rows, x, z)
-        truncated_resolution = truncated_resolution or t1 or t2 or t3
-        for sxy, syz, sxz in itertools.product(gxy, gyz, gxz):
-            if checked >= budget:
-                out_of_budget = True
+    adj = g._adj
+    # The sides x-y, y-z and x-z walk the rows of their far ends y and z,
+    # each converted once per run of triples.
+    for chunk, far_ends in _loaded_runs(triples, rows, lambda triple: triple[1:]):
+        walk_rows = {v: rows[v].tolist() for v in far_ends}
+        for x, y, z in chunk:
+            gxy, t1 = _resolve_paths(fam, adj, walk_rows[y], x)
+            gyz, t2 = _resolve_paths(fam, adj, walk_rows[z], y)
+            gxz, t3 = _resolve_paths(fam, adj, walk_rows[z], x)
+            truncated_resolution = truncated_resolution or t1 or t2 or t3
+            for sxy, syz, sxz in itertools.product(gxy, gyz, gxz):
+                if checked >= budget:
+                    out_of_budget = True
+                    break
+                checked += 1
+                worst = 0
+                sides = (sxy.vertices, syz.vertices, sxz.vertices)
+                for i in range(3):
+                    others = {*sides[(i + 1) % 3], *sides[(i + 2) % 3]}
+                    for v in sides[i]:
+                        d = _distance_to_set(g, v, others)
+                        if d > worst:
+                            worst = d
+                if witness is None or worst > delta:
+                    delta = worst
+                    witness = (sxy, syz, sxz)
+            if out_of_budget:
                 break
-            checked += 1
-            worst = 0
-            sides = (sxy.vertices, syz.vertices, sxz.vertices)
-            for i in range(3):
-                others = {*sides[(i + 1) % 3], *sides[(i + 2) % 3]}
-                for v in sides[i]:
-                    d = _distance_to_set(g, v, others)
-                    if d > worst:
-                        worst = d
-            if witness is None or worst > delta:
-                delta = worst
-                witness = (sxy, syz, sxz)
         if out_of_budget:
             break
     exhaustive = exhaustive_triples and not truncated_resolution and not out_of_budget
     return HyperbolicityReport(delta, witness, checked, exhaustive)
 
 
-def _resolve_paths(fam: GeodesicFamily, rows: _Rows, u: int, v: int) -> tuple[list[Path], bool]:
-    # Every side walks the memoised row of its far end.
-    dist = rows[v].tolist()
+def _loaded_runs(items: Iterable, rows: _Rows, ends) -> Iterator[tuple[list, list[int]]]:
+    """Consecutive runs of ``items``, each with the vertices whose distance
+    rows its items read (``ends(item)``, in order of first use), loaded into
+    ``rows`` before the run is yielded. A run has at least one item; beyond
+    its first, its vertices fit one kernel block and the store."""
+    room = min(_BLOCK, rows.capacity)
+    chunk: list = []
+    used: dict[int, None] = {}
+    for item in items:
+        if chunk and len(used.keys() | ends(item)) > room:
+            rows.load(used)
+            yield chunk, list(used)
+            chunk, used = [], {}
+        chunk.append(item)
+        used.update(dict.fromkeys(ends(item)))
+    if chunk:
+        rows.load(used)
+        yield chunk, list(used)
+
+
+def _resolve_paths(fam: GeodesicFamily, adj, dist: list[int], u: int) -> tuple[list[Path], bool]:
+    """The family's geodesics from u down the distance row ``dist``."""
     if fam.kind == "canonical":
-        return [Path(tuple(_canonical_walk(fam.graph._adj, dist, u)))], False
-    return _all_walks(fam.graph._adj, dist, u, fam.cap)
+        return [Path(tuple(_canonical_walk(adj, dist, u)))], False
+    return _all_walks(adj, dist, u, fam.cap)
 
 
 # -- boundedness checker -----------------------------------------------
@@ -295,6 +324,9 @@ def check_property_b(
 
     tm = g.tree_metric() if g.is_tree else None
     rows = _Rows(g)
+    if tm is None:
+        # The endpoint rows of a run of pairs are loaded at once.
+        pair_iter = (pair for run, _ in _loaded_runs(pair_iter, rows, lambda pair: pair) for pair in run)
 
     observed = 0
     samples = 0
@@ -480,6 +512,7 @@ class _PairChecker(_Neighbourhoods):
         self.reach = reach = (da >= 0) & (db >= 0)
         self.envelope = np.flatnonzero(reach & (da + db <= d_ab + 4 * r_max))
         self._hoods: dict[int, list[int]] = {}
+        self.r_max = r_max
         # canonical(u, v): the canonical u-v geodesic, walked once down v's row
         self.canonical = None
         if fam.kind == "canonical":
@@ -492,7 +525,15 @@ class _PairChecker(_Neighbourhoods):
 
     def qualifying_pool(self) -> list[int]:
         g_ab = self._members_of_union_r([self.a], [self.b])
-        return sorted(c for c in g_ab if self.depth(c) >= self.ell)
+        pool = sorted(c for c in g_ab if self.depth(c) >= self.ell)
+        if pool:
+            # A radius r is checked only with a deep point at depth r + ell;
+            # its instances read the rows of N(a;r) and N(b;r), or only of
+            # N(b;r) (the far ends) for the canonical family.
+            r = min(self.r_max, max(map(self.depth, pool)) - self.ell)
+            near = self.db <= r if self.canonical is not None else (self.da <= r) | (self.db <= r)
+            self.rows.load(np.flatnonzero(self.reach & near).tolist())
+        return pool
 
     def _sets_at(self, r: int) -> tuple[list[int], list[int]]:
         return (

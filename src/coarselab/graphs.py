@@ -17,13 +17,17 @@ on disconnected truncations stay total.
 Every breadth-first search in the package runs here. The private kernel
 ``_bfs`` is bounded and multi-source and returns a dict, so its cost follows
 the ball, not the graph; it serves every local search (balls, spheres,
-fattened sets, interior depths, pair neighbourhoods, conflict balls). Full distance rows (geodesic enumeration, tree depths, the safe
-core) stay list-backed in ``bfs_distances``/``multi_source_distances``;
+fattened sets, interior depths, pair neighbourhoods, conflict balls). Full
+distance rows (geodesic enumeration, tree depths, the safe core) stay
+list-backed in ``bfs_distances``/``multi_source_distances``;
 ``distance_vector`` switches to a numpy level-synchronous BFS from
 ``_NP_BFS_MIN`` vertices up. ``distance`` and the thin-triangle defect stop
 at the first target they reach. The geodesics layer reads its distance and
 shortest-path-count rows from one on-demand store, ``_Rows``, which keeps
-at most ``_ROW_CELLS`` cells of them.
+at most ``_ROW_CELLS`` cells of them. ``_Rows.load`` fills many rows at
+once: ``_distance_rows`` is a bit-parallel BFS that runs up to 64 searches
+in the bits of one machine word (MS-BFS: Then et al., *The More the
+Merrier*, PVLDB 8(4), 2014), used where the searches are shallow.
 
 The canonical tie-break (step to the least-id neighbour one closer) lives
 in ``_canonical_step``; every canonical path uses it, and ``_closer_steps``
@@ -67,6 +71,10 @@ _NP_BFS_MIN = 20_000
 # count row takes two cells per vertex. A store that would overflow empties
 # itself first.
 _ROW_CELLS = 2**21
+
+# Rows the bit-parallel kernel computes per uint64 word; the row store
+# fills at most this many at once.
+_BLOCK = 64
 
 # Shortest-path counts in a row store saturate at this bound, so every sum
 # of a vertex's predecessor counts stays exact in int64.
@@ -384,6 +392,44 @@ def distance_vector(g: MetricGraph, source: int) -> np.ndarray:
     return dist
 
 
+def _distance_rows(g: MetricGraph, sources: Collection[int]) -> np.ndarray:
+    """Distance rows from every one of ``sources`` at once, as a (k, n)
+    int32 array (-1 unreachable): a bit-parallel BFS over the CSR arrays in
+    which source i owns bit i % 64 of word i // 64 of every vertex, so one
+    pass over the edges per level advances up to 64 searches per word."""
+    g.check_vertices(sources)
+    src = np.asarray(sources, dtype=np.int64).reshape(-1)
+    k, n = src.size, g.vertex_count
+    ids = np.arange(k)
+    dist = np.full((n, k), -1, dtype=np.int32)  # transposed while filled
+    dist[src, ids] = 0
+    # Row n is a zero word: the gather appends it, so every reduceat start
+    # lies in range and the last vertex's segment ends on it.
+    frontier = np.zeros((n + 1, (k + 63) // 64), dtype=np.uint64)
+    np.bitwise_or.at(frontier, (src, ids // 64), np.left_shift(np.uint64(1), (ids % 64).astype(np.uint64)))
+    seen = frontier[:n].copy()
+    indptr, indices = g.csr_arrays()
+    gather = np.append(indices, n)
+    starts = indptr[:-1]
+    # An empty segment would read its neighbour's word.
+    isolated = np.flatnonzero(starts == indptr[1:])
+    level = 0
+    while k:
+        level += 1
+        reached = np.bitwise_or.reduceat(frontier[gather], starts, axis=0)
+        reached[isolated] = 0
+        reached &= ~seen
+        hit = np.flatnonzero(reached.any(axis=1))
+        if not hit.size:
+            break
+        new = reached[hit]
+        seen[hit] |= new
+        frontier[:n] = reached
+        bits = np.unpackbits(new.astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, :k].view(bool)
+        dist[hit] = np.where(bits, level, dist[hit])
+    return np.ascontiguousarray(dist.T)
+
+
 class _Rows:
     """Distance rows of one graph, computed on demand and memoised in at
     most ``_ROW_CELLS`` int32 cells.
@@ -392,6 +438,8 @@ class _Rows:
     ids; it reads -1 where a vertex is unreachable. ``rows.sigma(s)`` is
     the read-only int64 row of shortest-path counts from ``s``: exact below
     ``_SIGMA_MAX``, and ``_SIGMA_MAX`` for every count at or above it.
+    ``rows.load(sources)`` memoises many distance rows at once, in blocks
+    of one word for the bit-parallel kernel ``_distance_rows``.
     """
 
     __slots__ = ("g", "_dist", "_sigma", "_cells")
@@ -402,14 +450,22 @@ class _Rows:
         self._sigma: dict[int, np.ndarray] = {}
         self._cells = 0
 
+    @property
+    def capacity(self) -> int:
+        """How many distance rows the store holds at once."""
+        return _ROW_CELLS // max(self.g.vertex_count, 1)
+
+    def _clear(self) -> None:
+        self._dist.clear()
+        self._sigma.clear()
+        self._cells = 0
+
     def _keep(self, table: dict[int, np.ndarray], s: int, row: np.ndarray) -> None:
         row.flags.writeable = False
         cells = row.nbytes // 4
         if self._cells + cells > _ROW_CELLS:
             # A full store starts over, so the rows in current use stay memoised.
-            self._dist.clear()
-            self._sigma.clear()
-            self._cells = 0
+            self._clear()
         if cells <= _ROW_CELLS:
             table[s] = row
             self._cells += cells
@@ -420,6 +476,42 @@ class _Rows:
             row = distance_vector(self.g, s)
             self._keep(self._dist, s, row)
         return row
+
+    def load(self, sources: Iterable[int]) -> None:
+        """Memoise the distance rows from ``sources``, as many as the store
+        holds, filling the missing ones block by block.
+
+        A block fits one kernel word and the store's free cells, or the
+        whole store once a full store has emptied itself. Its first
+        row comes from ``distance_vector``; the rest come from one
+        ``_distance_rows`` call when the level bound, max d(s0, s) +
+        ecc(s0) over the block, is at most the block size (the kernel costs
+        about levels x edges, single rows about sources x (n + edges)), and
+        one by one otherwise.
+        """
+        wanted = list(dict.fromkeys(sources))
+        self.g.check_vertices(wanted)
+        n = self.g.vertex_count
+        missing = [s for s in wanted if s not in self._dist]
+        if not missing or not self.capacity:
+            return
+        if self._cells + len(missing) * n > _ROW_CELLS and len(wanted) <= self.capacity:
+            # Starting over now keeps every row asked for memoised.
+            self._clear()
+            missing = wanted
+        while missing:
+            # A full store empties itself when the block's first row is kept.
+            size = min((_ROW_CELLS - self._cells) // n or self.capacity, _BLOCK)
+            block, missing = missing[:size], missing[size:]
+            first = self[block[0]]
+            rest = block[1:]
+            to_rest = first[rest]
+            if rest and to_rest.min() >= 0 and int(to_rest.max()) + int(first.max()) <= len(block):
+                for s, row in zip(rest, _distance_rows(self.g, rest)):
+                    self._keep(self._dist, s, row)
+            else:
+                for s in rest:
+                    self[s]
 
     def sigma(self, s: int) -> np.ndarray:
         sig = self._sigma.get(s)

@@ -123,16 +123,6 @@ def regular_tree(valence: int, depth: int) -> LabeledGraph:
     return LabeledGraph(g, tuple(labels), 0)
 
 
-def _farey_vertices(qmax: int) -> list[ProjectiveRational]:
-    verts = [ProjectiveRational(1, 0)]
-    for q in range(1, qmax + 1):
-        for p in range(-qmax, qmax + 1):
-            if gcd(abs(p), q) == 1:
-                verts.append(ProjectiveRational(p, q))
-    verts.sort(key=lambda f: (f.q, f.p))
-    return verts
-
-
 def farey_truncation(qmax: int) -> LabeledGraph:
     """Finite window of the Farey graph.
 
@@ -143,35 +133,31 @@ def farey_truncation(qmax: int) -> LabeledGraph:
     """
     if qmax < 1:
         raise ValueError("farey_truncation needs qmax >= 1")
-    verts = _farey_vertices(qmax)
-    index = {(f.p, f.q): i for i, f in enumerate(verts)}
-    edges = set()
-    inf = index[(1, 0)]
-    for n in range(-qmax, qmax + 1):
-        # |1*q - 0*p| = q, so 1/0 meets exactly the integers n/1
-        j = index[(n, 1)]
-        edges.add((min(inf, j), max(inf, j)))
-    for f in verts:
-        p, q = f.p, f.q
-        if q == 0:
-            continue
-        i = index[(p, q)]
-        # p*s - r*q = ±1 forces s ≡ ±p^{-1} (mod q); step s by q
-        inv = pow(p % q, -1, q) if q > 1 else 0
-        for sign, s0 in ((1, inv % max(q, 1)), (-1, (-inv) % max(q, 1))):
-            s = s0 if s0 != 0 else q
-            if q == 1:
-                s = 1
-            while s <= qmax:
-                r = (p * s - sign) // q
-                if -qmax <= r <= qmax:
-                    j = index.get((r, s))
-                    if j is not None and j != i:
-                        edges.add((min(i, j), max(i, j)))
-                s += q if q > 1 else 1
-    g = MetricGraph(len(verts), sorted(edges), name=f"farey_{qmax}")
-    labels = tuple(str(f) for f in verts)
-    return LabeledGraph(g, labels, index[(0, 1)])
+    # The reduced fractions of the (q, p) grid, in (q, p) order after 1/0.
+    q_grid, p_grid = np.mgrid[1 : qmax + 1, -qmax : qmax + 1]
+    reduced = np.gcd(p_grid, q_grid) == 1
+    ps = np.concatenate(([1], p_grid[reduced]))
+    qs = np.concatenate(([0], q_grid[reduced]))
+    index = np.full((qmax + 1, 2 * qmax + 1), -1, dtype=np.int64)  # (q, p + qmax) -> id
+    index[qs, ps + qmax] = np.arange(ps.size)
+    # 1/0 meets exactly the integers n/1 (|1*1 - n*0| = 1).
+    edges = [np.stack((np.zeros(2 * qmax + 1, dtype=np.int64), index[1]), axis=1)]
+    p, q = ps[1:], qs[1:]
+    inv = np.array([pow(a, -1, m) for a, m in zip((p % q).tolist(), q.tolist())], dtype=np.int64)
+    for sign in (1, -1):
+        # p*s - r*q = sign forces s ≡ sign * p^{-1} (mod q): s runs from its
+        # least positive residue up to qmax in steps of q.
+        first = (sign * inv) % q
+        first[first == 0] = q[first == 0]
+        counts = (qmax - first) // q + 1
+        at = np.repeat(np.arange(p.size), counts)
+        s = first[at] + q[at] * (np.arange(at.size) - np.repeat(np.cumsum(counts) - counts, counts))
+        r = (p[at] * s - sign) // q[at]
+        keep = np.abs(r) <= qmax
+        edges.append(np.stack((at[keep] + 1, index[s[keep], r[keep] + qmax]), axis=1))
+    g = MetricGraph(ps.size, np.concatenate(edges), name=f"farey_{qmax}")
+    labels = tuple(f"{a}/{b}" for a, b in zip(ps.tolist(), qs.tolist()))
+    return LabeledGraph(g, labels, int(index[1, qmax]))
 
 
 def grid(n: int) -> LabeledGraph:

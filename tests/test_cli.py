@@ -243,6 +243,15 @@ class TestBackendsAgree:
         assert run_cli(capsys, *args) == default
         assert default[0] == 0
 
+    @pytest.mark.parametrize("family", ["all", "canonical"])
+    def test_delta_farey30(self, capsys, monkeypatch, family):
+        # large enough that the default run loads its rows in kernel blocks
+        args = ("delta", "--space", "farey:30", "--family", family, "--budget", "500")
+        default = run_cli(capsys, *args)
+        forced_backends(monkeypatch)
+        assert run_cli(capsys, *args) == default
+        assert default[0] == 0
+
     @pytest.mark.parametrize("space", ["farey:8", "farey:10", "grid:6"])
     @pytest.mark.parametrize("family", ["all", "canonical"])
     @pytest.mark.parametrize("k", ["0", "2"])

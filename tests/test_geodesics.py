@@ -12,7 +12,7 @@ from coarselab.geodesics import (
     thin_delta,
 )
 from coarselab.graphs import MetricGraph, canonical_geodesic, distance
-from coarselab.spaces import broom_tree, grid, regular_tree
+from coarselab.spaces import broom_tree, farey_truncation, grid, regular_tree
 
 
 def cycle_graph(n):
@@ -249,6 +249,44 @@ class TestThinDelta:
         g = MetricGraph(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="connected"):
             thin_delta(g, GeodesicFamily.all_of(g))
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name) -> list:
+        calls = []
+        real = getattr(owner, name)
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["all", "canonical"])
+    def test_small_store_gives_the_same_report(self, monkeypatch, kind):
+        g = farey_truncation(12).graph
+        fam = GeodesicFamily(g, kind)
+        default = thin_delta(g, fam, budget=300, seed=5)
+        # a store of 20 rows: chunks of at most 20 far ends, each load
+        # emptying the store the chunk before filled
+        monkeypatch.setattr(graphs, "_ROW_CELLS", 20 * g.vertex_count)
+        loads = self.count_calls(monkeypatch, graphs._Rows, "load")
+        clears = self.count_calls(monkeypatch, graphs._Rows, "_clear")
+        assert thin_delta(g, fam, budget=300, seed=5) == default
+        assert len(loads) >= 3 and len(clears) >= 2
+        assert all(len(set(ends)) <= 20 for _, ends in loads)
+
+    def test_one_list_bfs_per_block(self, monkeypatch):
+        g = farey_truncation(30).graph
+        assert g.is_connected  # its BFS runs before the spies
+        fam = GeodesicFamily.canonical_of(g)
+        searches = self.count_calls(monkeypatch, graphs, "_dense_bfs")
+        loads = self.count_calls(monkeypatch, graphs._Rows, "load")
+        assert thin_delta(g, fam, budget=500).triangles_checked == 500
+        # each load fills one block of at most 64 rows: its first row is a
+        # list BFS, the rest one kernel call
+        distinct = set().union(*(ends for _, ends in loads))
+        assert len(distinct) > 500 and len(searches) <= len(loads) < len(distinct) // 20
 
 
 class TestPropertyB:

@@ -16,6 +16,7 @@ from coarselab.graphs import (
     MetricGraph,
     Path,
     _bfs,
+    _distance_rows,
     _Rows,
     _distance_to_set,
     all_geodesics,
@@ -608,6 +609,114 @@ class TestRowStore:
     def test_invalid_source_raises(self):
         with pytest.raises(ValueError, match="invalid vertex id 5"):
             _Rows(path_graph(5))[5]
+
+
+class TestDistanceRows:
+    """The bit-parallel kernel and the store's batched ``load`` against
+    ``bfs_distances``."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("k", [1, 63, 64, 65, 130])
+    def test_matches_bfs_distances(self, seed, k):
+        # kernel_graph draws connected and disconnected graphs; with more
+        # sources than vertices some sources repeat
+        g = kernel_graph(seed)
+        rng = random.Random(1000 * seed + k)
+        sources = [rng.randrange(g.vertex_count) for _ in range(k)]
+        got = _distance_rows(g, sources)
+        assert got.dtype == np.int32 and got.shape == (k, g.vertex_count)
+        assert got.tolist() == [bfs_distances(g, s) for s in sources]
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            MetricGraph(1, []),
+            MetricGraph(5, []),
+            MetricGraph(5, [(0, 2), (1, 2)]),  # the last segments are empty
+            MetricGraph(6, [(2, 3), (3, 5)]),  # isolated vertices between segments
+            path_graph(4),
+        ],
+        ids=["n1", "edgeless", "trailing_isolated", "isolated", "path"],
+    )
+    def test_isolated_vertices_and_duplicate_sources(self, g):
+        sources = [*range(g.vertex_count), *range(g.vertex_count)]
+        assert _distance_rows(g, sources).tolist() == [bfs_distances(g, s) for s in sources]
+        assert _distance_rows(g, []).shape == (0, g.vertex_count)
+
+    def test_invalid_source_raises(self):
+        with pytest.raises(ValueError, match="invalid vertex id 5"):
+            _distance_rows(path_graph(5), [0, 5])
+        with pytest.raises(ValueError, match="invalid vertex id 5"):
+            _Rows(path_graph(5)).load([0, 5])
+
+    @staticmethod
+    def spy(monkeypatch) -> tuple[list, list]:
+        """Record the sources of every single row and every kernel call."""
+        single, batched = [], []
+        real_vector, real_rows = graphs.distance_vector, graphs._distance_rows
+        monkeypatch.setattr(graphs, "distance_vector", lambda g, s: single.append(s) or real_vector(g, s))
+        monkeypatch.setattr(graphs, "_distance_rows", lambda g, ss: batched.append(list(ss)) or real_rows(g, ss))
+        return single, batched
+
+    def test_load_evicts_mid_call(self, monkeypatch):
+        from coarselab.spaces import farey_truncation
+
+        g = farey_truncation(6).graph  # 48 vertices, diameter 5
+        n = g.vertex_count
+        monkeypatch.setattr(graphs, "_ROW_CELLS", 12 * n)
+        single, batched = self.spy(monkeypatch)
+        rows = _Rows(g)
+        rows.load([*range(n), 3])
+        # four blocks of 12 rows, the store starting over before each; the
+        # level bound (at most 5 + 5) lets each take one list BFS and one
+        # kernel call
+        blocks = [list(range(lo, lo + 12)) for lo in range(0, n, 12)]
+        assert single == [b[0] for b in blocks]
+        assert batched == [b[1:] for b in blocks]
+        assert sorted(rows._dist) == blocks[-1] and rows._cells == 12 * n
+        for s in range(n):
+            assert rows[s].tolist() == bfs_distances(g, s) and not rows[s].flags.writeable
+
+    def test_load_starts_over_to_keep_a_request_memoised(self, monkeypatch):
+        from coarselab.spaces import farey_truncation
+
+        g = farey_truncation(6).graph
+        n = g.vertex_count
+        monkeypatch.setattr(graphs, "_ROW_CELLS", 10 * n)
+        rows = _Rows(g)
+        rows.load(range(8))
+        single, batched = self.spy(monkeypatch)
+        # 6 rows missing, 2 free: the store starts over before the first
+        # block instead of between two, and recomputes rows 6 and 7
+        rows.load(range(6, 14))
+        assert sorted(rows._dist) == list(range(6, 14))
+        assert single == [6] and batched == [list(range(7, 14))]
+
+    def test_deep_block_takes_single_rows(self, monkeypatch):
+        from coarselab.spaces import broom_tree
+
+        g = broom_tree(100).graph
+        n = g.vertex_count
+        single, batched = self.spy(monkeypatch)
+        # the far end of the longest ray: its first vertex has eccentricity
+        # 136, far above the 64 levels the block may take
+        deep = list(range(n - 64, n))
+        rows = _Rows(g)
+        rows.load(deep)
+        assert single == deep and batched == []
+        for s in deep:
+            assert rows[s].tolist() == bfs_distances(g, s)
+
+    def test_shallow_block_takes_the_kernel(self, monkeypatch):
+        from coarselab.spaces import regular_tree
+
+        g = regular_tree(3, 5).graph  # 94 vertices, eccentricities <= 10
+        single, batched = self.spy(monkeypatch)
+        rows = _Rows(g)
+        rows.load(range(g.vertex_count))
+        assert single == [0, 64] and batched == [list(range(1, 64)), list(range(65, 94))]
+        for s in range(g.vertex_count):
+            assert rows[s].tolist() == bfs_distances(g, s)
 
 
 def _grows_own_queue(loop: ast.For | ast.While) -> bool:

@@ -3,7 +3,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from coarselab.graphs import bfs_distances, distance, load_graph, store_graph
+from coarselab.graphs import MetricGraph, bfs_distances, distance, load_graph, store_graph
 from coarselab.spaces import (
     ProjectiveRational,
     LabeledGraph,
@@ -191,6 +191,40 @@ class TestFarey:
         for v, lab in enumerate(small.labels):
             if ds[v] >= 0:
                 assert db[big_of[lab]] <= ds[v]
+
+
+def farey_by_pairs(qmax: int) -> LabeledGraph:
+    """The Farey window built fraction by fraction: the reference for the
+    array build of ``farey_truncation``."""
+    verts = [ProjectiveRational(1, 0)]
+    for q in range(1, qmax + 1):
+        for p in range(-qmax, qmax + 1):
+            if gcd(abs(p), q) == 1:
+                verts.append(ProjectiveRational(p, q))
+    verts.sort(key=lambda f: (f.q, f.p))
+    index = {(f.p, f.q): i for i, f in enumerate(verts)}
+    edges = {(0, index[(n, 1)]) for n in range(-qmax, qmax + 1)}
+    for i, f in enumerate(verts[1:], start=1):
+        p, q = f.p, f.q
+        inv = pow(p % q, -1, q) if q > 1 else 0
+        for sign in (1, -1):
+            # p*s - r*q = sign forces s ≡ sign * p^{-1} (mod q)
+            s = (sign * inv) % q or q
+            while s <= qmax:
+                r = (p * s - sign) // q
+                j = index.get((r, s))
+                if j is not None:
+                    edges.add((min(i, j), max(i, j)))
+                s += q
+    return LabeledGraph(MetricGraph(len(verts), sorted(edges), name=f"farey_{qmax}"), tuple(map(str, verts)), index[(0, 1)])
+
+
+@pytest.mark.parametrize("qmax", [*range(1, 41), 100])
+def test_farey_array_build_matches_pairwise_build(qmax):
+    got, expected = farey_truncation(qmax), farey_by_pairs(qmax)
+    assert got.labels == expected.labels
+    assert got.basepoint == expected.basepoint
+    assert got.graph == expected.graph and got == expected
 
 
 class TestGrid:
