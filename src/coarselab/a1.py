@@ -18,6 +18,15 @@ inequality checks are integer cross-multiplications. ``fractions.Fraction``
 values appear only at the public boundary: ``phi``, ``a1_map``/``A1Map``,
 ``variation`` and the fields of the reports. No floats appear anywhere.
 
+A fat cover holds its sets as one incidence array: sorted int64 keys
+i*n + v, one per set i and member v, with an aligned array of depths
+d(v, complement of set i). One expansion of the base cover's keys by 2r
+(``graphs._set_balls``) fattens every set at once, and one inward
+expansion over the fattened keys (``graphs._set_depths``) gives the
+depths. The order, the Lebesgue check and the support radius are
+reductions over these arrays; frozensets and dicts of the sets
+(``FatCover.sets``, ``FatCover.sets_of``) are built only when asked for.
+
 The whole-core stages (anchors, ``check_a1_maps``, ``variation_sweep``,
 ``store_a1_maps``) run on integer numpy arrays held once per cover,
 ``FatCover.profiles``: one row per safe vertex, one padded slot per set
@@ -27,7 +36,8 @@ over the graph's CSR edge list restricted to the safe core. The arrays are
 int64 while a bound from the largest total shows that no product in the
 sweep can reach 2^63; past it the same code runs on Python ints
 (``dtype=object``). The pointwise ``phi``, ``a1_map`` and ``variation``
-read the sets' depth dicts directly and serve as their oracles.
+look up x in the incidence keys set by set, apart from the profiles, and
+serve as their oracles.
 
 On a truncation, bounds are only asserted on the safe core: vertices whose
 ``5r``-ball stays inside the complete annuli of the base cover.
@@ -39,13 +49,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .cover import Cover, CoverDiameterReport, CoverParams, build_cover, verify_diameters
 from .geodesics import GeodesicFamily
-from .graphs import MetricGraph, _bfs, bfs_distances, distance
+from .graphs import MetricGraph, _find, _set_balls, _set_depths, distance, distance_vector
 
 __all__ = [
     "ScopeTooSmallError",
@@ -95,19 +105,63 @@ class FatSet:
     depth: dict[int, int] = field(repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FatCover:
+    """The fattened sets as one incidence: ``keys`` holds the sorted int64
+    keys i*n + v, one per set i and member v (n = ``vertex_count``), and
+    ``depth``, aligned with it, d(v, complement of set i), or 0 where v
+    has no path to the complement. ``sets`` and ``sets_of`` are views of
+    them built on demand; the pipeline reads only the arrays."""
+
     r: int
     d_constant: int
-    base: Cover
-    sets: tuple[FatSet, ...]
-    sets_of: dict[int, tuple[int, ...]] = field(repr=False)
+    base: Cover | None
+    vertex_count: int
+    set_count: int
+    keys: np.ndarray = field(repr=False)
+    depth: np.ndarray = field(repr=False)
     diam_base: int
     safe: frozenset[int]
     order_max: int
     # The base cover's diameter check, made once while building; hand-built
     # covers have none.
     base_diameters: CoverDiameterReport | None = field(default=None, repr=False)
+
+    @classmethod
+    def from_sets(cls, g: MetricGraph, sets: Sequence[FatSet], **fields) -> FatCover:
+        """A cover of ``g`` holding ``sets`` as built by hand, with the
+        remaining fields given by name; ``sets`` is kept as the view."""
+        members = [sorted(fs.members) for fs in sets]
+        sizes = list(map(len, members))
+        keys = np.repeat(np.arange(len(sets), dtype=np.int64) * g.vertex_count, sizes)
+        keys += np.fromiter(chain.from_iterable(members), np.int64, keys.size)
+        depth = [fs.depth.get(v, 0) for fs, ms in zip(sets, members) for v in ms]
+        fc = cls(
+            vertex_count=g.vertex_count, set_count=len(sets), keys=keys, depth=np.asarray(depth, np.int64), **fields
+        )
+        fc.__dict__["sets"] = tuple(sets)
+        return fc
+
+    @cached_property
+    def sets(self) -> tuple[FatSet, ...]:
+        """The sets as frozensets with their depth dicts, each with its
+        origin in the base cover."""
+        set_id, vertex = np.divmod(self.keys, self.vertex_count)
+        bounds = np.searchsorted(set_id, np.arange(self.set_count + 1)).tolist()
+        vs, ds = vertex.tolist(), self.depth.tolist()
+        return tuple(
+            FatSet(cs.n, cs.anchor, frozenset(vs[lo:hi]), {v: d for v, d in zip(vs[lo:hi], ds[lo:hi]) if d})
+            for cs, lo, hi in zip(self.base.sets, bounds, bounds[1:])
+        )
+
+    @cached_property
+    def sets_of(self) -> dict[int, tuple[int, ...]]:
+        """Vertex -> the ids of the sets holding it, ascending."""
+        set_id, vertex = np.divmod(self.keys, self.vertex_count)
+        out: dict[int, list[int]] = {}
+        for i, v in zip(set_id.tolist(), vertex.tolist()):  # keys run in set order
+            out.setdefault(v, []).append(i)
+        return {v: tuple(ix) for v, ix in out.items()}
 
     @cached_property
     def profiles(self) -> DepthProfiles:
@@ -179,25 +233,24 @@ def build_fat_cover(
     diam_base = max(base_diameters.max_diameter, base_diameters.incomplete_max_diameter or 0)
 
     n = g.vertex_count
-    fat_sets: list[FatSet] = []
-    for cs in base.sets:
-        members = frozenset(_bfs(g, cs.members, 2 * r))
-        if len(members) == n:
-            raise ScopeTooSmallError(
-                f"scope too small for r={r}: a fattened set covers the whole truncation"
-            )
-        fat_sets.append(FatSet(cs.n, cs.anchor, members, _interior_depths(g, members)))
+    keys = _set_balls(g, base._keys(g), 2 * r)
+    if (np.bincount(keys // n, minlength=len(base.sets)) == n).any():
+        raise ScopeTooSmallError(
+            f"scope too small for r={r}: a fattened set covers the whole truncation; the fattening "
+            f"needs radius 2r = {2 * r} about each set of the base cover (band {base.params.band}), "
+            f"and the truncation has radius {base.eccentricity(g)} about the basepoint"
+        )
 
-    sets_of: dict[int, list[int]] = {}
-    for i, fs in enumerate(fat_sets):
-        for v in fs.members:
-            sets_of.setdefault(v, []).append(i)
+    safe = base._core_mask(g, 5 * r)
+    if not safe.any():
+        reach = base.params.band * max(base.complete, default=0)  # the complete region's radius
+        raise ScopeTooSmallError(
+            f"scope too small for r={r}: empty safe core; it needs radius 5r = {5 * r} inside the "
+            f"complete annuli, which reach radius {reach} about the basepoint (eccentricity "
+            f"{base.eccentricity(g)})"
+        )
 
-    safe = base.core(g, 5 * r)
-    if not safe:
-        raise ScopeTooSmallError(f"scope too small for r={r}: empty safe core")
-
-    order_max = max(len(sets_of.get(v, ())) for v in safe)
+    order_max = int(np.bincount(keys % n, minlength=n)[safe].max())
     if order_max > 2 * d_constant:
         raise FatCoverOrderError(
             f"fattened cover has order {order_max} > 2D = {2 * d_constant} on the safe core"
@@ -206,30 +259,15 @@ def build_fat_cover(
         r=r,
         d_constant=d_constant,
         base=base,
-        sets=tuple(fat_sets),
-        sets_of={v: tuple(ix) for v, ix in sets_of.items()},
+        vertex_count=n,
+        set_count=len(base.sets),
+        keys=keys,
+        depth=_set_depths(g, keys),
         diam_base=diam_base,
-        safe=safe,
+        safe=frozenset(np.flatnonzero(safe).tolist()),
         order_max=order_max,
         base_diameters=base_diameters,
     )
-
-
-def _interior_depths(g: MetricGraph, members: frozenset[int]) -> dict[int, int]:
-    """d(x, complement) for every x in the set.
-
-    A shortest path to the complement stays inside the set until its final
-    step, so a BFS inside the induced subgraph seeded with the boundary-
-    adjacent vertices at depth 1 is exact.
-    """
-    adj = g._adj
-    boundary = [v for v in members if any(w not in members for w in adj[v])]
-    # A member with no path to the complement can only happen when the set
-    # is the whole component; the builder rejects that case upstream.
-    depth = _bfs(g, boundary, within=members)
-    for v in depth:
-        depth[v] += 1
-    return depth
 
 
 @dataclass(frozen=True)
@@ -241,18 +279,15 @@ class LebesgueReport:
 
 def lebesgue_check(g: MetricGraph, fc: FatCover) -> LebesgueReport:
     """Every ball of radius floor((r-1)/2) (diameter < r) must sit inside
-    one fattened set; for r = 1 this reduces to plain coverage."""
+    one fattened set; for r = 1 this reduces to plain coverage. The ball
+    of a member x sits inside its set exactly when d(x, complement) > rad,
+    or x has no path to the complement; the witness is the least vertex
+    whose ball sits in no set."""
     rad = (fc.r - 1) // 2
-    for x in range(g.vertex_count):
-        candidates = fc.sets_of.get(x, ())
-        if not candidates:
-            return LebesgueReport(False, rad, x)
-        if rad == 0:
-            continue
-        ball_x = _bfs(g, (x,), rad).keys()
-        if not any(ball_x <= fc.sets[i].members for i in candidates):
-            return LebesgueReport(False, rad, x)
-    return LebesgueReport(True, rad, None)
+    inside = (fc.depth > rad) | (fc.depth == 0)
+    held = np.bincount(fc.keys[inside] % fc.vertex_count, minlength=g.vertex_count)
+    missing = np.flatnonzero(held == 0)
+    return LebesgueReport(False, rad, int(missing[0])) if missing.size else LebesgueReport(True, rad, None)
 
 
 def phi(g: MetricGraph, fc: FatCover, x: int) -> dict[int, Fraction]:
@@ -267,7 +302,9 @@ def _weights(fc: FatCover, x: int) -> tuple[dict[int, int], int]:
     """phi(x) in integers: the depth profile of x, whose values are the
     numerators, and their total, the shared denominator. Raises as
     :func:`phi` does when the total is 0 or below r."""
-    depths = {i: fc.sets[i].depth[x] for i in fc.sets_of.get(x, ()) if x in fc.sets[i].depth}
+    pos, held = _find(fc.keys, np.arange(fc.set_count, dtype=np.int64) * fc.vertex_count + x)
+    held[held] = fc.depth[pos[held]] > 0
+    depths = dict(zip(np.flatnonzero(held).tolist(), fc.depth[pos[held]].tolist()))
     total = sum(depths.values())
     _check_total(fc, x, total)
     return depths, total
@@ -318,22 +355,19 @@ def a1_map(g: MetricGraph, fc: FatCover, x: int, anchors: dict[int, int] | None 
 
 
 def _depth_profiles(fc: FatCover) -> DepthProfiles:
-    """:class:`DepthProfiles` from the sets' depth maps; a set with no
-    member of positive depth raises."""
-    sizes = [len(fs.depth) for fs in fc.sets]
-    count = sum(sizes)
-    set_id = np.repeat(np.arange(len(fc.sets), dtype=np.int64), sizes)
-    vertex = np.fromiter(chain.from_iterable(fs.depth for fs in fc.sets), np.int64, count)
-    depth = np.fromiter(chain.from_iterable(fs.depth.values() for fs in fc.sets), np.int64, count)
+    """:class:`DepthProfiles` from the members of positive depth; a set
+    with none raises."""
+    inner = fc.depth > 0
+    set_id, vertex = np.divmod(fc.keys[inner], fc.vertex_count)
+    depth = fc.depth[inner]
 
-    # Anchors: per set, the deepest member of positive depth, least id on ties.
-    inner = depth > 0
-    order = np.lexsort((vertex[inner], -depth[inner], set_id[inner]))
-    by_set = set_id[inner][order]
+    # Anchors: per set, the deepest member, least id on ties.
+    order = np.lexsort((vertex, -depth, set_id))
+    by_set = set_id[order]
     lead = np.ones(by_set.size, dtype=bool)
     lead[1:] = by_set[1:] != by_set[:-1]
-    set_anchor = np.full(len(fc.sets), -1, dtype=np.int64)
-    set_anchor[by_set[lead]] = vertex[inner][order][lead]
+    set_anchor = np.full(fc.set_count, -1, dtype=np.int64)
+    set_anchor[by_set[lead]] = vertex[order][lead]
     empty = np.flatnonzero(set_anchor < 0)
     if empty.size:
         raise ValueError(f"fattened set {empty[0]} has empty interior")
@@ -341,7 +375,9 @@ def _depth_profiles(fc: FatCover) -> DepthProfiles:
     # Safe rows; the entries run in ascending set order, so a stable sort
     # by row keeps each row's sets ascending.
     safe = np.sort(np.fromiter(fc.safe, np.int64, len(fc.safe)))
-    on_safe = np.isin(vertex, safe)
+    is_safe = np.zeros(fc.vertex_count, dtype=bool)
+    is_safe[safe] = True
+    on_safe = is_safe[vertex]
     row = np.searchsorted(safe, vertex[on_safe])
     order = np.argsort(row, kind="stable")
     row, set_id, depth = row[order], set_id[on_safe][order], depth[on_safe][order]
@@ -436,13 +472,12 @@ def check_a1_maps(g: MetricGraph, fc: FatCover) -> A1MapsReport:
 
 def _support_radius_ok(g: MetricGraph, fc: FatCover, bound: int) -> bool:
     anchors = fc.profiles.set_anchor
+    set_id, members = np.divmod(fc.keys, fc.vertex_count)
     if g.is_tree:
-        sizes = [len(fs.members) for fs in fc.sets]
-        members = np.fromiter(chain.from_iterable(fs.members for fs in fc.sets), np.int64, sum(sizes))
-        return bool((g.tree_metric().pair_distances(np.repeat(anchors, sizes), members) <= bound).all())
-    for fs, anchor in zip(fc.sets, anchors.tolist()):
-        row = bfs_distances(g, anchor)
-        if max(row[v] for v in fs.members) > bound:
+        return bool((g.tree_metric().pair_distances(anchors[set_id], members) <= bound).all())
+    bounds = np.searchsorted(set_id, np.arange(fc.set_count + 1)).tolist()
+    for anchor, lo, hi in zip(anchors.tolist(), bounds, bounds[1:]):
+        if distance_vector(g, anchor)[members[lo:hi]].max(initial=-1) > bound:
             return False
     return True
 

@@ -205,6 +205,13 @@ def cmd_cover(args) -> tuple[int, list[str]]:
     lines.append(f"sets={len(cover.sets)}")
     lines.append(f"n_max={cover.n_max}")
     lines.append(f"complete={','.join(str(n) for n in sorted(cover.complete)) or '-'}")
+    if not cover.complete:
+        lines.append(
+            f"# scope: no complete annulus; one needs the basepoint's eccentricity to reach "
+            f"band + r + ell = {params.band + params.width} (band = 10(r+ell) = {params.band}), "
+            f"and it is {cover.eccentricity(space.graph)}"
+        )
+        return EXIT_SCOPE, lines
     diam = verify_diameters(space.graph, cover)
     lines.append(f"max_diam={diam.max_diameter}")
     lines.append(f"diam_bound={diam.bound}")
@@ -312,7 +319,7 @@ def pipeline_a1(
     checks["mult_5r"] = bool(mult.passed)
 
     lines.append("# section fat_cover")
-    lines.append(f"fat_sets={len(fat.sets)}")
+    lines.append(f"fat_sets={fat.set_count}")
     lines.append(f"order={fat.order_max}")
     lines.append(f"order_bound={2 * d_constant}")
     lines.append(f"diam_base={fat.diam_base}")

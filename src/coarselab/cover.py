@@ -15,7 +15,14 @@ On a finite truncation the outermost annuli lack the geodesics the
 construction relies on, so bounds are asserted on *complete* annuli only
 (outer radius at least ``r+ell`` away from the truncation edge); reports
 label the incomplete ones. ``Cover.core`` is the part of the complete
-region whose balls of a given radius stay inside it.
+region whose balls of a given radius stay inside it, computed once per
+radius.
+
+The checks after the build read the sets as one array of sorted int64
+keys s*n + v, one per set s and member v: N(x; radius) meets set s
+exactly when x lies in the radius-ball of s, so ``multiplicity`` is one
+``graphs._set_balls`` expansion of the keys and one ``np.bincount`` over
+the vertices.
 
 A family enters only as its step towards the basepoint: the canonical
 step, or every neighbour one closer. One propagation in distance order
@@ -28,12 +35,13 @@ Python. One lexsort of (anchor, vertex) per annulus gives its sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .geodesics import GeodesicFamily
-from .graphs import MetricGraph, _bfs, _closer_steps, distance_vector, multi_source_distances, set_diameter
+from .graphs import MetricGraph, _closer_steps, _set_balls, distance_vector, set_diameter
 
 __all__ = [
     "CoverParams",
@@ -88,11 +96,15 @@ class CoverSet:
 
 @dataclass(frozen=True)
 class Cover:
+    """The cover of the graph it was built on. ``_keys`` and ``_core_mask``
+    take that graph and are built once per cover (and radius)."""
+
     params: CoverParams
     sets: tuple[CoverSet, ...]
     annuli: dict[int, frozenset[int]]
     spheres: dict[int, frozenset[int]]
     complete: frozenset[int]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_max(self) -> int:
@@ -107,14 +119,41 @@ class Cover:
     def core(self, g: MetricGraph, radius: int) -> frozenset[int]:
         """The complete region's vertices farther than ``radius`` from every
         vertex outside it: those whose ``radius``-ball stays inside it."""
+        return frozenset(np.flatnonzero(self._core_mask(g, radius)).tolist())
+
+    def _core_mask(self, g: MetricGraph, radius: int) -> np.ndarray:
+        """:meth:`core` as a read-only boolean mask over the vertices."""
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        region = self.complete_region()
-        outside = [v for v in range(g.vertex_count) if v not in region]
-        if not outside or radius == 0:
-            return region
-        dist_out = multi_source_distances(g, outside, cutoff=radius)
-        return frozenset(v for v in region if not 0 <= dist_out[v] <= radius)
+        mask = self._memo.get(("core", radius))
+        if mask is None:
+            mask = np.zeros(g.vertex_count, dtype=bool)
+            for n in self.complete:
+                mask[np.fromiter(self.annuli[n], np.int64, len(self.annuli[n]))] = True
+            outside = np.flatnonzero(~mask)
+            if outside.size and radius:
+                mask[_set_balls(g, outside, radius)] = False  # the keys of one set are its vertices
+            mask.flags.writeable = False
+            self._memo[("core", radius)] = mask
+        return mask
+
+    def _keys(self, g: MetricGraph) -> np.ndarray:
+        """The sets as sorted int64 keys s*n + v, one per set s and member v
+        (n the vertex count)."""
+        keys = self._memo.get("keys")
+        if keys is None:
+            sizes = [len(cs.members) for cs in self.sets]
+            members = chain.from_iterable(cs.members for cs in self.sets)
+            keys = np.repeat(np.arange(len(sizes), dtype=np.int64) * g.vertex_count, sizes)
+            keys += np.fromiter(members, np.int64, keys.size)
+            keys.sort(kind="stable")
+            keys.flags.writeable = False
+            self._memo["keys"] = keys
+        return keys
+
+    def eccentricity(self, g: MetricGraph) -> int:
+        """The basepoint's eccentricity: the radius of the truncation about it."""
+        return int(distance_vector(g, self.params.basepoint).max())
 
 
 def build_cover(g: MetricGraph, fam: GeodesicFamily, params: CoverParams) -> Cover:
@@ -304,7 +343,8 @@ def multiplicity(
     d_constant: int | None = None,
     complete_only: bool = True,
 ) -> MultiplicityReport:
-    """Max number of cover sets meeting ``N(x; radius)``, by set index.
+    """Max number of cover sets meeting ``N(x; radius)``, by set index;
+    the witness is the least vertex attaining a positive max.
 
     With ``complete_only`` (the claim-checking mode) only vertices whose
     ball stays inside the complete annuli are counted, since the bound is
@@ -314,20 +354,12 @@ def multiplicity(
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    eligible = sorted(cover.core(g, radius)) if complete_only else list(range(g.vertex_count))
-    eligible_mask = set(eligible)
-    counts: dict[int, int] = {}
-    for cs in cover.sets:
-        for v in cs.members if radius == 0 else _bfs(g, cs.members, radius):
-            if v in eligible_mask:
-                counts[v] = counts.get(v, 0) + 1
-    max_mult = 0
-    witness = None
-    for v in eligible:
-        c = counts.get(v, 0)
-        if c > max_mult:
-            max_mult = c
-            witness = v
+    keys = cover._keys(g)
+    counts = np.bincount(_set_balls(g, keys, radius) % max(g.vertex_count, 1), minlength=g.vertex_count)
+    if complete_only:
+        counts[~cover._core_mask(g, radius)] = 0
+    witness = int(counts.argmax()) if counts.any() else None
+    max_mult = 0 if witness is None else int(counts[witness])
     bound = None if d_constant is None else 2 * d_constant
     passed = None if bound is None else max_mult <= bound
     return MultiplicityReport(radius, max_mult, witness, bound, passed)

@@ -16,10 +16,15 @@ on disconnected truncations stay total.
 
 Every breadth-first search in the package runs here. The private kernel
 ``_bfs`` is bounded and multi-source and returns a dict, so its cost follows
-the ball, not the graph; it serves every local search (balls, spheres,
-fattened sets, interior depths, pair neighbourhoods, conflict balls). Full
-distance rows (geodesic enumeration, tree depths, the safe core) stay
-list-backed in ``bfs_distances``/``multi_source_distances``;
+the ball, not the graph; it serves the single local searches (balls,
+spheres, pair neighbourhoods, conflict balls). Many vertex sets at once
+travel as one sorted int64 array of keys s*n + v, one per (set, member)
+pair: ``_set_balls`` grows them all by a radius in one level-synchronous
+expansion over the CSR arrays, and ``_set_depths`` gives every member its
+distance to the set's complement by an inward expansion over the same keys.
+They serve the cover's multiplicity and safe core and the fattened sets
+with their interior depths. Full distance rows (geodesic enumeration, tree
+depths) stay list-backed in ``bfs_distances``/``multi_source_distances``;
 ``distance_vector`` switches to a numpy level-synchronous BFS from
 ``_NP_BFS_MIN`` vertices up. ``distance`` and the thin-triangle defect stop
 at the first target they reach. The geodesics layer reads its distance and
@@ -149,8 +154,7 @@ class MetricGraph:
         # Both orientations of every edge as u*n + v keys: one sort orders
         # them by (tail, head) and puts duplicates side by side.
         keys = np.concatenate((pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]))
-        keys.sort()
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if keys.size else keys
+        keys = _sorted_unique(keys)
         tails, heads = np.divmod(keys, max(n, 1))
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
@@ -373,21 +377,8 @@ def distance_vector(g: MetricGraph, source: int) -> np.ndarray:
     d = 0
     while frontier.size:
         d += 1
-        starts = indptr[frontier]
-        counts = (indptr[frontier + 1] - starts).astype(np.int64)
-        total = int(counts.sum())
-        if total == 0:
-            break
-        offsets = np.repeat(starts, counts) + (
-            np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-        )
-        nbrs = indices[offsets]
-        nbrs = nbrs[dist[nbrs] < 0]
-        if nbrs.size == 0:
-            break
-        # Sorted, the first of each run of equal ids is the new frontier.
-        nbrs.sort()
-        frontier = nbrs[np.concatenate(([True], nbrs[1:] != nbrs[:-1]))]
+        nbrs = indices[_segments(indptr, frontier)]
+        frontier = _sorted_unique(nbrs[dist[nbrs] < 0])
         dist[frontier] = d
     return dist
 
@@ -428,6 +419,88 @@ def _distance_rows(g: MetricGraph, sources: Collection[int]) -> np.ndarray:
         bits = np.unpackbits(new.astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, :k].view(bool)
         dist[hit] = np.where(bits, level, dist[hit])
     return np.ascontiguousarray(dist.T)
+
+
+# -- set-labelled expansion ----------------------------------------------
+#
+# Many vertex sets at once, as one sorted int64 array of keys s*n + v, one
+# per member v of set s. The set id rides in the key as the source bit
+# does in ``_distance_rows``.
+
+
+def _set_balls(g: MetricGraph, keys: np.ndarray, radius: int) -> np.ndarray:
+    """The ``radius``-balls of many vertex sets: the sorted keys of every
+    (s, w) with w within ``radius`` of set s, from the sorted, repeat-free
+    ``keys`` of the sets. Level by level it gathers the frontier's
+    neighbours over the CSR arrays, dedupes them by a sort and drops the
+    keys already held."""
+    held = frontier = keys
+    for _ in range(radius):
+        if not frontier.size:
+            break
+        nbrs = _sorted_unique(_key_neighbours(g, frontier)[0])
+        frontier = nbrs[~_find(held, nbrs)[1]]
+        # Two sorted runs: the stable sort merges them in one pass.
+        held = np.concatenate((held, frontier))
+        held.sort(kind="stable")
+    return held
+
+
+def _set_depths(g: MetricGraph, keys: np.ndarray) -> np.ndarray:
+    """d(v, complement of set s) for every key s*n + v of the sorted,
+    repeat-free ``keys``, aligned with them; 0 where v has no path to the
+    complement. A member with a neighbour outside its set has depth 1, and
+    an inward expansion over the keys gives the rest: a shortest path to
+    the complement stays inside the set until its last step."""
+    nbrs, counts = _key_neighbours(g, keys)
+    pos, inside = _find(keys, nbrs)
+    owner = np.repeat(np.arange(keys.size), counts)
+    depth = np.zeros(keys.size, dtype=np.int64)
+    frontier = np.flatnonzero(np.bincount(owner[~inside], minlength=keys.size))
+    # The members' in-set neighbours as CSR over key positions.
+    heads = pos[inside]
+    ptr = np.zeros(keys.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner[inside], minlength=keys.size), out=ptr[1:])
+    level = 1
+    while frontier.size:
+        depth[frontier] = level
+        level += 1
+        nxt = heads[_segments(ptr, frontier)]
+        frontier = _sorted_unique(nxt[depth[nxt] == 0])
+    return depth
+
+
+def _key_neighbours(g: MetricGraph, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The keys s*n + w of the neighbours w of every key s*n + v, key by
+    key in CSR order, and how many each key has."""
+    indptr, indices = g.csr_arrays()
+    v = keys % max(g.vertex_count, 1)
+    counts = indptr[v + 1] - indptr[v]
+    return np.repeat(keys - v, counts) + indices[_segments(indptr, v)], counts
+
+
+def _segments(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The positions ``ptr[r] : ptr[r + 1]`` of every one of ``rows``,
+    concatenated in order."""
+    starts = ptr[rows]
+    counts = ptr[rows + 1] - starts
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(int(counts.sum()))
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a``, ascending: ``a`` sorted in place and
+    the first of each run of equal values (``np.unique`` is far slower)."""
+    a.sort()
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
+
+
+def _find(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where ``queries`` sit in the sorted array ``keys`` (their insertion
+    points) and whether each is present."""
+    pos = np.searchsorted(keys, queries)
+    found = pos < keys.size
+    found[found] = keys[pos[found]] == queries[found]
+    return pos, found
 
 
 class _Rows:

@@ -1,4 +1,5 @@
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,10 +12,10 @@ from coarselab.a1 import (
     FatCover,
     FatCoverOrderError,
     FatSet,
+    LebesgueReport,
     ScopeTooSmallError,
     VariationSweepReport,
     _anchor_numerators,
-    _interior_depths,
     _weights,
     a1_map,
     build_fat_cover,
@@ -27,7 +28,7 @@ from coarselab.a1 import (
     variation_sweep,
 )
 from coarselab.geodesics import GeodesicFamily
-from coarselab.graphs import MetricGraph, ball, bfs_distances
+from coarselab.graphs import MetricGraph, _set_depths, ball, bfs_distances, multi_source_distances
 from coarselab.spaces import LabeledGraph, broom_tree, farey_truncation, grid
 
 
@@ -51,6 +52,12 @@ def path_graph(n):
     return MetricGraph(n, [(i, i + 1) for i in range(n - 1)], name=f"path_{n}")
 
 
+def interior_depths(g, members):
+    """d(x, complement) for every member x with a path to the complement."""
+    keys = np.asarray(sorted(members), dtype=np.int64)
+    return {v: d for v, d in zip(keys.tolist(), _set_depths(g, keys).tolist()) if d}
+
+
 def ball_cover(space, balls, r=1, d_constant=2, scale=1):
     """A hand-built fattened cover of ``space``: one set per (centre,
     radius) ball, its depths the true interior depths times ``scale``;
@@ -59,17 +66,17 @@ def ball_cover(space, balls, r=1, d_constant=2, scale=1):
     sets = []
     for c, rad in balls:
         members = frozenset(ball(g, c, rad))
-        sets.append(FatSet(0, None, members, {v: scale * d for v, d in _interior_depths(g, members).items()}))
+        sets.append(FatSet(0, None, members, {v: scale * d for v, d in interior_depths(g, members).items()}))
     sets_of = {}
     for i, fs in enumerate(sets):
         for v in fs.members:
             sets_of.setdefault(v, []).append(i)
-    fat = FatCover(
+    fat = FatCover.from_sets(
+        g,
+        sets,
         r=r,
         d_constant=d_constant,
         base=None,
-        sets=tuple(sets),
-        sets_of={v: tuple(ix) for v, ix in sets_of.items()},
         diam_base=2 * max(rad for _, rad in balls),
         safe=frozenset(sets_of),
         order_max=max(map(len, sets_of.values())),
@@ -151,7 +158,7 @@ class TestBuildFatCover:
 class TestInteriorDepths:
     def test_depths_on_path_interval(self):
         g = path_graph(9)
-        depth = _interior_depths(g, frozenset({3, 4, 5}))
+        depth = interior_depths(g, frozenset({3, 4, 5}))
         assert depth == {3: 1, 4: 2, 5: 1}
 
     def test_depth_is_true_complement_distance(self, broom400_fat):
@@ -188,17 +195,12 @@ class TestLebesgue:
         holders = fat.sets_of[leaf]
         keep = [i for i in range(len(fat.sets)) if i not in holders]
         sets = tuple(fat.sets[i] for i in keep)
-        sets_of: dict[int, tuple[int, ...]] = {}
-        for i, fs in enumerate(sets):
-            for v in fs.members:
-                sets_of.setdefault(v, ())
-                sets_of[v] = sets_of[v] + (i,)
-        doctored = FatCover(
+        doctored = FatCover.from_sets(
+            b.graph,
+            sets,
             r=fat.r,
             d_constant=fat.d_constant,
             base=fat.base,
-            sets=sets,
-            sets_of=sets_of,
             diam_base=fat.diam_base,
             safe=fat.safe,
             order_max=fat.order_max,
@@ -206,6 +208,84 @@ class TestLebesgue:
         rep = lebesgue_check(b.graph, doctored)
         assert not rep.passed
         assert rep.witness is not None
+
+
+def dict_lebesgue(g, fc):
+    """lebesgue_check from the sets' frozensets: the least vertex whose
+    ball of radius floor((r-1)/2) lies in no set holding it."""
+    rad = (fc.r - 1) // 2
+    for x in range(g.vertex_count):
+        nbhd = ball(g, x, rad)
+        if not any(nbhd <= fc.sets[i].members for i in fc.sets_of.get(x, ())):
+            return LebesgueReport(False, rad, x)
+    return LebesgueReport(True, rad, None)
+
+
+def dict_phi(fc, x):
+    """phi from the sets' depth dicts."""
+    depths = {i: fc.sets[i].depth[x] for i in fc.sets_of.get(x, ()) if x in fc.sets[i].depth}
+    total = sum(depths.values())
+    return {i: Fraction(d, total) for i, d in sorted(depths.items())}
+
+
+@pytest.fixture(scope="module", params=[(400, 1), (250, 2), (350, 3)], ids=["r1", "r2", "r3"])
+def broom_fat_r(request):
+    m, r = request.param
+    b = broom_tree(m)
+    return b, build_fat_cover(b.graph, GeodesicFamily.all_of(b.graph), r=r, delta=0, d_constant=1, basepoint=b.basepoint)
+
+
+class TestArraysAgainstDicts:
+    """lebesgue_check and phi on the arrays against the formulas on the
+    ``sets``/``sets_of`` views, on built covers and on doctored ones."""
+
+    def test_lebesgue(self, broom_fat_r):
+        b, fat = broom_fat_r
+        assert lebesgue_check(b.graph, fat) == dict_lebesgue(b.graph, fat) == LebesgueReport(True, (fat.r - 1) // 2, None)
+
+    def test_lebesgue_with_holes(self, broom_fat_r):
+        # punch a few holes in every set, depths recomputed; some balls then
+        # lie in no set
+        b, fat = broom_fat_r
+        rng = random.Random(fat.r)
+        sets = []
+        for fs in fat.sets:
+            members = fs.members - set(rng.sample(sorted(fs.members), 3))
+            sets.append(FatSet(fs.origin_n, fs.origin_anchor, members, interior_depths(b.graph, members)))
+        doctored = FatCover.from_sets(
+            b.graph, sets, r=fat.r, d_constant=1, base=fat.base, diam_base=fat.diam_base, safe=fat.safe, order_max=2
+        )
+        rep = lebesgue_check(b.graph, doctored)
+        assert not rep.passed
+        assert rep == dict_lebesgue(b.graph, doctored)
+
+    def test_phi(self, broom_fat_r):
+        b, fat = broom_fat_r
+        for x in sorted(fat.safe)[::211]:
+            assert phi(b.graph, fat, x) == dict_phi(fat, x)
+
+    def test_views_match_independent_searches(self, broom_fat_r):
+        b, fat = broom_fat_r
+        g = b.graph
+        for i in (0, fat.set_count - 1):
+            dist = multi_source_distances(g, fat.base.sets[i].members)
+            members = frozenset(v for v, d in enumerate(dist) if 0 <= d <= 2 * fat.r)
+            outside = multi_source_distances(g, [v for v in range(g.vertex_count) if v not in members])
+            assert fat.sets[i].members == members
+            assert fat.sets[i].depth == {v: outside[v] for v in members}
+        assert all(fat.sets_of[v] == tuple(i for i, fs in enumerate(fat.sets) if v in fs.members) for v in range(0, g.vertex_count, 97))
+
+
+class TestScopeMessages:
+    def test_fattening_states_both_radii(self):
+        b = broom_tree(40)
+        with pytest.raises(ScopeTooSmallError, match=r"needs radius 2r = 2 .* has radius 40 about the basepoint"):
+            build_fat_cover(b.graph, GeodesicFamily.all_of(b.graph), r=1, delta=0, d_constant=1, basepoint=b.basepoint)
+
+    def test_empty_core_states_both_radii(self):
+        b = broom_tree(105)
+        with pytest.raises(ScopeTooSmallError, match=r"needs radius 5r = 5 .* reach radius 0 .*eccentricity 105"):
+            build_fat_cover(b.graph, GeodesicFamily.all_of(b.graph), r=1, delta=0, d_constant=1, basepoint=b.basepoint)
 
 
 class TestPhi:
@@ -241,10 +321,9 @@ class TestPhi:
     def test_sum_below_r_is_a_claim_violation(self):
         g = path_graph(9)
         members = frozenset({3, 4, 5})
-        fs = FatSet(1, None, members, _interior_depths(g, members))
-        fc = FatCover(
-            r=2, d_constant=1, base=None, sets=(fs,), sets_of={v: (0,) for v in members},
-            diam_base=2, safe=frozenset(members), order_max=1,
+        fs = FatSet(1, None, members, interior_depths(g, members))
+        fc = FatCover.from_sets(
+            g, (fs,), r=2, d_constant=1, base=None, diam_base=2, safe=frozenset(members), order_max=1,
         )
         assert phi(g, fc, 4) == {0: Fraction(1)}
         with pytest.raises(ClaimViolation, match="Lebesgue consequence failed at vertex 3"):
@@ -256,20 +335,18 @@ class TestAnchors:
     def test_interval_anchor_is_midpoint(self):
         g = path_graph(9)
         members = frozenset({3, 4, 5})
-        fs = FatSet(1, None, members, _interior_depths(g, members))
-        fc = FatCover(
-            r=1, d_constant=1, base=None, sets=(fs,), sets_of={v: (0,) for v in members},
-            diam_base=2, safe=frozenset(members), order_max=1,
+        fs = FatSet(1, None, members, interior_depths(g, members))
+        fc = FatCover.from_sets(
+            g, (fs,), r=1, d_constant=1, base=None, diam_base=2, safe=frozenset(members), order_max=1,
         )
         assert select_anchors(g, fc) == {0: 4}
 
     def test_tie_breaks_to_least_id(self):
         g = path_graph(9)
         members = frozenset({2, 3})
-        fs = FatSet(1, None, members, _interior_depths(g, members))
-        fc = FatCover(
-            r=1, d_constant=1, base=None, sets=(fs,), sets_of={v: (0,) for v in members},
-            diam_base=1, safe=frozenset(members), order_max=1,
+        fs = FatSet(1, None, members, interior_depths(g, members))
+        fc = FatCover.from_sets(
+            g, (fs,), r=1, d_constant=1, base=None, diam_base=1, safe=frozenset(members), order_max=1,
         )
         assert select_anchors(g, fc) == {0: 2}
 
@@ -498,10 +575,9 @@ class TestIntegerCore:
     def test_total_below_r_raises_like_phi(self):
         g = path_graph(9)
         members = frozenset({3, 4, 5})
-        fs = FatSet(1, None, members, _interior_depths(g, members))
-        fc = FatCover(
-            r=2, d_constant=1, base=None, sets=(fs,), sets_of={v: (0,) for v in members},
-            diam_base=2, safe=frozenset(members), order_max=1,
+        fs = FatSet(1, None, members, interior_depths(g, members))
+        fc = FatCover.from_sets(
+            g, (fs,), r=2, d_constant=1, base=None, diam_base=2, safe=frozenset(members), order_max=1,
         )
         assert _weights(fc, 4) == ({0: 2}, 2)
         with pytest.raises(ClaimViolation, match="Lebesgue consequence failed at vertex 3"):

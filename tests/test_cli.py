@@ -132,6 +132,25 @@ class TestCover:
         assert "cover r=1 ell=0 base=0" in out
         assert "set n=1 anchor=- :" in out
 
+    @pytest.mark.parametrize(
+        "argv, ecc",
+        [
+            ("cover --space grid:6 --r 1 --delta 0 --d-constant 1", 10),
+            ("cover --space broom:5 --r 1 --ell 0 --d-constant 1", 5),
+        ],
+    )
+    def test_no_complete_annulus_exits_3(self, capsys, argv, ecc):
+        # with nothing to check, no check may read as passed
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, err) == (3, "")
+        lines = out.splitlines()
+        assert lines[-2:] == [
+            "complete=-",
+            "# scope: no complete annulus; one needs the basepoint's eccentricity to reach "
+            f"band + r + ell = 11 (band = 10(r+ell) = 10), and it is {ecc}",
+        ]
+        assert not any(line.startswith(("max_diam", "diam_pass", "max_mult", "mult_pass", "asdim_upper")) for line in lines)
+
     def test_ell_violation_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "cover", "--space", "grid:4", "--r", "1", "--ell", "0", "--delta", "2"
@@ -145,6 +164,13 @@ class TestA1:
         code, out, _ = run_cli(capsys, "a1", "--space", "broom:40", "--r", "1")
         assert code == 3
         assert "scope too small" in out
+
+    def test_pipeline_reads_only_the_arrays(self):
+        # the frozenset and dict views of the fat cover are built on demand,
+        # never by the pipeline itself
+        result = cli.pipeline_a1(broom_tree(130), r=1, pair_budget=12)
+        assert result.exit_code == 0
+        assert {"sets", "sets_of"}.isdisjoint(vars(result.fat))
 
     def test_small_pipeline_passes(self, capsys):
         code, out, _ = run_cli(

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import floyd_warshall, random_graph
 
 from coarselab.cover import (
     Cover,
@@ -426,6 +426,68 @@ class TestMultiplicity:
             nbhd = ball(b.graph, x, radius)
             met = {n for n, ann in cov.annuli.items() if ann & nbhd}
             assert len(met) <= 2
+
+
+def brute_multiplicity(dist, cover: Cover, radius: int, complete_only: bool) -> tuple[int, int | None]:
+    """(max, witness) of the number of sets each ball N(x; radius) meets,
+    over the vertices whose ball stays inside the complete region (every
+    vertex without ``complete_only``); the witness is the least vertex
+    attaining a positive max. ``dist`` is the all-pairs distance table."""
+    region = cover.complete_region()
+    best, witness = 0, None
+    for x in range(len(dist)):
+        nbhd = {v for v in range(len(dist)) if dist[x][v] <= radius}
+        if complete_only and not nbhd <= region:
+            continue
+        met = sum(1 for cs in cover.sets if nbhd & cs.members)
+        if met > best:
+            best, witness = met, x
+    return best, witness
+
+
+class TestMultiplicityOracle:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_hand_built_covers(self, seed):
+        # random graphs, often disconnected, with random overlapping sets
+        # (some empty) and a random complete region
+        rng = random.Random(seed)
+        g = random_graph(seed, max_vertices=14, edge_prob=(0.1, 0.2, 0.35)[seed % 3])
+        n = g.vertex_count
+        sets = tuple(CoverSet(1, None, frozenset(rng.sample(range(n), rng.randint(0, n)))) for _ in range(4))
+        inner = frozenset(rng.sample(range(n), rng.randint(0, n)))
+        cov = Cover(
+            params=CoverParams(r=1, ell=0, delta=0, basepoint=0),
+            sets=sets,
+            annuli={1: inner, 2: frozenset(range(n)) - inner},
+            spheres={},
+            complete=frozenset({1}),
+        )
+        dist = floyd_warshall(g)
+        for radius in range(4):
+            for complete_only in (True, False):
+                rep = multiplicity(g, cov, radius, complete_only=complete_only)
+                assert (rep.max_multiplicity, rep.witness) == brute_multiplicity(dist, cov, radius, complete_only)
+
+    @pytest.mark.parametrize(
+        "space, params",
+        [(broom_tree(25), dict(r=1, ell=0, delta=0)), (grid(13), dict(r=1, ell=0, delta=0))],
+        ids=["broom25", "grid13"],
+    )
+    def test_built_covers(self, space, params):
+        g = space.graph
+        cov = build_cover(g, GeodesicFamily.all_of(g), CoverParams(basepoint=space.basepoint, **params))
+        assert cov.complete and len(cov.sets) > 2
+        dist = floyd_warshall(g)
+        for radius in (0, 1, 2, 4):
+            for complete_only in (True, False):
+                rep = multiplicity(g, cov, radius, complete_only=complete_only)
+                assert (rep.max_multiplicity, rep.witness) == brute_multiplicity(dist, cov, radius, complete_only)
+
+    def test_core_is_built_once_per_radius(self, broom120_cover):
+        b, _, cov = broom120_cover
+        assert cov._core_mask(b.graph, 2) is cov._core_mask(b.graph, 2)
+        multiplicity(b.graph, cov, 2)
+        assert cov.core(b.graph, 2) == frozenset(np.flatnonzero(cov._core_mask(b.graph, 2)).tolist())
 
 
 class TestAsdimUpper:

@@ -19,6 +19,8 @@ from coarselab.graphs import (
     _distance_rows,
     _Rows,
     _distance_to_set,
+    _set_balls,
+    _set_depths,
     all_geodesics,
     ball,
     bfs_distances,
@@ -560,6 +562,63 @@ class TestBfsKernel:
         assert tm.depth.tolist() == real(g, 0)
 
 
+def random_sets(rng: random.Random, g: MetricGraph) -> list[set[int]]:
+    """Five vertex sets of g: empty ones, whole components (whose members
+    have no path to the complement), and random samples, which overlap."""
+    n = g.vertex_count
+    sets = []
+    for _ in range(5):
+        kind = rng.randrange(4)
+        if kind == 0:
+            sets.append(set())
+        elif kind == 1:
+            sets.append(set(_bfs(g, [rng.randrange(n)])))
+        else:
+            sets.append(set(rng.sample(range(n), rng.randint(1, n))))
+    return sets
+
+
+def set_keys(sets, n: int) -> np.ndarray:
+    return np.asarray(sorted(s * n + v for s, ms in enumerate(sets) for v in ms), dtype=np.int64)
+
+
+class TestSetKernels:
+    """``_set_balls`` and ``_set_depths`` against one ``_bfs`` per set."""
+
+    def test_oracle_draws_cover_the_edge_cases(self):
+        empty = overlapping = closed = 0
+        for seed in range(30):
+            g = kernel_graph(seed)
+            sets = random_sets(random.Random(seed), g)
+            empty += sum(not ms for ms in sets)
+            overlapping += sum(bool(a & b) for a, b in itertools.combinations(sets, 2))
+            closed += int((_set_depths(g, set_keys(sets, g.vertex_count)) == 0).sum())  # no path out
+        assert empty and overlapping and closed
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_balls_match_per_set_bfs(self, seed):
+        g = kernel_graph(seed)
+        n = g.vertex_count
+        sets = random_sets(random.Random(seed), g)
+        keys = set_keys(sets, n)
+        for radius in range(5):
+            expected = set_keys([_bfs(g, ms, radius) if ms else () for ms in sets], n)
+            assert _set_balls(g, keys, radius).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_depths_match_bfs_within_the_set(self, seed):
+        g = kernel_graph(seed)
+        n = g.vertex_count
+        sets = random_sets(random.Random(seed), g)
+        expected = {}
+        for s, ms in enumerate(sets):
+            boundary = [v for v in ms if any(w not in ms for w in g.neighbors(v))]
+            inner = _bfs(g, boundary, within=ms) if boundary else {}
+            expected.update({s * n + v: inner[v] + 1 if v in inner else 0 for v in ms})
+        keys = set_keys(sets, n)
+        assert dict(zip(keys.tolist(), _set_depths(g, keys).tolist())) == expected
+
+
 class TestRowStore:
     @pytest.mark.parametrize("seed", range(30))
     @pytest.mark.parametrize("memoised", [True, False])
@@ -763,6 +822,22 @@ def test_geodesics_reads_full_rows_from_the_store():
     }
     assert "_Rows" in called
     assert called.isdisjoint({"bfs_distances", "distance_vector"})
+
+
+def test_covers_run_no_search_per_set():
+    """a1.py and cover.py neither import nor call ``_bfs``: their sets grow
+    through the set-labelled kernel, not one search per set."""
+    package = FilePath(__file__).resolve().parent.parent / "src" / "coarselab"
+    for name in ("a1.py", "cover.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        called = {
+            node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        assert "_set_balls" in called, name
+        assert "_bfs" not in imported | called, name
 
 
 class TestPathType:
