@@ -513,11 +513,13 @@ class _PairChecker(_Neighbourhoods):
         self.envelope = np.flatnonzero(reach & (da + db <= d_ab + 4 * r_max))
         self._hoods: dict[int, list[int]] = {}
         self.r_max = r_max
-        # canonical(u, v): the canonical u-v geodesic, walked once down v's row
+        # canonical(u, v): the canonical u-v geodesic, walked once down v's
+        # row, which becomes a list once per far end v
         self.canonical = None
         if fam.kind == "canonical":
             adj = self.g._adj
-            self.canonical = functools.cache(lambda u, v: tuple(_canonical_walk(adj, rows[v].tolist(), u)))
+            row_list = functools.cache(lambda v: rows[v].tolist())
+            self.canonical = functools.cache(lambda u, v: tuple(_canonical_walk(adj, row_list(v), u)))
         self.a, self.b = a, b
 
     def depth(self, c: int) -> int:

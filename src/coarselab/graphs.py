@@ -34,6 +34,14 @@ once: ``_distance_rows`` is a bit-parallel BFS that runs up to 64 searches
 in the bits of one machine word (MS-BFS: Then et al., *The More the
 Merrier*, PVLDB 8(4), 2014), used where the searches are shallow.
 
+On a tree, exact distances come from ``_TreeMetric``, a heavy-path
+decomposition from root 0 built on the depth row the connectivity check
+already keeps: each vertex's parent, depth and chain head, O(n) arrays
+in all. A batch of lowest common ancestors takes one numpy pass per light
+edge its root paths cross (at most two on a broom, O(log n) on any tree).
+Tree set diameters are two such batches (a double sweep), and the tree
+backend of property B reads its distances and paths from the same object.
+
 The canonical tie-break (step to the least-id neighbour one closer) lives
 in ``_canonical_step``; every canonical path uses it, and ``_closer_steps``
 gives it for every vertex at once, with all neighbours one closer, as the
@@ -43,6 +51,7 @@ cover's anchor propagation reads them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Collection, Iterable, Iterator
 
@@ -763,13 +772,12 @@ def _tree_set_diameters(tm: "_TreeMetric", sets: list[list[int]]) -> list[int]:
     flat = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=int(sizes.sum()))
     starts = np.zeros(len(sets), dtype=np.int64)
     np.cumsum(sizes[:-1], out=starts[1:])
-    seg = np.repeat(np.arange(len(sets)), sizes)
-    d0 = tm.pair_distances(flat[starts][seg], flat)
+    d0 = tm.pair_distances(np.repeat(flat[starts], sizes), flat)
     # First farthest member of each set: every segment holds its maximum,
     # so the first hit at or after a segment's start lies inside it.
-    hits = np.flatnonzero(d0 == np.maximum.reduceat(d0, starts)[seg])
+    hits = np.flatnonzero(d0 == np.repeat(np.maximum.reduceat(d0, starts), sizes))
     far = flat[hits[np.searchsorted(hits, starts)]]
-    d1 = tm.pair_distances(far[seg], flat)
+    d1 = tm.pair_distances(np.repeat(far, sizes), flat)
     return np.maximum.reduceat(d1, starts).tolist()
 
 
@@ -807,7 +815,18 @@ def _scan_diameter(g: MetricGraph, ms: list[int]) -> int | None:
 
 
 class _TreeMetric:
-    """Binary-lifting LCA structure giving vectorized exact tree distances."""
+    """Exact tree distances by heavy-path decomposition, from root 0.
+
+    Every vertex keeps its ``parent`` (the root is its own), its ``depth``
+    and the ``head`` of its heavy chain. A chain runs from its head down
+    through heavy children; a vertex's heavy child is its child with the
+    largest subtree, least id on ties. ``jump`` (the head's parent) and
+    ``head_depth`` (the head's depth) are kept per vertex. A light child's
+    subtree is at most half its parent's, so a root path crosses at most
+    log2(n) light edges, and an LCA query leaves a chain at most that many
+    times on each side (once on a broom). Five O(n) arrays in all; ``path``
+    adds two more, laying the chains out as slices, on its first call.
+    """
 
     def __init__(self, g: MetricGraph, depths_from_0: list[int]):
         n = g.vertex_count
@@ -817,38 +836,67 @@ class _TreeMetric:
         indptr, indices = g.csr_arrays()
         tail = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
         up_edge = depth[indices] == depth[tail] - 1
-        k = max(1, int(np.ceil(np.log2(max(2, n)))))
-        up = np.empty((k, n), dtype=np.int32)  # vertex ids fit; depths stay int64
-        up[0, 0] = 0
-        up[0][tail[up_edge]] = indices[up_edge]
-        for i in range(1, k):
-            up[i] = up[i - 1][up[i - 1]]
+        parent = np.zeros(n, dtype=np.int32)
+        parent[tail[up_edge]] = indices[up_edge]
+        # Scratch arrays are dropped as soon as they are used up: the first
+        # call often comes with a large batch of members already held.
+        del tail, up_edge
+        # Slots in level order: order[bounds[d] : bounds[d + 1]] holds the
+        # vertices at depth d, and above[i] is the slot of order[i]'s parent.
+        order = np.argsort(depth, kind="stable")
+        bounds = np.searchsorted(depth[order], np.arange(int(depth[order[-1]]) + 2)).tolist()
+        slot = np.empty(n, dtype=np.int64)
+        slot[order] = np.arange(n)
+        above = slot[parent[order]]
+        del slot
+        # Subtree sizes by slot, bottom-up. The added values are copied
+        # first: given a view of its own target, add.at runs many times slower.
+        size = np.ones(n, dtype=np.int32)
+        for lo, hi in zip(bounds[-2:0:-1], bounds[-1:1:-1]):
+            np.add.at(size, above[lo:hi], size[lo:hi].copy())
+        # A heavy child: its parent's child with the largest subtree, least
+        # id on ties.
+        kids = slice(bounds[1], n)
+        largest = np.zeros(n, dtype=np.int32)
+        np.maximum.at(largest, above[kids], size[kids])
+        tied = bounds[1] + np.flatnonzero(size[kids] == largest[above[kids]])
+        del size, largest
+        least = np.full(n, n, dtype=np.int64)
+        np.minimum.at(least, above[tied], order[tied])
+        heavy = order == least[above]
+        del tied, least
+        # Chain heads by slot, top-down: a heavy child takes its parent's.
+        by_slot = order.astype(np.int32)
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            np.copyto(by_slot[lo:hi], by_slot[above[lo:hi]], where=heavy[lo:hi])
+        head = np.empty(n, dtype=np.int32)
+        head[order] = by_slot
+        self.parent = parent
         self.depth = depth
-        self.up = up
-        self.levels = k
+        self.head = head
+        self.jump = parent[head]
+        self.head_depth = depth[head]
 
-    def lca_pairs(self, a_in: np.ndarray, b_in: np.ndarray) -> np.ndarray:
-        depth, up = self.depth, self.up
-        a = a_in.astype(np.int64)
-        b = b_in.astype(np.int64)
-        diff = depth[a] - depth[b]
-        for k in range(self.levels):
-            bit = 1 << k
-            m = (diff > 0) & ((diff & bit) != 0)
-            if m.any():
-                a[m] = up[k][a[m]]
-            m = (diff < 0) & (((-diff) & bit) != 0)
-            if m.any():
-                b[m] = up[k][b[m]]
-        neq = a != b
-        for k in range(self.levels - 1, -1, -1):
-            take = neq & (up[k][a] != up[k][b])
-            if take.any():
-                a[take] = up[k][a[take]]
-                b[take] = up[k][b[take]]
-            neq = a != b
-        a[neq] = up[0][a[neq]]
-        return a
+    def lca_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Lowest common ancestors of two aligned id arrays."""
+        head, jump, head_depth = self.head, self.jump, self.head_depth
+        u = np.array(a, dtype=np.int64)
+        v = np.array(b, dtype=np.int64)
+        # Each pass lifts, in every pair still on two chains, the side whose
+        # head is deeper to the chain above; the meet lies above that head,
+        # so no pair overshoots it. On one chain the shallower side is it.
+        live = np.flatnonzero(head[u] != head[v])
+        x, y = u[live], v[live]
+        while live.size:
+            lift = head_depth[x] >= head_depth[y]
+            lifted = jump[np.where(lift, x, y)]
+            x = np.where(lift, lifted, x)
+            y = np.where(lift, y, lifted)
+            u[live] = x
+            v[live] = y
+            keep = np.flatnonzero(head[x] != head[y])
+            live, x, y = live[keep], x[keep], y[keep]
+        return np.where(self.depth[u] <= self.depth[v], u, v)
 
     def pair_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact tree distances ``d(a[i], b[i])`` of two aligned id arrays."""
@@ -868,19 +916,32 @@ class _TreeMetric:
         return self.pair_distances(np.repeat(us, vs.size), np.tile(vs, us.size)).reshape(us.size, vs.size)
 
     def path(self, u: int, v: int) -> list[int]:
-        """The unique u-v path, via parent pointers through the meet."""
+        """The unique u-v path: both ends climb to their meet."""
         anc = int(self.lca_pairs(np.asarray([u]), np.asarray([v]))[0])
-        up_side = []
-        a = u
-        while a != anc:
-            up_side.append(a)
-            a = int(self.up[0][a])
-        down_side = []
-        b = v
-        while b != anc:
-            down_side.append(b)
-            b = int(self.up[0][b])
-        return up_side + [anc] + down_side[::-1]
+        return self._climb(u, anc) + self._climb(v, anc)[-2::-1]
+
+    def _climb(self, x: int, anc: int) -> list[int]:
+        """x, its parent, ... up to its ancestor anc, one chain slice at a time."""
+        order, pos = self._chain_order
+        head, jump, depth, head_depth = self.head, self.jump, self.depth, self.head_depth
+        slices = []  # each from a chain's head, or from anc, down to x
+        while head[x] != head[anc]:
+            slices.append(order[pos[x] - (depth[x] - head_depth[x]) : pos[x] + 1])
+            x = jump[x]
+        slices.append(order[pos[anc] : pos[x] + 1])
+        return np.concatenate(slices[::-1])[::-1].tolist()
+
+    @cached_property
+    def _chain_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, pos)`` with ``order[pos[v]] == v``: the vertices chain by
+        chain, each chain from its head down. Built on the first ``path``."""
+        n = self.head.size
+        offset = np.zeros(n, dtype=np.int64)
+        np.cumsum(np.bincount(self.head, minlength=n)[:-1], out=offset[1:])
+        pos = (offset[self.head] + self.depth - self.head_depth).astype(np.int32)
+        order = np.empty(n, dtype=np.int32)
+        order[pos] = np.arange(n, dtype=np.int32)
+        return order, pos
 
 
 # -- file format -------------------------------------------------------

@@ -395,6 +395,32 @@ class TestPropertyB:
         assert rep.observed_D == 5
         assert rep.violations_total == 0
 
+    def test_canonical_walks_share_one_list_per_far_end(self, monkeypatch):
+        from coarselab import geodesics
+
+        g = grid(8).graph
+        rows = graphs._Rows(g)
+        walks = []
+        real = geodesics._canonical_walk
+
+        def spy(adj, dist, u):
+            walk = real(adj, dist, u)
+            walks.append((walk[-1], dist, walk))  # the list stays alive, so ids stay distinct
+            return walk
+
+        monkeypatch.setattr(geodesics, "_canonical_walk", spy)
+        pair = geodesics._PairChecker(GeodesicFamily.canonical_of(g), rows, 9, 54, 0, 1, 2)
+        pool = pair.qualifying_pool()
+        for r in range(3):
+            pair.counts(r, pool)
+        ends = {end for end, _, _ in walks}
+        assert len(ends) > 1 and len(walks) > 2 * len(ends)
+        # one row list per far end, however many walks read it
+        assert len({id(dist) for _, dist, _ in walks}) == len(ends)
+        for end, dist, walk in walks:
+            assert dist == rows[end].tolist()
+            assert tuple(walk) == canonical_geodesic(g, walk[0], end).vertices
+
     def test_canonical_family_on_grid_violations(self):
         sp = grid(3)
         fam = GeodesicFamily.canonical_of(sp.graph)

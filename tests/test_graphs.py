@@ -541,7 +541,7 @@ class TestBfsKernel:
                     q.append(w)
         tm = g.tree_metric()
         assert tm.depth.tolist() == depth
-        assert tm.up[0].tolist() == parent
+        assert tm.parent.tolist() == parent
 
     def test_tree_metric_reuses_the_connectivity_bfs(self, monkeypatch):
         from coarselab import graphs
@@ -560,6 +560,157 @@ class TestBfsKernel:
         assert sources == [0]
         assert g.tree_metric() is tm and sources == [0]
         assert tm.depth.tolist() == real(g, 0)
+
+
+def bfs_parents(g: MetricGraph) -> tuple[list[int], list[int]]:
+    """Parent and depth of every vertex of a tree rooted at 0, by BFS; the
+    root is its own parent."""
+    parent, depth = [0] * g.vertex_count, [0] * g.vertex_count
+    seen = {0}
+    q = deque([0])
+    while q:
+        u = q.popleft()
+        for w in g.neighbors(u):
+            if w not in seen:
+                seen.add(w)
+                parent[w], depth[w] = u, depth[u] + 1
+                q.append(w)
+    return parent, depth
+
+
+def walk_lca(parent: list[int], depth: list[int], u: int, v: int) -> int:
+    while depth[u] > depth[v]:
+        u = parent[u]
+    while depth[v] > depth[u]:
+        v = parent[v]
+    while u != v:
+        u, v = parent[u], parent[v]
+    return u
+
+
+def walk_path(parent: list[int], depth: list[int], u: int, v: int) -> list[int]:
+    meet = walk_lca(parent, depth, u, v)
+    up, down = [u], [v]
+    while up[-1] != meet:
+        up.append(parent[up[-1]])
+    while down[-1] != meet:
+        down.append(parent[down[-1]])
+    return up + down[-2::-1]
+
+
+def labelled_tree(rng: random.Random, n: int, attach) -> MetricGraph:
+    """A tree on n vertices whose k-th vertex hangs off vertex attach(k),
+    with ids shuffled, so that parents do not precede their children."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return MetricGraph(n, [(ids[attach(k)], ids[k]) for k in range(1, n)], name="ltree")
+
+
+def oracle_trees() -> list[MetricGraph]:
+    from coarselab.spaces import broom_tree, regular_tree
+
+    rng = random.Random(12)
+    trees = [MetricGraph(1, [], name="point"), path_graph(2), broom_tree(9).graph, regular_tree(3, 4).graph]
+    trees += [regular_tree(2, 6).graph, regular_tree(5, 2).graph, path_graph(40), broom_tree(1).graph]
+    for n in (2, 3, 17, 40, 90):
+        trees.append(labelled_tree(rng, n, lambda k: rng.randrange(k)))  # random attachment
+        trees.append(labelled_tree(rng, n, lambda k: k - 1))  # path
+        trees.append(labelled_tree(rng, n, lambda k: 0))  # star
+        trees.append(labelled_tree(rng, n, lambda k: 2 * ((k - 1) // 2)))  # caterpillar: legs on even spine ids
+        trees.append(labelled_tree(rng, n, lambda k: max(0, k - rng.randint(1, 3))))  # bushy path
+    return trees
+
+
+ORACLE_TREES = oracle_trees()
+
+
+@st.composite
+def parent_arrays(draw):
+    """A random tree as a parent array: vertex k >= 1 hangs off an earlier
+    vertex, then every id is relabelled by a random permutation."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    attach = [draw(st.integers(min_value=0, max_value=k - 1)) for k in range(1, n)]
+    ids = draw(st.permutations(range(n)))
+    return MetricGraph(n, [(ids[p], ids[k]) for k, p in enumerate(attach, start=1)], name="hyp_tree")
+
+
+def check_tree_metric(g: MetricGraph, rng: random.Random) -> None:
+    """Every query of the tree metric against parent walks and BFS rows."""
+    n = g.vertex_count
+    parent, depth = bfs_parents(g)
+    tm = g.tree_metric()
+    assert tm.parent.tolist() == parent and tm.depth.tolist() == depth
+    rows = [bfs_distances(g, s) for s in range(n)]
+    # all pairs on small trees, else a sample with u == v and ancestor pairs
+    if n <= 20:
+        pairs = list(itertools.product(range(n), repeat=2))
+    else:
+        pairs = [(u, u) for u in rng.sample(range(n), 5)]
+        pairs += [(u, parent[parent[u]]) for u in rng.sample(range(n), 10)]
+        pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(200)]
+        pairs += [(v, u) for u, v in pairs]
+    us = np.asarray([u for u, _ in pairs], dtype=np.int64)
+    vs = np.asarray([v for _, v in pairs], dtype=np.int64)
+    assert tm.lca_pairs(us, vs).tolist() == [walk_lca(parent, depth, u, v) for u, v in pairs]
+    assert tm.pair_distances(us, vs).tolist() == [rows[u][v] for u, v in pairs]
+    assert us.tolist() == [u for u, _ in pairs]  # inputs left as they were
+    for u, v in pairs[:60]:
+        assert tm.path(u, v) == walk_path(parent, depth, u, v)
+        assert len(tm.path(u, v)) == rows[u][v] + 1
+    sample = sorted(rng.sample(range(n), min(n, 12)))
+    others = sorted(rng.sample(range(n), min(n, 7)))
+    assert tm.pairwise(sample, others).tolist() == [[rows[u][v] for v in others] for u in sample]
+    assert tm.distances(sample[0], others).tolist() == [rows[sample[0]][v] for v in others]
+
+
+def subtree_sizes(parent: list[int], depth: list[int]) -> list[int]:
+    size = [1] * len(parent)
+    for v in sorted(range(1, len(parent)), key=depth.__getitem__, reverse=True):
+        size[parent[v]] += size[v]
+    return size
+
+
+class TestTreeMetric:
+    """The heavy-path tree metric against parent walks and BFS rows."""
+
+    @pytest.mark.parametrize("index", range(len(ORACLE_TREES)))
+    def test_matches_walks_and_bfs(self, index):
+        check_tree_metric(ORACLE_TREES[index], random.Random(index))
+
+    @given(parent_arrays(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_walks_on_random_parent_arrays(self, g, rng):
+        check_tree_metric(g, rng)
+
+    @pytest.mark.parametrize("index", range(len(ORACLE_TREES)))
+    def test_light_children_hold_at_most_half(self, index):
+        # the invariant behind the O(log n) bound on LCA passes
+        g = ORACLE_TREES[index]
+        tm = g.tree_metric()
+        parent, depth = bfs_parents(g)
+        size = subtree_sizes(parent, depth)
+        heads = tm.head.tolist()
+        for v in range(1, g.vertex_count):
+            if heads[v] == v:  # v heads its chain: a light child
+                assert 2 * size[v] <= size[parent[v]]
+            else:  # v continues its parent's chain: the heaviest child, least id on ties
+                assert heads[v] == heads[parent[v]]
+                p = parent[v]
+                siblings = [w for w in g.neighbors(p) if w != parent[p]]
+                assert max(siblings, key=lambda w: (size[w], -w)) == v
+        assert tm.jump.tolist() == [parent[h] for h in heads]
+        assert tm.head_depth.tolist() == [depth[h] for h in heads]
+
+    def test_arrays_stay_linear_in_vertices(self):
+        from coarselab.spaces import broom_tree
+
+        g = broom_tree(300).graph
+        tm = g.tree_metric()
+        tm.path(5, g.vertex_count - 1)  # builds the chain layout too
+        arrays = [a for x in vars(tm).values() for a in (x if isinstance(x, tuple) else (x,))]
+        assert all(isinstance(a, np.ndarray) for a in arrays)
+        assert sum(a.nbytes for a in arrays) <= 40 * g.vertex_count
+        assert all(a.ndim == 1 for a in arrays)
 
 
 def random_sets(rng: random.Random, g: MetricGraph) -> list[set[int]]:
