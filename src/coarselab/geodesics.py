@@ -21,9 +21,14 @@ vectorized ancestor structure; other graphs pair by pair inside the
 geodesic envelope of the pair, reading distance and path-count rows from
 one memoised store per call (``graphs._Rows``), which loads the endpoint
 rows of each run of pairs, then the neighbourhood rows a pair reads, in
-batches. :func:`thin_delta` takes one path on every graph, an early-exit
-search from each side vertex to the other two sides; every side walks a
-row of the same kind of store, loaded a run of triples at a time.
+batches, and hands the rows of many sources at many columns back as one
+matrix (``_Rows.block``). With k = 0 and all geodesics the intersection
+clause is a product of path counts, tested for every (a', b', c) at
+once. A violation is counted when found; its witness geodesic is built
+only if the report keeps it. :func:`thin_delta` takes one path on every
+graph, an early-exit search from each side vertex to the other two
+sides; every side walks a row of the same kind of store, loaded a run of
+triples at a time.
 
 A family enters only as its walk down a distance row: the canonical walk
 (the least-id step) or all walks (every step one closer). G(a,b;r) has
@@ -117,7 +122,7 @@ class GeodesicFamily:
         checker = _PairChecker(self, _Rows(self.graph), a, b, 0, 0, r)
         if not checker.reachable:
             raise ValueError(f"vertices {a} and {b} are unreachable from each other")
-        return checker._members_of_union_r(*checker._sets_at(r))
+        return set(np.flatnonzero(checker._members_of_union_r(*checker._sets_at(r))).tolist())
 
 
 # -- thin triangles ----------------------------------------------------
@@ -302,7 +307,7 @@ def check_property_b(
     instance it computes ``|G(a,b;r) ∩ N(c;k)|`` exactly and verifies the
     intersection clause, recording one witness geodesic per violating
     instance (list capped at ``violation_cap``; ``violations_total`` keeps
-    the full count).
+    the full count, and only the violations kept build their witness).
 
     ``observed_D == 0`` with ``qualifying_found == False`` means no
     instance qualified at these parameters: a vacuous run, not a pass.
@@ -352,18 +357,21 @@ def check_property_b(
             c_truncated = True
             rng_c = random.Random(seed * 2_654_435_761 + a * 1_000_003 + b)
             pool = sorted(rng_c.sample(pool, c_budget))
+        pool_at = np.asarray(pool)
+        pool_depth = worker.depths(pool)
         for r in range(0, r_max + 1):
-            cs = [c for c in pool if worker.depth(c) >= r + ell]
+            cs = pool_at[pool_depth >= r + ell].tolist()
             if not cs:
                 continue
             for c, cnt in zip(cs, worker.counts(r, cs)):
                 samples += 1
                 if cnt > observed:
                     observed = cnt
+            # Every violation counts; only those kept build their witness.
             for c, witness in worker.violations(r, cs):
                 violations_total += 1
                 if len(violations) < violation_cap:
-                    violations.append(PropertyBViolation(a, b, r, c, witness))
+                    violations.append(PropertyBViolation(a, b, r, c, witness()))
 
     exhaustive = exhaustive_pairs and not c_truncated
     return PropertyBReport(
@@ -378,6 +386,18 @@ def check_property_b(
         violations_total=violations_total,
         qualifying_found=qualifying_found,
     )
+
+
+def _first_cells(avoidable: np.ndarray) -> Iterator[tuple[int, int, int]]:
+    """Each index t of the last axis of an (|A|, |B|, |cs|) mask that holds
+    a True cell, with its first such cell (i, j) in row-major order, the
+    one ``np.argwhere(avoidable[:, :, t])`` lists first."""
+    nb, ncs = avoidable.shape[1:]
+    cells = avoidable.reshape(-1, ncs)
+    first = cells.argmax(axis=0)
+    for t in np.flatnonzero(cells.any(axis=0)).tolist():
+        i, j = divmod(int(first[t]), nb)
+        yield t, i, j
 
 
 class _Neighbourhoods:
@@ -424,12 +444,17 @@ class _TreePairChecker(_Neighbourhoods):
         self._maw: np.ndarray | None = None
         self._mwb: np.ndarray | None = None
 
-    def depth(self, c: int) -> int:
-        i = self.pos[c]
-        return min(i, self.d_ab - i)
+    def depths(self, cs: list[int]) -> np.ndarray:
+        """d(c, {a, b}) for every c of ``cs``, all on the a-b path."""
+        i = np.asarray([self.pos[c] for c in cs])
+        return np.minimum(i, self.d_ab - i)
 
     def qualifying_pool(self) -> list[int]:
-        return sorted(c for c in self.path if self.depth(c) >= self.ell)
+        i = np.arange(self.d_ab + 1)
+        return np.sort(np.asarray(self.path)[np.minimum(i, self.d_ab - i) >= self.ell]).tolist()
+
+    def _geodesic(self, ap: int, bp: int) -> Path:
+        return Path(tuple(self.tm.path(ap, bp)))
 
     def _witness_matrices(self, cs: list[int]) -> tuple[np.ndarray, np.ndarray]:
         need = sorted({w for c in cs for w in self._neighborhood(c)} - self._w_pos.keys())
@@ -471,10 +496,8 @@ class _TreePairChecker(_Neighbourhoods):
                 maw[np.ix_(sa, cpos)][:, None, :] + mwb[np.ix_(cpos, sb)].T[None, :, :]
                 == mab[:, :, None]
             )
-            clean = meets.all(axis=(0, 1))
-            for idx in np.flatnonzero(~clean):
-                i, j = map(int, np.argwhere(~meets[:, :, idx])[0])
-                yield cs[int(idx)], Path(tuple(self.tm.path(self.A[int(sa[i])], self.B[int(sb[j])])))
+            for idx, i, j in _first_cells(~meets):
+                yield cs[idx], functools.partial(self._geodesic, self.A[int(sa[i])], self.B[int(sb[j])])
             return
         for c in cs:
             hood_pos = [self._w_pos[w] for w in self._neighborhood(c)]
@@ -484,10 +507,8 @@ class _TreePairChecker(_Neighbourhoods):
             ).any(axis=2)
             if meets.all():
                 continue
-            i, j = map(int, np.argwhere(~meets)[0])
-            ap = self.A[int(sa[i])]
-            bp = self.B[int(sb[j])]
-            yield c, Path(tuple(self.tm.path(ap, bp)))
+            i, j = np.argwhere(~meets)[0].tolist()
+            yield c, functools.partial(self._geodesic, self.A[int(sa[i])], self.B[int(sb[j])])
 
 
 class _PairChecker(_Neighbourhoods):
@@ -510,6 +531,7 @@ class _PairChecker(_Neighbourhoods):
         self.da, self.db = da, db
         self.rows = rows
         self.reach = reach = (da >= 0) & (db >= 0)
+        self.depth_row = np.minimum(da, db)
         self.envelope = np.flatnonzero(reach & (da + db <= d_ab + 4 * r_max))
         self._hoods: dict[int, list[int]] = {}
         self.r_max = r_max
@@ -522,20 +544,20 @@ class _PairChecker(_Neighbourhoods):
             self.canonical = functools.cache(lambda u, v: tuple(_canonical_walk(adj, row_list(v), u)))
         self.a, self.b = a, b
 
-    def depth(self, c: int) -> int:
-        return int(min(self.da[c], self.db[c]))
+    def depths(self, cs: list[int]) -> np.ndarray:
+        """d(c, {a, b}) for every c of ``cs``."""
+        return self.depth_row[cs]
 
     def qualifying_pool(self) -> list[int]:
-        g_ab = self._members_of_union_r([self.a], [self.b])
-        pool = sorted(c for c in g_ab if self.depth(c) >= self.ell)
-        if pool:
+        pool = np.flatnonzero(self._members_of_union_r([self.a], [self.b]) & (self.depth_row >= self.ell))
+        if pool.size:
             # A radius r is checked only with a deep point at depth r + ell;
             # its instances read the rows of N(a;r) and N(b;r), or only of
             # N(b;r) (the far ends) for the canonical family.
-            r = min(self.r_max, max(map(self.depth, pool)) - self.ell)
+            r = min(self.r_max, int(self.depth_row[pool].max()) - self.ell)
             near = self.db <= r if self.canonical is not None else (self.da <= r) | (self.db <= r)
             self.rows.load(np.flatnonzero(self.reach & near).tolist())
-        return pool
+        return pool.tolist()
 
     def _sets_at(self, r: int) -> tuple[list[int], list[int]]:
         return (
@@ -549,29 +571,33 @@ class _PairChecker(_Neighbourhoods):
         if self.k == 0:
             # N(c;0) = {c} and c ∈ G(a,b) ⊆ G(a,b;r): the intersection is {c}.
             return [1] * len(cs)
-        A, B = self._sets_at(r)
-        members = self._members_of_union_r(A, B)
-        return [sum(1 for w in self._neighborhood(c) if w in members) for c in cs]
+        members = self._members_of_union_r(*self._sets_at(r))
+        # One gather over every neighbourhood, summed neighbourhood by neighbourhood.
+        hoods = [self._neighborhood(c) for c in cs]
+        starts = np.cumsum([0] + [len(hood) for hood in hoods[:-1]])
+        return np.add.reduceat(members[np.concatenate(hoods)], starts, dtype=np.int64).tolist()
 
-    def _members_of_union_r(self, A: list[int], B: list[int]) -> set[int]:
+    def _members_of_union_r(self, A: list[int], B: list[int]) -> np.ndarray:
+        """G(a,b;r) from A = N(a;r) and B = N(b;r), as a vertex mask."""
+        members = np.zeros(self.g.vertex_count, dtype=bool)
         if self.canonical is not None:
-            members: set[int] = set()
-            for ap in A:
-                for bp in B:
-                    members.update(self.canonical(ap, bp))
+            members[list(set().union(*(self.canonical(ap, bp) for ap in A for bp in B)))] = True
             return members
         # Every member lies in the envelope, so only its columns are compared.
         env = self.envelope
-        mab = np.stack([self.rows[x][B] for x in A])
-        rows_a = np.stack([self.rows[x][env] for x in A])
-        rows_b = np.stack([self.rows[x][env] for x in B])
+        dist_a, _ = self.rows.block(A, np.concatenate((B, env)), sigma=False)
+        rows_b, _ = self.rows.block(B, env, sigma=False)
+        mab, rows_a = dist_a[:, : len(B)], dist_a[:, len(B) :]
         ok = (rows_a[:, None, :] >= 0) & (rows_b[None, :, :] >= 0) & (mab[:, :, None] >= 0)
         hit = ok & (rows_a[:, None, :] + rows_b[None, :, :] == mab[:, :, None])
-        return set(env[hit.any(axis=(0, 1))].tolist())
+        members[env[hit.any(axis=(0, 1))]] = True
+        return members
 
     # -- intersection clause --
 
     def violations(self, r: int, cs: list[int]):
+        """Each c of ``cs`` that some family geodesic from N(a;r) to N(b;r)
+        avoids, in order, with a thunk that returns such a geodesic."""
         A, B = self._sets_at(r)
         if self.canonical is None and self.k == 0:
             on_all = self._on_every_geodesic(A, B, cs)
@@ -586,8 +612,8 @@ class _PairChecker(_Neighbourhoods):
         # |A| x |B| x |cs| mask, or None when a count is too large for exact
         # int64 products.
         nb = len(B)
-        dist_a, sig_a = self._gather(A, B + cs)
-        dbc, sbc = self._gather(B, cs)
+        dist_a, sig_a = self.rows.block(A, B + cs)
+        dbc, sbc = self.rows.block(B, cs)
         if max(sig_a.max(), sbc.max()) >= _SIGMA_VECTOR_MAX:
             return None
         dab, dac = dist_a[:, :nb], dist_a[:, nb:]
@@ -596,41 +622,34 @@ class _PairChecker(_Neighbourhoods):
             sac[:, None, :] * sbc[None, :, :] == sab[:, :, None]
         )
 
-    def _gather(self, X, cols) -> tuple[np.ndarray, np.ndarray]:
-        # Distance and path-count rows of X at cols, each x's rows read
-        # back to back so a full store recomputes its distance row once.
-        both = [(self.rows[x][cols], self.rows.sigma(x)[cols]) for x in X]
-        return np.stack([d for d, _ in both]), np.stack([s for _, s in both])
-
     def _violations_sigma(self, A, B, cs, on_all):
-        avoidable = ~on_all
-        for idx, c in enumerate(cs):
-            cells = np.argwhere(avoidable[:, :, idx])
-            if cells.size == 0:
-                continue
-            i, j = map(int, cells[0])
-            witness = self._avoiding_geodesic(A[i], B[j], {c})
-            if witness is not None:
-                yield c, witness
+        for idx, i, j in _first_cells(~on_all):
+            yield cs[idx], functools.partial(self._sigma_witness, A[i], B[j], cs[idx])
+
+    def _sigma_witness(self, ap: int, bp: int, c: int) -> Path:
+        # At an avoidable cell the σ product fails, so c is neither a' nor
+        # b' and some a'-b' geodesic misses c.
+        witness = self._avoiding_geodesic(ap, bp, {c})
+        assert witness is not None
+        return witness
 
     def _violations_general(self, A, B, cs):
         for c in cs:
             hood = set(self._neighborhood(c))
             found = None
             for ap in A:
-                if found:
+                if found is not None:
                     break
                 if ap in hood:
                     continue
                 for bp in B:
                     if bp in hood:
                         continue
-                    witness = self._avoiding_geodesic(ap, bp, hood)
-                    if witness is not None:
-                        found = (c, witness)
+                    found = self._avoiding_geodesic(ap, bp, hood)
+                    if found is not None:
                         break
-            if found:
-                yield found
+            if found is not None:
+                yield c, lambda witness=found: witness
 
     def _avoiding_geodesic(self, ap: int, bp: int, hood: set[int]) -> Path | None:
         # A family geodesic from a' to b' that misses the neighbourhood, or

@@ -29,10 +29,14 @@ depths) stay list-backed in ``bfs_distances``/``multi_source_distances``;
 ``_NP_BFS_MIN`` vertices up. ``distance`` and the thin-triangle defect stop
 at the first target they reach. The geodesics layer reads its distance and
 shortest-path-count rows from one on-demand store, ``_Rows``, which keeps
-at most ``_ROW_CELLS`` cells of them. ``_Rows.load`` fills many rows at
-once: ``_distance_rows`` is a bit-parallel BFS that runs up to 64 searches
-in the bits of one machine word (MS-BFS: Then et al., *The More the
-Merrier*, PVLDB 8(4), 2014), used where the searches are shallow.
+at most ``_ROW_CELLS`` cells of them in two slot-mapped matrices (int32
+distances, int64 counts); a row is a read-only view of its slot, and
+``_Rows.block`` reads many rows at many columns by one fancy index.
+``_Rows.load`` fills many rows at once: ``_distance_rows`` is a
+bit-parallel BFS that runs up to 64 searches in the bits of one machine
+word (MS-BFS: Then et al., *The More the Merrier*, PVLDB 8(4), 2014),
+used where the searches are shallow; its rows are copied once, into
+their slots.
 
 On a tree, exact distances come from ``_TreeMetric``, a heavy-path
 decomposition from root 0 built on the depth row the connectivity check
@@ -394,9 +398,10 @@ def distance_vector(g: MetricGraph, source: int) -> np.ndarray:
 
 def _distance_rows(g: MetricGraph, sources: Collection[int]) -> np.ndarray:
     """Distance rows from every one of ``sources`` at once, as a (k, n)
-    int32 array (-1 unreachable): a bit-parallel BFS over the CSR arrays in
-    which source i owns bit i % 64 of word i // 64 of every vertex, so one
-    pass over the edges per level advances up to 64 searches per word."""
+    int32 array (-1 unreachable; a transposed view, so one copy places the
+    rows): a bit-parallel BFS over the CSR arrays in which source i owns bit
+    i % 64 of word i // 64 of every vertex, so one pass over the edges per
+    level advances up to 64 searches per word."""
     g.check_vertices(sources)
     src = np.asarray(sources, dtype=np.int64).reshape(-1)
     k, n = src.size, g.vertex_count
@@ -427,7 +432,7 @@ def _distance_rows(g: MetricGraph, sources: Collection[int]) -> np.ndarray:
         frontier[:n] = reached
         bits = np.unpackbits(new.astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, :k].view(bool)
         dist[hit] = np.where(bits, level, dist[hit])
-    return np.ascontiguousarray(dist.T)
+    return dist.T
 
 
 # -- set-labelled expansion ----------------------------------------------
@@ -512,6 +517,49 @@ def _find(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return pos, found
 
 
+class _Slots:
+    """Rows of one dtype in one (slots, n) matrix, the map from each row's
+    source to its slot, and a read-only view of each slot; slots are handed
+    out in order."""
+
+    __slots__ = ("matrix", "of", "rows", "row_cells")
+
+    def __init__(self, n: int, dtype: type):
+        self.matrix = np.empty((0, n), dtype=dtype)
+        self.row_cells = n * self.matrix.itemsize // 4  # store cells per row
+        self.clear()
+
+    def clear(self) -> None:
+        # A fresh matrix, so rows handed out before keep their values.
+        self.matrix = np.empty((0, self.matrix.shape[1]), dtype=self.matrix.dtype)
+        self.of: dict[int, int] = {}
+        self.rows: list[np.ndarray] = []
+
+    def take(self, sources: list[int]) -> np.ndarray:
+        """Writable slots for the rows of ``sources``, after those held."""
+        rows, n = _ROW_CELLS // max(self.row_cells, 1), self.matrix.shape[1]
+        if not len(self.matrix):
+            # The store's size of private anonymous pages, which take memory
+            # only when written (numpy advises an array of 4 MiB and up onto
+            # huge pages, resident 2 MiB at a time).
+            import mmap  # here, so only runs that keep rows load it
+
+            buf = mmap.mmap(-1, max(rows * n * self.matrix.itemsize, 1), flags=mmap.MAP_PRIVATE)
+            self.matrix = np.frombuffer(buf, self.matrix.dtype, rows * n).reshape(rows, n)
+        used = len(self.rows)
+        out = self.matrix[used : used + len(sources)]
+        frozen = out.view()
+        frozen.flags.writeable = False
+        self.rows.extend(frozen)
+        self.of.update(zip(sources, range(used, used + len(sources))))
+        return out
+
+    def get(self, s: int) -> np.ndarray | None:
+        """The read-only row of ``s``, or None when it is not held."""
+        slot = self.of.get(s)
+        return None if slot is None else self.rows[slot]
+
+
 class _Rows:
     """Distance rows of one graph, computed on demand and memoised in at
     most ``_ROW_CELLS`` int32 cells.
@@ -520,43 +568,63 @@ class _Rows:
     ids; it reads -1 where a vertex is unreachable. ``rows.sigma(s)`` is
     the read-only int64 row of shortest-path counts from ``s``: exact below
     ``_SIGMA_MAX``, and ``_SIGMA_MAX`` for every count at or above it.
+    Both are views of a slot in one of two matrices, an int32 one for
+    distance rows and an int64 one for count rows, each the size of the
+    whole store but resident only as far as its rows are written; a count
+    row takes two cells per vertex. A full store starts over with fresh
+    matrices, so a row handed out earlier keeps its values.
     ``rows.load(sources)`` memoises many distance rows at once, in blocks
-    of one word for the bit-parallel kernel ``_distance_rows``.
+    of one word for the bit-parallel kernel ``_distance_rows``, whose
+    result is copied once, into the slots. ``rows.block(X, cols)`` reads
+    the distance and count rows of many sources at many columns, by one
+    fancy index into each matrix.
     """
 
-    __slots__ = ("g", "_dist", "_sigma", "_cells")
+    __slots__ = ("g", "_dist", "_sigma")
 
     def __init__(self, g: MetricGraph):
         self.g = g
-        self._dist: dict[int, np.ndarray] = {}
-        self._sigma: dict[int, np.ndarray] = {}
-        self._cells = 0
+        self._dist = _Slots(g.vertex_count, np.int32)
+        self._sigma = _Slots(g.vertex_count, np.int64)
 
     @property
     def capacity(self) -> int:
         """How many distance rows the store holds at once."""
         return _ROW_CELLS // max(self.g.vertex_count, 1)
 
+    @property
+    def _cells(self) -> int:
+        return len(self._dist.of) * self._dist.row_cells + len(self._sigma.of) * self._sigma.row_cells
+
     def _clear(self) -> None:
         self._dist.clear()
         self._sigma.clear()
-        self._cells = 0
 
-    def _keep(self, table: dict[int, np.ndarray], s: int, row: np.ndarray) -> None:
-        row.flags.writeable = False
-        cells = row.nbytes // 4
+    def _take(self, table: _Slots, sources: list[int]) -> np.ndarray | None:
+        """Writable slots in ``table`` for the rows of ``sources``, the store
+        starting over first if they do not fit beside the rows held; None
+        when they would not fit the empty store either."""
+        cells = len(sources) * table.row_cells
+        if cells > _ROW_CELLS:
+            return None
         if self._cells + cells > _ROW_CELLS:
             # A full store starts over, so the rows in current use stay memoised.
             self._clear()
-        if cells <= _ROW_CELLS:
-            table[s] = row
-            self._cells += cells
+        return table.take(sources)
+
+    def _keep(self, table: _Slots, s: int, row: np.ndarray) -> np.ndarray:
+        """``row`` as the read-only row of ``s``, held in ``table`` if it fits."""
+        slot = self._take(table, [s])
+        if slot is None:
+            row.flags.writeable = False
+            return row
+        slot[0] = row
+        return table.get(s)
 
     def __getitem__(self, s: int) -> np.ndarray:
         row = self._dist.get(s)
         if row is None:
-            row = distance_vector(self.g, s)
-            self._keep(self._dist, s, row)
+            row = self._keep(self._dist, s, distance_vector(self.g, s))
         return row
 
     def load(self, sources: Iterable[int]) -> None:
@@ -574,7 +642,7 @@ class _Rows:
         wanted = list(dict.fromkeys(sources))
         self.g.check_vertices(wanted)
         n = self.g.vertex_count
-        missing = [s for s in wanted if s not in self._dist]
+        missing = [s for s in wanted if s not in self._dist.of]
         if not missing or not self.capacity:
             return
         if self._cells + len(missing) * n > _ROW_CELLS and len(wanted) <= self.capacity:
@@ -582,15 +650,14 @@ class _Rows:
             self._clear()
             missing = wanted
         while missing:
-            # A full store empties itself when the block's first row is kept.
+            # A full store empties itself when the run's first row is kept.
             size = min((_ROW_CELLS - self._cells) // n or self.capacity, _BLOCK)
-            block, missing = missing[:size], missing[size:]
-            first = self[block[0]]
-            rest = block[1:]
+            run, missing = missing[:size], missing[size:]
+            first = self[run[0]]
+            rest = run[1:]
             to_rest = first[rest]
-            if rest and to_rest.min() >= 0 and int(to_rest.max()) + int(first.max()) <= len(block):
-                for s, row in zip(rest, _distance_rows(self.g, rest)):
-                    self._keep(self._dist, s, row)
+            if rest and to_rest.min() >= 0 and int(to_rest.max()) + int(first.max()) <= len(run):
+                self._take(self._dist, rest)[:] = _distance_rows(self.g, rest)
             else:
                 for s in rest:
                     self[s]
@@ -613,8 +680,37 @@ class _Rows:
                 level = head[lo:hi]
                 np.add.at(sig, level, sig[tail[lo:hi]])
                 sig[level] = np.minimum(sig[level], _SIGMA_MAX)
-            self._keep(self._sigma, s, sig)
+            sig = self._keep(self._sigma, s, sig)
         return sig
+
+    def block(self, X: list[int], cols, sigma: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+        """The distance rows of ``X`` at the columns ``cols``, and with
+        ``sigma`` their path-count rows there (else None), as two matrices.
+
+        When the rows fit the store together, the missing ones are memoised
+        first (a store without room for them starts over once) and each
+        matrix is read by index: whole rows, then the columns, when the
+        columns cover half a row or more (two contiguous takes), else slots
+        by columns in one fancy index. Otherwise the rows are read one
+        source at a time.
+        """
+        kinds = ((self._dist, self.__getitem__), (self._sigma, self.sigma))[: 1 + sigma]
+        if sum(t.row_cells for t, _ in kinds) * len(X) > _ROW_CELLS:
+            subs = [np.array([read(x)[cols] for x in X]) for _, read in kinds]
+        else:
+            if self._cells + sum(t.row_cells for t, _ in kinds for x in X if x not in t.of) > _ROW_CELLS:
+                self._clear()
+            for t, read in kinds:
+                for x in X:
+                    if x not in t.of:
+                        read(x)
+            cols = np.asarray(cols)
+            slots = [np.array([t.of[x] for x in X]) for t, _ in kinds]
+            if 2 * cols.size >= self.g.vertex_count:
+                subs = [t.matrix.take(at, axis=0).take(cols, axis=1) for (t, _), at in zip(kinds, slots)]
+            else:
+                subs = [t.matrix[at[:, None], cols] for (t, _), at in zip(kinds, slots)]
+        return subs[0], subs[1] if sigma else None
 
 
 def distance(g: MetricGraph, u: int, v: int) -> int | None:

@@ -21,6 +21,11 @@ def random_graph(seed: int, max_vertices: int = 12, edge_prob: float = 0.3) -> M
     return MetricGraph(n, edges, name=f"rand_{seed}")
 
 
+def kernel_graph(seed: int) -> MetricGraph:
+    # sparse draws are mostly disconnected, dense ones mostly connected
+    return random_graph(seed, max_vertices=14, edge_prob=(0.1, 0.2, 0.35)[seed % 3])
+
+
 def floyd_warshall(g: MetricGraph) -> list[list[float]]:
     n = g.vertex_count
     inf = float("inf")

@@ -1,10 +1,12 @@
+import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from conftest import brute_shortest_paths, floyd_warshall, random_graph
-from coarselab import graphs
+from conftest import brute_shortest_paths, floyd_warshall, kernel_graph, random_graph
+from coarselab import geodesics, graphs
 from coarselab.geodesics import (
     GeodesicFamily,
     _pair_from_rank,
@@ -506,3 +508,61 @@ class TestPropertyBOracle:
                 assert path in brute_shortest_paths(g, path[0], path[-1])[: 1 if kind == "canonical" else None]
                 assert dist[v.a][path[0]] <= v.r and dist[v.b][path[-1]] <= v.r
                 assert all(dist[w][v.c] > k for w in path)
+
+
+def eager_sigma_violations(checker, A, B, cs, on_all):
+    """The σ clause as a per-cell search: one ``np.argwhere`` per c, its
+    first avoidable (a', b') cell's witness built at once, whether the
+    violation is kept or not. It also checks that every avoidable cell,
+    not only the first, has an avoiding geodesic."""
+    avoidable = ~on_all
+    for idx, c in enumerate(cs):
+        cells = np.argwhere(avoidable[:, :, idx]).tolist()
+        for i, j in cells:
+            assert checker._avoiding_geodesic(A[i], B[j], {c}) is not None
+        if cells:
+            i, j = cells[0]
+            witness = checker._avoiding_geodesic(A[i], B[j], {c})
+            yield c, lambda witness=witness: witness
+
+
+SIGMA_GRAPHS = {
+    # trees take the tree checker, which has no σ clause
+    **{f"kernel_{seed}": kernel_graph(seed) for seed in range(16) if not kernel_graph(seed).is_tree},
+    "grid:6": grid(6).graph,
+    "farey:8": farey_truncation(8).graph,
+}
+
+
+class TestSigmaClause:
+    """The σ clause (k = 0, all geodesics) finds each c's first avoidable
+    cell for every c at once and builds a witness only for the violations
+    kept; the per-cell search with eager witnesses is its oracle."""
+
+    @pytest.mark.parametrize("name", SIGMA_GRAPHS)
+    def test_lazy_witnesses_match_the_eager_search(self, monkeypatch, name):
+        g = SIGMA_GRAPHS[name]
+        fam = GeodesicFamily.all_of(g)
+        params = dict(ell=0, k=0, r_max=2, pair_budget=120, seed=3)
+        lazy = {cap: check_property_b(fam, violation_cap=cap, **params) for cap in (0, 1, 3, 50)}
+        searched = []
+
+        def eager(checker, A, B, cs, on_all):
+            searched.append(len(cs))
+            return eager_sigma_violations(checker, A, B, cs, on_all)
+
+        monkeypatch.setattr(geodesics._PairChecker, "_violations_sigma", eager)
+        full = check_property_b(fam, violation_cap=10**6, **params)
+        assert searched or not full.qualifying_found
+        assert len(full.intersection_violations) == full.violations_total
+        for cap, rep in lazy.items():
+            assert rep.violations_total == full.violations_total
+            assert rep.intersection_violations == full.intersection_violations[:cap]
+            assert dataclasses.replace(rep, intersection_violations=()) == dataclasses.replace(
+                full, intersection_violations=()
+            )
+
+    def test_the_structured_spaces_violate(self):
+        for name in ("grid:6", "farey:8"):
+            fam = GeodesicFamily.all_of(SIGMA_GRAPHS[name])
+            assert check_property_b(fam, ell=0, k=0, r_max=2, pair_budget=120, seed=3).violations_total > 50

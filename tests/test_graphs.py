@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_diameter, brute_shortest_paths, floyd_warshall, random_graph
+from conftest import brute_diameter, brute_shortest_paths, floyd_warshall, kernel_graph, random_graph
 from coarselab import graphs
 from coarselab.graphs import (
     GraphFormatError,
@@ -478,11 +478,6 @@ def brute_bfs(g: MetricGraph, sources, radius, within) -> dict[int, int]:
     return {v: d for v, d in dist.items() if radius is None or d <= radius}
 
 
-def kernel_graph(seed: int) -> MetricGraph:
-    # sparse draws are mostly disconnected, dense ones mostly connected
-    return random_graph(seed, max_vertices=14, edge_prob=(0.1, 0.2, 0.35)[seed % 3])
-
-
 class TestBfsKernel:
     def test_oracle_graphs_include_disconnected(self):
         connected = [kernel_graph(seed).is_connected for seed in range(30)]
@@ -812,9 +807,54 @@ class TestRowStore:
         for s in range(36):
             rows[s]
             rows.sigma(s)
-            assert rows._cells <= 5 * 36
-            assert sum(r.nbytes for t in (rows._dist, rows._sigma) for r in t.values()) == 4 * rows._cells
-            assert s in rows._sigma
+            # a distance row takes 36 cells, a path-count row 72
+            assert 36 * (len(rows._dist.of) + 2 * len(rows._sigma.of)) <= 5 * 36
+            # each held row has its own slot, in a matrix of at most 5
+            # distance or 2 count rows
+            for table, limit in ((rows._dist, 5), (rows._sigma, 2)):
+                assert sorted(table.of.values()) == list(range(len(table.of)))
+                assert len(table.of) <= len(table.matrix) <= limit
+            assert s in rows._sigma.of
+
+    def test_rows_handed_out_keep_their_values_when_the_store_starts_over(self, monkeypatch):
+        from coarselab.spaces import grid
+
+        g = grid(6).graph
+        monkeypatch.setattr(graphs, "_ROW_CELLS", 3 * 36)
+        rows = _Rows(g)
+        dist, sig = rows[0], rows.sigma(0)  # the store is full
+        assert rows._dist.of == {0: 0} and rows._sigma.of == {0: 0}
+        # row 1 starts the store over and takes both slots of row 0
+        rows[1]
+        rows.sigma(1)
+        assert rows._dist.of == {1: 0} and rows._sigma.of == {1: 0}
+        rows.load([2, 3])
+        assert dist.tolist() == bfs_distances(g, 0)
+        assert sig.tolist() == [len(brute_shortest_paths(g, 0, v)) for v in range(36)]
+        assert rows[1].tolist() == bfs_distances(g, 1)
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("cells", [None, 0, 7])
+    def test_block_matches_the_rows(self, monkeypatch, seed, cells):
+        # the default store, no store, and one that holds 7 rows, so blocks
+        # of more than 2 sources are read one at a time and smaller ones
+        # start the store over
+        g = kernel_graph(seed)
+        n = g.vertex_count
+        if cells is not None:
+            monkeypatch.setattr(graphs, "_ROW_CELLS", cells * n)
+        rows = _Rows(g)
+        rng = random.Random(seed)
+        # one column is read slots by columns, 2n columns whole rows first
+        for size, width in itertools.product((1, 2, 5), (1, 2 * n)):
+            X = rng.sample(range(n), min(size, n))
+            cols = [rng.randrange(n) for _ in range(width)]
+            dist, sig = rows.block(X, cols)
+            assert dist.dtype == np.int32 and sig.dtype == np.int64
+            assert dist.tolist() == [[bfs_distances(g, x)[v] for v in cols] for x in X]
+            assert sig.tolist() == [[len(brute_shortest_paths(g, x, v)) for v in cols] for x in X]
+            only, none = rows.block(X, cols, sigma=False)
+            assert only.tolist() == dist.tolist() and none is None
 
     def test_invalid_source_raises(self):
         with pytest.raises(ValueError, match="invalid vertex id 5"):
@@ -883,7 +923,7 @@ class TestDistanceRows:
         blocks = [list(range(lo, lo + 12)) for lo in range(0, n, 12)]
         assert single == [b[0] for b in blocks]
         assert batched == [b[1:] for b in blocks]
-        assert sorted(rows._dist) == blocks[-1] and rows._cells == 12 * n
+        assert sorted(rows._dist.of) == blocks[-1] and not rows._sigma.of
         for s in range(n):
             assert rows[s].tolist() == bfs_distances(g, s) and not rows[s].flags.writeable
 
@@ -899,7 +939,7 @@ class TestDistanceRows:
         # 6 rows missing, 2 free: the store starts over before the first
         # block instead of between two, and recomputes rows 6 and 7
         rows.load(range(6, 14))
-        assert sorted(rows._dist) == list(range(6, 14))
+        assert sorted(rows._dist.of) == list(range(6, 14))
         assert single == [6] and batched == [list(range(7, 14))]
 
     def test_deep_block_takes_single_rows(self, monkeypatch):
@@ -973,6 +1013,19 @@ def test_geodesics_reads_full_rows_from_the_store():
     }
     assert "_Rows" in called
     assert called.isdisjoint({"bfs_distances", "distance_vector"})
+
+
+def test_geodesics_reads_row_blocks_without_stacking():
+    """geodesics.py reads the rows of many sources through ``_Rows.block``,
+    one fancy index per matrix, and never stacks store rows one by one."""
+    source = FilePath(__file__).resolve().parent.parent / "src" / "coarselab" / "geodesics.py"
+    called = {
+        node.func.attr
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    assert "block" in called
+    assert called.isdisjoint({"stack", "vstack", "row_stack"})
 
 
 def test_covers_run_no_search_per_set():
