@@ -16,8 +16,12 @@ For each qualifying instance (a, b, r, c) it visits, the checker verifies
 Instance enumeration is exhaustive when the pair universe fits the budget,
 otherwise a seeded deterministic sample is drawn and reported as such.
 Every instance that is checked is checked exactly: integer distances,
-exact shortest-path counting, no tolerances. Trees are handled through a
-vectorized ancestor structure; other graphs pair by pair inside the
+exact shortest-path counting, no tolerances. On trees a pair reads no
+adjacency: its neighbourhoods are set balls over the CSR arrays, its
+distances come from the tree metric, and one cube at r_max gives every
+neighbourhood vertex the first radius at which it joins G(a,b;r) and
+every deep point the first radius with a geodesic avoiding N(c;k), so
+each radius is a comparison. Other graphs go pair by pair inside the
 geodesic envelope of the pair, reading distance and path-count rows from
 one memoised store per call (``graphs._Rows``), which loads the endpoint
 rows of each run of pairs, then the neighbourhood rows a pair reads, in
@@ -64,6 +68,8 @@ from .graphs import (
     _distance_to_set,
     _SIGMA_MAX,
     _Rows,
+    _set_balls,
+    _sorted_unique,
 )
 
 __all__ = [
@@ -78,6 +84,11 @@ __all__ = [
 # Shortest-path counts at or above this bound (row stores saturate there)
 # fall back from vectorized int64 products to exact per-instance search.
 _SIGMA_VECTOR_MAX = _SIGMA_MAX
+
+# A tree pair's cube, |N(a; r_max)| x |N(b; r_max)| cells per neighbourhood
+# vertex, is cut into slices of at most this many cells (or one vertex, if
+# that alone is larger).
+_CUBE_CELLS = 2**21
 
 
 @dataclass(frozen=True)
@@ -400,49 +411,38 @@ def _first_cells(avoidable: np.ndarray) -> Iterator[tuple[int, int, int]]:
         yield t, i, j
 
 
-class _Neighbourhoods:
-    """N(c;k) of each deep point c, sorted and memoised per pair."""
-
-    g: MetricGraph
-    k: int
-    _hoods: dict[int, list[int]]
-
-    def _neighborhood(self, c: int) -> list[int]:
-        hood = self._hoods.get(c)
-        if hood is None:
-            hood = [c] if self.k == 0 else sorted(_bfs(self.g, (c,), self.k))
-            self._hoods[c] = hood
-        return hood
-
-
-class _TreePairChecker(_Neighbourhoods):
-    """Tree fast path: unique geodesics and vectorized ancestor distances.
+class _TreePairChecker:
+    """Tree fast path: unique geodesics and distances from the shared tree
+    metric, no search over the adjacency.
 
     On a tree the two family kinds coincide (each pair has exactly one
-    geodesic), G(a,b) is the a-b path, and every pairwise distance comes
-    from the shared ancestor structure with no per-pair search at all.
+    geodesic) and G(a,b) is the a-b path. A = N(a; r_max), B = N(b; r_max)
+    and every N(c;k) are set balls over the CSR arrays. One cube per pair,
+    at r_max, holds d(a',w) + d(w,b') - d(a',b') for every cell (a', b')
+    and neighbourhood vertex w: twice w's distance to the a'-b' geodesic.
+    It is 0 where w lies on the geodesic, and above 2k at a centre c where
+    the geodesic misses N(c;k). A cell is in play from its level
+    max(d(a,a'), d(b,b')) on, so the cube gives each w the first radius at
+    which it joins G(a,b;r) and each c the first radius with a geodesic
+    avoiding N(c;k); counts and violations at every radius compare with
+    those. Centres are settled on first use, the cube in slices of at most
+    ``_CUBE_CELLS`` cells.
     """
 
     reachable = True
 
     def __init__(self, g: MetricGraph, tm, a: int, b: int, ell: int, k: int, r_max: int):
-        self.g = g
-        self.tm = tm
-        self.a, self.b, self.ell, self.k = a, b, ell, k
+        self.g, self.tm = g, tm
+        self.a, self.b, self.ell, self.k, self.r_max = a, b, ell, k, r_max
         self.path = tm.path(a, b)
         self.d_ab = len(self.path) - 1
         self.pos = {v: i for i, v in enumerate(self.path)}
-        ball_a = _bfs(g, (a,), r_max)
-        ball_b = _bfs(g, (b,), r_max)
-        self.A = sorted(ball_a)
-        self.B = sorted(ball_b)
-        self.da_A = np.asarray([ball_a[v] for v in self.A], dtype=np.int64)
-        self.db_B = np.asarray([ball_b[v] for v in self.B], dtype=np.int64)
-        self.mab = tm.pairwise(self.A, self.B)
-        self._hoods: dict[int, list[int]] = {}
-        self._w_pos: dict[int, int] = {}
-        self._maw: np.ndarray | None = None
-        self._mwb: np.ndarray | None = None
+        n = g.vertex_count
+        ends = _set_balls(g, np.asarray([a, n + b], dtype=np.int64), r_max)
+        split = int(np.searchsorted(ends, n))
+        self.A, self.B = ends[:split], ends[split:] - n
+        self._counts: dict[int, list[int]] = {}  # c -> |G(a,b;r) ∩ N(c;k)| for r = 0..r_max
+        self._first: dict[int, int] = {}  # c -> least r with a geodesic avoiding N(c;k)
 
     def depths(self, cs: list[int]) -> np.ndarray:
         """d(c, {a, b}) for every c of ``cs``, all on the a-b path."""
@@ -453,65 +453,71 @@ class _TreePairChecker(_Neighbourhoods):
         i = np.arange(self.d_ab + 1)
         return np.sort(np.asarray(self.path)[np.minimum(i, self.d_ab - i) >= self.ell]).tolist()
 
-    def _geodesic(self, ap: int, bp: int) -> Path:
-        return Path(tuple(self.tm.path(ap, bp)))
-
-    def _witness_matrices(self, cs: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        need = sorted({w for c in cs for w in self._neighborhood(c)} - self._w_pos.keys())
-        if self._maw is None or need:
-            ws = sorted(self._w_pos.keys() | set(need))
-            self._w_pos = {w: i for i, w in enumerate(ws)}
-            self._maw = self.tm.pairwise(self.A, ws)
-            self._mwb = self.tm.pairwise(ws, self.B)
-        return self._maw, self._mwb
-
-    def _selection(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        return np.flatnonzero(self.da_A <= r), np.flatnonzero(self.db_B <= r)
-
     def counts(self, r: int, cs: list[int]) -> list[int]:
-        if self.k == 0:
-            # N(c;0) = {c} and c ∈ G(a,b) ⊆ G(a,b;r): the intersection is {c}.
-            return [1] * len(cs)
-        maw, mwb = self._witness_matrices(cs)
-        sa, sb = self._selection(r)
-        mab = self.mab[np.ix_(sa, sb)]
-        out = []
-        for c in cs:
-            hood_pos = [self._w_pos[w] for w in self._neighborhood(c)]
-            on = (
-                maw[np.ix_(sa, hood_pos)][:, None, :] + mwb[np.ix_(hood_pos, sb)].T[None, :, :]
-                == mab[:, :, None]
-            ).any(axis=(0, 1))
-            out.append(int(on.sum()))
-        return out
+        self._settle(cs)
+        return [self._counts[c][r] for c in cs]
 
     def violations(self, r: int, cs: list[int]):
-        maw, mwb = self._witness_matrices(cs)
-        sa, sb = self._selection(r)
-        mab = self.mab[np.ix_(sa, sb)]
-        if self.k == 0:
-            # singleton neighborhoods: test all c in one broadcast
-            cpos = [self._w_pos[c] for c in cs]
-            meets = (
-                maw[np.ix_(sa, cpos)][:, None, :] + mwb[np.ix_(cpos, sb)].T[None, :, :]
-                == mab[:, :, None]
-            )
-            for idx, i, j in _first_cells(~meets):
-                yield cs[idx], functools.partial(self._geodesic, self.A[int(sa[i])], self.B[int(sb[j])])
-            return
+        self._settle(cs)
         for c in cs:
-            hood_pos = [self._w_pos[w] for w in self._neighborhood(c)]
-            meets = (
-                maw[np.ix_(sa, hood_pos)][:, None, :] + mwb[np.ix_(hood_pos, sb)].T[None, :, :]
-                == mab[:, :, None]
-            ).any(axis=2)
-            if meets.all():
-                continue
-            i, j = np.argwhere(~meets)[0].tolist()
-            yield c, functools.partial(self._geodesic, self.A[int(sa[i])], self.B[int(sb[j])])
+            if self._first[c] <= r:
+                yield c, functools.partial(self._witness, c, r)
+
+    def _distances(self, W: np.ndarray) -> list[np.ndarray]:
+        """d(A, B), d(W, A) and d(W, B) as int32 matrices, from one LCA
+        batch that also gives ``da`` = d(A, a) and ``db`` = d(b, B)."""
+        A, B = self.A, self.B
+        blocks = ((A, B), (W, A), (W, B), (A, [self.a]), ([self.b], B))
+        d = self.tm.pair_distances(
+            np.concatenate([np.repeat(x, len(y)) for x, y in blocks]),
+            np.concatenate([np.tile(y, len(x)) for x, y in blocks]),
+        ).astype(np.int32)
+        cuts = np.cumsum([len(x) * len(y) for x, y in blocks])[:-1]
+        parts = [part.reshape(len(x), len(y)) for part, (x, y) in zip(np.split(d, cuts), blocks)]
+        self.da, self.db = parts[3][:, 0], parts[4][0]
+        return parts[:3]
+
+    def _settle(self, cs: list[int]) -> None:
+        """Fill ``_counts`` and ``_first`` for the centres of ``cs`` not
+        yet settled."""
+        centres = [c for c in cs if c not in self._first]
+        if not centres:
+            return
+        n, never = self.g.vertex_count, self.r_max + 1
+        keys = _set_balls(self.g, np.arange(len(centres), dtype=np.int64) * n + centres, self.k)
+        owner, ws = np.divmod(keys, n)
+        W = _sorted_unique(ws.copy())  # every N(c;k), so every centre too
+        mab, mwa, mwb = self._distances(W)
+        level = np.maximum.outer(self.da, self.db).astype(np.min_scalar_type(never))
+        joins = np.empty(W.size, dtype=np.int64)
+        far = np.empty(W.size, dtype=np.int64)
+        step = max(1, _CUBE_CELLS // mab.size)
+        for t in range(0, W.size, step):
+            # excess[t, i, j] = d(w, A[i]) + d(w, B[j]) - d(A[i], B[j]) for
+            # w = W[t]: twice w's distance to the A[i]-B[j] geodesic, which
+            # is 0 when w lies on it and above 2k when it misses N(w;k).
+            excess = mwa[t : t + step, :, None] + mwb[t : t + step, None, :]
+            excess -= mab
+            cells = (len(excess), -1)
+            joins[t : t + step] = np.where(excess == 0, level, never).reshape(cells).min(axis=1)
+            far[t : t + step] = np.where(excess > 2 * self.k, level, never).reshape(cells).min(axis=1)
+        # Counts by radius: how many of each centre's neighbourhood have joined.
+        joined = np.bincount(owner * (never + 1) + joins[np.searchsorted(W, ws)], minlength=len(centres) * (never + 1))
+        by_r = np.cumsum(joined.reshape(len(centres), never + 1), axis=1)[:, :never].tolist()
+        self._counts.update(zip(centres, by_r))
+        self._first.update(zip(centres, far[np.searchsorted(W, centres)].tolist()))
+
+    def _witness(self, c: int, r: int) -> Path:
+        # The first (a', b') cell in row-major order, among those in play at
+        # r, whose geodesic misses N(c;k).
+        mab, mca, mcb = self._distances(np.asarray([c], dtype=np.int64))
+        fail = (mca.T + mcb - mab > 2 * self.k) & (self.da[:, None] <= r) & (self.db[None, :] <= r)
+        assert fail.any()
+        i, j = divmod(int(fail.argmax()), self.B.size)
+        return Path(tuple(self.tm.path(int(self.A[i]), int(self.B[j]))))
 
 
-class _PairChecker(_Neighbourhoods):
+class _PairChecker:
     """Exact per-pair verification for non-tree graphs, in global ids, on
     the rows of the store shared by one :func:`check_property_b` call.
 
@@ -547,6 +553,14 @@ class _PairChecker(_Neighbourhoods):
     def depths(self, cs: list[int]) -> np.ndarray:
         """d(c, {a, b}) for every c of ``cs``."""
         return self.depth_row[cs]
+
+    def _neighborhood(self, c: int) -> list[int]:
+        """N(c;k), sorted and memoised per pair."""
+        hood = self._hoods.get(c)
+        if hood is None:
+            hood = [c] if self.k == 0 else sorted(_bfs(self.g, (c,), self.k))
+            self._hoods[c] = hood
+        return hood
 
     def qualifying_pool(self) -> list[int]:
         pool = np.flatnonzero(self._members_of_union_r([self.a], [self.b]) & (self.depth_row >= self.ell))

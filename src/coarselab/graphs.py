@@ -3,8 +3,12 @@
 A :class:`MetricGraph` is a simple undirected graph on dense integer vertex
 ids, equipped with the shortest-path metric. It is built from an edge list
 or an (E, 2) integer array by one sort of u*n + v keys and stored as CSR
-arrays (``csr_arrays``); the sorted adjacency tuples ``_adj`` that the
-Python traversals read are derived from them once. Everything downstream
+arrays (``csr_arrays``), which equality and hashing compare. The sorted
+adjacency tuples ``_adj`` that the Python traversals read are built from
+them on first access, so a run that reads only the arrays never pays for
+them. The connectivity check takes its row from ``distance_vector(g, 0)``,
+and the graph keeps that row, read-only, for every later reader of the
+row from 0 (the tree metric, a cover based at 0). Everything downstream
 (spaces, geodesic families, covers, partition maps) is built on top of the
 operations here: BFS distances, balls and spheres, geodesic enumeration,
 set diameters, and the line-oriented graph file format.
@@ -23,8 +27,8 @@ pair: ``_set_balls`` grows them all by a radius in one level-synchronous
 expansion over the CSR arrays, and ``_set_depths`` gives every member its
 distance to the set's complement by an inward expansion over the same keys.
 They serve the cover's multiplicity and safe core and the fattened sets
-with their interior depths. Full distance rows (geodesic enumeration, tree
-depths) stay list-backed in ``bfs_distances``/``multi_source_distances``;
+with their interior depths. Full distance rows for geodesic enumeration
+stay list-backed in ``bfs_distances``/``multi_source_distances``;
 ``distance_vector`` switches to a numpy level-synchronous BFS from
 ``_NP_BFS_MIN`` vertices up. ``distance`` and the thin-triangle defect stop
 at the first target they reach. The geodesics layer reads its distance and
@@ -43,8 +47,9 @@ decomposition from root 0 built on the depth row the connectivity check
 already keeps: each vertex's parent, depth and chain head, O(n) arrays
 in all. A batch of lowest common ancestors takes one numpy pass per light
 edge its root paths cross (at most two on a broom, O(log n) on any tree).
-Tree set diameters are two such batches (a double sweep), and the tree
-backend of property B reads its distances and paths from the same object.
+Tree set diameters are two such batches (a double sweep) over the members
+flattened into one array, and the tree backend of property B reads its
+distances and paths from the same object.
 
 The canonical tie-break (step to the least-id neighbour one closer) lives
 in ``_canonical_step``; every canonical path uses it, and ``_closer_steps``
@@ -54,6 +59,7 @@ cover's anchor propagation reads them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -149,7 +155,7 @@ class MetricGraph:
     __slots__ = (
         "name",
         "vertex_count",
-        "_adj",
+        "_tuples",
         "_edge_count",
         "_csr",
         "_connected",
@@ -173,17 +179,22 @@ class MetricGraph:
         np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
         indices = heads.astype(np.int32)
         indptr.flags.writeable = indices.flags.writeable = False
-        # Gathered from one object array, the tuples share one int per vertex.
-        flat = tuple(np.arange(n).astype(object)[indices].tolist())
-        bounds = indptr.tolist()
         self.name = name
         self.vertex_count = vertex_count
-        self._adj: tuple[tuple[int, ...], ...] = tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
+        self._tuples: tuple[tuple[int, ...], ...] | None = None
         self._edge_count = keys.size // 2
         self._csr = (indptr, indices)
         self._connected: bool | None = None
-        self._root_row: list[int] | None = None
+        self._root_row: np.ndarray | None = None
         self._tree_metric: _TreeMetric | None = None
+
+    @property
+    def _adj(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted neighbour tuples the Python traversals read, built
+        from the CSR arrays on first access."""
+        if self._tuples is None:
+            self._tuples = _adjacency_tuples(*self._csr)
+        return self._tuples
 
     # -- structure -----------------------------------------------------
 
@@ -223,13 +234,8 @@ class MetricGraph:
     @property
     def is_connected(self) -> bool:
         if self._connected is None:
-            if self.vertex_count == 0:
-                self._connected = True
-            else:
-                row = bfs_distances(self, 0)
-                self._connected = min(row) >= 0
-                if self._connected and self._edge_count == self.vertex_count - 1:
-                    self._root_row = row  # a tree's depths from 0, kept for tree_metric
+            # The row from 0 stays with the graph (see distance_vector).
+            self._connected = self.vertex_count == 0 or bool(distance_vector(self, 0).min() >= 0)
         return self._connected
 
     @property
@@ -244,8 +250,7 @@ class MetricGraph:
         if not self.is_tree:
             raise ValueError("tree_metric is only defined for trees")
         if self._tree_metric is None:
-            self._tree_metric = _TreeMetric(self, self._root_row)
-            self._root_row = None
+            self._tree_metric = _TreeMetric(self, distance_vector(self, 0))
         return self._tree_metric
 
     def __repr__(self) -> str:
@@ -257,11 +262,20 @@ class MetricGraph:
         return (
             self.name == other.name
             and self.vertex_count == other.vertex_count
-            and self._adj == other._adj
+            and all(map(np.array_equal, self._csr, other._csr))
         )
 
     def __hash__(self) -> int:
-        return hash((self.name, self.vertex_count, self._adj))
+        return hash((self.name, self.vertex_count, *(a.tobytes() for a in self._csr)))
+
+
+def _adjacency_tuples(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """One ascending tuple of neighbours per vertex, sliced from the CSR
+    arrays. Gathered from one object array, the tuples share one int per
+    vertex."""
+    flat = tuple(np.arange(indptr.size - 1).astype(object)[indices].tolist())
+    bounds = indptr.tolist()
+    return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
 def _edge_array(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> np.ndarray:
@@ -378,21 +392,29 @@ def distance_vector(g: MetricGraph, source: int) -> np.ndarray:
     """Full distance row from ``source`` as an int32 array (-1 unreachable).
 
     Switches to a level-synchronous numpy BFS on large graphs; result is
-    identical to :func:`bfs_distances`.
+    identical to :func:`bfs_distances`. The row from vertex 0 is computed
+    once and kept by the graph, read-only: the connectivity check, the
+    tree metric and every later call share it.
     """
-    if g.vertex_count < _NP_BFS_MIN:
-        return np.asarray(bfs_distances(g, source), dtype=np.int32)
     g.check_vertex(source)
-    indptr, indices = g.csr_arrays()
-    dist = np.full(g.vertex_count, -1, dtype=np.int32)
-    frontier = np.asarray([source], dtype=np.int32)
-    dist[frontier] = 0
-    d = 0
-    while frontier.size:
-        d += 1
-        nbrs = indices[_segments(indptr, frontier)]
-        frontier = _sorted_unique(nbrs[dist[nbrs] < 0])
-        dist[frontier] = d
+    if source == 0 and g._root_row is not None:
+        return g._root_row
+    if g.vertex_count < _NP_BFS_MIN:
+        dist = np.asarray(bfs_distances(g, source), dtype=np.int32)
+    else:
+        indptr, indices = g.csr_arrays()
+        dist = np.full(g.vertex_count, -1, dtype=np.int32)
+        frontier = np.asarray([source], dtype=np.int32)
+        dist[frontier] = 0
+        d = 0
+        while frontier.size:
+            d += 1
+            nbrs = indices[_segments(indptr, frontier)]
+            frontier = _sorted_unique(nbrs[dist[nbrs] < 0])
+            dist[frontier] = d
+    if source == 0:
+        dist.flags.writeable = False
+        g._root_row = dist
     return dist
 
 
@@ -836,19 +858,23 @@ def set_diameter(
     list of their diameters is returned, in order (see
     :func:`set_diameters`). Every member of every set is validated before
     any distance is taken; an empty set anywhere raises. On a tree the
-    whole batch costs two batched LCA sweeps over all members together (an
+    members are flattened once into one int64 array, checked by one range
+    test, and the whole batch costs two batched LCA sweeps over them (an
     exact double sweep per set, reduced per segment). On other graphs each
     set gets an exact centre-pruned BFS scan.
     """
-    sets = [sorted(set(ms)) for ms in (members if batch else [members])]
-    for ms in sets:
-        if not ms:
-            raise ValueError("set_diameter of an empty set")
-        g.check_vertices(ms)
+    sets = [ms if isinstance(ms, Collection) else tuple(ms) for ms in (members if batch else [members])]
+    flat = _flat_members(g, sets) if sets and g.is_tree else None
+    if flat is None:
+        sets = [sorted(set(ms)) for ms in sets]
+        for ms in sets:
+            if not ms:
+                raise ValueError("set_diameter of an empty set")
+            g.check_vertices(ms)
     if not sets:
         diameters = []
-    elif g.is_tree:
-        diameters = _tree_set_diameters(g.tree_metric(), sets)
+    elif flat is not None:
+        diameters = _tree_set_diameters(g.tree_metric(), *flat)
     else:
         diameters = [_scan_diameter(g, ms) for ms in sets]
     return diameters if batch else diameters[0]
@@ -860,13 +886,25 @@ def set_diameters(g: MetricGraph, member_sets: Iterable[Iterable[int]]) -> list[
     return set_diameter(g, member_sets, batch=True)
 
 
-def _tree_set_diameters(tm: "_TreeMetric", sets: list[list[int]]) -> list[int]:
+def _flat_members(g: MetricGraph, sets: list[Collection[int]]) -> tuple[np.ndarray, np.ndarray] | None:
+    """All members of ``sets`` as one int64 array, set after set, and the
+    set sizes; None when a set is empty or an id is not a valid vertex, so
+    the per-set check names it."""
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    try:
+        flat = np.fromiter(map(operator.index, chain.from_iterable(sets)), dtype=np.int64, count=int(sizes.sum()))
+    except (TypeError, OverflowError):
+        return None
+    if not sizes.all() or flat.min() < 0 or flat.max() >= g.vertex_count:
+        return None
+    return flat, sizes
+
+
+def _tree_set_diameters(tm: "_TreeMetric", flat: np.ndarray, sizes: np.ndarray) -> list[int]:
     # Double sweep is exact for subsets of a tree metric (four-point
     # condition: the vertex farthest from any start is a diameter end).
-    # All sets run at once as segments of one flat member array.
-    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-    flat = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=int(sizes.sum()))
-    starts = np.zeros(len(sets), dtype=np.int64)
+    # All sets run at once as segments of the one flat member array.
+    starts = np.zeros(sizes.size, dtype=np.int64)
     np.cumsum(sizes[:-1], out=starts[1:])
     d0 = tm.pair_distances(np.repeat(flat[starts], sizes), flat)
     # First farthest member of each set: every segment holds its maximum,
@@ -924,7 +962,7 @@ class _TreeMetric:
     adds two more, laying the chains out as slices, on its first call.
     """
 
-    def __init__(self, g: MetricGraph, depths_from_0: list[int]):
+    def __init__(self, g: MetricGraph, depths_from_0: np.ndarray):
         n = g.vertex_count
         depth = np.asarray(depths_from_0, dtype=np.int64)
         # On a tree the parent of v is its unique neighbour at depth - 1;

@@ -227,6 +227,33 @@ class TestA1:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "cover --space broom:60 --r 1 --ell 0 --d-constant 1",
+        "a1 --space broom:130 --r 1",
+        "a1 --space broom:130 --r 1 --dump-maps",
+    ],
+)
+def test_tree_runs_never_build_the_adjacency_tuples(monkeypatch, capsys, argv):
+    # Below _NP_BFS_MIN the full rows come from the list BFS, which reads
+    # the tuples; with every row on the numpy branch, nothing else does.
+    built = []
+    real = graphs._adjacency_tuples
+
+    def spy(indptr, indices):
+        built.append(indptr.size - 1)
+        return real(indptr, indices)
+
+    monkeypatch.setattr(graphs, "_adjacency_tuples", spy)
+    code, listed, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "") and built
+    built.clear()
+    monkeypatch.setattr(graphs, "_NP_BFS_MIN", 0)
+    assert run_cli(capsys, *argv.split()) == (0, listed, "")
+    assert not built
+
+
 # sha256 of stdout, recorded before the delta and propb distance rows moved
 # into one memoised store. At rmax 1 the grid:10 envelopes are smaller than
 # the graph.

@@ -510,6 +510,109 @@ class TestPropertyBOracle:
                 assert all(dist[w][v.c] > k for w in path)
 
 
+def shuffled_tree(rng, n, parent_of, name):
+    """A tree on n vertices with vertex v hung off parent_of(v), under a
+    random relabelling."""
+    label = list(range(n))
+    rng.shuffle(label)
+    return MetricGraph(n, [(label[parent_of(v)], label[v]) for v in range(1, n)], name=name)
+
+
+def tree_oracle_graphs(max_vertices):
+    rng = random.Random(13)
+    trees = []
+    for n in (2, 3, max_vertices):
+        trees.append(shuffled_tree(rng, n, lambda v: v - 1, f"path_{n}"))
+        trees.append(shuffled_tree(rng, n, lambda v: 0, f"star_{n}"))
+    for seed in range(4):
+        n = rng.randint(4, max_vertices)
+        trees.append(shuffled_tree(rng, n, lambda v: rng.randrange(v), f"random_{seed}"))
+    trees.append(broom_tree(3).graph)  # 7 vertices, ids in ray order
+    # a broom with two rays of length 3 and one of length 2, ids shuffled
+    broom = [0, 0, 1, 2, 0, 4, 5, 0, 7]
+    trees.append(shuffled_tree(rng, len(broom), broom.__getitem__, "broom_shuffled"))
+    return trees
+
+
+TREE_ORACLE_GRAPHS = tree_oracle_graphs(9)
+
+
+class TestTreePropertyB:
+    """The tree backend (one distance cube per pair) against brute force,
+    exhaustively, and against the table backend at sampled budgets."""
+
+    @pytest.mark.parametrize("index", range(len(TREE_ORACLE_GRAPHS)))
+    def test_matches_brute_force(self, index):
+        g = TREE_ORACLE_GRAPHS[index]
+        assert g.is_tree
+        n = g.vertex_count
+        for r_max, k, ell in itertools.product((0, 1, 2, 3), (0, 1, 2), (0, 1)):
+            for kind in ("all", "canonical"):
+                rep = check_property_b(
+                    GeodesicFamily(g, kind), ell=ell, k=k, r_max=r_max, pair_budget=n * n, c_budget=n
+                )
+                assert rep.exhaustive
+                observed, qualifying, instances, violating = brute_property_b(g, kind, ell, k, r_max)
+                assert (rep.observed_D, rep.qualifying_found) == (observed, qualifying)
+                assert (rep.samples_checked, rep.violations_total) == (instances, 0) and not violating
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("kind", ["all", "canonical"])
+    def test_matches_the_table_backend(self, monkeypatch, seed, kind):
+        rng = random.Random(seed)
+        n = rng.randint(30, 90)
+        shapes = (lambda v: rng.randrange(v), lambda v: max(0, v - rng.randint(1, 3)), lambda v: v - 1 if v % 9 else 0)
+        g = shuffled_tree(rng, n, shapes[seed % 3], f"tree_{seed}")
+        fam = GeodesicFamily(g, kind)
+        params = [
+            dict(ell=rng.randint(0, 2), k=rng.randint(0, 2), r_max=rng.randint(0, 4), pair_budget=rng.randint(5, 60),
+                 c_budget=rng.randint(1, 8), seed=rng.randrange(100))
+            for _ in range(6)
+        ]
+        tree = [check_property_b(fam, **p) for p in params]
+        monkeypatch.setattr(MetricGraph, "is_tree", property(lambda g: False))
+        table = [check_property_b(fam, **p) for p in params]
+        assert tree == table
+        assert any(rep.qualifying_found and not rep.exhaustive for rep in tree)
+
+    @pytest.mark.parametrize("bound", [1, 300, 3_000])
+    def test_sliced_cubes_give_the_same_reports(self, monkeypatch, bound):
+        # Pairs beside broom:12's root reach many rays within r_max = 3: the
+        # root pair (0, 1) has 34 x 24 cells per neighbourhood vertex.
+        g = broom_tree(12).graph
+        checker = geodesics._TreePairChecker(g, g.tree_metric(), 0, 1, 0, 1, 3)
+        assert checker.A.size * checker.B.size == 816
+        fam = GeodesicFamily.all_of(g)
+        runs = [dict(ell=0, k=k, r_max=3, pair_budget=pairs, seed=1) for k in (0, 1, 2) for pairs in (40, 120)]
+        whole = [check_property_b(fam, **run) for run in runs]
+        monkeypatch.setattr(geodesics, "_CUBE_CELLS", bound)
+        assert [check_property_b(fam, **run) for run in runs] == whole
+
+    def test_witness_is_the_first_cell_in_play(self):
+        # No tree instance violates, so the witness is checked at k = -1:
+        # N(c; -1) is empty and every geodesic avoids it. Every centre then
+        # violates from r = 0 on, and its witness is the geodesic of the
+        # least a' in N(a;r) and the least b' in N(b;r).
+        g = broom_tree(6).graph
+        dist = floyd_warshall(g)
+        for a, b in [(0, 5), (3, 17), (20, 8)]:
+            checker = geodesics._TreePairChecker(g, g.tree_metric(), a, b, 0, -1, 3)
+            pool = checker.qualifying_pool()
+            for r in range(4):
+                found = list(checker.violations(r, pool))
+                assert [c for c, _ in found] == pool
+                ap, bp = (min(v for v in range(g.vertex_count) if dist[x][v] <= r) for x in (a, b))
+                for _, witness in found:
+                    assert witness().vertices == canonical_geodesic(g, ap, bp).vertices
+
+    def test_reads_no_adjacency_tuples(self, monkeypatch):
+        g = broom_tree(20).graph
+        g.tree_metric()
+        monkeypatch.setattr(graphs, "_adjacency_tuples", None)  # any build would fail
+        rep = check_property_b(GeodesicFamily.all_of(g), ell=0, k=2, r_max=4, pair_budget=50, seed=2)
+        assert rep.qualifying_found and rep.violations_total == 0
+
+
 def eager_sigma_violations(checker, A, B, cs, on_all):
     """The σ clause as a per-cell search: one ``np.argwhere`` per c, its
     first avoidable (a', b') cell's witness built at once, whether the

@@ -557,6 +557,100 @@ class TestBfsKernel:
         assert tm.depth.tolist() == real(g, 0)
 
 
+def spy_on_tuples(monkeypatch) -> list[int]:
+    """Record the vertex count of every graph whose adjacency tuples get built."""
+    built = []
+    real = graphs._adjacency_tuples
+
+    def spy(indptr, indices):
+        built.append(indptr.size - 1)
+        return real(indptr, indices)
+
+    monkeypatch.setattr(graphs, "_adjacency_tuples", spy)
+    return built
+
+
+class TestTuplesOnDemand:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_tuples_are_the_csr_slices_built_once(self, monkeypatch, seed):
+        built = spy_on_tuples(monkeypatch)
+        g = kernel_graph(seed)
+        n = g.vertex_count
+        indptr, indices = g.csr_arrays()
+        assert g.edge_count == indices.size // 2 and not built
+        adj = g._adj
+        assert built == [n] and g._adj is adj
+        assert adj == tuple(tuple(indices[indptr[v] : indptr[v + 1]].tolist()) for v in range(n))
+        assert all(type(v) is int for row in adj for v in row)
+        assert [g.neighbors(v) for v in range(n)] == list(adj) and built == [n]
+
+    def test_equality_and_hash_follow_the_adjacency(self, monkeypatch):
+        built = spy_on_tuples(monkeypatch)
+        rng = random.Random(5)
+        graphs_ = [kernel_graph(seed) for seed in range(12)]
+        graphs_ += [MetricGraph(g.vertex_count, list(g.edges())[::-1], name=g.name) for g in graphs_[:6]]
+        graphs_ += [MetricGraph(g.vertex_count, g.edges(), name="other") for g in graphs_[:3]]
+        graphs_ += [MetricGraph(g.vertex_count + 1, g.edges(), name=g.name) for g in graphs_[:3]]
+        graphs_ += [path_graph(4), MetricGraph(4, [(0, 1), (1, 2), (1, 3)], name="path_4"), MetricGraph(0, [])]
+        rng.shuffle(graphs_)
+        for g, h in itertools.product(graphs_, repeat=2):
+            assert (g == h) == ((g.name, g.vertex_count, g._adj) == (h.name, h.vertex_count, h._adj))
+        built.clear()
+        for g, h in itertools.product(graphs_, repeat=2):
+            assert g != h or hash(g) == hash(h)
+        assert not built  # comparing and hashing read the CSR arrays only
+
+
+class TestRootRow:
+    @pytest.mark.parametrize("numpy_branch", [False, True])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_connectivity_keeps_the_row_from_0(self, monkeypatch, seed, numpy_branch):
+        if numpy_branch:
+            monkeypatch.setattr(graphs, "_NP_BFS_MIN", 0)
+        g = kernel_graph(seed)
+        connected = g.is_connected
+        row = distance_vector(g, 0)
+        assert row.dtype == np.int32 and not row.flags.writeable
+        assert row.tolist() == bfs_distances(g, 0)
+        assert connected == (row.min() >= 0)
+        assert distance_vector(g, 0) is row
+        if g.is_tree:
+            assert g.tree_metric().depth.tolist() == row.tolist()
+        other = distance_vector(g, g.vertex_count - 1)
+        assert other.flags.writeable or g.vertex_count == 1
+
+    def test_the_empty_graph_is_connected_without_a_row(self):
+        g = MetricGraph(0, [])
+        assert g.is_connected and not g.is_tree
+        with pytest.raises(ValueError, match="invalid vertex id 0"):
+            distance_vector(g, 0)
+
+    @pytest.mark.parametrize("numpy_branch", [False, True])
+    def test_one_search_from_0_serves_every_reader(self, monkeypatch, numpy_branch):
+        from coarselab.spaces import broom_tree
+
+        if numpy_branch:
+            monkeypatch.setattr(graphs, "_NP_BFS_MIN", 0)
+        g = broom_tree(30).graph
+        # A list search is one bfs_distances call, a numpy one a frontier
+        # dedupe per level.
+        name = "_sorted_unique" if numpy_branch else "bfs_distances"
+        steps = []
+        real = getattr(graphs, name)
+
+        def counting(*args, **kwargs):
+            steps.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, name, counting)
+        assert g.is_tree
+        searched = len(steps)
+        assert searched == (31 if numpy_branch else 1)  # broom:30 is 30 levels deep
+        g.tree_metric()
+        distance_vector(g, 0)
+        assert len(steps) == searched
+
+
 def bfs_parents(g: MetricGraph) -> tuple[list[int], list[int]]:
     """Parent and depth of every vertex of a tree rooted at 0, by BFS; the
     root is its own parent."""
@@ -779,7 +873,8 @@ class TestRowStore:
             expected = brute_bfs(g, [s], None, None)
             assert row.dtype == np.int32 and not row.flags.writeable
             assert row.tolist() == [expected.get(v, -1) for v in range(n)]
-            assert (rows[s] is row) == memoised
+            # the row from 0 is kept by the graph itself, store or no store
+            assert (rows[s] is row) == (memoised or s == 0)
         rows = _Rows(g)
         for s in range(n):
             sig = rows.sigma(s)
