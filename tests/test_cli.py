@@ -266,6 +266,19 @@ def test_tree_runs_never_build_the_adjacency_tuples(monkeypatch, capsys, argv):
         ("propb --space farey:12 --ell 0 --k 0 --pair-budget 300", "89894d848e66c8ee298b0aa7d30d9f075259ecc9439d2842c865a5b8229706dc"),
         ("propb --space grid:10 --rmax 1 --k 1 --pair-budget 200", "aeca216b517e6709973cc20e0066acc47bfa6ff33755daa831d9e0e6c5ad2a9c"),
         ("propb --space grid:8 --family canonical --k 0 --rmax 2", "fc3bb35966026bd4aae84a6cdff86a8c22954e72867f42de6ae8d416652c8ebd"),
+        # cover dumps, recorded while the cover still held its sets as frozensets
+        ("cover --space broom:60 --r 1 --dump --family all", "d61a58ee56bf026ac5c20bdf1ff79ede7cc117b37e1bac47ba1ec02f71e1e89a"),
+        ("cover --space broom:60 --r 1 --dump --family canonical", "56ae12d50d3f2f0f6f860bcfa06e211c2d9dfe81f50f22473b449c2155d71efa"),
+        ("cover --space grid:30 --r 1 --delta 0 --dump --family all", "0b5fee7f4194d6f3c7ad3e9ee4295bf1931f016b21dbc821fc4372f95baef2a6"),
+        ("cover --space grid:30 --r 1 --delta 0 --dump --family canonical", "2256588bc6b940ac6ed63b0a5a5613b5f3bc8d7e15bc8e613d578bd8758f827a"),
+        (
+            "cover --space grid:30 --r 1 --delta 0 --radius 2 --d-constant 40 --dump --family all",
+            "80c35bc65b97b5e3e3ff151a500acc3ce55fd62be7eb1210a29059d82555a141",
+        ),
+        (
+            "cover --space broom:260 --r 1 --ell 0 --d-constant 1 --radius 1 --dump",
+            "6d1b4ac04deccf8fe38fc60fe904233f1c26341ebd843929a62d165fa85a6297",
+        ),
     ],
 )
 def test_reports_are_pinned(capsys, argv, digest):
