@@ -48,12 +48,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cover import Cover, CoverDiameterReport, CoverParams, build_cover, verify_diameters
+from .cover import Cover, CoverDiameterReport, CoverParams, _set_keys, _split_keys, build_cover, verify_diameters
 from .geodesics import GeodesicFamily
 from .graphs import MetricGraph, _find, _set_balls, _set_depths, distance, distance_vector
 
@@ -132,12 +131,9 @@ class FatCover:
         """A cover of ``g`` holding ``sets`` as built by hand, with the
         remaining fields given by name; ``sets`` is kept as the view."""
         members = [sorted(fs.members) for fs in sets]
-        sizes = list(map(len, members))
-        keys = np.repeat(np.arange(len(sets), dtype=np.int64) * g.vertex_count, sizes)
-        keys += np.fromiter(chain.from_iterable(members), np.int64, keys.size)
-        depth = [fs.depth.get(v, 0) for fs, ms in zip(sets, members) for v in ms]
+        depth = np.asarray([fs.depth.get(v, 0) for fs, ms in zip(sets, members) for v in ms], np.int64)
         fc = cls(
-            vertex_count=g.vertex_count, set_count=len(sets), keys=keys, depth=np.asarray(depth, np.int64), **fields
+            vertex_count=g.vertex_count, set_count=len(sets), keys=_set_keys(g.vertex_count, members), depth=depth, **fields
         )
         fc.__dict__["sets"] = tuple(sets)
         return fc
@@ -146,12 +142,11 @@ class FatCover:
     def sets(self) -> tuple[FatSet, ...]:
         """The sets as frozensets with their depth dicts, each with its
         origin in the base cover."""
-        set_id, vertex = np.divmod(self.keys, self.vertex_count)
-        bounds = np.searchsorted(set_id, np.arange(self.set_count + 1)).tolist()
+        _, vertex, bounds = _split_keys(self.keys, self.vertex_count, self.set_count)
         vs, ds = vertex.tolist(), self.depth.tolist()
         return tuple(
-            FatSet(cs.n, cs.anchor, frozenset(vs[lo:hi]), {v: d for v, d in zip(vs[lo:hi], ds[lo:hi]) if d})
-            for cs, lo, hi in zip(self.base.sets, bounds, bounds[1:])
+            FatSet(n, None if a < 0 else a, frozenset(vs[lo:hi]), {v: d for v, d in zip(vs[lo:hi], ds[lo:hi]) if d})
+            for n, a, lo, hi in zip(self.base.set_n.tolist(), self.base.set_anchor.tolist(), bounds, bounds[1:])
         )
 
     @cached_property
@@ -233,8 +228,8 @@ def build_fat_cover(
     diam_base = max(base_diameters.max_diameter, base_diameters.incomplete_max_diameter or 0)
 
     n = g.vertex_count
-    keys = _set_balls(g, base._keys(g), 2 * r)
-    if (np.bincount(keys // n, minlength=len(base.sets)) == n).any():
+    keys = _set_balls(g, base.keys, 2 * r)
+    if (np.bincount(keys // n, minlength=base.set_count) == n).any():
         raise ScopeTooSmallError(
             f"scope too small for r={r}: a fattened set covers the whole truncation; the fattening "
             f"needs radius 2r = {2 * r} about each set of the base cover (band {base.params.band}), "
@@ -260,7 +255,7 @@ def build_fat_cover(
         d_constant=d_constant,
         base=base,
         vertex_count=n,
-        set_count=len(base.sets),
+        set_count=base.set_count,
         keys=keys,
         depth=_set_depths(g, keys),
         diam_base=diam_base,
@@ -472,10 +467,9 @@ def check_a1_maps(g: MetricGraph, fc: FatCover) -> A1MapsReport:
 
 def _support_radius_ok(g: MetricGraph, fc: FatCover, bound: int) -> bool:
     anchors = fc.profiles.set_anchor
-    set_id, members = np.divmod(fc.keys, fc.vertex_count)
+    set_id, members, bounds = _split_keys(fc.keys, fc.vertex_count, fc.set_count)
     if g.is_tree:
         return bool((g.tree_metric().pair_distances(anchors[set_id], members) <= bound).all())
-    bounds = np.searchsorted(set_id, np.arange(fc.set_count + 1)).tolist()
     for anchor, lo, hi in zip(anchors.tolist(), bounds, bounds[1:]):
         if distance_vector(g, anchor)[members[lo:hi]].max(initial=-1) > bound:
             return False

@@ -202,7 +202,7 @@ def cmd_cover(args) -> tuple[int, list[str]]:
     lines.append(f"r={params.r}")
     lines.append(f"ell={params.ell}")
     lines.append(f"base={params.basepoint}")
-    lines.append(f"sets={len(cover.sets)}")
+    lines.append(f"sets={cover.set_count}")
     lines.append(f"n_max={cover.n_max}")
     lines.append(f"complete={','.join(str(n) for n in sorted(cover.complete)) or '-'}")
     if not cover.complete:
@@ -306,7 +306,7 @@ def pipeline_a1(
     lines.append("# section cover")
     lines.append(f"base_r={base.params.r}")
     lines.append(f"base_ell={base.params.ell}")
-    lines.append(f"sets={len(base.sets)}")
+    lines.append(f"sets={base.set_count}")
     lines.append(f"complete={','.join(str(n) for n in sorted(base.complete)) or '-'}")
     diam = fat.base_diameters
     lines.append(f"max_diam={diam.max_diameter}")

@@ -18,11 +18,11 @@ label the incomplete ones. ``Cover.core`` is the part of the complete
 region whose balls of a given radius stay inside it, computed once per
 radius.
 
-The checks after the build read the sets as one array of sorted int64
-keys s*n + v, one per set s and member v: N(x; radius) meets set s
-exactly when x lies in the radius-ball of s, so ``multiplicity`` is one
-``graphs._set_balls`` expansion of the keys and one ``np.bincount`` over
-the vertices.
+A cover holds its sets as one incidence: sorted int64 keys s*n + v, one
+per set s and member v, beside each set's annulus and anchor. The checks
+read these arrays: N(x; radius) meets set s exactly when x lies in the
+radius-ball of s, so ``multiplicity`` is one ``graphs._set_balls``
+expansion of the keys and one ``np.bincount`` over the vertices.
 
 A family enters only as its step towards the basepoint: the canonical
 step, or every neighbour one closer. One propagation in distance order
@@ -30,12 +30,14 @@ gives each vertex the union of its steps' anchor sets. It carries an
 anchor-set id per vertex in an integer array: a vertex with one step
 takes that step's id in one numpy gather per level, and only a vertex
 with several steps (the ``all`` family off trees) has its union built in
-Python. One lexsort of (anchor, vertex) per annulus gives its sets.
+Python. One lexsort of (anchor, vertex) per annulus gives its keys.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -94,27 +96,66 @@ class CoverSet:
     members: frozenset[int]
 
 
-@dataclass(frozen=True)
+def _set_keys(vertex_count: int, members: Sequence[Sequence[int]]) -> np.ndarray:
+    """The keys s*n + v (n = ``vertex_count``) of sets given as ascending members."""
+    keys = np.repeat(np.arange(len(members), dtype=np.int64) * vertex_count, list(map(len, members)))
+    keys += np.fromiter(chain.from_iterable(members), np.int64, keys.size)
+    return keys
+
+
+def _split_keys(keys: np.ndarray, vertex_count: int, set_count: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Each key's set s and member v; set s holds ``member[bounds[s] : bounds[s + 1]]``."""
+    set_id, member = np.divmod(keys, vertex_count)
+    return set_id, member, np.searchsorted(set_id, np.arange(set_count + 1)).tolist()
+
+
+@dataclass(frozen=True, eq=False)
 class Cover:
-    """The cover of the graph it was built on. ``_keys`` and ``_core_mask``
-    take that graph and are built once per cover (and radius)."""
+    """A cover as one set incidence: sorted keys s*n + v (n =
+    ``vertex_count``) and each set's annulus and anchor (-1 for none).
+    ``annuli`` holds each annulus's (inner, outer) distance band about the
+    basepoint, ``region`` masks the complete annuli, and ``sets`` is a
+    view built on demand."""
 
     params: CoverParams
-    sets: tuple[CoverSet, ...]
-    annuli: dict[int, frozenset[int]]
-    spheres: dict[int, frozenset[int]]
+    vertex_count: int
+    set_count: int
+    keys: np.ndarray = field(repr=False)
+    set_n: np.ndarray = field(repr=False)
+    set_anchor: np.ndarray = field(repr=False)
+    annuli: dict[int, tuple[int, int]]
     complete: frozenset[int]
+    region: np.ndarray = field(repr=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @classmethod
+    def from_sets(cls, g: MetricGraph, sets: Sequence[CoverSet], **fields) -> Cover:
+        """A cover of ``g`` holding ``sets`` as built by hand, with the
+        remaining fields given by name; ``sets`` is kept as the view."""
+        keys = _set_keys(g.vertex_count, [sorted(cs.members) for cs in sets])
+        set_n = np.array([cs.n for cs in sets], np.int64)
+        set_anchor = np.array([-1 if cs.anchor is None else cs.anchor for cs in sets], np.int64)
+        cov = cls(
+            vertex_count=g.vertex_count, set_count=len(sets), keys=keys, set_n=set_n, set_anchor=set_anchor, **fields
+        )
+        cov.__dict__["sets"] = tuple(sets)
+        return cov
+
+    @cached_property
+    def sets(self) -> tuple[CoverSet, ...]:
+        """The sets as frozensets, with their annuli and anchors."""
+        return tuple(CoverSet(n, anchor, frozenset(ms)) for n, anchor, ms in self._runs())
+
+    def _runs(self) -> Iterator[tuple[int, int | None, list[int]]]:
+        """Each set's annulus, anchor (None for none) and members ascending."""
+        _, member, bounds = _split_keys(self.keys, self.vertex_count, self.set_count)
+        vs = member.tolist()
+        for n, a, lo, hi in zip(self.set_n.tolist(), self.set_anchor.tolist(), bounds, bounds[1:]):
+            yield n, None if a < 0 else a, vs[lo:hi]
 
     @property
     def n_max(self) -> int:
         return max(self.annuli) if self.annuli else 0
-
-    def complete_region(self) -> frozenset[int]:
-        out: set[int] = set()
-        for n in self.complete:
-            out |= self.annuli[n]
-        return frozenset(out)
 
     def core(self, g: MetricGraph, radius: int) -> frozenset[int]:
         """The complete region's vertices farther than ``radius`` from every
@@ -127,29 +168,13 @@ class Cover:
             raise ValueError("radius must be nonnegative")
         mask = self._memo.get(("core", radius))
         if mask is None:
-            mask = np.zeros(g.vertex_count, dtype=bool)
-            for n in self.complete:
-                mask[np.fromiter(self.annuli[n], np.int64, len(self.annuli[n]))] = True
+            mask = self.region.copy()
             outside = np.flatnonzero(~mask)
             if outside.size and radius:
                 mask[_set_balls(g, outside, radius)] = False  # the keys of one set are its vertices
             mask.flags.writeable = False
             self._memo[("core", radius)] = mask
         return mask
-
-    def _keys(self, g: MetricGraph) -> np.ndarray:
-        """The sets as sorted int64 keys s*n + v, one per set s and member v
-        (n the vertex count)."""
-        keys = self._memo.get("keys")
-        if keys is None:
-            sizes = [len(cs.members) for cs in self.sets]
-            members = chain.from_iterable(cs.members for cs in self.sets)
-            keys = np.repeat(np.arange(len(sizes), dtype=np.int64) * g.vertex_count, sizes)
-            keys += np.fromiter(members, np.int64, keys.size)
-            keys.sort(kind="stable")
-            keys.flags.writeable = False
-            self._memo["keys"] = keys
-        return keys
 
     def eccentricity(self, g: MetricGraph) -> int:
         """The basepoint's eccentricity: the radius of the truncation about it."""
@@ -175,49 +200,34 @@ def build_cover(g: MetricGraph, fam: GeodesicFamily, params: CoverParams) -> Cov
     band = params.band
     d_max = int(dist.max())
     n_max = max(1, -(-d_max // band))
-
-    # One stable sort orders the vertices by (distance, id); level d is
-    # the slice order[starts[d] : starts[d + 1]].
-    order = np.argsort(dist, kind="stable")
-    starts = np.searchsorted(dist[order], np.arange(d_max + 2)).tolist()
-    # Every set below gathers its members from one object array, so the
-    # sets share one int per vertex.
-    vertex = np.arange(g.vertex_count).astype(object)
-    order_list = vertex[order].tolist()
-
-    def levels(lo: int, hi: int) -> list[int]:
-        return order_list[starts[min(lo, d_max + 1)] : starts[min(hi, d_max) + 1]]
-
-    annuli: dict[int, frozenset[int]] = {}
-    spheres: dict[int, frozenset[int]] = {}
-    for n in range(1, n_max + 1):
-        annuli[n] = frozenset(levels(band * (n - 1), band * n))
-        spheres[n] = frozenset(levels(band * n, band * n))
-
-    sets = [CoverSet(n, None, annuli[n]) for n in (1, 2) if annuli.get(n)]
-    sets += _anchored_sets(g, dist, order, starts, vertex, band, fam.kind == "canonical")
-
-    complete = frozenset(n for n in annuli if band * n <= d_max - params.width)
+    # The keys' annuli, anchors and members in (annulus, anchor, member)
+    # order: numbering the runs of one (annulus, anchor) keeps them sorted.
+    n_of, anchor, member = map(np.concatenate, zip(*_annulus_sets(g, dist, band, fam.kind == "canonical")))
+    new = np.ones(member.size, dtype=bool)
+    new[1:] = (n_of[1:] != n_of[:-1]) | (anchor[1:] != anchor[:-1])
+    keys = (np.cumsum(new) - 1) * g.vertex_count + member
+    keys.flags.writeable = False
+    complete = frozenset(n for n in range(1, n_max + 1) if band * n <= d_max - params.width)
     return Cover(
         params=params,
-        sets=tuple(sets),
-        annuli=annuli,
-        spheres=spheres,
+        vertex_count=g.vertex_count,
+        set_count=int(new.sum()),
+        keys=keys,
+        set_n=n_of[new],
+        set_anchor=anchor[new],
+        annuli={n: (band * (n - 1), band * n) for n in range(1, n_max + 1)},
         complete=complete,
+        region=dist <= band * max(complete, default=-1),
     )
 
 
-def _anchored_sets(
-    g: MetricGraph,
-    dist: np.ndarray,
-    order: np.ndarray,
-    starts: list[int],
-    vertex: np.ndarray,
-    band: int,
-    canonical: bool,
-) -> list[CoverSet]:
-    """The sets of the annuli n >= 3, each split by the anchors at level
-    band*(n-2) on the family geodesics [x, basepoint] of its vertices x.
+def _annulus_sets(
+    g: MetricGraph, dist: np.ndarray, band: int, canonical: bool
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per annulus n, the annulus, anchor and member of each of its keys,
+    ordered by (anchor, member). Annuli 1 and 2 are one set each, anchor
+    -1; an annulus n >= 3 is split by the anchors at level band*(n-2) on
+    the family geodesics [x, basepoint] of its vertices x.
 
     Every vertex carries an anchor-set id. With the ``top`` vertices of
     the anchor level ranked by id, an id k < top stands for the singleton
@@ -225,12 +235,19 @@ def _anchored_sets(
     as a bitset over the ranks. Level by level out from the anchors, one
     gather copies each vertex's id from its canonical step. In the "all"
     family a vertex with several neighbours one closer then gets the id
-    of the union of their sets, in Python; on a tree there are none.
-    ``order`` is the (distance, id) vertex order, ``starts`` its level
-    bounds and ``vertex`` the ids as Python ints."""
-    d_max = len(starts) - 2
-    if d_max <= 2 * band:  # no annulus beyond the second
-        return []
+    of the union of their sets, in Python; on a tree there are none."""
+    d_max = int(dist.max())
+    n_max = max(1, -(-d_max // band))
+    # One stable sort orders the vertices by (distance, id); level d is
+    # the slice order[starts[d] : starts[d + 1]].
+    order = np.argsort(dist, kind="stable")
+    starts = np.searchsorted(dist[order], np.arange(d_max + 2)).tolist()
+    annulus = {n: order[starts[band * (n - 1)] : starts[min(band * n, d_max) + 1]] for n in range(1, n_max + 1)}
+    for n in range(1, min(n_max, 2) + 1):
+        whole = np.sort(annulus[n])
+        yield np.full(whole.size, n), np.full(whole.size, -1), whole
+    if n_max <= 2:
+        return
     steps, ptr, heads = _closer_steps(g, dist)
     # level -> (its vertices with several steps, their steps, how many each)
     multi: dict[int, tuple[np.ndarray, np.ndarray, list[int]]] = {}
@@ -244,8 +261,7 @@ def _anchored_sets(
                 first = np.repeat(ptr[vs] - (np.cumsum(c) - c), c)
                 multi[d] = (vs, heads[first + np.arange(int(c.sum()))], c.tolist())
     ids = np.empty(g.vertex_count, dtype=np.int64)
-    sets: list[CoverSet] = []
-    for n in range(3, -(-d_max // band) + 1):
+    for n in range(3, n_max + 1):
         base = band * (n - 2)
         anchor_level = order[starts[base] : starts[base + 1]]
         top = anchor_level.size
@@ -271,8 +287,8 @@ def _anchored_sets(
                     out.append(top + len(unions))
                     unions.append(bits)
                 ids[vs] = out
-        annulus = order[starts[band * (n - 1)] : starts[min(band * n, d_max) + 1]]
-        ranks = ids[annulus]
+        members = annulus[n]
+        ranks = ids[members]
         several = ranks >= top
         if several.any():
             # One (rank, vertex) pair per bit of each union id.
@@ -282,14 +298,10 @@ def _anchored_sets(
             rows, cols = np.nonzero(packed)
             bit_rows, bit = np.nonzero(np.unpackbits(packed[rows, cols][:, None], axis=1, bitorder="little"))
             ranks = np.concatenate((ranks[~several], cols[bit_rows] * 8 + bit))
-            annulus = np.concatenate((annulus[~several], annulus[several][rows[bit_rows]]))
+            members = np.concatenate((members[~several], members[several][rows[bit_rows]]))
         anchors = anchor_level[ranks]
-        by = np.lexsort((annulus, anchors))
-        anchors, vertices = anchors[by], vertex[annulus[by]].tolist()
-        cuts = (np.flatnonzero(anchors[1:] != anchors[:-1]) + 1).tolist()
-        for lo, hi in zip([0, *cuts], [*cuts, len(vertices)]):
-            sets.append(CoverSet(n, int(anchors[lo]), frozenset(vertices[lo:hi])))
-    return sets
+        by = np.lexsort((members, anchors))
+        yield np.full(by.size, n), anchors[by], members[by]
 
 
 @dataclass(frozen=True)
@@ -305,18 +317,17 @@ def verify_diameters(g: MetricGraph, cover: Cover) -> CoverDiameterReport:
     """Exact max set diameter over complete annuli against ``40(r+ell)``;
     incomplete annuli are measured too but only labeled, never asserted."""
     bound = 40 * cover.params.width
-    best = 0
-    best_incomplete: int | None = None
-    # One batched call. It goes through set_diameter itself, the function
-    # perfbench's per-layer diameter metrics trace by name.
-    diameters = set_diameter(g, [cs.members for cs in cover.sets], batch=True)
+    # One batched call on the keys. It goes through set_diameter itself,
+    # the function perfbench's per-layer diameter metrics trace by name.
+    diameters = set_diameter(g, cover.keys, batch=True)
+    if len(diameters) < cover.set_count:  # the last sets hold no keys
+        raise ValueError("set_diameter of an empty set")
     if None in diameters:
         raise ValueError("cover set spans disconnected vertices")
-    for cs, d in zip(cover.sets, diameters):
-        if cs.n in cover.complete:
-            best = max(best, d)
-        else:
-            best_incomplete = d if best_incomplete is None else max(best_incomplete, d)
+    diameters = np.asarray(diameters, dtype=np.int64)
+    in_complete = np.isin(cover.set_n, list(cover.complete))
+    best = int(diameters[in_complete].max(initial=0))
+    best_incomplete = None if in_complete.all() else int(diameters[~in_complete].max())
     incomplete = tuple(sorted(set(cover.annuli) - set(cover.complete)))
     return CoverDiameterReport(
         max_diameter=best,
@@ -354,8 +365,7 @@ def multiplicity(
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    keys = cover._keys(g)
-    counts = np.bincount(_set_balls(g, keys, radius) % max(g.vertex_count, 1), minlength=g.vertex_count)
+    counts = np.bincount(_set_balls(g, cover.keys, radius) % max(g.vertex_count, 1), minlength=g.vertex_count)
     if complete_only:
         counts[~cover._core_mask(g, radius)] = 0
     witness = int(counts.argmax()) if counts.any() else None
@@ -378,8 +388,6 @@ def store_cover(cover: Cover) -> str:
     set ``set n=<n> anchor=<id|-> : <member ids sorted>``."""
     p = cover.params
     lines = [f"cover r={p.r} ell={p.ell} base={p.basepoint}"]
-    for cs in cover.sets:
-        anchor = "-" if cs.anchor is None else str(cs.anchor)
-        members = " ".join(str(v) for v in sorted(cs.members))
-        lines.append(f"set n={cs.n} anchor={anchor} : {members}")
+    for n, anchor, members in cover._runs():
+        lines.append(f"set n={n} anchor={'-' if anchor is None else anchor} : {' '.join(map(str, members))}")
     return "\n".join(lines) + "\n"

@@ -63,7 +63,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Collection, Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -854,29 +854,38 @@ def set_diameter(
     """Max pairwise distance within ``members``, measured in g (not the
     induced subgraph); ``None`` if some pair is unreachable.
 
-    With ``batch=True``, ``members`` is an iterable of vertex sets and the
-    list of their diameters is returned, in order (see
-    :func:`set_diameters`). Every member of every set is validated before
-    any distance is taken; an empty set anywhere raises. On a tree the
-    members are flattened once into one int64 array, checked by one range
-    test, and the whole batch costs two batched LCA sweeps over them (an
-    exact double sweep per set, reduced per segment). On other graphs each
-    set gets an exact centre-pruned BFS scan.
+    With ``batch=True``, ``members`` is an iterable of vertex sets, or the
+    sets as strictly ascending int64 keys s*n + v (n the vertex count), as
+    :func:`_set_balls` takes them, and the list of their diameters is
+    returned, in order (see :func:`set_diameters`). Every member of every
+    set is validated before any distance is taken; an empty set anywhere
+    raises. The members are flattened once into one int64 array, checked
+    by one range test. On a tree the whole batch costs two batched LCA
+    sweeps over it (an exact double sweep per set, reduced per segment).
+    On other graphs each set gets an exact centre-pruned BFS scan.
     """
-    sets = [ms if isinstance(ms, Collection) else tuple(ms) for ms in (members if batch else [members])]
-    flat = _flat_members(g, sets) if sets and g.is_tree else None
-    if flat is None:
-        sets = [sorted(set(ms)) for ms in sets]
-        for ms in sets:
-            if not ms:
-                raise ValueError("set_diameter of an empty set")
-            g.check_vertices(ms)
-    if not sets:
-        diameters = []
-    elif flat is not None:
-        diameters = _tree_set_diameters(g.tree_metric(), *flat)
+    if batch and isinstance(members, np.ndarray) and members.ndim == 1:
+        if members.size and (members[0] < 0 or (members[1:] <= members[:-1]).any()):
+            raise ValueError("set keys must be nonnegative and strictly ascending")
+        set_id, flat = np.divmod(members, g.vertex_count)
+        sizes = np.bincount(set_id)
     else:
-        diameters = [_scan_diameter(g, ms) for ms in sets]
+        sets = [ms if isinstance(ms, Collection) else tuple(ms) for ms in (members if batch else [members])]
+        sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+        try:
+            flat = np.fromiter(map(operator.index, chain.from_iterable(sets)), dtype=np.int64, count=int(sizes.sum()))
+        except (TypeError, OverflowError):
+            flat = None
+        if flat is None or (flat.size and (flat.min() < 0 or flat.max() >= g.vertex_count)):
+            for ms in sets:  # the first invalid id raises
+                g.check_vertices(ms)
+    if not sizes.all():
+        raise ValueError("set_diameter of an empty set")
+    if g.is_tree:
+        diameters = _tree_set_diameters(g.tree_metric(), flat, sizes)
+    else:
+        bounds = np.cumsum(sizes).tolist()
+        diameters = [_scan_diameter(g, sorted(set(flat[lo:hi].tolist()))) for lo, hi in zip([0, *bounds], bounds)]
     return diameters if batch else diameters[0]
 
 
@@ -884,20 +893,6 @@ def set_diameters(g: MetricGraph, member_sets: Iterable[Iterable[int]]) -> list[
     """:func:`set_diameter` of every set in ``member_sets``, in order; on a
     tree, two batched LCA sweeps over all members together."""
     return set_diameter(g, member_sets, batch=True)
-
-
-def _flat_members(g: MetricGraph, sets: list[Collection[int]]) -> tuple[np.ndarray, np.ndarray] | None:
-    """All members of ``sets`` as one int64 array, set after set, and the
-    set sizes; None when a set is empty or an id is not a valid vertex, so
-    the per-set check names it."""
-    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-    try:
-        flat = np.fromiter(map(operator.index, chain.from_iterable(sets)), dtype=np.int64, count=int(sizes.sum()))
-    except (TypeError, OverflowError):
-        return None
-    if not sizes.all() or flat.min() < 0 or flat.max() >= g.vertex_count:
-        return None
-    return flat, sizes
 
 
 def _tree_set_diameters(tm: "_TreeMetric", flat: np.ndarray, sizes: np.ndarray) -> list[int]:

@@ -151,7 +151,7 @@ class TestBuildFatCover:
     def test_safe_core_nonempty_and_within_complete(self, broom400_fat):
         b, fat = broom400_fat
         assert fat.safe
-        region = fat.base.complete_region()
+        region = frozenset(np.flatnonzero(fat.base.region).tolist())
         assert fat.safe <= region
 
 

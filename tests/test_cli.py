@@ -132,6 +132,17 @@ class TestCover:
         assert "cover r=1 ell=0 base=0" in out
         assert "set n=1 anchor=- :" in out
 
+    @pytest.mark.parametrize("family", ["all", "canonical"])
+    def test_cover_reads_only_the_arrays(self, capsys, monkeypatch, family):
+        # the frozenset view of the cover is built on demand, never by the
+        # subcommand itself, its dump included
+        real, built = cli.build_cover, []
+        monkeypatch.setattr(cli, "build_cover", lambda *args: built.append(real(*args)) or built[-1])
+        argv = f"cover --space broom:60 --r 1 --d-constant 1 --dump --family {family}"
+        code, _, err = run_cli(capsys, *argv.split())
+        assert (code, err) == (0, "") and len(built) == 1
+        assert "sets" not in vars(built[0])
+
     @pytest.mark.parametrize(
         "argv, ecc",
         [
@@ -171,6 +182,7 @@ class TestA1:
         result = cli.pipeline_a1(broom_tree(130), r=1, pair_budget=12)
         assert result.exit_code == 0
         assert {"sets", "sets_of"}.isdisjoint(vars(result.fat))
+        assert "sets" not in vars(result.fat.base)
 
     def test_small_pipeline_passes(self, capsys):
         code, out, _ = run_cli(

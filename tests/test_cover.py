@@ -55,10 +55,13 @@ class TestParams:
 
 class TestBuildCover:
     def test_spheres_at_multiples_of_band(self, broom120_cover):
+        # annulus n is the band of distances [10(n-1), 10n], so its outer
+        # sphere lies at 10n, and each anchor sits on the sphere two below
         b, _, cov = broom120_cover
         dist = bfs_distances(b.graph, b.basepoint)
-        for n, sph in cov.spheres.items():
-            assert all(dist[v] == 10 * n for v in sph)
+        assert cov.annuli == {n: (10 * (n - 1), 10 * n) for n in range(1, cov.n_max + 1)}
+        for cs in cov.sets:
+            assert cs.anchor is None or dist[cs.anchor] == cov.annuli[cs.n - 2][1]
 
     def test_every_vertex_covered(self, broom120_cover):
         b, _, cov = broom120_cover
@@ -70,13 +73,13 @@ class TestBuildCover:
     def test_annuli_partition_with_sphere_overlap(self, broom120_cover):
         b, _, cov = broom120_cover
         dist = bfs_distances(b.graph, b.basepoint)
-        for n, ann in cov.annuli.items():
-            for v in ann:
-                assert 10 * (n - 1) <= dist[v] <= 10 * n
+        annuli = {n: {v for v, d in enumerate(dist) if lo <= d <= hi} for n, (lo, hi) in cov.annuli.items()}
+        assert set().union(*annuli.values()) == set(range(b.graph.vertex_count))
+        for cs in cov.sets:
+            assert cs.members <= annuli[cs.n]
         # overlap of consecutive annuli is exactly the shared sphere
         for n in range(1, cov.n_max):
-            inter = cov.annuli[n] & cov.annuli[n + 1]
-            assert inter == cov.spheres[n]
+            assert annuli[n] & annuli[n + 1] == {v for v, d in enumerate(dist) if d == 10 * n}
 
     def test_sets_on_single_ray(self, broom120_cover):
         # every anchored set of a broom cover lies on one ray
@@ -302,7 +305,7 @@ def old_safe_core(g: MetricGraph, cover: Cover, radius: int) -> frozenset[int]:
     """The complete region minus everything within ``radius`` of a vertex
     outside it, as multiplicity and the fat cover computed it before
     ``Cover.core``."""
-    region = cover.complete_region()
+    region = frozenset(np.flatnonzero(cover.region).tolist())
     outside = [v for v in range(g.vertex_count) if v not in region]
     if not outside or radius == 0:
         return frozenset(region)
@@ -323,15 +326,20 @@ class TestCore:
     def test_matches_old_formula(self, space, params):
         g = space.graph
         cov = build_cover(g, GeodesicFamily.all_of(g), CoverParams(basepoint=space.basepoint, **params))
-        # the natural cover, and the same cover with every annulus called complete
-        for c in (cov, dataclasses.replace(cov, complete=frozenset(cov.annuli))):
+        # the natural cover, and the same cover with every annulus called
+        # complete, so that its complete region is every vertex
+        every = dataclasses.replace(cov, complete=frozenset(cov.annuli), region=np.ones(g.vertex_count, dtype=bool))
+        for c in (cov, every):
             for radius in range(11):
                 assert c.core(g, radius) == old_safe_core(g, c, radius)
-        assert cov.core(g, 0) == cov.complete_region()
+        # the complete region is the union of the complete annuli's bands
+        dist = bfs_distances(g, space.basepoint)
+        bands = [cov.annuli[n] for n in cov.complete]
+        assert cov.core(g, 0) == {v for v, d in enumerate(dist) if any(lo <= d <= hi for lo, hi in bands)}
 
     def test_ball_stays_inside_region(self, broom120_cover):
         b, _, cov = broom120_cover
-        region = cov.complete_region()
+        region = frozenset(np.flatnonzero(cov.region).tolist())
         core = cov.core(b.graph, 3)
         assert core and core < region
         for v in region:
@@ -365,16 +373,33 @@ class TestVerifyDiameters:
         leaf_far = b.vertex_of("120.50")
         leaf_near = b.vertex_of("119.1")
         bogus = CoverSet(1, None, frozenset({leaf_far, leaf_near}))
-        doctored = Cover(
+        doctored = Cover.from_sets(
+            b.graph,
+            cov.sets + (bogus,),
             params=cov.params,
-            sets=cov.sets + (bogus,),
             annuli=cov.annuli,
-            spheres=cov.spheres,
             complete=cov.complete,
+            region=cov.region,
         )
         rep = verify_diameters(b.graph, doctored)
         assert not rep.passed
         assert rep.max_diameter == 51
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_empty_set_raises(self, at):
+        g = MetricGraph(4, [(0, 1), (1, 2), (2, 3)])
+        sets = [CoverSet(1, None, frozenset({0, 1})), CoverSet(1, None, frozenset({2, 3}))]
+        sets.insert(at, CoverSet(1, None, frozenset()))
+        cov = Cover.from_sets(
+            g,
+            sets,
+            params=CoverParams(r=1, ell=0, delta=0, basepoint=0),
+            annuli={1: (0, 10)},
+            complete=frozenset({1}),
+            region=np.ones(4, dtype=bool),
+        )
+        with pytest.raises(ValueError, match="empty set"):
+            verify_diameters(g, cov)
 
 
 class TestMultiplicity:
@@ -421,10 +446,11 @@ class TestMultiplicity:
         b = broom_tree(90)
         fam = GeodesicFamily.all_of(b.graph)
         cov = build_cover(b.graph, fam, CoverParams(r=4, ell=0, delta=0, basepoint=0))
+        dist = bfs_distances(b.graph, 0)
         radius = cov.params.r // 2
         for x in range(0, b.graph.vertex_count, 53):
             nbhd = ball(b.graph, x, radius)
-            met = {n for n, ann in cov.annuli.items() if ann & nbhd}
+            met = {n for n, (lo, hi) in cov.annuli.items() if any(lo <= dist[v] <= hi for v in nbhd)}
             assert len(met) <= 2
 
 
@@ -433,7 +459,7 @@ def brute_multiplicity(dist, cover: Cover, radius: int, complete_only: bool) -> 
     over the vertices whose ball stays inside the complete region (every
     vertex without ``complete_only``); the witness is the least vertex
     attaining a positive max. ``dist`` is the all-pairs distance table."""
-    region = cover.complete_region()
+    region = frozenset(np.flatnonzero(cover.region).tolist())
     best, witness = 0, None
     for x in range(len(dist)):
         nbhd = {v for v in range(len(dist)) if dist[x][v] <= radius}
@@ -454,13 +480,14 @@ class TestMultiplicityOracle:
         g = random_graph(seed, max_vertices=14, edge_prob=(0.1, 0.2, 0.35)[seed % 3])
         n = g.vertex_count
         sets = tuple(CoverSet(1, None, frozenset(rng.sample(range(n), rng.randint(0, n)))) for _ in range(4))
-        inner = frozenset(rng.sample(range(n), rng.randint(0, n)))
-        cov = Cover(
+        inner = rng.sample(range(n), rng.randint(0, n))
+        cov = Cover.from_sets(
+            g,
+            sets,
             params=CoverParams(r=1, ell=0, delta=0, basepoint=0),
-            sets=sets,
-            annuli={1: inner, 2: frozenset(range(n)) - inner},
-            spheres={},
+            annuli={1: (0, 10), 2: (10, 20)},
             complete=frozenset({1}),
+            region=np.isin(np.arange(n), inner),
         )
         dist = floyd_warshall(g)
         for radius in range(4):

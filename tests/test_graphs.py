@@ -416,6 +416,11 @@ def diameter_batch(rng, n: int):
     return [m for m, _ in pairs], [x for _, x in pairs]
 
 
+def as_keys(n: int, members) -> np.ndarray:
+    """The sets ``members`` as the ascending keys s*n + v of set_diameter's key form."""
+    return np.array(sorted({s * n + v for s, ms in enumerate(members) for v in ms}), dtype=np.int64)
+
+
 class TestSetDiameters:
     @pytest.mark.parametrize("seed", range(20))
     def test_trees_match_brute_force(self, seed):
@@ -425,7 +430,9 @@ class TestSetDiameters:
         g = random_tree(rng, rng.randint(2, 40))
         assert g.is_tree
         members, batch = diameter_batch(rng, g.vertex_count)
-        assert set_diameters(g, batch) == [brute_diameter(g, ms) for ms in members]
+        expected = [brute_diameter(g, ms) for ms in members]
+        assert set_diameters(g, batch) == expected
+        assert set_diameter(g, as_keys(g.vertex_count, members), batch=True) == expected
 
     @pytest.mark.parametrize("seed", range(20))
     def test_non_trees_match_brute_force(self, seed):
@@ -436,14 +443,18 @@ class TestSetDiameters:
             g = random_graph(seed + 100, edge_prob=0.6)
         assert not g.is_tree
         members, batch = diameter_batch(rnd.Random(seed + 1000), g.vertex_count)
-        assert set_diameters(g, batch) == [brute_diameter(g, ms) for ms in members]
+        expected = [brute_diameter(g, ms) for ms in members]
+        assert set_diameters(g, batch) == expected
+        assert set_diameter(g, as_keys(g.vertex_count, members), batch=True) == expected
 
     def test_set_spanning_two_components_is_none_alone(self):
         g = MetricGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)], name="path_and_triangle")
-        assert set_diameters(g, [{0, 2}, {1, 4}, [3, 4, 5, 3], {5}]) == [2, None, 1, 0]
+        batch = [{0, 2}, {1, 4}, [3, 4, 5, 3], {5}]
+        assert set_diameters(g, batch) == set_diameter(g, as_keys(6, batch), batch=True) == [2, None, 1, 0]
 
     def test_empty_batch(self):
         assert set_diameters(path_graph(3), []) == []
+        assert set_diameter(path_graph(3), np.zeros(0, dtype=np.int64), batch=True) == []
 
     @pytest.mark.parametrize("g", [path_graph(5), cycle_graph(5)], ids=["tree", "cycle"])
     def test_batch_form_of_set_diameter(self, g):
@@ -454,6 +465,14 @@ class TestSetDiameters:
     def test_empty_set_mid_batch_raises(self, g):
         with pytest.raises(ValueError, match="set_diameter of an empty set"):
             set_diameters(g, [{0, 1}, set(), {2}])
+        with pytest.raises(ValueError, match="set_diameter of an empty set"):
+            set_diameter(g, as_keys(5, [{0, 1}, set(), {2}]), batch=True)
+
+    @pytest.mark.parametrize("g", [path_graph(5), cycle_graph(5)], ids=["tree", "cycle"])
+    @pytest.mark.parametrize("keys", [[-1, 2], [2, 1], [1, 1, 7]])
+    def test_keys_out_of_order_raise(self, g, keys):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            set_diameter(g, np.array(keys, dtype=np.int64), batch=True)
 
     @pytest.mark.parametrize("g", [path_graph(5), cycle_graph(5)], ids=["tree", "cycle"])
     @pytest.mark.parametrize("bad", [7, -1, 1.5])
