@@ -291,6 +291,18 @@ def test_tree_runs_never_build_the_adjacency_tuples(monkeypatch, capsys, argv):
             "cover --space broom:260 --r 1 --ell 0 --d-constant 1 --radius 1 --dump",
             "6d1b4ac04deccf8fe38fc60fe904233f1c26341ebd843929a62d165fa85a6297",
         ),
+        # delta reports, recorded while every side was a Python walk and every
+        # defect a search per side vertex: the canonical grid (delta=6), a tree,
+        # a sampled larger grid (delta=9), a budget cut inside one all-family
+        # triple's product, and an exhaustive run
+        ("delta --space grid:8 --budget 2000 --seed 3", "42a51cee86d1a8d1a366c1265b49afe464d17b9a53f2d80beae5830574290011"),
+        ("delta --space broom:10 --budget 500 --seed 1", "de0eb696ef32ff11d0de7b11169e04683204a2b6f7970250d7cb23dadf77e83a"),
+        ("delta --space grid:12 --budget 5000 --seed 2", "656c4146ddfc90b031133ff09175f0107323e48a1fbe5e187efcd433b9109b00"),
+        (
+            "delta --space farey:12 --family all --budget 700 --seed 4",
+            "95c0b80af401b89b6739ae8d450ab14499b9663ce46a7166d5c713d09e341440",
+        ),
+        ("delta --space grid:4 --budget 1000", "e781ef21a82682f9e5d3a9cf3403512213e809c68eaeeb1140865317aac7381e"),
     ],
 )
 def test_reports_are_pinned(capsys, argv, digest):
