@@ -30,9 +30,14 @@ matrix (``_Rows.block``). With k = 0 and all geodesics the intersection
 clause is a product of path counts, tested for every (a', b', c) at
 once. A violation is counted when found; its witness geodesic is built
 only if the report keeps it. :func:`thin_delta` takes one path on every
-graph, an early-exit search from each side vertex to the other two
-sides; every side walks a row of the same kind of store, loaded a run of
-triples at a time.
+graph. Its triples go in runs whose far ends' rows the same kind of store
+loads at once. A run's distinct sides are the rows of one array, each
+padded with its far end, and its triangles are rows of three indices into
+it: canonical sides all walk down the far ends' rows together
+(``graphs._canonical_walks``), and all-family sides are enumerated side
+by side, their products cut at the budget. One set-labelled bit-parallel
+BFS gives every defect of a batch of triangles
+(``graphs._triangle_defects``).
 
 A family enters only as its walk down a distance row: the canonical walk
 (the least-id step) or all walks (every step one closer). G(a,b;r) has
@@ -65,11 +70,12 @@ from .graphs import (
     _all_walks,
     _BLOCK,
     _canonical_walk,
-    _distance_to_set,
+    _canonical_walks,
     _SIGMA_MAX,
     _Rows,
     _set_balls,
     _sorted_unique,
+    _triangle_defects,
 )
 
 __all__ = [
@@ -189,40 +195,79 @@ def thin_delta(
     delta = 0
     witness: tuple[Path, Path, Path] | None = None
     checked = 0
-    truncated_resolution = False
-    out_of_budget = False
-    adj = g._adj
-    # The sides x-y, y-z and x-z walk the rows of their far ends y and z,
-    # each converted once per run of triples.
+    truncated = out_of_budget = False
+    # A run's triangles are rows of indices into one array of its distinct
+    # sides x-y, y-z and x-z, each padded with its far end y or z, whose
+    # rows the run loads.
     for chunk, far_ends in _loaded_runs(triples, rows, lambda triple: triple[1:]):
-        walk_rows = {v: rows[v].tolist() for v in far_ends}
-        for x, y, z in chunk:
-            gxy, t1 = _resolve_paths(fam, adj, walk_rows[y], x)
-            gyz, t2 = _resolve_paths(fam, adj, walk_rows[z], y)
-            gxz, t3 = _resolve_paths(fam, adj, walk_rows[z], x)
-            truncated_resolution = truncated_resolution or t1 or t2 or t3
-            for sxy, syz, sxz in itertools.product(gxy, gyz, gxz):
-                if checked >= budget:
-                    out_of_budget = True
-                    break
-                checked += 1
-                worst = 0
-                sides = (sxy.vertices, syz.vertices, sxz.vertices)
-                for i in range(3):
-                    others = {*sides[(i + 1) % 3], *sides[(i + 2) % 3]}
-                    for v in sides[i]:
-                        d = _distance_to_set(g, v, others)
-                        if d > worst:
-                            worst = d
-                if witness is None or worst > delta:
-                    delta = worst
-                    witness = (sxy, syz, sxz)
-            if out_of_budget:
-                break
+        if fam.kind == "canonical":
+            sides, tris = _canonical_sides(rows, chunk)
+        else:
+            sides, tris, cut, out_of_budget = _all_family_sides(g._adj, rows, chunk, far_ends, fam.cap, budget - checked)
+            truncated = truncated or cut
+        if len(tris):
+            worst = _triangle_defects(g, sides, tris)
+            t = int(worst.argmax())
+            if witness is None or worst[t] > delta:
+                delta = int(worst[t])
+                # A side ends at the first copy of its far end.
+                witness = tuple(Path(tuple(side[: side.index(side[-1]) + 1])) for side in sides[tris[t]].tolist())
+        checked += len(tris)
         if out_of_budget:
             break
-    exhaustive = exhaustive_triples and not truncated_resolution and not out_of_budget
+    exhaustive = exhaustive_triples and not truncated and not out_of_budget
     return HyperbolicityReport(delta, witness, checked, exhaustive)
+
+
+def _canonical_sides(rows: _Rows, chunk: list) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical triangles of the triples of ``chunk``: every distinct
+    side walked once (``_canonical_walks``), and each triangle as the row
+    of its sides x-y, y-z and x-z in those walks."""
+    n = rows.g.vertex_count
+    tri = np.asarray(chunk, dtype=np.min_scalar_type(n * n))  # holds every key s * n + v
+    keys = tri[:, [0, 1, 0]] * n + tri[:, [1, 2, 2]]
+    pairs = _sorted_unique(keys.flatten())
+    return _canonical_walks(rows, *np.divmod(pairs, n)), np.searchsorted(pairs, keys)
+
+
+def _all_family_sides(adj, rows: _Rows, chunk: list, far_ends: list[int], cap: int, room: int):
+    """The all family's triangles over the triples of ``chunk``, at most
+    ``room`` of them, in enumeration order: triple by triple, and within a
+    triple the product of its sides' geodesics in ``itertools.product``
+    order, each side's geodesics in lexicographic order (``_all_walks``).
+    Returns every distinct side's geodesics as the rows of one array,
+    padded with their far ends, the triangles as rows of three indices
+    into it, whether some side's enumeration stopped at ``cap``, and
+    whether ``room`` cut the enumeration short."""
+    walk_rows = {v: rows[v].tolist() for v in far_ends}
+    width = 1 + max(max(walk_rows[y][x], walk_rows[z][y], walk_rows[z][x]) for x, y, z in chunk)
+    blocks: list[np.ndarray] = []  # each distinct side's geodesics
+    ids: dict[tuple[int, int], np.ndarray] = {}  # a side's rows in the blocks
+    parts = []
+    count = 0
+    truncated = cut = False
+    for x, y, z in chunk:
+        for u, end in ((x, y), (y, z), (x, z)):
+            if (u, end) not in ids:
+                walks, capped = _all_walks(adj, walk_rows[end], u, cap)
+                truncated = truncated or capped
+                block = np.full((len(walks), width), end, dtype=np.int32)
+                block[:, : len(walks[0])] = [walk.vertices for walk in walks]
+                blocks.append(block)
+                ids[u, end] = np.arange(count, count + len(walks))
+                count += len(walks)
+        sides = (ids[x, y], ids[y, z], ids[x, z])
+        shape = tuple(map(len, sides))
+        take = min(math.prod(shape), room)
+        room -= take
+        part = np.empty((take, 3), dtype=np.int64)
+        for i, pick in enumerate(np.unravel_index(np.arange(take), shape)):
+            part[:, i] = sides[i][pick]
+        parts.append(part)
+        if take < math.prod(shape):
+            cut = True
+            break
+    return np.concatenate(blocks), np.concatenate(parts), truncated, cut
 
 
 def _loaded_runs(items: Iterable, rows: _Rows, ends) -> Iterator[tuple[list, list[int]]]:
@@ -243,13 +288,6 @@ def _loaded_runs(items: Iterable, rows: _Rows, ends) -> Iterator[tuple[list, lis
     if chunk:
         rows.load(used)
         yield chunk, list(used)
-
-
-def _resolve_paths(fam: GeodesicFamily, adj, dist: list[int], u: int) -> tuple[list[Path], bool]:
-    """The family's geodesics from u down the distance row ``dist``."""
-    if fam.kind == "canonical":
-        return [Path(tuple(_canonical_walk(adj, dist, u)))], False
-    return _all_walks(adj, dist, u, fam.cap)
 
 
 # -- boundedness checker -----------------------------------------------

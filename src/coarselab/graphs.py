@@ -30,8 +30,8 @@ They serve the cover's multiplicity and safe core and the fattened sets
 with their interior depths. Full distance rows for geodesic enumeration
 stay list-backed in ``bfs_distances``/``multi_source_distances``;
 ``distance_vector`` switches to a numpy level-synchronous BFS from
-``_NP_BFS_MIN`` vertices up. ``distance`` and the thin-triangle defect stop
-at the first target they reach. The geodesics layer reads its distance and
+``_NP_BFS_MIN`` vertices up. ``distance`` stops at the first target it
+reaches. The geodesics layer reads its distance and
 shortest-path-count rows from one on-demand store, ``_Rows``, which keeps
 at most ``_ROW_CELLS`` cells of them in two slot-mapped matrices (int32
 distances, int64 counts); a row is a read-only view of its slot, and
@@ -40,7 +40,12 @@ distances, int64 counts); a row is a read-only view of its slot, and
 bit-parallel BFS that runs up to 64 searches in the bits of one machine
 word (MS-BFS: Then et al., *The More the Merrier*, PVLDB 8(4), 2014),
 used where the searches are shallow; its rows are copied once, into
-their slots.
+their slots. Its level step, ``_bit_levels`` (a gather of the frontier
+words over the edges, a ``bitwise_or.reduceat`` per vertex, the isolated
+vertices zeroed and the bits seen before dropped), also runs
+``_triangle_defects``: one search per side of many geodesic triangles,
+each starting from the two other sides, whose last level to reach a
+side vertex is the triangle's thinness defect.
 
 On a tree, exact distances come from ``_TreeMetric``, a heavy-path
 decomposition from root 0 built on the depth row the connectivity check
@@ -52,9 +57,11 @@ flattened into one array, and the tree backend of property B reads its
 distances and paths from the same object.
 
 The canonical tie-break (step to the least-id neighbour one closer) lives
-in ``_canonical_step``; every canonical path uses it, and ``_closer_steps``
-gives it for every vertex at once, with all neighbours one closer, as the
-cover's anchor propagation reads them.
+in ``_canonical_step``, which the single walks take. ``_canonical_walks``
+takes it for many walks at once, one ``np.minimum.reduceat`` over their
+neighbours per step, and ``_closer_steps`` gives it for every vertex at
+once, with all neighbours one closer, as the cover's anchor propagation
+reads them.
 """
 
 from __future__ import annotations
@@ -418,43 +425,96 @@ def distance_vector(g: MetricGraph, source: int) -> np.ndarray:
     return dist
 
 
+def _bit_levels(g: MetricGraph, frontier: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The levels of a bit-parallel BFS over the CSR arrays, one per step.
+
+    ``frontier`` is an (n + 1, words) uint64 matrix whose row v holds the
+    bits of the searches that start at v; row n is a zero word, so every
+    reduceat start lies in range and the last vertex's segment ends on it.
+    A step gathers the frontier over the edges, ORs it vertex by vertex
+    and keeps the bits not seen before; it yields the vertices that gained
+    a bit and the (n, words) bits gained, and the search ends at the first
+    step that gains none. The frontier is updated in place."""
+    n = g.vertex_count
+    indptr, indices = g.csr_arrays()
+    gather = np.append(indices, n)
+    starts = indptr[:-1]
+    # An empty segment would read its neighbour's word.
+    isolated = np.flatnonzero(starts == indptr[1:])
+    seen = frontier[:n].copy()
+    while True:
+        reached = np.bitwise_or.reduceat(frontier[gather], starts, axis=0)
+        reached[isolated] = 0
+        reached &= ~seen
+        hit = np.flatnonzero(reached.any(axis=1))
+        if not hit.size:
+            return
+        seen[hit] |= reached[hit]
+        frontier[:n] = reached
+        yield hit, reached
+
+
 def _distance_rows(g: MetricGraph, sources: Collection[int]) -> np.ndarray:
     """Distance rows from every one of ``sources`` at once, as a (k, n)
     int32 array (-1 unreachable; a transposed view, so one copy places the
-    rows): a bit-parallel BFS over the CSR arrays in which source i owns bit
-    i % 64 of word i // 64 of every vertex, so one pass over the edges per
-    level advances up to 64 searches per word."""
+    rows): a bit-parallel BFS (:func:`_bit_levels`) in which source i owns
+    bit i % 64 of word i // 64 of every vertex, so one pass over the edges
+    per level advances up to 64 searches per word."""
     g.check_vertices(sources)
     src = np.asarray(sources, dtype=np.int64).reshape(-1)
     k, n = src.size, g.vertex_count
     ids = np.arange(k)
     dist = np.full((n, k), -1, dtype=np.int32)  # transposed while filled
     dist[src, ids] = 0
-    # Row n is a zero word: the gather appends it, so every reduceat start
-    # lies in range and the last vertex's segment ends on it.
     frontier = np.zeros((n + 1, (k + 63) // 64), dtype=np.uint64)
     np.bitwise_or.at(frontier, (src, ids // 64), np.left_shift(np.uint64(1), (ids % 64).astype(np.uint64)))
-    seen = frontier[:n].copy()
-    indptr, indices = g.csr_arrays()
-    gather = np.append(indices, n)
-    starts = indptr[:-1]
-    # An empty segment would read its neighbour's word.
-    isolated = np.flatnonzero(starts == indptr[1:])
-    level = 0
-    while k:
-        level += 1
-        reached = np.bitwise_or.reduceat(frontier[gather], starts, axis=0)
-        reached[isolated] = 0
-        reached &= ~seen
-        hit = np.flatnonzero(reached.any(axis=1))
-        if not hit.size:
-            break
-        new = reached[hit]
-        seen[hit] |= new
-        frontier[:n] = reached
-        bits = np.unpackbits(new.astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, :k].view(bool)
+    for level, (hit, reached) in enumerate(_bit_levels(g, frontier), start=1):
+        bits = np.unpackbits(reached[hit].astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, :k].view(bool)
         dist[hit] = np.where(bits, level, dist[hit])
     return dist.T
+
+
+def _triangle_defects(g: MetricGraph, sides: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """The thinness defect of every triangle of ``triangles``, a (T, 3)
+    array of rows of ``sides``, whose rows are geodesics padded with their
+    far ends: the max, over sides i and vertices v of side i, of the
+    distance from v to the other two sides. The graph must be connected.
+
+    Set 3t + i starts from the two sides of triangle t other than i, and
+    owns bit (3t + i) % 63 of word (3t + i) // 63 of a bit-parallel BFS
+    (:func:`_bit_levels`) over at most ``_BLOCK`` words of sets at once.
+    Each level checks the side vertices not yet reached by their own set;
+    the level that reaches the last of a triangle's is its defect. A
+    padded vertex is the end of another side, reached before any level
+    runs, and on a tree every side vertex is, so no level runs there."""
+    n = g.vertex_count
+    per_word = 21  # triangles per word: three sets each, in one word
+    worst = np.zeros(len(triangles), dtype=np.int64)
+    for lo in range(0, len(triangles), _BLOCK * per_word):
+        batch = sides[triangles[lo : lo + _BLOCK * per_word]]
+        count, _, width = batch.shape
+        words = -(-count // per_word)
+        # Side j of a triangle starts the triangle's two other sets and
+        # ends its own, set j.
+        own = np.left_shift(np.uint64(1), np.arange(3 * count, dtype=np.uint64).reshape(count, 3) % (3 * per_word))
+        starts = np.bitwise_or.reduce(own, axis=1, keepdims=True) ^ own
+        # Cells as positions v * words + word of the row-major bit matrices.
+        cell = np.promote_types(np.int32, np.min_scalar_type(-max((n + 1) * words, batch.size)))
+        at = batch.astype(cell) * words + (np.arange(count, dtype=cell) // per_word)[:, None, None]
+        frontier = np.zeros((n + 1, words), dtype=np.uint64)
+        np.bitwise_or.at(frontier.reshape(-1), at, starts[:, :, None])
+        unreached = frontier.reshape(-1)[at]
+        unreached &= own[:, :, None]
+        pending = np.flatnonzero(unreached == 0).astype(cell)
+        del unreached
+        at, bit, owner = at.reshape(-1)[pending], own.reshape(-1)[pending // width], pending // (3 * width)
+        levels = enumerate(_bit_levels(g, frontier), start=1)
+        while at.size:
+            level, (_, reached) = next(levels)
+            done = (reached.reshape(-1)[at] & bit) != 0
+            worst[lo + owner[done]] = level
+            at, bit, owner = at[~done], bit[~done], owner[~done]
+    return worst
 
 
 # -- set-labelled expansion ----------------------------------------------
@@ -846,6 +906,39 @@ def _canonical_walk(adj, dist, u: int) -> list[int]:
         u = _canonical_step(adj, dist, u)
         path.append(u)
     return path
+
+
+def _canonical_walks(rows: "_Rows", sources: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The canonical geodesic from every ``sources[w]`` to ``ends[w]`` (a
+    pair joined by a path), as row w of one (W, L) int32 array padded with
+    its far end ``ends[w]``; L is one more than the longest.
+
+    The walks advance together down their far ends' rows, read from
+    ``rows`` as one block: each step gathers the live walks' neighbours
+    over the CSR arrays and takes, per walk, the least one closer by one
+    ``np.minimum.reduceat``, the tie-break of :func:`_canonical_step`."""
+    g = rows.g
+    n = g.vertex_count
+    indptr, indices = g.csr_arrays()
+    far = _sorted_unique(np.array(ends, dtype=np.int64))
+    dist, _ = rows.block(far.tolist(), np.arange(n), sigma=False)
+    flat = dist.reshape(-1)
+    base = np.searchsorted(far, ends) * n  # each walk's row in ``flat``
+    cur = np.array(sources, dtype=np.int32)
+    left = flat[base + cur]  # steps still to take
+    walks = np.empty((cur.size, int(left.max(initial=0)) + 1), dtype=np.int32)
+    walks[:, 0] = cur
+    live = np.flatnonzero(left)
+    for step in range(1, walks.shape[1]):
+        at = cur[live]
+        counts = indptr[at + 1] - indptr[at]
+        nbrs = indices[_segments(indptr, at)]
+        closer = flat[np.repeat(base[live], counts) + nbrs] == np.repeat(left[live] - 1, counts)
+        cur[live] = np.minimum.reduceat(np.where(closer, nbrs, n), np.cumsum(counts) - counts)
+        left[live] -= 1
+        walks[:, step] = cur
+        live = live[left[live] > 0]
+    return walks
 
 
 def set_diameter(

@@ -30,21 +30,29 @@ def triangle_defect(dist, sides):
     return worst
 
 
+def brute_triangles(g, kind, dist, triples):
+    """Every geodesic triangle over ``triples`` in enumeration order: triple
+    by triple, each triple's sides x-y, y-z, x-z in itertools.product order
+    of their shortest paths, listed lexicographically by a search down the
+    Floyd-Warshall table. For the canonical kind each side is the
+    lexicographically least shortest path."""
+
+    def paths(u, v):
+        if u == v:
+            return [(v,)]
+        return [(u, *rest) for w in g.neighbors(u) if dist[w][v] == dist[u][v] - 1 for rest in paths(w, v)]
+
+    for x, y, z in triples:
+        sides = [paths(u, v) for u, v in ((x, y), (y, z), (x, z))]
+        yield from itertools.product(*(side[:1] for side in sides) if kind == "canonical" else sides)
+
+
 def brute_thin_delta(g, kind):
     """Independent thinness oracle: enumerate every geodesic combination of
-    every vertex triple and take the worst side defect. For the canonical
-    kind each side is the lexicographically least shortest path."""
+    every vertex triple and take the worst side defect."""
     dist = floyd_warshall(g)
-
-    def sides(u, v):
-        paths = brute_shortest_paths(g, u, v)
-        return paths[:1] if kind == "canonical" else paths
-
-    best = 0
-    for x, y, z in itertools.combinations(range(g.vertex_count), 3):
-        for tri in itertools.product(sides(x, y), sides(y, z), sides(x, z)):
-            best = max(best, triangle_defect(dist, tri))
-    return best
+    triples = itertools.combinations(range(g.vertex_count), 3)
+    return max((triangle_defect(dist, tri) for tri in brute_triangles(g, kind, dist, triples)), default=0)
 
 
 def random_tree(seed, max_vertices=9):
@@ -64,7 +72,19 @@ def connected_random_graphs(count, max_vertices=9):
     return out
 
 
-ORACLE_GRAPHS = connected_random_graphs(20) + [random_tree(seed) for seed in range(10)]
+def larger_graph(seed, max_vertices=25):
+    """A random spanning tree on up to ``max_vertices`` vertices; from seed
+    2 on with extra edges, a few or one per vertex."""
+    rng = random.Random(seed)
+    n = rng.randint(12, max_vertices)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range((0, 0, 2, 4, n // 2, n)[seed % 6])]
+    return MetricGraph(n, edges, name=f"larger_{seed}")
+
+
+ORACLE_GRAPHS = (
+    connected_random_graphs(20) + [random_tree(seed) for seed in range(10)] + [larger_graph(seed) for seed in range(6)]
+)
 
 
 class TestGSet:
@@ -238,6 +258,38 @@ class TestThinDelta:
                 paths = brute_shortest_paths(g, u, v)
                 assert side in (paths[:1] if kind == "canonical" else paths)
             assert triangle_defect(dist, (sxy, syz, sxz)) == expected
+
+    @pytest.mark.parametrize("kind", ["canonical", "all"])
+    def test_budget_cut_matches_a_brute_pass(self, monkeypatch, kind):
+        # 21 vertices with cycles: 1,330 triples, so 1,000 are sampled. In a
+        # store of six rows a run has at most six far ends. The all family
+        # runs out of budget in the second triple of a nine-triple run,
+        # partway through that triple's product.
+        g = larger_graph(5)
+        dist = floyd_warshall(g)
+        monkeypatch.setattr(graphs, "_ROW_CELLS", 6 * g.vertex_count)
+        runs = []
+        real = geodesics._loaded_runs
+
+        def spy(items, rows, ends):
+            for chunk, far_ends in real(items, rows, ends):
+                runs.append(list(chunk))
+                yield chunk, far_ends
+
+        monkeypatch.setattr(geodesics, "_loaded_runs", spy)
+        budget = 1000
+        rep = thin_delta(g, GeodesicFamily(g, kind), budget=budget, seed=7)
+        triples = [triple for run in runs for triple in run]
+        assert len(runs) > 1 and triples == sorted(set(triples))
+        if kind == "all":
+            before = sum(1 for _ in brute_triangles(g, kind, dist, triples[:-8]))
+            cut = len(list(brute_triangles(g, kind, dist, triples[-8:-7])))
+            assert len(runs[-1]) == 9 and before < budget < before + cut
+        first = list(itertools.islice(brute_triangles(g, kind, dist, triples), budget))
+        defects = [triangle_defect(dist, tri) for tri in first]
+        assert rep.triangles_checked == len(first) == budget and not rep.exhaustive
+        assert rep.delta == max(defects)
+        assert tuple(side.vertices for side in rep.witness_triangle) == first[defects.index(rep.delta)]
 
     def test_seed_independent_when_exhaustive(self):
         g = cycle_graph(6)

@@ -16,9 +16,11 @@ from coarselab.graphs import (
     MetricGraph,
     Path,
     _bfs,
+    _canonical_walks,
     _distance_rows,
     _Rows,
     _distance_to_set,
+    _triangle_defects,
     _set_balls,
     _set_depths,
     all_geodesics,
@@ -358,6 +360,58 @@ class TestCanonicalGeodesic:
             if distance(g, u, v) is None:
                 continue
             assert canonical_geodesic(g, u, v) == canonical_geodesic(g, u, v)
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("stored", [True, False])
+    def test_batched_walks_match(self, monkeypatch, seed, stored):
+        # every ordered pair in one shuffled batch: lengths 0 (u equal to the
+        # far end) up to the diameter, so most walks are padded
+        if not stored:
+            monkeypatch.setattr(graphs, "_ROW_CELLS", 0)
+        g = connected_graph(random.Random(seed), 25)
+        pairs = list(itertools.product(range(g.vertex_count), repeat=2))
+        random.Random(seed).shuffle(pairs)
+        us, vs = (np.array(side) for side in zip(*pairs))
+        walks = _canonical_walks(_Rows(g), us, vs)
+        lengths = [distance(g, u, v) for u, v in pairs]
+        assert walks.dtype == np.int32 and walks.shape == (len(pairs), max(lengths) + 1)
+        for (u, v), d, walk in zip(pairs, lengths, walks.tolist()):
+            assert tuple(walk[: d + 1]) == canonical_geodesic(g, u, v).vertices
+            assert walk[d:] == [v] * (len(walk) - d)
+
+
+def connected_graph(rng: random.Random, max_vertices: int) -> MetricGraph:
+    """A random spanning tree, with a random number of extra edges (none
+    for about one graph in four)."""
+    n = rng.randint(3, max_vertices)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.choice([0, 1, 3, n]))]
+    return MetricGraph(n, edges, name="connected")
+
+
+class TestTriangleDefects:
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("block", [graphs._BLOCK, 1])
+    def test_matches_distances_to_the_other_sides(self, monkeypatch, seed, block):
+        # with one word of sets per batch, 100 triangles take five batches
+        monkeypatch.setattr(graphs, "_BLOCK", block)
+        rng = random.Random(seed)
+        g = connected_graph(rng, 25)
+        dist = floyd_warshall(g)
+        triangles = []
+        for _ in range(100):
+            x, y, z = rng.sample(range(g.vertex_count), 3)
+            triangles.append([canonical_geodesic(g, u, v).vertices for u, v in ((x, y), (y, z), (x, z))])
+        # each distinct side once, shared by the triangles it belongs to
+        distinct = sorted({side for sides in triangles for side in sides})
+        width = max(map(len, distinct))
+        padded = np.array([side + (side[-1],) * (width - len(side)) for side in distinct], dtype=np.int32)
+        rows = np.array([[distinct.index(side) for side in sides] for sides in triangles])
+        expected = [
+            max(min(dist[v][w] for w in sides[(i + 1) % 3] + sides[(i + 2) % 3]) for i in range(3) for v in sides[i])
+            for sides in triangles
+        ]
+        assert _triangle_defects(g, padded, rows).tolist() == expected
 
 
 class TestSetDiameter:
