@@ -303,6 +303,16 @@ def test_tree_runs_never_build_the_adjacency_tuples(monkeypatch, capsys, argv):
             "95c0b80af401b89b6739ae8d450ab14499b9663ce46a7166d5c713d09e341440",
         ),
         ("delta --space grid:4 --budget 1000", "e781ef21a82682f9e5d3a9cf3403512213e809c68eaeeb1140865317aac7381e"),
+        # recorded while balls, pair neighbourhoods and probe conflicts came
+        # from a bounded multi-source dict search: canonical witnesses around
+        # N(c;1), a greedy and an exact capacity, and a bounded growth trend
+        ("propb --space grid:8 --family canonical --k 1 --rmax 2", "a1cfa8e995b0774d9a74f786c519b8d0914ed727d6b18caaa7c2e6933d8112da"),
+        ("probe capacity --space farey:30 --d 2 --radius 2", "a50d5a21f5b074bd227d1e42a399e78460d83b8e2b39d1232264976b9e1b3084"),
+        ("probe capacity --space grid:12 --d 3 --radius 4", "5faed21850977c9839a8f18ee59f1c62bad8b319eb7bc21604fb81c63f2ac282"),
+        (
+            "probe growth --generator grid --params 4,6,8 --d 2 --radius 3",
+            "d8dac874b9bd27ef1d7db7a27df74022fd3403cfe7c83bbe70ea8cdd9993f553",
+        ),
     ],
 )
 def test_reports_are_pinned(capsys, argv, digest):
