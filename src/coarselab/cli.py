@@ -76,6 +76,20 @@ def parse_space(spec: str) -> LabeledGraph:
     raise SpaceSpecError(f"unknown space kind {kind!r}")
 
 
+def _comma_values(flag: str, text: str, form: str, *kinds: type) -> list:
+    """The comma-separated values of ``flag``, one per kind of ``kinds``,
+    or any number of integers when no kinds are given. A value of another
+    shape fails with a message that names the flag and its ``form``."""
+    fields = text.split(",")
+    kinds = kinds or (int,) * len(fields)
+    try:
+        if len(fields) != len(kinds):
+            raise ValueError
+        return [kind(t) for kind, t in zip(kinds, fields)]
+    except ValueError:
+        raise SpaceSpecError(f"bad {flag} {text!r}: expected {form}") from None
+
+
 def _is_farey(spec: str) -> bool:
     return spec.startswith("farey:")
 
@@ -428,7 +442,7 @@ def cmd_probe(args) -> tuple[int, list[str]]:
         raise SpaceSpecError(f"unknown generator {args.generator!r}; pick one of {sorted(_GENERATORS)}")
     if args.params is None:
         raise SpaceSpecError("growth probe needs --params")
-    params = [int(t) for t in args.params.split(",")]
+    params = _comma_values("--params", args.params, "comma-separated integers")
     rep = growth_probe(_GENERATORS[args.generator], params, args.d, args.radius, exact_limit=args.exact_limit)
     for p, card, method in zip(rep.parameters, rep.cardinalities, rep.methods):
         lines.append(f"capacity D={rep.d_separation} param={p} card={card} method={method}")
@@ -452,7 +466,7 @@ def _bound_lines(title: str, bound) -> list[str]:
 def cmd_asdim(args) -> tuple[int, list[str]]:
     lines: list[str] = []
     if args.surface is not None:
-        gg, pp = (int(t) for t in args.surface.split(","))
+        gg, pp = _comma_values("--surface", args.surface, "g,p", int, int)
         s = calculator.Surface(gg, pp)
         b = calculator.asdim_mod(s)
         lines += _bound_lines(f"asdim Mod(S_{{{gg},{pp}}})", b)
@@ -462,8 +476,8 @@ def cmd_asdim(args) -> tuple[int, list[str]]:
     elif args.braid is not None:
         lines += _bound_lines(f"asdim B_{args.braid}", calculator.braid_bound(args.braid))
     elif args.artin is not None:
-        fam, n = args.artin.rsplit(",", 1)
-        lines += _bound_lines(f"asdim Artin({fam},{n})", calculator.artin_bound(fam, int(n)))
+        fam, n = _comma_values("--artin", args.artin, "FAMILY,n", str, int)
+        lines += _bound_lines(f"asdim Artin({fam},{n})", calculator.artin_bound(fam, n))
     elif args.torelli is not None:
         lines += _bound_lines(f"asdim Torelli_{args.torelli}", calculator.torelli(args.torelli))
     elif args.farey:
@@ -471,7 +485,7 @@ def cmd_asdim(args) -> tuple[int, list[str]]:
     elif args.from_d is not None:
         lines.append(f"asdim_upper={asdim_upper_from_D(args.from_d)}")
     elif args.hyperbolic is not None:
-        s, d = (int(t) for t in args.hyperbolic.split(","))
+        s, d = _comma_values("--hyperbolic", args.hyperbolic, "s,delta", int, int)
         lines.append(f"asdim_upper={calculator.hyperbolic_group_asdim_upper(s, d)}")
     else:
         raise SpaceSpecError("asdim needs one of --surface/--braid/--artin/--torelli/--farey/--from-d/--hyperbolic")

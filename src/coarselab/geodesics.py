@@ -66,7 +66,6 @@ from .graphs import (
     GEODESIC_CAP,
     MetricGraph,
     Path,
-    _bfs,
     _all_walks,
     _BLOCK,
     _canonical_walk,
@@ -76,6 +75,7 @@ from .graphs import (
     _set_balls,
     _sorted_unique,
     _triangle_defects,
+    ball,
 )
 
 __all__ = [
@@ -596,7 +596,7 @@ class _PairChecker:
         """N(c;k), sorted and memoised per pair."""
         hood = self._hoods.get(c)
         if hood is None:
-            hood = [c] if self.k == 0 else sorted(_bfs(self.g, (c,), self.k))
+            hood = sorted(ball(self.g, c, self.k))
             self._hoods[c] = hood
         return hood
 

@@ -18,20 +18,20 @@ all operations are pure functions of their inputs. Distances are integers;
 an unreachable pair is reported as ``None`` rather than an error so probes
 on disconnected truncations stay total.
 
-Every breadth-first search in the package runs here. The private kernel
-``_bfs`` is bounded and multi-source and returns a dict, so its cost follows
-the ball, not the graph; it serves the single local searches (balls,
-spheres, pair neighbourhoods, conflict balls). Many vertex sets at once
-travel as one sorted int64 array of keys s*n + v, one per (set, member)
-pair: ``_set_balls`` grows them all by a radius in one level-synchronous
+Every breadth-first search in the package runs here. The local searches
+(balls, spheres, ``distance``, and through ``ball`` the pair
+neighbourhoods and conflict balls) read one generator, ``_spheres``, which
+yields the spheres about one vertex radius by radius and keeps its seen
+vertices in a set, so its cost follows the ball, not the graph; each
+caller stops it at the radius it needs. Many vertex sets at once travel
+as one sorted int64 array of keys s*n + v, one per (set, member) pair: ``_set_balls`` grows them all by a radius in one level-synchronous
 expansion over the CSR arrays, and ``_set_depths`` gives every member its
 distance to the set's complement by an inward expansion over the same keys.
 They serve the cover's multiplicity and safe core and the fattened sets
 with their interior depths. Full distance rows for geodesic enumeration
 stay list-backed in ``bfs_distances``/``multi_source_distances``;
 ``distance_vector`` switches to a numpy level-synchronous BFS from
-``_NP_BFS_MIN`` vertices up. ``distance`` stops at the first target it
-reaches. The geodesics layer reads its distance and
+``_NP_BFS_MIN`` vertices up. The geodesics layer reads its distance and
 shortest-path-count rows from one on-demand store, ``_Rows``, which keeps
 at most ``_ROW_CELLS`` cells of them in two slot-mapped matrices (int32
 distances, int64 counts); a row is a read-only view of its slot, and
@@ -69,7 +69,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from collections.abc import Collection, Iterable, Iterator
 
 import numpy as np
@@ -346,53 +346,23 @@ def _dense_bfs(g: MetricGraph, sources: Iterable[int], cutoff: int | None) -> li
     return dist
 
 
-def _bfs(
-    g: MetricGraph, sources: Collection[int], radius: int | None = None, within: Collection[int] | None = None
-) -> dict[int, int]:
-    """Distance to the nearest of ``sources`` for every vertex within
-    ``radius`` of them, keyed in the order a FIFO search reaches them. With
-    ``within`` given, the search steps only onto vertices in it."""
-    g.check_vertices(sources)
-    seen = bytearray(g.vertex_count)
-    dist: dict[int, int] = {}
-    queue = []
-    for s in sources:
-        if not seen[s]:
-            seen[s] = 1
-            dist[s] = 0
-            queue.append(s)
-    limit = g.vertex_count if radius is None else radius
+def _spheres(g: MetricGraph, x: int) -> Iterator[list[int]]:
+    """The spheres about ``x`` for radius 0, 1, 2, ..., while they are
+    nonempty. The search keeps its seen vertices in a set, so its cost
+    follows the ball, not the graph."""
+    g.check_vertex(x)
     adj = g._adj
-    for u in queue:
-        du = dist[u]
-        if du >= limit:
-            continue
-        du += 1
-        for w in adj[u]:
-            if not seen[w] and (within is None or w in within):
-                seen[w] = 1
-                dist[w] = du
-                queue.append(w)
-    return dist
-
-
-def _distance_to_set(g: MetricGraph, v: int, targets: Collection[int]) -> int | None:
-    """d(v, targets), stopping at the first target reached; ``None`` when
-    no target is reachable."""
-    if v in targets:
-        return 0
-    dist = {v: 0}
-    queue = [v]
-    adj = g._adj
-    for u in queue:
-        du = dist[u] + 1
-        for w in adj[u]:
-            if w not in dist:
-                if w in targets:
-                    return du
-                dist[w] = du
-                queue.append(w)
-    return None
+    seen = {x}
+    shell = [x]
+    while shell:
+        yield shell
+        outer = []
+        for u in shell:
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    outer.append(w)
+        shell = outer
 
 
 def distance_vector(g: MetricGraph, source: int) -> np.ndarray:
@@ -796,24 +766,25 @@ class _Rows:
 
 
 def distance(g: MetricGraph, u: int, v: int) -> int | None:
-    """Shortest-path distance, ``None`` when u and v lie in different components."""
+    """Shortest-path distance, ``None`` when u and v lie in different
+    components. The search stops at the first sphere about u that holds v."""
     g.check_vertex(u)
     g.check_vertex(v)
-    return _distance_to_set(g, u, (v,))
+    return next((r for r, shell in enumerate(_spheres(g, u)) if v in shell), None)
 
 
 def ball(g: MetricGraph, x: int, r: int) -> set[int]:
     """``{v : d(x, v) <= r}``."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    return set(_bfs(g, (x,), r))
+    return set(chain.from_iterable(islice(_spheres(g, x), r + 1)))
 
 
 def sphere(g: MetricGraph, x: int, r: int) -> set[int]:
     """``{v : d(x, v) = r}``; ``sphere(g, x, 0) == {x}``."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    return {v for v, d in _bfs(g, (x,), r).items() if d == r}
+    return set(next(islice(_spheres(g, x), r, None), ()))
 
 
 # -- geodesics ---------------------------------------------------------
@@ -1124,18 +1095,6 @@ class _TreeMetric:
         """Exact tree distances ``d(a[i], b[i])`` of two aligned id arrays."""
         anc = self.lca_pairs(a, b)
         return self.depth[a] + self.depth[b] - 2 * self.depth[anc]
-
-    def distances(self, u: int, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64)
-        return self.pair_distances(np.full(xs.shape, u, dtype=np.int64), xs)
-
-    def pairwise(self, us, vs) -> np.ndarray:
-        """|us| x |vs| matrix of exact tree distances."""
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        if us.size == 0 or vs.size == 0:
-            return np.zeros((us.size, vs.size), dtype=np.int64)
-        return self.pair_distances(np.repeat(us, vs.size), np.tile(vs, us.size)).reshape(us.size, vs.size)
 
     def path(self, u: int, v: int) -> list[int]:
         """The unique u-v path: both ends climb to their meet."""

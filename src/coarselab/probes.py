@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
-from .graphs import MetricGraph, _bfs, ball
+from .graphs import MetricGraph, ball
 from .spaces import LabeledGraph
 
 __all__ = [
@@ -74,7 +74,7 @@ def discrete_capacity(
 
 def _near_candidates(g: MetricGraph, v: int, cand: set[int], d_sep: int) -> set[int]:
     """Candidates at distance < d_sep from v."""
-    return {w for w in _bfs(g, (v,), d_sep - 1) if w != v and w in cand}
+    return (ball(g, v, d_sep - 1) & cand) - {v}
 
 
 def _greedy_independent_set(g: MetricGraph, candidates: list[int], cand: set[int], d_sep: int) -> list[int]:

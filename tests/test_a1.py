@@ -391,7 +391,7 @@ class TestA1Map:
         for x in sorted(fat.safe)[::201]:
             amap = a1_map(b.graph, fat, x, anchors)
             supp = np.asarray(amap.support(), dtype=np.int64)
-            assert int(tm.distances(x, supp).max()) <= bound
+            assert int(tm.pair_distances(np.full(supp.shape, x), supp).max()) <= bound
 
 
 class TestVariation:

@@ -428,6 +428,10 @@ class TestProbe:
         assert "capacity D=2 param=10 card=" in out
         assert "verdict=UNBOUNDED-TREND" in out
 
+    def test_growth_malformed_params_names_the_flag(self, capsys):
+        argv = ("probe", "growth", "--generator", "grid", "--params", "4,,6", "--d", "2", "--radius", "3")
+        assert run_cli(capsys, *argv) == (2, "", "error: bad --params '4,,6': expected comma-separated integers\n")
+
     def test_growth_tree_bounded(self, capsys):
         code, out, _ = run_cli(
             capsys, "probe", "growth", "--generator", "tree4", "--params", "4,5,6",
@@ -470,3 +474,10 @@ class TestAsdim:
     def test_no_selector_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "asdim")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, form",
+        [("--surface", "1", "g,p"), ("--artin", "A", "FAMILY,n"), ("--hyperbolic", "2", "s,delta")],
+    )
+    def test_malformed_comma_list_names_the_flag(self, capsys, flag, value, form):
+        assert run_cli(capsys, "asdim", flag, value) == (2, "", f"error: bad {flag} '{value}': expected {form}\n")

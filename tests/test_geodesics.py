@@ -546,7 +546,7 @@ class TestPropertyBOracle:
         dist = floyd_warshall(g)
         n = g.vertex_count
         fam = GeodesicFamily(g, kind)
-        for r_max, k, ell in itertools.product((0, 1, 2), (0, 1), (0, 1)):
+        for r_max, k, ell in itertools.product((0, 1, 2), (0, 1, 2), (0, 1)):
             rep = check_property_b(
                 fam, ell=ell, k=k, r_max=r_max, pair_budget=n * n, c_budget=n, violation_cap=n**4
             )

@@ -15,14 +15,13 @@ from coarselab.graphs import (
     GraphFormatError,
     MetricGraph,
     Path,
-    _bfs,
     _canonical_walks,
     _distance_rows,
     _Rows,
-    _distance_to_set,
     _triangle_defects,
     _set_balls,
     _set_depths,
+    _spheres,
     all_geodesics,
     ball,
     bfs_distances,
@@ -561,36 +560,63 @@ class TestBfsKernel:
         nx = pytest.importorskip("networkx")
         g = kernel_graph(seed)
         n = g.vertex_count
-        rng = random.Random(seed)
-        a, b = rng.randrange(n), rng.randrange(n)
-        cut = set(rng.sample(range(n), n // 2))
         full = nx.Graph()
         full.add_nodes_from(range(n))
         full.add_edges_from(g.edges())
-        for sources, radius, within in itertools.product(
-            ([a], [a, b], [b, a, b, b]), (0, 1, 3, None), (None, cut)
-        ):
-            got = _bfs(g, sources, radius, within)
-            assert got == brute_bfs(g, sources, radius, within)
-            region = full if within is None else full.subgraph(within | set(sources))
-            assert got == nx.multi_source_dijkstra_path_length(region, set(sources), cutoff=radius)
-            # FIFO order: the distinct sources first, then by distance
-            assert list(got)[: len(set(sources))] == list(dict.fromkeys(sources))
-            assert list(got.values()) == sorted(got.values())
+        for x in range(n):
+            dist = brute_bfs(g, [x], None, None)
+            assert dist == nx.single_source_shortest_path_length(full, x)
+            assert [set(shell) for shell in _spheres(g, x)] == [
+                {v for v, d in dist.items() if d == r} for r in range(max(dist.values()) + 1)
+            ]
+            # radius n lies past every eccentricity
+            for r in (0, 1, 3, n):
+                assert ball(g, x, r) == {v for v, d in dist.items() if d <= r}
+                assert sphere(g, x, r) == {v for v, d in dist.items() if d == r}
+            assert [distance(g, x, v) for v in range(n)] == [dist.get(v) for v in range(n)]
 
     @pytest.mark.parametrize("seed", range(30))
     def test_distance_to_set(self, seed):
+        # d(v, targets) is the index of the first sphere about v that meets them
         g = kernel_graph(seed)
         rng = random.Random(seed)
         targets = set(rng.sample(range(g.vertex_count), rng.randint(1, 3)))
         for v in range(g.vertex_count):
             reach = [d for t, d in brute_bfs(g, [v], None, None).items() if t in targets]
-            assert _distance_to_set(g, v, targets) == (min(reach) if reach else None)
+            expected = min(reach) if reach else None
+            assert next((r for r, shell in enumerate(_spheres(g, v)) if targets.intersection(shell)), None) == expected
+            found = [d for d in (distance(g, v, t) for t in targets) if d is not None]
+            assert (min(found) if found else None) == expected
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_distance_stops_at_the_target_sphere(self, monkeypatch, seed):
+        g = kernel_graph(seed)
+        drawn = []
+        real = graphs._spheres
+
+        def counting(g, x):
+            for shell in real(g, x):
+                drawn.append(shell)
+                yield shell
+
+        monkeypatch.setattr(graphs, "_spheres", counting)
+        n = g.vertex_count
+        for u, v in itertools.product(range(n), repeat=2):
+            drawn.clear()
+            d = distance(g, u, v)
+            assert len(drawn) == (d + 1 if d is not None else len(list(real(g, u))))
 
     @pytest.mark.parametrize("bad", [5, -1, 1.5])
     def test_invalid_source_raises(self, bad):
-        with pytest.raises(ValueError, match=f"invalid vertex id {bad!r}"):
-            _bfs(path_graph(5), [0, bad])
+        g = path_graph(5)
+        for call in (
+            lambda: distance(g, 0, bad),
+            lambda: distance(g, bad, 0),
+            lambda: ball(g, bad, 1),
+            lambda: sphere(g, bad, 1),
+        ):
+            with pytest.raises(ValueError, match=f"invalid vertex id {bad!r}"):
+                call()
 
     @pytest.mark.parametrize("seed", range(20))
     def test_tree_metric_parents_and_depths(self, seed):
@@ -821,8 +847,8 @@ def check_tree_metric(g: MetricGraph, rng: random.Random) -> None:
         assert len(tm.path(u, v)) == rows[u][v] + 1
     sample = sorted(rng.sample(range(n), min(n, 12)))
     others = sorted(rng.sample(range(n), min(n, 7)))
-    assert tm.pairwise(sample, others).tolist() == [[rows[u][v] for v in others] for u in sample]
-    assert tm.distances(sample[0], others).tolist() == [rows[sample[0]][v] for v in others]
+    us, vs = np.repeat(sample, len(others)), np.tile(others, len(sample))
+    assert tm.pair_distances(us, vs).tolist() == [rows[u][v] for u in sample for v in others]
 
 
 def subtree_sizes(parent: list[int], depth: list[int]) -> list[int]:
@@ -885,7 +911,7 @@ def random_sets(rng: random.Random, g: MetricGraph) -> list[set[int]]:
         if kind == 0:
             sets.append(set())
         elif kind == 1:
-            sets.append(set(_bfs(g, [rng.randrange(n)])))
+            sets.append(ball(g, rng.randrange(n), n))
         else:
             sets.append(set(rng.sample(range(n), rng.randint(1, n))))
     return sets
@@ -896,7 +922,8 @@ def set_keys(sets, n: int) -> np.ndarray:
 
 
 class TestSetKernels:
-    """``_set_balls`` and ``_set_depths`` against one ``_bfs`` per set."""
+    """``_set_balls`` and ``_set_depths`` against one brute-force search
+    per set."""
 
     def test_oracle_draws_cover_the_edge_cases(self):
         empty = overlapping = closed = 0
@@ -915,7 +942,7 @@ class TestSetKernels:
         sets = random_sets(random.Random(seed), g)
         keys = set_keys(sets, n)
         for radius in range(5):
-            expected = set_keys([_bfs(g, ms, radius) if ms else () for ms in sets], n)
+            expected = set_keys([brute_bfs(g, ms, radius, None) for ms in sets], n)
             assert _set_balls(g, keys, radius).tolist() == expected.tolist()
 
     @pytest.mark.parametrize("seed", range(30))
@@ -926,7 +953,7 @@ class TestSetKernels:
         expected = {}
         for s, ms in enumerate(sets):
             boundary = [v for v in ms if any(w not in ms for w in g.neighbors(v))]
-            inner = _bfs(g, boundary, within=ms) if boundary else {}
+            inner = brute_bfs(g, boundary, None, ms)
             expected.update({s * n + v: inner[v] + 1 if v in inner else 0 for v in ms})
         keys = set_keys(sets, n)
         assert dict(zip(keys.tolist(), _set_depths(g, keys).tolist())) == expected
@@ -1197,8 +1224,9 @@ def test_geodesics_reads_row_blocks_without_stacking():
 
 
 def test_covers_run_no_search_per_set():
-    """a1.py and cover.py neither import nor call ``_bfs``: their sets grow
-    through the set-labelled kernel, not one search per set."""
+    """a1.py and cover.py neither import nor call the single-source ball
+    search: their sets grow through the set-labelled kernel, not one search
+    per set."""
     package = FilePath(__file__).resolve().parent.parent / "src" / "coarselab"
     for name in ("a1.py", "cover.py"):
         tree = ast.parse((package / name).read_text(encoding="utf-8"))
@@ -1209,7 +1237,7 @@ def test_covers_run_no_search_per_set():
             if isinstance(node, ast.Call)
         }
         assert "_set_balls" in called, name
-        assert "_bfs" not in imported | called, name
+        assert (imported | called).isdisjoint({"_spheres", "ball", "sphere"}), name
 
 
 class TestPathType:

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import brute_max_discrete, random_graph
+from conftest import brute_max_discrete, floyd_warshall, kernel_graph, random_graph
 from coarselab.graphs import ball, bfs_distances
 from coarselab.probes import discrete_capacity, growth_probe, ray_points
 from coarselab.spaces import broom_tree, farey_truncation, grid, regular_tree
@@ -39,6 +39,22 @@ class TestDiscreteCapacity:
         greedy = discrete_capacity(t.graph, 2, t.basepoint, 2, exact_limit=1)
         assert exact.method == "EXACT" and greedy.method == "GREEDY"
         assert exact.cardinality >= greedy.cardinality
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_greedy_matches_an_ascending_sweep(self, seed):
+        # kernel graphs are often disconnected; an unreachable pair (inf)
+        # counts as far apart
+        g = kernel_graph(seed)
+        n = g.vertex_count
+        dist = floyd_warshall(g)
+        for center, radius, d_sep in itertools.product(range(n), (1, 3, n), (2, 3)):
+            chosen = []
+            for v in range(n):
+                if dist[center][v] <= radius and all(dist[v][w] >= d_sep for w in chosen):
+                    chosen.append(v)
+            rep = discrete_capacity(g, d_sep, center, radius, exact_limit=0)
+            assert rep.method == "GREEDY"
+            assert (rep.subset, rep.cardinality) == (tuple(chosen), len(chosen))
 
     def test_regular_tree_exact_matches_brute(self):
         t = regular_tree(4, 4)
