@@ -313,6 +313,18 @@ def test_tree_runs_never_build_the_adjacency_tuples(monkeypatch, capsys, argv):
             "probe growth --generator grid --params 4,6,8 --d 2 --radius 3",
             "d8dac874b9bd27ef1d7db7a27df74022fd3403cfe7c83bbe70ea8cdd9993f553",
         ),
+        # recorded while the anchored annuli came from anchor ids carried
+        # along each vertex's steps: a base cover with four annuli, canonical
+        # cones on a tree, and a larger cover
+        ("a1 --space broom:800 --r 2", "aa79341bd35a248b2825fdf12957308fff5213250f8117b9f96ed4af56aa8272"),
+        (
+            "cover --space broom:300 --r 1 --ell 0 --d-constant 1 --family canonical --dump",
+            "e389ecc13fc6fd9ab9e96a303d9c5ea60881c05b1df26e805ebd0d7f69d608ad",
+        ),
+        (
+            "cover --space broom:1000 --r 1 --ell 0 --d-constant 1",
+            "acc03d444e9db2da72bfc5090476a199a2bf71c44d15d461cad54155bfb720d0",
+        ),
     ],
 )
 def test_reports_are_pinned(capsys, argv, digest):
