@@ -50,37 +50,41 @@ class SpaceSpecError(ValueError):
     pass
 
 
+# Each space kind's builder and the form of its parameters.
+_SPACES = {
+    "broom": (broom_tree, "m"),
+    "tree": (regular_tree, "v,d"),
+    "farey": (farey_truncation, "qmax"),
+    "grid": (grid, "n"),
+}
+
+
 def parse_space(spec: str) -> LabeledGraph:
     """Instantiate a space from its mini-language spec."""
     kind, sep, arg = spec.partition(":")
     if not sep:
         raise SpaceSpecError(f"malformed space spec {spec!r}; expected kind:params")
+    if kind not in _SPACES and kind != "file":
+        raise SpaceSpecError(f"unknown space kind {kind!r}")
     try:
-        if kind == "broom":
-            return broom_tree(int(arg))
-        if kind == "tree":
-            v, d = (int(t) for t in arg.split(","))
-            return regular_tree(v, d)
-        if kind == "farey":
-            return farey_truncation(int(arg))
-        if kind == "grid":
-            return grid(int(arg))
         if kind == "file":
             with open(arg, "r", encoding="utf-8") as fh:
                 g = load_graph(fh.read())
             return LabeledGraph(g, tuple(str(i) for i in range(g.vertex_count)), 0)
+        build, form = _SPACES[kind]
+        return build(*_comma_values("space spec", spec, f"{kind}:{form}", *(int,) * len(form.split(",")), values=arg))
     except SpaceSpecError:
         raise
     except (ValueError, OSError) as exc:
         raise SpaceSpecError(f"bad space spec {spec!r}: {exc}") from exc
-    raise SpaceSpecError(f"unknown space kind {kind!r}")
 
 
-def _comma_values(flag: str, text: str, form: str, *kinds: type) -> list:
+def _comma_values(flag: str, text: str, form: str, *kinds: type, values: str | None = None) -> list:
     """The comma-separated values of ``flag``, one per kind of ``kinds``,
-    or any number of integers when no kinds are given. A value of another
-    shape fails with a message that names the flag and its ``form``."""
-    fields = text.split(",")
+    or any number of integers when no kinds are given; they are read from
+    ``values``, by default all of ``text``. A value of another shape fails
+    with a message that names the flag, ``text`` and its ``form``."""
+    fields = (text if values is None else values).split(",")
     kinds = kinds or (int,) * len(fields)
     try:
         if len(fields) != len(kinds):

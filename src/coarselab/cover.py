@@ -24,13 +24,13 @@ read these arrays: N(x; radius) meets set s exactly when x lies in the
 radius-ball of s, so ``multiplicity`` is one ``graphs._set_balls``
 expansion of the keys and one ``np.bincount`` over the vertices.
 
-A family enters only as its step towards the basepoint: the canonical
-step, or every neighbour one closer. One propagation in distance order
-gives each vertex the union of its steps' anchor sets. It carries an
-anchor-set id per vertex in an integer array: a vertex with one step
-takes that step's id in one numpy gather per level, and only a vertex
-with several steps (the ``all`` family off trees) has its union built in
-Python. One lexsort of (anchor, vertex) per annulus gives its keys.
+A family enters only through the steps one level outward from the
+basepoint that it keeps: every such step, or for the canonical family the
+step into each vertex from its least neighbour one closer. A vertex x
+lies on a family geodesic [x, basepoint] through the anchor s exactly
+when x lies in s's forward cone along those steps, so one set-labelled
+expansion (``graphs._set_cones``) grows every anchor's cone at once, and
+its levels two bands out are the anchor's set.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from itertools import chain
 import numpy as np
 
 from .geodesics import GeodesicFamily
-from .graphs import MetricGraph, _closer_steps, _set_balls, distance_vector, set_diameter
+from .graphs import MetricGraph, _set_balls, _set_cones, distance_vector, set_diameter
 
 __all__ = [
     "CoverParams",
@@ -193,28 +193,23 @@ def build_cover(g: MetricGraph, fam: GeodesicFamily, params: CoverParams) -> Cov
     if fam.graph is not g:
         raise ValueError("family is bound to a different graph")
     g.check_vertex(params.basepoint)
-    dist = distance_vector(g, params.basepoint).astype(np.int64)
+    dist = distance_vector(g, params.basepoint)
     if (dist < 0).any():
         missing = int(np.flatnonzero(dist < 0)[0])
         raise ValueError(f"basepoint {params.basepoint} does not reach vertex {missing}")
     band = params.band
     d_max = int(dist.max())
     n_max = max(1, -(-d_max // band))
-    # The keys' annuli, anchors and members in (annulus, anchor, member)
-    # order: numbering the runs of one (annulus, anchor) keeps them sorted.
-    n_of, anchor, member = map(np.concatenate, zip(*_annulus_sets(g, dist, band, fam.kind == "canonical")))
-    new = np.ones(member.size, dtype=bool)
-    new[1:] = (n_of[1:] != n_of[:-1]) | (anchor[1:] != anchor[:-1])
-    keys = (np.cumsum(new) - 1) * g.vertex_count + member
+    set_n, set_anchor, keys = _annulus_sets(g, dist, band, n_max, fam.kind == "canonical")
     keys.flags.writeable = False
     complete = frozenset(n for n in range(1, n_max + 1) if band * n <= d_max - params.width)
     return Cover(
         params=params,
         vertex_count=g.vertex_count,
-        set_count=int(new.sum()),
+        set_count=set_n.size,
         keys=keys,
-        set_n=n_of[new],
-        set_anchor=anchor[new],
+        set_n=set_n,
+        set_anchor=set_anchor,
         annuli={n: (band * (n - 1), band * n) for n in range(1, n_max + 1)},
         complete=complete,
         region=dist <= band * max(complete, default=-1),
@@ -222,86 +217,36 @@ def build_cover(g: MetricGraph, fam: GeodesicFamily, params: CoverParams) -> Cov
 
 
 def _annulus_sets(
-    g: MetricGraph, dist: np.ndarray, band: int, canonical: bool
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per annulus n, the annulus, anchor and member of each of its keys,
-    ordered by (anchor, member). Annuli 1 and 2 are one set each, anchor
-    -1; an annulus n >= 3 is split by the anchors at level band*(n-2) on
-    the family geodesics [x, basepoint] of its vertices x.
-
-    Every vertex carries an anchor-set id. With the ``top`` vertices of
-    the anchor level ranked by id, an id k < top stands for the singleton
-    of the k-th, and top + i for the i-th union met in the annulus, kept
-    as a bitset over the ranks. Level by level out from the anchors, one
-    gather copies each vertex's id from its canonical step. In the "all"
-    family a vertex with several neighbours one closer then gets the id
-    of the union of their sets, in Python; on a tree there are none."""
-    d_max = int(dist.max())
-    n_max = max(1, -(-d_max // band))
-    # One stable sort orders the vertices by (distance, id); level d is
-    # the slice order[starts[d] : starts[d + 1]].
-    order = np.argsort(dist, kind="stable")
-    starts = np.searchsorted(dist[order], np.arange(d_max + 2)).tolist()
-    annulus = {n: order[starts[band * (n - 1)] : starts[min(band * n, d_max) + 1]] for n in range(1, n_max + 1)}
-    for n in range(1, min(n_max, 2) + 1):
-        whole = np.sort(annulus[n])
-        yield np.full(whole.size, n), np.full(whole.size, -1), whole
-    if n_max <= 2:
-        return
-    steps, ptr, heads = _closer_steps(g, dist)
-    # level -> (its vertices with several steps, their steps, how many each)
-    multi: dict[int, tuple[np.ndarray, np.ndarray, list[int]]] = {}
-    if not canonical:
-        counts = np.diff(ptr)
-        for d in range(1, d_max + 1):
-            level = order[starts[d] : starts[d + 1]]
-            vs = level[counts[level] > 1]
-            if vs.size:
-                c = counts[vs]
-                first = np.repeat(ptr[vs] - (np.cumsum(c) - c), c)
-                multi[d] = (vs, heads[first + np.arange(int(c.sum()))], c.tolist())
-    ids = np.empty(g.vertex_count, dtype=np.int64)
-    for n in range(3, n_max + 1):
-        base = band * (n - 2)
-        anchor_level = order[starts[base] : starts[base + 1]]
-        top = anchor_level.size
-        ids[anchor_level] = np.arange(top)
-        unions: list[int] = []
-        for d in range(base + 1, min(band * n, d_max) + 1):
-            level = order[starts[d] : starts[d + 1]]
-            ids[level] = ids[steps[level]]
-            if d in multi:
-                vs, nbrs, sizes = multi[d]
-                step_ids = ids[nbrs].tolist()
-                out = []
-                pos = 0
-                for c in sizes:
-                    group = step_ids[pos : pos + c]
-                    pos += c
-                    if group.count(group[0]) == c:  # every step carries one id: share it
-                        out.append(group[0])
-                        continue
-                    bits = 0
-                    for k in group:
-                        bits |= unions[k - top] if k >= top else 1 << k
-                    out.append(top + len(unions))
-                    unions.append(bits)
-                ids[vs] = out
-        members = annulus[n]
-        ranks = ids[members]
-        several = ranks >= top
-        if several.any():
-            # One (rank, vertex) pair per bit of each union id.
-            width = (top + 7) // 8
-            blob = b"".join(unions[k].to_bytes(width, "little") for k in (ranks[several] - top).tolist())
-            packed = np.frombuffer(blob, dtype=np.uint8).reshape(-1, width)
-            rows, cols = np.nonzero(packed)
-            bit_rows, bit = np.nonzero(np.unpackbits(packed[rows, cols][:, None], axis=1, bitorder="little"))
-            ranks = np.concatenate((ranks[~several], cols[bit_rows] * 8 + bit))
-            members = np.concatenate((members[~several], members[several][rows[bit_rows]]))
-        anchors = anchor_level[ranks]
-        by = np.lexsort((members, anchors))
-        yield np.full(by.size, n), anchors[by], members[by]
+    g: MetricGraph, dist: np.ndarray, band: int, n_max: int, canonical: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each set's annulus and anchor (-1 for none), and the sorted keys of
+    the sets, numbered in (annulus, anchor) order. Annuli 1 and 2 are one
+    set each, their distance bands. For n >= 3 every vertex s at level
+    band*(n-2) anchors the set of the vertices of A_n in its forward cone,
+    those reached from s by steps one level outward along the family: x
+    lies in it exactly when a family geodesic [x, basepoint] passes through
+    s. One expansion (``graphs._set_cones``) grows every anchor's cone at
+    once; the family decides only which steps count. An anchor whose cone
+    ends before its annulus leaves an empty set, which is dropped."""
+    n = g.vertex_count
+    whole = [np.flatnonzero((band * (k - 1) <= dist) & (dist <= band * k)) for k in range(1, min(n_max, 2) + 1)]
+    # While the cones grow, each set is numbered by its anchor's id: the
+    # frontier then visits the vertices nearer to id order than in
+    # (annulus, anchor) order, and its gathers miss the cache less.
+    at = np.flatnonzero((dist % band == 0) & (band <= dist) & (dist <= band * (n_max - 2)))
+    anchor, member = np.divmod(_set_cones(g, dist, at * (n + 1), band, 2 * band, canonical), n)
+    # The nonempty sets, numbered after annuli 1 and 2 in (annulus, anchor) order.
+    held = np.zeros(n, dtype=bool)
+    held[anchor] = True
+    held = np.flatnonzero(held)
+    held = held[np.argsort(dist[held], kind="stable")]
+    rank = np.empty(n, dtype=np.int64)
+    rank[held] = np.arange(2, 2 + held.size)
+    keys = rank[anchor] * n + member
+    keys.sort()
+    set_n = np.concatenate((np.arange(1, len(whole) + 1), dist[held] // band + 2))
+    set_anchor = np.concatenate((np.full(len(whole), -1), held))
+    return set_n, set_anchor, np.concatenate([k * n + vs for k, vs in enumerate(whole)] + [keys])
 
 
 @dataclass(frozen=True)

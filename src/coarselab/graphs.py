@@ -24,11 +24,16 @@ neighbourhoods and conflict balls) read one generator, ``_spheres``, which
 yields the spheres about one vertex radius by radius and keeps its seen
 vertices in a set, so its cost follows the ball, not the graph; each
 caller stops it at the radius it needs. Many vertex sets at once travel
-as one sorted int64 array of keys s*n + v, one per (set, member) pair: ``_set_balls`` grows them all by a radius in one level-synchronous
-expansion over the CSR arrays, and ``_set_depths`` gives every member its
-distance to the set's complement by an inward expansion over the same keys.
-They serve the cover's multiplicity and safe core and the fattened sets
-with their interior depths. Full distance rows for geodesic enumeration
+as one sorted int64 array of keys s*n + v, one per (set, member) pair.
+``_set_balls`` grows every set by a radius over the graph's CSR arrays,
+and ``_set_cones`` grows forward cones over the steps one level outward
+from a basepoint (``_outward_steps``, of all geodesics or of the
+canonical ones); each level of either is one gather of the frontier's
+CSR rows (``_key_neighbours``) and one dedupe by sort. ``_set_depths``
+gives every member its distance to the set's complement by an inward
+expansion over the same keys. They serve the cover's anchored annuli,
+multiplicity and safe core, and the fattened sets with their interior
+depths. Full distance rows for geodesic enumeration
 stay list-backed in ``bfs_distances``/``multi_source_distances``;
 ``distance_vector`` switches to a numpy level-synchronous BFS from
 ``_NP_BFS_MIN`` vertices up. The geodesics layer reads its distance and
@@ -59,9 +64,9 @@ distances and paths from the same object.
 The canonical tie-break (step to the least-id neighbour one closer) lives
 in ``_canonical_step``, which the single walks take. ``_canonical_walks``
 takes it for many walks at once, one ``np.minimum.reduceat`` over their
-neighbours per step, and ``_closer_steps`` gives it for every vertex at
-once, with all neighbours one closer, as the cover's anchor propagation
-reads them.
+neighbours per step, and ``_outward_steps`` turns it round for every
+vertex at once: the canonical step u -> w outward is kept where u is
+w's least neighbour one closer, one ``np.minimum.at`` over the steps.
 """
 
 from __future__ import annotations
@@ -386,7 +391,7 @@ def distance_vector(g: MetricGraph, source: int) -> np.ndarray:
         d = 0
         while frontier.size:
             d += 1
-            nbrs = indices[_segments(indptr, frontier)]
+            nbrs = indices[_segments(indptr, frontier)[0]]
             frontier = _sorted_unique(nbrs[dist[nbrs] < 0])
             dist[frontier] = d
     if source == 0:
@@ -504,7 +509,7 @@ def _set_balls(g: MetricGraph, keys: np.ndarray, radius: int) -> np.ndarray:
     for _ in range(radius):
         if not frontier.size:
             break
-        nbrs = _sorted_unique(_key_neighbours(g, frontier)[0])
+        nbrs = _sorted_unique(_key_neighbours(*g.csr_arrays(), frontier)[0])
         frontier = nbrs[~_find(held, nbrs)[1]]
         # Two sorted runs: the stable sort merges them in one pass.
         held = np.concatenate((held, frontier))
@@ -518,7 +523,7 @@ def _set_depths(g: MetricGraph, keys: np.ndarray) -> np.ndarray:
     complement. A member with a neighbour outside its set has depth 1, and
     an inward expansion over the keys gives the rest: a shortest path to
     the complement stays inside the set until its last step."""
-    nbrs, counts = _key_neighbours(g, keys)
+    nbrs, counts = _key_neighbours(*g.csr_arrays(), keys)
     pos, inside = _find(keys, nbrs)
     owner = np.repeat(np.arange(keys.size), counts)
     depth = np.zeros(keys.size, dtype=np.int64)
@@ -531,32 +536,78 @@ def _set_depths(g: MetricGraph, keys: np.ndarray) -> np.ndarray:
     while frontier.size:
         depth[frontier] = level
         level += 1
-        nxt = heads[_segments(ptr, frontier)]
+        nxt = heads[_segments(ptr, frontier)[0]]
         frontier = _sorted_unique(nxt[depth[nxt] == 0])
     return depth
 
 
-def _key_neighbours(g: MetricGraph, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The keys s*n + w of the neighbours w of every key s*n + v, key by
-    key in CSR order, and how many each key has."""
+def _set_cones(g: MetricGraph, dist: np.ndarray, keys: np.ndarray, first: int, last: int, canonical: bool) -> np.ndarray:
+    """The forward cones of many vertex sets about the source of the int32
+    distance row ``dist``: the keys of every (s, w) with w reached from a
+    member of set s by ``first`` to ``last`` steps one level outward
+    (:func:`_outward_steps`, canonical or all), from the sorted,
+    repeat-free ``keys`` of the sets. Level by level it gathers the
+    frontier's steps and dedupes them by a sort; the result holds the
+    levels in order, each sorted, and no key twice."""
+    ptr, heads = _outward_steps(g, dist, canonical)
+    frontier = keys
+    cones = []
+    for level in range(1, last + 1):
+        # The keys arrive in runs, one per set, each sorted where the set
+        # has one frontier vertex: a stable sort merges them.
+        frontier = _sorted_unique(_key_neighbours(ptr, heads, frontier)[0], kind="stable")
+        if level >= first:
+            cones.append(frontier)
+    return np.concatenate(cones) if cones else np.empty(0, dtype=np.int64)
+
+
+def _outward_steps(g: MetricGraph, dist: np.ndarray, canonical: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The steps one level outward from the source of the int32 distance
+    row ``dist`` (-1 unreachable) as CSR arrays ``(ptr, heads)``, by one
+    pass over the graph's: ``heads[ptr[u] : ptr[u + 1]]`` lists, ascending,
+    the neighbours w of u with ``dist[w] == dist[u] + 1``. ``canonical``
+    keeps only the steps u -> w where u is the least tail of a step into
+    w, w's least neighbour one closer: the tie-break of
+    :func:`_canonical_step`."""
+    n = g.vertex_count
     indptr, indices = g.csr_arrays()
-    v = keys % max(g.vertex_count, 1)
-    counts = indptr[v + 1] - indptr[v]
-    return np.repeat(keys - v, counts) + indices[_segments(indptr, v)], counts
+    tails = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+    rising = np.flatnonzero(dist[indices] - dist[tails] == 1)
+    tails, heads = tails[rising], indices[rising]
+    if canonical:
+        least = np.full(n, n, dtype=np.int32)
+        np.minimum.at(least, heads, tails)
+        keep = least[heads] == tails
+        tails, heads = tails[keep], heads[keep]
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=ptr[1:])
+    return ptr, heads
 
 
-def _segments(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _key_neighbours(indptr: np.ndarray, indices: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The keys s*n + w of the heads w of the CSR rows (``indptr``,
+    ``indices``) of every key s*n + v, key by key in row order, and how
+    many each key has."""
+    v = keys % max(indptr.size - 1, 1)
+    at, counts = _segments(indptr, v)
+    return np.repeat(keys - v, counts) + indices[at], counts
+
+
+def _segments(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The positions ``ptr[r] : ptr[r + 1]`` of every one of ``rows``,
-    concatenated in order."""
+    concatenated in order, and how many each row has; each row's bounds
+    are read once."""
     starts = ptr[rows]
     counts = ptr[rows + 1] - starts
-    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(int(counts.sum()))
+    ends = np.cumsum(counts)
+    return np.repeat(starts - (ends - counts), counts) + np.arange(int(ends[-1]) if ends.size else 0), counts
 
 
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """The distinct values of ``a``, ascending: ``a`` sorted in place and
-    the first of each run of equal values (``np.unique`` is far slower)."""
-    a.sort()
+def _sorted_unique(a: np.ndarray, kind: str | None = None) -> np.ndarray:
+    """The distinct values of ``a``, ascending: ``a`` sorted in place (by
+    the sort ``kind``) and the first of each run of equal values
+    (``np.unique`` is far slower)."""
+    a.sort(kind=kind)
     return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
 
 
@@ -851,25 +902,6 @@ def _canonical_step(adj, dist, v: int) -> int:
     return min(w for w in adj[v] if dist[w] == closer)
 
 
-def _closer_steps(g: MetricGraph, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The steps one closer to the target of the distance row ``dist``,
-    by one pass over the CSR arrays: ``(steps, indptr, heads)``, where
-    ``heads[indptr[v] : indptr[v + 1]]`` lists v's neighbours one closer,
-    ascending, and ``steps[v]`` is the least of them, v's
-    :func:`_canonical_step` (-1 where there is none)."""
-    indptr, indices = g.csr_arrays()
-    tails = np.repeat(np.arange(g.vertex_count, dtype=np.int32), np.diff(indptr))
-    closer = dist[indices] == dist[tails] - 1
-    tails, heads = tails[closer], indices[closer]
-    counts = np.bincount(tails, minlength=g.vertex_count)
-    ptr = np.zeros(g.vertex_count + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    steps = np.full(g.vertex_count, -1, dtype=np.int64)
-    # Rows are sorted, so a row's first entry is its least.
-    steps[counts > 0] = heads[ptr[:-1][counts > 0]]
-    return steps, ptr, heads
-
-
 def _canonical_walk(adj, dist, u: int) -> list[int]:
     """Canonical steps from u down ``dist`` to its target."""
     path = [u]
@@ -901,9 +933,8 @@ def _canonical_walks(rows: "_Rows", sources: np.ndarray, ends: np.ndarray) -> np
     walks[:, 0] = cur
     live = np.flatnonzero(left)
     for step in range(1, walks.shape[1]):
-        at = cur[live]
-        counts = indptr[at + 1] - indptr[at]
-        nbrs = indices[_segments(indptr, at)]
+        at, counts = _segments(indptr, cur[live])
+        nbrs = indices[at]
         closer = flat[np.repeat(base[live], counts) + nbrs] == np.repeat(left[live] - 1, counts)
         cur[live] = np.minimum.reduceat(np.where(closer, nbrs, n), np.cumsum(counts) - counts)
         left[live] -= 1

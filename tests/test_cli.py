@@ -36,6 +36,13 @@ class TestSpaceSpecs:
             assert code == 2
             assert "error" in err
 
+    @pytest.mark.parametrize(
+        "spec, form",
+        [("broom:x", "broom:m"), ("tree:3", "tree:v,d"), ("farey:", "farey:qmax"), ("grid:4,4", "grid:n")],
+    )
+    def test_malformed_parameters_name_the_form(self, capsys, spec, form):
+        assert run_cli(capsys, "gen", "--space", spec) == (2, "", f"error: bad space spec '{spec}': expected {form}\n")
+
 
 class TestGen:
     def test_output_loads_back(self, capsys):

@@ -19,8 +19,7 @@ from coarselab.cover import (
 from coarselab.geodesics import GeodesicFamily
 from coarselab.graphs import (
     MetricGraph,
-    _canonical_step,
-    _closer_steps,
+    _outward_steps,
     ball,
     bfs_distances,
     canonical_geodesic,
@@ -179,9 +178,6 @@ def deep_random_tree(seed: int, n: int = 90) -> MetricGraph:
     return g
 
 
-TREES = [(broom_tree(60).graph, 0), *[(deep_random_tree(seed), 0) for seed in range(3)]]
-
-
 def chorded_tree(tree: MetricGraph, seed: int) -> MetricGraph:
     """``tree`` with a few chords beyond depth 10 between vertices one or
     two levels apart, so that past the first anchor level some vertices
@@ -197,6 +193,45 @@ def chorded_tree(tree: MetricGraph, seed: int) -> MetricGraph:
     assert max(bfs_distances(g, 0)) > 20
     return g
 
+
+def hub_graph() -> MetricGraph:
+    """A path from the root to a hub at anchor level 10, whose 60 outward
+    steps start rays out to level 32, and a second path from the root out
+    to level 32. Three chords from the second path give hub-ray vertices a
+    second step towards the root, from another anchor's cone."""
+    hub, n = 10, 11
+    edges = [(i, i + 1) for i in range(hub)]
+    rays = []
+    for start, length in [(hub, 22)] * 60 + [(0, 32)]:
+        ray = [start, *range(n, n + length)]
+        edges += zip(ray, ray[1:])
+        rays.append(ray)
+        n += length
+    for i, d in enumerate((14, 21, 25)):  # level d on the last ray, d + 1 on a hub ray
+        edges.append((rays[-1][d], rays[i][d + 1 - hub]))
+    g = MetricGraph(n, edges, name="hub_60")
+    depth = bfs_distances(g, 0)
+    assert depth[hub] == 10 and sum(depth[w] == 11 for w in g.neighbors(hub)) >= 50
+    return g
+
+
+def short_cone_tree() -> MetricGraph:
+    """A spider whose legs from the root end between anchor levels (12, 15,
+    19, 25, 27 steps) or run out to 41, one leg branching at level 22; the
+    cones of the short legs' anchors end before their annuli."""
+    edges, n = [], 1
+    for length in (12, 15, 19, 25, 27, 41):
+        leg = [0, *range(n, n + length)]
+        edges += zip(leg, leg[1:])
+        n += length
+    edges += [(n - 41 + 21, n), *((v, v + 1) for v in range(n, n + 5))]
+    g = MetricGraph(n + 6, edges, name="short_cone_tree")
+    depth = bfs_distances(g, 0)
+    assert any(g.degree(v) == 1 and 10 < depth[v] < 20 for v in range(g.vertex_count))
+    return g
+
+
+TREES = [(broom_tree(60).graph, 0), *[(deep_random_tree(seed), 0) for seed in range(3)], (short_cone_tree(), 0)]
 
 # On the broom the chords join different rays, so the steps of a chorded
 # vertex lead to different anchors.
@@ -246,6 +281,7 @@ class TestAnchorOracle:
             (grid(12).graph, 12),
             (MetricGraph(50, [(i, (i + 1) % 50) for i in range(50)], name="cycle_50"), 0),
             *[(random_strip(seed), seed) for seed in range(4)],
+            (hub_graph(), 0),
         ],
         ids=lambda v: getattr(v, "name", str(v)),
     )
@@ -274,15 +310,14 @@ class TestAnchorOracle:
         assert [(cs.n, cs.anchor, cs.members) for cs in cov.sets] == oracle_sets(g, kind, 10, 0)
 
     def test_both_lanes_are_exercised(self):
-        # Beyond the first anchor level (10), some vertex has one step and
-        # some several, and in at least one graph a vertex of an anchored
-        # annulus lies in two of its sets.
+        # Beyond the first anchor level (10), some vertex has one step
+        # towards the root and some several, and in at least one graph a
+        # vertex of an anchored annulus lies in two of its sets.
         shared = False
         for g in CHORDED:
-            dist = np.asarray(bfs_distances(g, 0))
-            _, ptr, _ = _closer_steps(g, dist)
-            steps = np.diff(ptr)[dist > 10]
-            assert (steps == 1).any() and (steps > 1).any(), g.name
+            dist = bfs_distances(g, 0)
+            steps = [sum(dist[u] == dist[v] - 1 for u in g.neighbors(v)) for v in range(g.vertex_count) if dist[v] > 10]
+            assert 1 in steps and max(steps) > 1, g.name
             cov = build_cover(g, GeodesicFamily(g, "all"), CoverParams(r=1, ell=0, delta=0, basepoint=0))
             for n in {cs.n for cs in cov.sets if cs.anchor is not None}:
                 members = [cs.members for cs in cov.sets if cs.n == n]
@@ -291,14 +326,24 @@ class TestAnchorOracle:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_step_array_matches_canonical_step(self, seed):
+        # The outward step arrays of both families against their definition.
+        # Every step rises one level between reachable vertices; "all" keeps
+        # every such edge, and "canonical" exactly one into each reachable
+        # vertex but the target, from its least neighbour one closer. The
+        # sparse draws are mostly disconnected.
         g = random_graph(seed, max_vertices=16, edge_prob=(0.15, 0.3, 0.5)[seed % 3])
         target = random.Random(seed).randrange(g.vertex_count)
         dist = bfs_distances(g, target)
-        steps, ptr, heads = _closer_steps(g, np.asarray(dist))
-        for v in range(g.vertex_count):
-            closer = [u for u in g.neighbors(v) if dist[v] > 0 and dist[u] == dist[v] - 1]
-            assert heads[ptr[v] : ptr[v + 1]].tolist() == closer
-            assert steps[v] == (_canonical_step(g._adj, dist, v) if closer else -1)
+        vs = range(g.vertex_count)
+        rising = {(u, w) for u in vs for w in g.neighbors(u) if dist[u] >= 0 and dist[w] == dist[u] + 1}
+        least = {(min(u for u in g.neighbors(w) if dist[u] == dist[w] - 1), w) for w in vs if dist[w] > 0}
+        for canonical, expected in ((False, rising), (True, least)):
+            ptr, heads = _outward_steps(g, np.asarray(dist, dtype=np.int32), canonical)
+            rows = [heads[ptr[u] : ptr[u + 1]].tolist() for u in vs]
+            assert all(row == sorted(set(row)) for row in rows)
+            steps = {(u, w) for u in vs for w in rows[u]}
+            assert all(0 <= dist[u] == dist[w] - 1 for u, w in steps)
+            assert steps == expected
 
 
 def old_safe_core(g: MetricGraph, cover: Cover, radius: int) -> frozenset[int]:

@@ -1225,8 +1225,9 @@ def test_geodesics_reads_row_blocks_without_stacking():
 
 def test_covers_run_no_search_per_set():
     """a1.py and cover.py neither import nor call the single-source ball
-    search: their sets grow through the set-labelled kernel, not one search
-    per set."""
+    search: their sets grow through the set-labelled kernels, not one search
+    per set. cover.py builds its anchored sets by ``_set_cones`` and walks
+    no CSR arrays itself."""
     package = FilePath(__file__).resolve().parent.parent / "src" / "coarselab"
     for name in ("a1.py", "cover.py"):
         tree = ast.parse((package / name).read_text(encoding="utf-8"))
@@ -1238,6 +1239,9 @@ def test_covers_run_no_search_per_set():
         }
         assert "_set_balls" in called, name
         assert (imported | called).isdisjoint({"_spheres", "ball", "sphere"}), name
+        if name == "cover.py":
+            assert "_set_cones" in called
+            assert (imported | called).isdisjoint({"_closer_steps", "_segments", "_key_neighbours", "csr_arrays"})
 
 
 class TestPathType:
