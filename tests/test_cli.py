@@ -332,6 +332,19 @@ def test_tree_runs_never_build_the_adjacency_tuples(monkeypatch, capsys, argv):
             "cover --space broom:1000 --r 1 --ell 0 --d-constant 1",
             "acc03d444e9db2da72bfc5090476a199a2bf71c44d15d461cad54155bfb720d0",
         ),
+        # recorded while every (pair, radius) ran its own σ product and each
+        # pair loaded its own neighbourhood rows: σ witnesses at several
+        # radii (33,463 and 1,549 violations) and canonical k = 2 rows that
+        # span several runs of pairs
+        ("propb --space grid:8 --family all --k 0 --rmax 3", "7469f087969b9a2ce7038e8e099728761452227a7fc35351ff29baf765b4d22a"),
+        (
+            "propb --space farey:12 --ell 0 --k 0 --pair-budget 300 --seed 7",
+            "654517e32fa834f6e4f2eb99720a18c9be947c4f9bb304df3216bdf83185188c",
+        ),
+        (
+            "propb --space farey:30 --ell 2 --k 2 --family canonical --pair-budget 100 --seed 2",
+            "82109172c6cf042c6f21f72333a2498630a11602c17e117835229657c4bc0ea9",
+        ),
     ],
 )
 def test_reports_are_pinned(capsys, argv, digest):
