@@ -23,15 +23,17 @@ neighbourhood vertex the first radius at which it joins G(a,b;r) and
 every deep point the first radius with a geodesic avoiding N(c;k), so
 each radius is a comparison. Other graphs go pair by pair inside the
 geodesic envelope of the pair, reading distance and path-count rows from
-one memoised store per call (``graphs._Rows``), which loads the endpoint
-rows of each run of pairs, then the neighbourhood rows a pair reads, in
-batches, and hands the rows of many sources at many columns back as one
-matrix (``_Rows.block``). With k = 0 and all geodesics the intersection
-clause is a product of path counts, tested for every (a', b', c) at
-once. A violation is counted when found; its witness geodesic is built
-only if the report keeps it. :func:`thin_delta` takes one path on every
-graph. Its triples go in runs whose far ends' rows the same kind of store
-loads at once. A run's distinct sides are the rows of one array, each
+one memoised store per call (``graphs._Rows``). It loads the endpoint
+rows of a run of pairs, which build the run's checkers, then the rows
+their instances read, with their path-count rows when the σ clause runs,
+in kernel-sized blocks; it hands the rows of many sources at many
+columns back as one matrix (``_Rows.block``). With k = 0 and all
+geodesics the intersection clause is one product of path counts per
+pair, at its deepest radius, which gives every centre the first radius
+at which a geodesic avoids it. A violation is counted when found; its
+witness cell and geodesic are found only if the report keeps it.
+:func:`thin_delta` takes one path on every graph. Its triples go in runs
+whose far ends' rows the same kind of store loads at once. A run's distinct sides are the rows of one array, each
 padded with its far end, and its triangles are rows of three indices into
 it: canonical sides all walk down the far ends' rows together
 (``graphs._canonical_walks``), and all-family sides are enumerated side
@@ -271,8 +273,8 @@ def _all_family_sides(adj, rows: _Rows, chunk: list, far_ends: list[int], cap: i
 
 
 def _loaded_runs(items: Iterable, rows: _Rows, ends) -> Iterator[tuple[list, list[int]]]:
-    """Consecutive runs of ``items``, each with the vertices whose distance
-    rows its items read (``ends(item)``, in order of first use), loaded into
+    """Consecutive runs of ``items``, each with the vertices whose rows its
+    items read (``ends(item)``, in order of first use), loaded into
     ``rows`` before the run is yielded. A run has at least one item; beyond
     its first, its vertices fit one kernel block and the store."""
     room = min(_BLOCK, rows.capacity)
@@ -360,6 +362,13 @@ def check_property_b(
 
     ``observed_D == 0`` with ``qualifying_found == False`` means no
     instance qualified at these parameters: a vacuous run, not a pass.
+
+    On a tree each pair is one ``_TreePairChecker``. Elsewhere the pairs
+    go in runs (``_pair_checkers``): a run's endpoint rows are loaded at
+    once and build its checkers and pools, then the rows their instances
+    read are loaded in blocks that fit one kernel call and the store,
+    with the count rows beside them for the σ clause (k = 0, all
+    geodesics). N(c;k) is computed once per call.
     """
     if ell < 0 or k < 0 or r_max < 0:
         raise ValueError("ell, k, r_max must be nonnegative")
@@ -376,11 +385,13 @@ def check_property_b(
         ranks = sorted(rng.sample(range(total_pairs), pair_budget))
         pair_iter = (_pair_from_rank(t, n) for t in ranks)
 
-    tm = g.tree_metric() if g.is_tree else None
-    rows = _Rows(g)
-    if tm is None:
-        # The endpoint rows of a run of pairs are loaded at once.
-        pair_iter = (pair for run, _ in _loaded_runs(pair_iter, rows, lambda pair: pair) for pair in run)
+    if g.is_tree:
+        tm = g.tree_metric()
+        workers: Iterable[_TreePairChecker | _PairChecker] = (
+            _TreePairChecker(g, tm, a, b, ell, k, r_max) for a, b in pair_iter
+        )
+    else:
+        workers = _pair_checkers(fam, pair_iter, ell, k, r_max)
 
     observed = 0
     samples = 0
@@ -390,11 +401,7 @@ def check_property_b(
     violations: list[PropertyBViolation] = []
     violations_total = 0
 
-    for a, b in pair_iter:
-        if tm is not None:
-            worker: _TreePairChecker | _PairChecker = _TreePairChecker(g, tm, a, b, ell, k, r_max)
-        else:
-            worker = _PairChecker(fam, rows, a, b, ell, k, r_max)
+    for worker in workers:
         if not worker.reachable:
             continue
         pairs_checked += 1
@@ -402,6 +409,7 @@ def check_property_b(
         if not pool:
             continue
         qualifying_found = True
+        a, b = worker.a, worker.b
         if len(pool) > c_budget:
             c_truncated = True
             rng_c = random.Random(seed * 2_654_435_761 + a * 1_000_003 + b)
@@ -437,16 +445,21 @@ def check_property_b(
     )
 
 
-def _first_cells(avoidable: np.ndarray) -> Iterator[tuple[int, int, int]]:
-    """Each index t of the last axis of an (|A|, |B|, |cs|) mask that holds
-    a True cell, with its first such cell (i, j) in row-major order, the
-    one ``np.argwhere(avoidable[:, :, t])`` lists first."""
-    nb, ncs = avoidable.shape[1:]
-    cells = avoidable.reshape(-1, ncs)
-    first = cells.argmax(axis=0)
-    for t in np.flatnonzero(cells.any(axis=0)).tolist():
-        i, j = divmod(int(first[t]), nb)
-        yield t, i, j
+def _pair_checkers(
+    fam: GeodesicFamily, pairs: Iterable[tuple[int, int]], ell: int, k: int, r_max: int
+) -> Iterator[_PairChecker]:
+    """The checker of every pair of ``pairs``, in order, on one row store
+    that is filled run by run: the endpoint rows of a run of pairs, which
+    build its checkers and their pools, then the rows those checkers'
+    instances read (``_PairChecker.reads``), with their count rows when
+    the σ clause runs, in runs of checkers whose rows fit one kernel block
+    and the store. Neighbourhoods are memoised for the whole call."""
+    rows = _Rows(fam.graph, counts=fam.kind == "all" and k == 0)
+    hoods: dict[int, np.ndarray] = {}
+    for run, _ in _loaded_runs(pairs, rows, lambda pair: pair):
+        checkers = [_PairChecker(fam, rows, a, b, ell, k, r_max, hoods) for a, b in run]
+        for part, _ in _loaded_runs(checkers, rows, lambda checker: checker.reads):
+            yield from part
 
 
 class _TreePairChecker:
@@ -561,12 +574,24 @@ class _PairChecker:
 
     Every shortest path between N(a;r) and N(b;r) for r <= r_max lies in the
     envelope E = {w : d(a,w) + d(w,b) <= d(a,b) + 4 r_max}; the union
-    G(a,b;r) is computed on E's columns only.
+    G(a,b;r) is computed on E's columns only. The checker finds its pair's
+    qualifying pool from the endpoint rows when it is built, and ``reads``
+    lists the sources whose rows its instances read: N(a;R) and N(b;R) at
+    the pair's deepest radius R, or only N(b;R), the far ends, for the
+    canonical family. The caller loads them for a run of checkers at once.
+    Each N(c;k) is a sorted int32 array in ``hoods``, a memo the caller
+    shares between pairs. With k = 0 and all geodesics, one σ product per
+    pair, at R, gives every centre the first radius at which it violates.
     """
 
-    def __init__(self, fam: GeodesicFamily, rows: _Rows, a: int, b: int, ell: int, k: int, r_max: int):
+    def __init__(
+        self, fam: GeodesicFamily, rows: _Rows, a: int, b: int, ell: int, k: int, r_max: int, hoods: dict | None = None
+    ):
         self.g = fam.graph
-        self.ell, self.k = ell, k
+        self.a, self.b = a, b
+        self.ell, self.k, self.r_max = ell, k, r_max
+        self.hoods = {} if hoods is None else hoods
+        self.reads: list[int] = []
         da, db = rows[a], rows[b]
         self.reachable = bool(da[b] >= 0)
         if not self.reachable:
@@ -577,8 +602,6 @@ class _PairChecker:
         self.reach = reach = (da >= 0) & (db >= 0)
         self.depth_row = np.minimum(da, db)
         self.envelope = np.flatnonzero(reach & (da + db <= d_ab + 4 * r_max))
-        self._hoods: dict[int, list[int]] = {}
-        self.r_max = r_max
         # canonical(u, v): the canonical u-v geodesic, walked once down v's
         # row, which becomes a list once per far end v
         self.canonical = None
@@ -586,30 +609,34 @@ class _PairChecker:
             adj = self.g._adj
             row_list = functools.cache(lambda v: rows[v].tolist())
             self.canonical = functools.cache(lambda u, v: tuple(_canonical_walk(adj, row_list(v), u)))
-        self.a, self.b = a, b
+        # The σ clause's memo: each centre's first violating radius, once
+        # settled; ``_exact`` turns False at a count too large for int64
+        # products.
+        self._first: dict[int, int] | None = None
+        self._exact = True
+        pool = np.flatnonzero(self._members_of_union_r([a], [b]) & (self.depth_row >= ell))
+        self.pool = pool.tolist()
+        if pool.size:
+            # A radius r is checked only with a deep point at depth r + ell;
+            # its instances read the rows of N(a;r) and N(b;r), or only of
+            # N(b;r) (the far ends) for the canonical family.
+            r = min(r_max, int(self.depth_row[pool].max()) - ell)
+            near = db <= r if self.canonical is not None else (da <= r) | (db <= r)
+            self.reads = np.flatnonzero(reach & near).tolist()
 
     def depths(self, cs: list[int]) -> np.ndarray:
         """d(c, {a, b}) for every c of ``cs``."""
         return self.depth_row[cs]
 
-    def _neighborhood(self, c: int) -> list[int]:
-        """N(c;k), sorted and memoised per pair."""
-        hood = self._hoods.get(c)
+    def _neighborhood(self, c: int) -> np.ndarray:
+        """N(c;k), sorted, memoised in ``hoods``."""
+        hood = self.hoods.get(c)
         if hood is None:
-            hood = sorted(ball(self.g, c, self.k))
-            self._hoods[c] = hood
+            hood = self.hoods[c] = np.array(sorted(ball(self.g, c, self.k)), dtype=np.int32)
         return hood
 
     def qualifying_pool(self) -> list[int]:
-        pool = np.flatnonzero(self._members_of_union_r([self.a], [self.b]) & (self.depth_row >= self.ell))
-        if pool.size:
-            # A radius r is checked only with a deep point at depth r + ell;
-            # its instances read the rows of N(a;r) and N(b;r), or only of
-            # N(b;r) (the far ends) for the canonical family.
-            r = min(self.r_max, int(self.depth_row[pool].max()) - self.ell)
-            near = self.db <= r if self.canonical is not None else (self.da <= r) | (self.db <= r)
-            self.rows.load(np.flatnonzero(self.reach & near).tolist())
-        return pool.tolist()
+        return self.pool
 
     def _sets_at(self, r: int) -> tuple[list[int], list[int]]:
         return (
@@ -650,12 +677,39 @@ class _PairChecker:
     def violations(self, r: int, cs: list[int]):
         """Each c of ``cs`` that some family geodesic from N(a;r) to N(b;r)
         avoids, in order, with a thunk that returns such a geodesic."""
-        A, B = self._sets_at(r)
-        if self.canonical is None and self.k == 0:
-            on_all = self._on_every_geodesic(A, B, cs)
-            if on_all is not None:
-                return self._violations_sigma(A, B, cs, on_all)
-        return self._violations_general(A, B, cs)
+        if self.canonical is None and self.k == 0 and self._exact:
+            first = self._first_violations(cs)
+            if first is not None:
+                return [(c, functools.partial(self._sigma_witness, r, c)) for c in cs if first[c] <= r]
+        return self._violations_general(*self._sets_at(r), cs)
+
+    def _first_violations(self, cs: list[int]) -> dict[int, int] | None:
+        """The least radius at which each centre violates (r_max + 1 if
+        none), or None when a path count is too large for exact int64
+        products, and the per-radius search from then on.
+
+        The first call settles the centres of its ``cs`` by one σ product
+        at the deepest radius R they are checked at, in slices of at most
+        ``_CUBE_CELLS`` cells; later calls ask about those centres at radii
+        up to R, as :func:`check_property_b`'s do. A cell (a', b') is in
+        play from its level max(d(a,a'), d(b,b')) on, as in
+        ``_TreePairChecker._settle``, and c violates there where it is not
+        on every a'-b' geodesic."""
+        if self._first is None:
+            never = self.r_max + 1
+            A, B = self._sets_at(min(self.r_max, int(self.depth_row[cs].max()) - self.ell))
+            level = np.maximum.outer(self.da[A], self.db[B]).astype(np.min_scalar_type(never))[:, :, None]
+            step = max(1, _CUBE_CELLS // level.size)
+            first: dict[int, int] = {}
+            for t in range(0, len(cs), step):
+                part = cs[t : t + step]
+                on_all = self._on_every_geodesic(A, B, part)
+                if on_all is None:
+                    self._exact = False
+                    return None
+                first.update(zip(part, np.where(on_all, never, level).min(axis=(0, 1)).tolist()))
+            self._first = first
+        return self._first
 
     def _on_every_geodesic(self, A, B, cs) -> np.ndarray | None:
         # c lies on every shortest a'→b' path iff the distance identity
@@ -674,20 +728,19 @@ class _PairChecker:
             sac[:, None, :] * sbc[None, :, :] == sab[:, :, None]
         )
 
-    def _violations_sigma(self, A, B, cs, on_all):
-        for idx, i, j in _first_cells(~on_all):
-            yield cs[idx], functools.partial(self._sigma_witness, A[i], B[j], cs[idx])
-
-    def _sigma_witness(self, ap: int, bp: int, c: int) -> Path:
-        # At an avoidable cell the σ product fails, so c is neither a' nor
-        # b' and some a'-b' geodesic misses c.
-        witness = self._avoiding_geodesic(ap, bp, {c})
+    def _sigma_witness(self, r: int, c: int) -> Path:
+        # The first (a', b') cell in row-major order, among those in play at
+        # r, with a geodesic avoiding c. The σ product fails there, so c is
+        # neither a' nor b'.
+        A, B = self._sets_at(r)
+        i, j = divmod(int((~self._on_every_geodesic(A, B, [c])).argmax()), len(B))
+        witness = self._avoiding_geodesic(A[i], B[j], {c})
         assert witness is not None
         return witness
 
     def _violations_general(self, A, B, cs):
         for c in cs:
-            hood = set(self._neighborhood(c))
+            hood = set(self._neighborhood(c).tolist())
             found = None
             for ap in A:
                 if found is not None:

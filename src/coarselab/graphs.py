@@ -45,9 +45,12 @@ distances, int64 counts); a row is a read-only view of its slot, and
 bit-parallel BFS that runs up to 64 searches in the bits of one machine
 word (MS-BFS: Then et al., *The More the Merrier*, PVLDB 8(4), 2014),
 used where the searches are shallow; its rows are copied once, into
-their slots. Its level step, ``_bit_levels`` (a gather of the frontier
-words over the edges, a ``bitwise_or.reduceat`` per vertex, the isolated
-vertices zeroed and the bits seen before dropped), also runs
+their slots. A store made for path counts fills a block's count rows
+beside them, by one level-synchronous pass over the block
+(``_count_rows``). The kernel's level step, ``_bit_levels`` (a gather
+of the frontier words over the edges, a ``bitwise_or.reduceat`` per
+vertex, the isolated vertices zeroed and the bits seen before dropped),
+also runs
 ``_triangle_defects``: one search per side of many geodesic triangles,
 each starting from the two other sides, whose last level to reach a
 side vertex is the triangle's thinness defect.
@@ -449,6 +452,34 @@ def _distance_rows(g: MetricGraph, sources: Collection[int]) -> np.ndarray:
     return dist.T
 
 
+def _count_rows(g: MetricGraph, sources: list[int], dist: np.ndarray) -> np.ndarray:
+    """Shortest-path counts from every one of ``sources``, given their
+    (k, n) distance rows ``dist``, as a (k, n) int64 array, each count
+    saturated at ``_SIGMA_MAX``; 0 where unreachable.
+
+    One level-synchronous pass serves every source. Each cell (i, v) is
+    the key i*n + v, and one stable sort of the distances orders the keys
+    by level. A level's keys gather their neighbours' counts over the CSR
+    arrays (``_key_neighbours``) and sum them by ``np.add.reduceat``: the
+    neighbours one closer are the only ones counted by then, since those
+    at the same level or beyond still hold 0. Saturating each sum keeps
+    every later sum exact in int64, and min(count, ``_SIGMA_MAX``) exact."""
+    n = g.vertex_count
+    indptr, indices = g.csr_arrays()
+    flat = dist.reshape(-1)
+    keys = np.argsort(flat, kind="stable")  # the unreachable cells first
+    ends = np.cumsum(np.bincount(flat + 1))  # where each level's keys end, from -1 up
+    sig = np.zeros(flat.size, dtype=np.int64)
+    sig[np.arange(len(sources)) * n + sources] = 1
+    for lo, hi in zip(ends[1:-1].tolist(), ends[2:].tolist()):
+        level = keys[lo:hi]
+        # A vertex at level 1 or beyond has a neighbour, so no segment is empty.
+        nbrs, counts = _key_neighbours(indptr, indices, level)
+        sums = np.add.reduceat(sig[nbrs], np.cumsum(counts) - counts)
+        sig[level] = np.minimum(sums, _SIGMA_MAX)
+    return sig.reshape(len(sources), n)
+
+
 def _triangle_defects(g: MetricGraph, sides: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """The thinness defect of every triangle of ``triangles``, a (T, 3)
     array of rows of ``sides``, whose rows are geodesics padded with their
@@ -676,24 +707,33 @@ class _Rows:
     whole store but resident only as far as its rows are written; a count
     row takes two cells per vertex. A full store starts over with fresh
     matrices, so a row handed out earlier keeps its values.
-    ``rows.load(sources)`` memoises many distance rows at once, in blocks
-    of one word for the bit-parallel kernel ``_distance_rows``, whose
-    result is copied once, into the slots. ``rows.block(X, cols)`` reads
-    the distance and count rows of many sources at many columns, by one
-    fancy index into each matrix.
+    ``rows.load(sources)`` memoises many distance rows at once, and in a
+    store made with ``counts`` their count rows beside them, in blocks of
+    at most ``_BLOCK`` sources. A block's distance rows come from the
+    bit-parallel kernel ``_distance_rows``, whose result is copied once,
+    into the slots, and its count rows from one level-synchronous pass
+    over the block, ``_count_rows``, which a single count row takes too.
+    ``rows.block(X, cols)`` reads the distance and count rows of many
+    sources at many columns, by one fancy index into each matrix.
     """
 
-    __slots__ = ("g", "_dist", "_sigma")
+    __slots__ = ("g", "_dist", "_sigma", "_counts")
 
-    def __init__(self, g: MetricGraph):
+    def __init__(self, g: MetricGraph, counts: bool = False):
         self.g = g
         self._dist = _Slots(g.vertex_count, np.int32)
         self._sigma = _Slots(g.vertex_count, np.int64)
+        self._counts = counts  # whether ``load`` fills count rows too
+
+    @property
+    def _loaded_cells(self) -> int:
+        """The cells of one source's rows as ``load`` fills them."""
+        return self._dist.row_cells + self._counts * self._sigma.row_cells
 
     @property
     def capacity(self) -> int:
-        """How many distance rows the store holds at once."""
-        return _ROW_CELLS // max(self.g.vertex_count, 1)
+        """How many sources' rows ``load`` holds at once."""
+        return _ROW_CELLS // max(self._loaded_cells, 1)
 
     @property
     def _cells(self) -> int:
@@ -731,88 +771,88 @@ class _Rows:
         return row
 
     def load(self, sources: Iterable[int]) -> None:
-        """Memoise the distance rows from ``sources``, as many as the store
-        holds, filling the missing ones block by block.
+        """Memoise the distance rows from ``sources``, and in a store made
+        with ``counts`` their count rows, as many as the store holds,
+        filling the missing ones block by block.
 
         A block fits one kernel word and the store's free cells, or the
         whole store once a full store has emptied itself. Its first
-        row comes from ``distance_vector``; the rest come from one
+        distance row comes from ``distance_vector``; the rest come from one
         ``_distance_rows`` call when the level bound, max d(s0, s) +
         ecc(s0) over the block, is at most the block size (the kernel costs
         about levels x edges, single rows about sources x (n + edges)), and
-        one by one otherwise.
+        one by one otherwise. Its count rows come from one ``_count_rows``
+        pass over its distance rows.
         """
         wanted = list(dict.fromkeys(sources))
         self.g.check_vertices(wanted)
-        n = self.g.vertex_count
-        missing = [s for s in wanted if s not in self._dist.of]
+        per = self._loaded_cells
+        missing = [s for s in wanted if s not in self._dist.of or (self._counts and s not in self._sigma.of)]
         if not missing or not self.capacity:
             return
-        if self._cells + len(missing) * n > _ROW_CELLS and len(wanted) <= self.capacity:
+        if self._cells + len(missing) * per > _ROW_CELLS and len(wanted) <= self.capacity:
             # Starting over now keeps every row asked for memoised.
             self._clear()
             missing = wanted
         while missing:
-            # A full store empties itself when the run's first row is kept.
-            size = min((_ROW_CELLS - self._cells) // n or self.capacity, _BLOCK)
+            if self._cells + per > _ROW_CELLS:
+                self._clear()
+            size = min((_ROW_CELLS - self._cells) // per, _BLOCK)
             run, missing = missing[:size], missing[size:]
-            first = self[run[0]]
-            rest = run[1:]
-            to_rest = first[rest]
-            if rest and to_rest.min() >= 0 and int(to_rest.max()) + int(first.max()) <= len(run):
-                self._take(self._dist, rest)[:] = _distance_rows(self.g, rest)
-            else:
-                for s in rest:
-                    self[s]
+            need = [s for s in run if s not in self._dist.of]
+            if need:
+                first = self[need[0]]
+                rest = need[1:]
+                to_rest = first[rest]
+                if rest and to_rest.min() >= 0 and int(to_rest.max()) + int(first.max()) <= len(need):
+                    self._take(self._dist, rest)[:] = _distance_rows(self.g, rest)
+                else:
+                    for s in rest:
+                        self[s]
+            need = [s for s in run if self._counts and s not in self._sigma.of]
+            if need:
+                self._take(self._sigma, need)[:] = _count_rows(self.g, need, self.block(need, None, sigma=False)[0])
 
     def sigma(self, s: int) -> np.ndarray:
         sig = self._sigma.get(s)
         if sig is None:
-            dist = self[s]
-            indptr, indices = self.g.csr_arrays()
-            tail = np.repeat(np.arange(self.g.vertex_count, dtype=np.int32), np.diff(indptr))
-            # Edges of the shortest-path DAG from s, grouped by the level of their head.
-            step = dist[indices] == dist[tail] + 1
-            tail, head = tail[step], indices[step]
-            order = np.argsort(dist[head], kind="stable")
-            tail, head = tail[order], head[order]
-            bounds = np.searchsorted(dist[head], np.arange(1, int(dist.max()) + 2))
-            sig = np.zeros(self.g.vertex_count, dtype=np.int64)
-            sig[s] = 1
-            for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-                level = head[lo:hi]
-                np.add.at(sig, level, sig[tail[lo:hi]])
-                sig[level] = np.minimum(sig[level], _SIGMA_MAX)
-            sig = self._keep(self._sigma, s, sig)
+            sig = self._keep(self._sigma, s, _count_rows(self.g, [s], self[s][None])[0])
         return sig
 
     def block(self, X: list[int], cols, sigma: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-        """The distance rows of ``X`` at the columns ``cols``, and with
-        ``sigma`` their path-count rows there (else None), as two matrices.
+        """The distance rows of ``X`` at the columns ``cols`` (whole rows
+        when None), and with ``sigma`` their path-count rows there (else
+        None), as two matrices.
 
         When the rows fit the store together, the missing ones are memoised
         first (a store without room for them starts over once) and each
-        matrix is read by index: whole rows, then the columns, when the
-        columns cover half a row or more (two contiguous takes), else slots
-        by columns in one fancy index. Otherwise the rows are read one
-        source at a time.
+        matrix is read by index: whole rows by one take of the slots, then
+        the columns too when they cover half a row or more (two contiguous
+        takes), else slots by columns in one fancy index. Otherwise the
+        rows are read one source at a time.
         """
         kinds = ((self._dist, self.__getitem__), (self._sigma, self.sigma))[: 1 + sigma]
-        if sum(t.row_cells for t, _ in kinds) * len(X) > _ROW_CELLS:
-            subs = [np.array([read(x)[cols] for x in X]) for _, read in kinds]
-        else:
-            if self._cells + sum(t.row_cells for t, _ in kinds for x in X if x not in t.of) > _ROW_CELLS:
-                self._clear()
-            for t, read in kinds:
-                for x in X:
-                    if x not in t.of:
-                        read(x)
+        if cols is not None:
             cols = np.asarray(cols)
-            slots = [np.array([t.of[x] for x in X]) for t, _ in kinds]
-            if 2 * cols.size >= self.g.vertex_count:
-                subs = [t.matrix.take(at, axis=0).take(cols, axis=1) for (t, _), at in zip(kinds, slots)]
-            else:
-                subs = [t.matrix[at[:, None], cols] for (t, _), at in zip(kinds, slots)]
+        if sum(t.row_cells for t, _ in kinds) * len(X) > _ROW_CELLS:
+            subs = [np.array([read(x) if cols is None else read(x)[cols] for x in X]) for _, read in kinds]
+        else:
+            if not all(all(map(t.of.__contains__, X)) for t, _ in kinds):
+                if self._cells + sum(t.row_cells for t, _ in kinds for x in X if x not in t.of) > _ROW_CELLS:
+                    self._clear()
+                for t, read in kinds:
+                    for x in X:
+                        if x not in t.of:
+                            read(x)
+            subs = []
+            for t, _ in kinds:
+                at = np.fromiter(map(t.of.__getitem__, X), np.intp, len(X))
+                if cols is None:
+                    subs.append(t.matrix.take(at, axis=0))
+                elif 2 * cols.size >= self.g.vertex_count:
+                    subs.append(t.matrix.take(at, axis=0).take(cols, axis=1))
+                else:
+                    subs.append(t.matrix[at[:, None], cols])
         return subs[0], subs[1] if sigma else None
 
 
@@ -924,7 +964,7 @@ def _canonical_walks(rows: "_Rows", sources: np.ndarray, ends: np.ndarray) -> np
     n = g.vertex_count
     indptr, indices = g.csr_arrays()
     far = _sorted_unique(np.array(ends, dtype=np.int64))
-    dist, _ = rows.block(far.tolist(), np.arange(n), sigma=False)
+    dist, _ = rows.block(far.tolist(), None, sigma=False)
     flat = dist.reshape(-1)
     base = np.searchsorted(far, ends) * n  # each walk's row in ``flat``
     cur = np.array(sources, dtype=np.int32)

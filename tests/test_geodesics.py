@@ -562,6 +562,46 @@ class TestPropertyBOracle:
                 assert all(dist[w][v.c] > k for w in path)
 
 
+def larger_non_tree_graphs(count, min_vertices=20, max_vertices=30):
+    out = []
+    seed = 100
+    while len(out) < count:
+        g = random_graph(seed, max_vertices=max_vertices, edge_prob=0.15)
+        if g.vertex_count >= min_vertices and not g.is_tree:
+            out.append(g)
+        seed += 1
+    return out
+
+
+RUN_GRAPHS = PROPB_GRAPHS + larger_non_tree_graphs(4)
+
+
+class TestPairRuns:
+    """The rows of a run of pairs arrive in blocks that fit the store;
+    neither the store's size nor the block's changes a report."""
+
+    @pytest.mark.parametrize("index", range(len(RUN_GRAPHS)))
+    @pytest.mark.parametrize("kind", ["all", "canonical"])
+    def test_store_and_block_sizes_give_the_same_reports(self, monkeypatch, index, kind):
+        g = RUN_GRAPHS[index]
+        n = g.vertex_count
+        fam = GeodesicFamily(g, kind)
+        runs = [dict(ell=ell, k=k, r_max=2, pair_budget=150, c_budget=6, seed=index) for k, ell in ((0, 0), (1, 1), (2, 0))]
+        default = [check_property_b(fam, **run) for run in runs]
+        assert any(rep.qualifying_found for rep in default)
+        full, clears = graphs._ROW_CELLS, []
+        real = graphs._Rows._clear
+        monkeypatch.setattr(graphs._Rows, "_clear", lambda rows: clears.append(1) or real(rows))
+        # a store of 6 distance rows, or 2 sources' distance and count rows
+        for cells, block in ((6 * n, 64), (full, 1), (6 * n, 1)):
+            monkeypatch.setattr(graphs, "_ROW_CELLS", cells)
+            monkeypatch.setattr(graphs, "_BLOCK", block)
+            monkeypatch.setattr(geodesics, "_BLOCK", block)
+            clears.clear()
+            assert [check_property_b(fam, **run) for run in runs] == default
+            assert bool(clears) == (cells < full)
+
+
 def shuffled_tree(rng, n, parent_of, name):
     """A tree on n vertices with vertex v hung off parent_of(v), under a
     random relabelling."""
@@ -690,23 +730,35 @@ SIGMA_GRAPHS = {
 
 
 class TestSigmaClause:
-    """The σ clause (k = 0, all geodesics) finds each c's first avoidable
-    cell for every c at once and builds a witness only for the violations
-    kept; the per-cell search with eager witnesses is its oracle."""
+    """The σ clause (k = 0, all geodesics) runs one product per pair, at its
+    deepest radius, and builds a witness only for the violations kept; a
+    product per radius with a per-cell search and eager witnesses is its
+    oracle."""
 
     @pytest.mark.parametrize("name", SIGMA_GRAPHS)
     def test_lazy_witnesses_match_the_eager_search(self, monkeypatch, name):
         g = SIGMA_GRAPHS[name]
         fam = GeodesicFamily.all_of(g)
         params = dict(ell=0, k=0, r_max=2, pair_budget=120, seed=3)
+        products = []
+        real_product = geodesics._PairChecker._on_every_geodesic
+
+        def product(checker, A, B, cs):
+            products.append(checker)
+            return real_product(checker, A, B, cs)
+
+        monkeypatch.setattr(geodesics._PairChecker, "_on_every_geodesic", product)
         lazy = {cap: check_property_b(fam, violation_cap=cap, **params) for cap in (0, 1, 3, 50)}
         searched = []
 
-        def eager(checker, A, B, cs, on_all):
+        def eager(checker, r, cs):
+            A, B = checker._sets_at(r)
+            on_all = real_product(checker, A, B, cs)
+            assert on_all is not None
             searched.append(len(cs))
             return eager_sigma_violations(checker, A, B, cs, on_all)
 
-        monkeypatch.setattr(geodesics._PairChecker, "_violations_sigma", eager)
+        monkeypatch.setattr(geodesics._PairChecker, "violations", eager)
         full = check_property_b(fam, violation_cap=10**6, **params)
         assert searched or not full.qualifying_found
         assert len(full.intersection_violations) == full.violations_total
@@ -716,7 +768,9 @@ class TestSigmaClause:
             assert dataclasses.replace(rep, intersection_violations=()) == dataclasses.replace(
                 full, intersection_violations=()
             )
-
+        # one product per pair with a pool, and one per witness built
+        kept = sum(len(rep.intersection_violations) for rep in lazy.values())
+        assert len(products) == len(set(map(id, products))) + kept
     def test_the_structured_spaces_violate(self):
         for name in ("grid:6", "farey:8"):
             fam = GeodesicFamily.all_of(SIGMA_GRAPHS[name])

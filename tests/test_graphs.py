@@ -16,6 +16,7 @@ from coarselab.graphs import (
     MetricGraph,
     Path,
     _canonical_walks,
+    _count_rows,
     _distance_rows,
     _Rows,
     _triangle_defects,
@@ -1040,20 +1041,85 @@ class TestRowStore:
             monkeypatch.setattr(graphs, "_ROW_CELLS", cells * n)
         rows = _Rows(g)
         rng = random.Random(seed)
-        # one column is read slots by columns, 2n columns whole rows first
-        for size, width in itertools.product((1, 2, 5), (1, 2 * n)):
+        # one column is read slots by columns, 2n columns whole rows first,
+        # and None whole rows alone
+        for size, width in itertools.product((1, 2, 5), (1, 2 * n, None)):
             X = rng.sample(range(n), min(size, n))
-            cols = [rng.randrange(n) for _ in range(width)]
+            cols = None if width is None else [rng.randrange(n) for _ in range(width)]
             dist, sig = rows.block(X, cols)
+            if cols is None:
+                cols = range(n)
             assert dist.dtype == np.int32 and sig.dtype == np.int64
             assert dist.tolist() == [[bfs_distances(g, x)[v] for v in cols] for x in X]
             assert sig.tolist() == [[len(brute_shortest_paths(g, x, v)) for v in cols] for x in X]
-            only, none = rows.block(X, cols, sigma=False)
+            only, none = rows.block(X, None if width is None else cols, sigma=False)
             assert only.tolist() == dist.tolist() and none is None
 
     def test_invalid_source_raises(self):
         with pytest.raises(ValueError, match="invalid vertex id 5"):
             _Rows(path_graph(5))[5]
+
+
+def brute_path_counts(g: MetricGraph) -> list[list[int]]:
+    """Shortest-path counts between every pair by dynamic programming over
+    Floyd-Warshall distances: 1 from a vertex to itself, and to v the sum
+    over v's neighbours one closer to the source."""
+    dist = floyd_warshall(g)
+    n = g.vertex_count
+    counts = [[0] * n for _ in range(n)]
+    for s in range(n):
+        counts[s][s] = 1
+        for v in sorted((v for v in range(n) if 0 < dist[s][v] < float("inf")), key=dist[s].__getitem__):
+            counts[s][v] = sum(counts[s][u] for u in g.neighbors(v) if dist[s][u] == dist[s][v] - 1)
+    return counts
+
+
+class TestCountRows:
+    """The batched path counts (one level-synchronous pass over many
+    sources) against a brute-force dynamic program, exact and saturated."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("cap", [None, 3])
+    def test_match_brute_force_path_counts(self, monkeypatch, seed, cap):
+        # kernel_graph draws connected and disconnected graphs
+        if cap is not None:
+            monkeypatch.setattr(graphs, "_SIGMA_MAX", cap)
+        g = kernel_graph(seed)
+        n = g.vertex_count
+        expected = [[c if cap is None else min(c, cap) for c in row] for row in brute_path_counts(g)]
+        rng = random.Random(seed)
+        for size in (1, 5, 3 * n):  # with more sources than vertices some repeat
+            sources = [rng.randrange(n) for _ in range(size)]
+            dist = np.array([bfs_distances(g, s) for s in sources], dtype=np.int32)
+            got = _count_rows(g, sources, dist)
+            assert got.dtype == np.int64 and got.shape == (size, n)
+            assert got.tolist() == [expected[s] for s in sources]
+        rows = _Rows(g)
+        assert [rows.sigma(s).tolist() for s in range(n)] == expected
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_counts_store_loads_count_rows_in_blocks(self, monkeypatch, seed):
+        # a store of 5 sources' distance and count rows (15 distance rows
+        # alone), filled in blocks of at most 4 that fit its free cells
+        g = kernel_graph(seed)
+        n = g.vertex_count
+        monkeypatch.setattr(graphs, "_ROW_CELLS", 15 * n)
+        monkeypatch.setattr(graphs, "_BLOCK", 4)
+        calls = []
+        real = graphs._count_rows
+        monkeypatch.setattr(graphs, "_count_rows", lambda g, ss, dist: calls.append(list(ss)) or real(g, ss, dist))
+        rows = _Rows(g, counts=True)
+        assert (rows.capacity, _Rows(g).capacity) == (5, 15)
+        rows.load(range(n))
+        assert all(0 < len(block) <= 4 for block in calls)
+        assert sorted(s for block in calls for s in block) == list(range(n))
+        assert rows._cells <= 15 * n and rows._sigma.of and set(rows._sigma.of) <= set(rows._dist.of)
+        expected = brute_path_counts(g)
+        held = list(rows._sigma.of)
+        calls.clear()
+        rows.load(held)  # every row held: nothing to fill
+        assert not calls
+        assert [rows.sigma(s).tolist() for s in held] == [expected[s] for s in held]
 
 
 class TestDistanceRows:
