@@ -345,12 +345,32 @@ def test_tree_runs_never_build_the_adjacency_tuples(monkeypatch, capsys, argv):
             "propb --space farey:30 --ell 2 --k 2 --family canonical --pair-budget 100 --seed 2",
             "82109172c6cf042c6f21f72333a2498630a11602c17e117835229657c4bc0ea9",
         ),
+        # recorded while every generator built its labels one string at a
+        # time and --center-label scanned them: every label kind, and a
+        # centre found by label on a broom and on a Farey window
+        ("gen --space broom:6 --labels", "b9c573a0af1bb426a7ff07fe72b8e6b9a137401cc349cc48553e9284996d0cf1"),
+        ("gen --space tree:3,3 --labels", "06db4674adf7814d96cdfd9cdc4bbdae26d2ca8815e2d1ddf019cb968bd7b6b5"),
+        ("gen --space farey:6 --labels", "9c398e843e008aa1ba7cb8836083b1d30e128125eb60558d28c41c56e6f913a5"),
+        ("gen --space grid:4 --labels", "e5863535a59f8f0888c1beed44946dd2fdb322a25dded591c6f9fdad7829eaa8"),
+        (
+            "probe capacity --space broom:40 --d 2 --radius 2 --center-label 7.3",
+            "6f1a0a23aa1862f4f0aba3a0fe9ebbba62ffaf4fa3a33f0633e974d0698d42e5",
+        ),
+        (
+            "probe capacity --space farey:12 --d 2 --radius 2 --center-label=-5/7",
+            "6e3460b20a17112c410b2a4d72faeb1912b66dc3e60b85d702c51fe2f5ea6387",
+        ),
     ],
 )
 def test_reports_are_pinned(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_unknown_center_label_is_pinned(capsys):
+    argv = "probe capacity --space broom:10 --d 2 --radius 2 --center-label 9.10"
+    assert run_cli(capsys, *argv.split()) == (2, "", "error: bad --center-label: no vertex labeled '9.10'\n")
 
 
 def forced_backends(monkeypatch):
