@@ -74,6 +74,7 @@ from .probes import DiscreteSubsetReport, GrowthProbeReport, discrete_capacity, 
 from .spaces import (
     ProjectiveRational,
     LabeledGraph,
+    VertexLabels,
     broom_tree,
     farey_safe_radius,
     farey_truncation,

@@ -301,9 +301,9 @@ def _edge_array(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> np.nda
     arr = np.asarray(pairs) if len(pairs) else np.empty((0, 2), dtype=np.int64)
     if arr.ndim == 2 and arr.shape[1] == 2 and arr.dtype.kind in "biu":
         ids = arr.astype(np.int64, copy=False)
-        bad = (ids < 0).any(axis=1) | (ids >= n).any(axis=1) | (ids[:, 0] == ids[:, 1])
-        if not bad.any():
+        if not ids.size or (ids.min() >= 0 and ids.max() < n and not (ids[:, 0] == ids[:, 1]).any()):
             return ids
+        bad = (ids < 0).any(axis=1) | (ids >= n).any(axis=1) | (ids[:, 0] == ids[:, 1])
         pairs = [tuple(pairs[int(np.argmax(bad))])]
     # Pair by pair: a bad edge found above, or ids numpy could not hold
     # as one integer array (floats, mixed numpy types, huge ints).

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from coarselab import a1, cli, geodesics, graphs
+from coarselab import a1, cli, geodesics, graphs, spaces
 from coarselab.a1 import ClaimViolation
 from coarselab.cli import main, parse_space
 from coarselab.graphs import load_graph, store_graph
@@ -29,6 +29,16 @@ class TestSpaceSpecs:
         path.write_text(store_graph(g))
         sp = parse_space(f"file:{path}")
         assert sp.graph == g
+
+    def test_builders_are_looked_up_in_the_table(self, monkeypatch):
+        # a wrapper put in place of a builder (as perfbench's tracer does)
+        # sees the spaces parse_space builds
+        built = []
+        for kind, build in cli._SPACES.items():
+            monkeypatch.setitem(cli._SPACES, kind, lambda *a, build=build: built.append(a) or build(*a))
+        for spec in ("broom:4", "tree:3,2", "farey:3", "grid:3"):
+            parse_space(spec)
+        assert built == [(4,), (3, 2), (3,), (3,)]
 
     def test_bad_specs_exit_2(self, capsys):
         for spec in ("nope:3", "broom", "broom:x"):
@@ -271,6 +281,56 @@ def test_tree_runs_never_build_the_adjacency_tuples(monkeypatch, capsys, argv):
     monkeypatch.setattr(graphs, "_NP_BFS_MIN", 0)
     assert run_cli(capsys, *argv.split()) == (0, listed, "")
     assert not built
+
+
+@pytest.fixture
+def labels_computed(monkeypatch):
+    """The vertex ids whose label any space built from now on computes."""
+    computed = []
+    real = spaces.VertexLabels.__init__
+
+    def spy(self, n, label, parse):
+        def counted(v):
+            computed.append(v)
+            return label(v)
+
+        real(self, n, counted, parse)
+
+    monkeypatch.setattr(spaces.VertexLabels, "__init__", spy)
+    return computed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "cover --space broom:60 --r 1 --ell 0 --d-constant 1",
+        "cover --space grid:8 --r 1 --delta 0 --d-constant 20",
+        "a1 --space broom:130 --r 1",
+        "delta --space broom:10 --budget 200",
+        "delta --space farey:8 --budget 200",
+        "delta --space grid:6 --family all --budget 200",
+        "propb --space broom:10 --k 1 --pair-budget 20",
+        "propb --space farey:8 --ell 1 --k 0 --pair-budget 20",
+        "propb --space grid:6 --family canonical --k 1 --pair-budget 20",
+        "probe growth --generator broom --params 4,8 --d 2 --radius 2",
+        "probe growth --generator farey --params 4,8 --d 2 --radius 2",
+        "probe growth --generator grid --params 4,8 --d 2 --radius 2",
+        "probe capacity --space farey:12 --d 2 --radius 2",
+    ],
+)
+def test_runs_compute_no_label(labels_computed, capsys, argv):
+    code, _, err = run_cli(capsys, *argv.split())
+    assert code in (0, 1) and err == ""
+    assert labels_computed == []
+
+
+def test_one_center_label_computes_one_label(labels_computed, capsys):
+    argv = "probe capacity --space broom:40 --d 2 --radius 2 --center-label 7.3"
+    assert run_cli(capsys, *argv.split())[0] == 0
+    assert labels_computed == [24]
+    labels_computed.clear()
+    sp = parse_space("farey:12")
+    assert sp.vertex_of("-5/7") == labels_computed[0] and len(labels_computed) == 1
 
 
 # sha256 of stdout, recorded before the delta and propb distance rows moved

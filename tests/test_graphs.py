@@ -224,6 +224,26 @@ class TestEdgeArrays:
             MetricGraph(3, edges)
         assert str(got.value) == message
 
+    @pytest.mark.parametrize(
+        "bad", [(1, 6), (-1, 2), (6, 6), (3, 3), (2, 1.5)], ids=["past-n", "negative", "both-out", "self-loop", "non-integer"]
+    )
+    @pytest.mark.parametrize("at", [0, 3, 6], ids=["first", "middle", "last"])
+    def test_each_bad_edge_anywhere(self, bad, at):
+        # an integer array passes its range and self-loop checks in one
+        # pass; the error must still name the offending edge
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
+        edges.insert(at, bad)
+        expected = raised(lambda: oracle_construction(6, edges))
+        assert expected is not None
+        forms = [edges, np.array(edges), np.array(edges, dtype=object)]
+        if isinstance(bad[1], int):
+            forms.append(np.array(edges, dtype=np.int32))
+            assert f"{bad}" in expected[1] or "self-loop" in expected[1]
+        for given in forms:
+            assert raised(lambda: MetricGraph(6, given)) == raised(lambda: oracle_construction(6, given))
+            if not (isinstance(given, np.ndarray) and given.dtype.kind == "f"):
+                assert raised(lambda: MetricGraph(6, given)) == expected
+
 
 class TestDistance:
     def test_path_graph_endpoints(self):

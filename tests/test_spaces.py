@@ -2,11 +2,16 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coarselab.cli import parse_space
 from coarselab.graphs import MetricGraph, bfs_distances, distance, load_graph, store_graph
 from coarselab.spaces import (
     ProjectiveRational,
     LabeledGraph,
+    VertexLabels,
+    _inverses,
     broom_tree,
     farey_safe_radius,
     farey_truncation,
@@ -39,6 +44,27 @@ class TestLabeledGraph:
     def test_label_lookup(self):
         b = broom_tree(3)
         assert b.vertex_of(b.labels[2]) == 2
+
+    def test_caller_labels_are_indexed(self):
+        g = broom_tree(3).graph
+        sp = LabeledGraph(g, tuple("abcdefg"), 0)
+        assert sp.labels == tuple("abcdefg") and isinstance(sp.labels, VertexLabels)
+        assert [sp.vertex_of(c) for c in "gfedcba"] == [6, 5, 4, 3, 2, 1, 0]
+        with pytest.raises(KeyError):
+            sp.vertex_of("h")
+
+    def test_labels_act_like_their_tuple(self):
+        b = broom_tree(3)
+        tup = ("x0", "1.1", "2.1", "2.2", "3.1", "3.2", "3.3")
+        assert b.labels == tup and tup == b.labels and b.labels != list(tup)
+        assert hash(b.labels) == hash(tup) and hash(b) == hash(LabeledGraph(b.graph, tup, 0))
+        assert b == LabeledGraph(b.graph, tup, 0) and b != LabeledGraph(b.graph, tup[::-1], 0)
+        assert b.labels[-1] == "3.3" and b.labels[np.int64(2)] == "2.1" and b.labels[1:6:2] == tup[1:6:2]
+        assert list(reversed(b.labels)) == list(tup[::-1])
+        with pytest.raises(IndexError):
+            b.labels[7]
+        with pytest.raises(ValueError):
+            b.labels.index("2.3")
 
 
 class TestBroomTree:
@@ -257,3 +283,145 @@ class TestGrid:
 def test_generator_round_trip(space):
     text = store_graph(space.graph)
     assert load_graph(text) == space.graph
+
+
+# -- labels from vertex ids ----------------------------------------------
+#
+# The label loops every generator ran before its labels were computed from
+# the vertex id, kept as the oracles of those closed forms.
+
+
+def broom_labels(m: int) -> tuple[str, ...]:
+    numerals = [str(i) for i in range(m + 1)]
+    labels = ["x0"]
+    for ray in range(1, m + 1):
+        head = numerals[ray] + "."
+        labels += [head + depth for depth in numerals[1 : ray + 1]]
+    return tuple(labels)
+
+
+def tree_labels(valence: int, depth: int) -> tuple[str, ...]:
+    labels = ["r"]
+    lo = 0
+    for level in range(depth):
+        kids = valence if level == 0 else valence - 1
+        hi = len(labels)
+        labels += [f"{labels[u]}.{k}" for u in range(lo, hi) for k in range(kids)]
+        lo = hi
+    return tuple(labels)
+
+
+def farey_labels(qmax: int) -> tuple[str, ...]:
+    return ("1/0", *(f"{p}/{q}" for q in range(1, qmax + 1) for p in range(-qmax, qmax + 1) if gcd(abs(p), q) == 1))
+
+
+def grid_labels(n: int) -> tuple[str, ...]:
+    return tuple(f"({i},{j})" for i in range(n) for j in range(n))
+
+
+SMALL_SPACES = [
+    *[(f"broom:{m}", broom_labels(m)) for m in range(1, 31)],
+    *[(f"tree:{v},{d}", tree_labels(v, d)) for v in range(2, 7) for d in range(1, 6) if v**d <= 2000],
+    *[(f"farey:{q}", farey_labels(q)) for q in range(1, 26)],
+    *[(f"grid:{n}", grid_labels(n)) for n in range(2, 21)],
+]
+
+
+@pytest.fixture(scope="module")
+def file_space(tmp_path_factory):
+    path = tmp_path_factory.mktemp("spaces") / "g.txt"
+    path.write_text(store_graph(grid(4).graph))
+    return parse_space(f"file:{path}"), tuple(map(str, range(16)))
+
+
+class TestLabelsFromIds:
+    @pytest.mark.parametrize("spec, oracle", SMALL_SPACES, ids=[spec for spec, _ in SMALL_SPACES])
+    def test_labels_and_round_trip(self, spec, oracle):
+        sp = parse_space(spec)
+        assert isinstance(sp.labels, VertexLabels)
+        assert tuple(sp.labels) == oracle and sp.labels == oracle and len(sp.labels) == len(oracle)
+        assert [sp.label_of(v) for v in range(len(oracle))] == list(oracle)
+        assert [sp.vertex_of(lab) for lab in oracle] == list(range(len(oracle)))
+
+    def test_file_labels(self, file_space):
+        sp, oracle = file_space
+        assert sp.labels == oracle
+        assert [sp.vertex_of(lab) for lab in oracle] == list(range(16))
+
+    @pytest.mark.parametrize(
+        "spec, label",
+        [
+            ("farey:6", "0/2"),
+            ("farey:6", "01/1"),
+            ("farey:6", "+1/1"),
+            ("farey:6", "-0/1"),
+            ("farey:6", "2/0"),
+            ("farey:6", "7/1"),
+            ("farey:6", "1/7"),
+            ("farey:6", "1/-1"),
+            ("farey:6", " 1/1"),
+            ("farey:6", "1/1/1"),
+            ("broom:3", "3.4"),
+            ("broom:3", "2.0"),
+            ("broom:3", "0.1"),
+            ("broom:3", "x1"),
+            ("broom:3", "1.1.1"),
+            ("broom:3", "1_0.1"),
+            ("grid:4", "(0,4)"),
+            ("grid:4", "(4,0)"),
+            ("grid:4", "(0, 1)"),
+            ("grid:4", "((0,1))"),
+            ("grid:4", "[0,1]"),
+            ("tree:3,2", "r.3.3"),
+            ("tree:3,2", "r.0.2"),
+            ("tree:3,2", "r.0.0.0"),
+            ("tree:3,2", "r."),
+            ("tree:3,2", "x.0"),
+            ("tree:2,3", "r.0.1"),
+        ],
+    )
+    def test_near_misses_are_not_labels(self, spec, label):
+        with pytest.raises(KeyError, match="no vertex labeled"):
+            parse_space(spec).vertex_of(label)
+
+    @pytest.mark.parametrize("label", ["016", "-1", "1.0", "٣", "16"])
+    def test_file_near_misses(self, file_space, label):
+        with pytest.raises(KeyError):
+            file_space[0].vertex_of(label)
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_vertex_of_fuzz_matches_the_oracle_scan(self, file_space, data):
+        spaces = [
+            (broom_tree(5), broom_labels(5)),
+            (regular_tree(3, 3), tree_labels(3, 3)),
+            (farey_truncation(6), farey_labels(6)),
+            (grid(4), grid_labels(4)),
+            file_space,
+            (LabeledGraph(grid(2).graph, ("a", "b", "c", "d"), 0), ("a", "b", "c", "d")),
+        ]
+        sp, oracle = data.draw(st.sampled_from(spaces))
+        # arbitrary text, text in the labels' alphabet, and labels with a
+        # character or two added around them
+        edits = st.sampled_from(["", "0", " ", "1", "-", "+", ".", "(", ")"])
+        text = data.draw(
+            st.one_of(
+                st.text(),
+                st.text(alphabet="0123456789-+./(), rx_٣"),
+                st.tuples(edits, st.sampled_from(oracle), edits).map("".join),
+            )
+        )
+        expected = oracle.index(text) if text in oracle else None
+        try:
+            got = sp.vertex_of(text)
+        except KeyError:
+            got = None
+        assert got == expected
+
+
+def test_vectorised_inverses_match_pow():
+    pairs = [(a, m) for m in range(1, 301) for a in range(m) if gcd(a, m) == 1]
+    a, m = np.array(pairs, dtype=np.int64).T
+    assert _inverses(a, m).tolist() == [pow(int(x), -1, int(y)) for x, y in pairs]
+    # a is taken mod m first
+    assert _inverses(a + 7 * m, m).tolist() == _inverses(a, m).tolist()
