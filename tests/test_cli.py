@@ -420,6 +420,12 @@ def test_one_center_label_computes_one_label(labels_computed, capsys):
             "probe capacity --space farey:12 --d 2 --radius 2 --center-label=-5/7",
             "6e3460b20a17112c410b2a4d72faeb1912b66dc3e60b85d702c51fe2f5ea6387",
         ),
+        # recorded while a row set larger than the row store was read one
+        # row at a time: the Property B call of a1 --space farey:40 --delta 0
+        (
+            "propb --space farey:40 --ell 0 --k 0 --rmax 5 --pair-budget 24 --c-budget 48",
+            "e651d2209383362427b3586dcb9864821c0072de82df5e315797eb7b922ba004",
+        ),
     ],
 )
 def test_reports_are_pinned(capsys, argv, digest):
