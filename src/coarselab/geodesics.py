@@ -33,13 +33,13 @@ pair, at its deepest radius, which gives every centre the first radius
 at which a geodesic avoids it. A violation is counted when found; its
 witness cell and geodesic are found only if the report keeps it.
 :func:`thin_delta` takes one path on every graph. Its triples go in runs
-whose far ends' rows the same kind of store loads at once. A run's distinct sides are the rows of one array, each
-padded with its far end, and its triangles are rows of three indices into
-it: canonical sides all walk down the far ends' rows together
-(``graphs._canonical_walks``), and all-family sides are enumerated side
-by side, their products cut at the budget. One set-labelled bit-parallel
-BFS gives every defect of a batch of triangles
-(``graphs._triangle_defects``).
+whose far ends' rows the same kind of store loads at once. A run's
+distinct sides are the rows of one array, each padded with its far end,
+and its triangles are rows of three indices into it: canonical sides all
+walk down the far ends' rows together (``graphs._canonical_walks``), and
+all-family sides are enumerated side by side, their products cut at the
+budget. One set-labelled bit-parallel BFS gives every defect of a batch
+of triangles (``graphs._triangle_defects``).
 
 A family enters only as its walk down a distance row: the canonical walk
 (the least-id step) or all walks (every step one closer). G(a,b;r) has

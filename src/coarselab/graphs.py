@@ -38,22 +38,22 @@ stay list-backed in ``bfs_distances``/``multi_source_distances``;
 ``distance_vector`` switches to a numpy level-synchronous BFS from
 ``_NP_BFS_MIN`` vertices up. The geodesics layer reads its distance and
 shortest-path-count rows from one on-demand store, ``_Rows``, which keeps
-at most ``_ROW_CELLS`` cells of them in two slot-mapped matrices (int32
-distances, int64 counts); a row is a read-only view of its slot, and
-``_Rows.block`` reads many rows at many columns by one fancy index.
-``_Rows.load`` fills many rows at once: ``_distance_rows`` is a
+at most ``_ROW_CELLS`` cells of them. One map gives each held source a
+slot: a row of an int32 matrix of distances and, in a store made for path
+counts, of an int64 matrix of counts. A distance row is a read-only view
+of its slot, and ``_Rows.block`` reads many rows at many columns by one
+fancy index. Every row enters through ``_Rows.load``, which fills a
+block's distance and count rows together: ``_distance_rows`` is a
 bit-parallel BFS that runs up to 64 searches in the bits of one machine
 word (MS-BFS: Then et al., *The More the Merrier*, PVLDB 8(4), 2014),
 used where the searches are shallow; its rows are copied once, into
-their slots. A store made for path counts fills a block's count rows
-beside them, by one level-synchronous pass over the block
-(``_count_rows``). The kernel's level step, ``_bit_levels`` (a gather
-of the frontier words over the edges, a ``bitwise_or.reduceat`` per
-vertex, the isolated vertices zeroed and the bits seen before dropped),
-also runs
-``_triangle_defects``: one search per side of many geodesic triangles,
-each starting from the two other sides, whose last level to reach a
-side vertex is the triangle's thinness defect.
+their slots. The count rows come from one level-synchronous pass over
+the block (``_count_rows``). The kernel's level step, ``_bit_levels`` (a
+gather of the frontier words over the edges, a ``bitwise_or.reduceat``
+per vertex, the isolated vertices zeroed and the bits seen before
+dropped), also runs ``_triangle_defects``: one search per side of many
+geodesic triangles, each starting from the two other sides, whose last
+level to reach a side vertex is the triangle's thinness defect.
 
 On a tree, exact distances come from ``_TreeMetric``, a heavy-path
 decomposition from root 0 built on the depth row the connectivity check
@@ -106,9 +106,9 @@ GEODESIC_CAP = 10_000
 # level-synchronous implementation.
 _NP_BFS_MIN = 20_000
 
-# A row store keeps at most this many int32 cells (8 MB); a shortest-path
-# count row takes two cells per vertex. A store that would overflow empties
-# itself first.
+# A row store keeps at most this many int32 cells (8 MB), or one source's
+# rows where those take more; a shortest-path count row takes two cells per
+# vertex. A store without room for the rows asked for starts over.
 _ROW_CELLS = 2**21
 
 # Rows the bit-parallel kernel computes per uint64 word; the row store
@@ -651,47 +651,15 @@ def _find(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return pos, found
 
 
-class _Slots:
-    """Rows of one dtype in one (slots, n) matrix, the map from each row's
-    source to its slot, and a read-only view of each slot; slots are handed
-    out in order."""
+def _mapped(shape: tuple[int, int], dtype: type) -> np.ndarray:
+    """A zero matrix on private anonymous pages, which take memory only
+    when written (numpy advises an array of 4 MiB and up onto huge pages,
+    resident 2 MiB at a time)."""
+    import mmap  # here, so only runs that keep rows load it
 
-    __slots__ = ("matrix", "of", "rows", "row_cells")
-
-    def __init__(self, n: int, dtype: type):
-        self.matrix = np.empty((0, n), dtype=dtype)
-        self.row_cells = n * self.matrix.itemsize // 4  # store cells per row
-        self.clear()
-
-    def clear(self) -> None:
-        # A fresh matrix, so rows handed out before keep their values.
-        self.matrix = np.empty((0, self.matrix.shape[1]), dtype=self.matrix.dtype)
-        self.of: dict[int, int] = {}
-        self.rows: list[np.ndarray] = []
-
-    def take(self, sources: list[int]) -> np.ndarray:
-        """Writable slots for the rows of ``sources``, after those held."""
-        rows, n = _ROW_CELLS // max(self.row_cells, 1), self.matrix.shape[1]
-        if not len(self.matrix):
-            # The store's size of private anonymous pages, which take memory
-            # only when written (numpy advises an array of 4 MiB and up onto
-            # huge pages, resident 2 MiB at a time).
-            import mmap  # here, so only runs that keep rows load it
-
-            buf = mmap.mmap(-1, max(rows * n * self.matrix.itemsize, 1), flags=mmap.MAP_PRIVATE)
-            self.matrix = np.frombuffer(buf, self.matrix.dtype, rows * n).reshape(rows, n)
-        used = len(self.rows)
-        out = self.matrix[used : used + len(sources)]
-        frozen = out.view()
-        frozen.flags.writeable = False
-        self.rows.extend(frozen)
-        self.of.update(zip(sources, range(used, used + len(sources))))
-        return out
-
-    def get(self, s: int) -> np.ndarray | None:
-        """The read-only row of ``s``, or None when it is not held."""
-        slot = self.of.get(s)
-        return None if slot is None else self.rows[slot]
+    size = shape[0] * shape[1]
+    buf = mmap.mmap(-1, max(size * np.dtype(dtype).itemsize, 1), flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype, size).reshape(shape)
 
 
 class _Rows:
@@ -699,160 +667,122 @@ class _Rows:
     most ``_ROW_CELLS`` int32 cells.
 
     ``rows[s]`` is the read-only int32 distance row from ``s`` in global
-    ids; it reads -1 where a vertex is unreachable. ``rows.sigma(s)`` is
-    the read-only int64 row of shortest-path counts from ``s``: exact below
-    ``_SIGMA_MAX``, and ``_SIGMA_MAX`` for every count at or above it.
-    Both are views of a slot in one of two matrices, an int32 one for
-    distance rows and an int64 one for count rows, each the size of the
-    whole store but resident only as far as its rows are written; a count
-    row takes two cells per vertex. A full store starts over with fresh
-    matrices, so a row handed out earlier keeps its values.
-    ``rows.load(sources)`` memoises many distance rows at once, and in a
-    store made with ``counts`` their count rows beside them, in blocks of
-    at most ``_BLOCK`` sources. A block's distance rows come from the
-    bit-parallel kernel ``_distance_rows``, whose result is copied once,
-    into the slots, and its count rows from one level-synchronous pass
-    over the block, ``_count_rows``, which a single count row takes too.
-    ``rows.block(X, cols)`` reads the distance and count rows of many
-    sources at many columns, by one fancy index into each matrix.
+    ids; it reads -1 where a vertex is unreachable. One map gives each held
+    source its slot: a row of an int32 matrix of distance rows and, in a
+    store made with ``counts``, the same row of an int64 matrix of
+    shortest-path counts, exact below ``_SIGMA_MAX`` and ``_SIGMA_MAX`` for
+    every count at or above it. A count row takes two cells per vertex, and
+    the store holds ``capacity`` sources' rows, at least one. Its matrices
+    are mapped on the first row and resident only as far as rows are
+    written.
+
+    Every row enters through ``rows.load(sources)``, which fills a
+    source's distance and count rows together, block by block, and
+    ``rows[s]`` loads ``s`` when it is not held. A store without room for
+    the rows asked for starts over with fresh matrices, so a row handed out
+    earlier keeps its values. ``rows.block(X, cols)`` reads the distance
+    and count rows of many sources at many columns, ``capacity`` sources
+    at a time, by one fancy index into each matrix.
     """
 
-    __slots__ = ("g", "_dist", "_sigma", "_counts")
+    __slots__ = ("g", "capacity", "_counts", "_slot", "_dist", "_sigma")
 
     def __init__(self, g: MetricGraph, counts: bool = False):
         self.g = g
-        self._dist = _Slots(g.vertex_count, np.int32)
-        self._sigma = _Slots(g.vertex_count, np.int64)
         self._counts = counts  # whether ``load`` fills count rows too
-
-    @property
-    def _loaded_cells(self) -> int:
-        """The cells of one source's rows as ``load`` fills them."""
-        return self._dist.row_cells + self._counts * self._sigma.row_cells
-
-    @property
-    def capacity(self) -> int:
-        """How many sources' rows ``load`` holds at once."""
-        return _ROW_CELLS // max(self._loaded_cells, 1)
-
-    @property
-    def _cells(self) -> int:
-        return len(self._dist.of) * self._dist.row_cells + len(self._sigma.of) * self._sigma.row_cells
+        # A source's rows take n cells, and 2n more with its count row.
+        self.capacity = max(_ROW_CELLS // max(g.vertex_count * (1 + 2 * counts), 1), 1)
+        self._clear()
 
     def _clear(self) -> None:
-        self._dist.clear()
-        self._sigma.clear()
+        # Fresh matrices, so rows handed out before keep their values.
+        n = self.g.vertex_count
+        self._slot: dict[int, int] = {}
+        self._dist, self._sigma = np.empty((0, n), dtype=np.int32), np.empty((0, n), dtype=np.int64)
 
-    def _take(self, table: _Slots, sources: list[int]) -> np.ndarray | None:
-        """Writable slots in ``table`` for the rows of ``sources``, the store
-        starting over first if they do not fit beside the rows held; None
-        when they would not fit the empty store either."""
-        cells = len(sources) * table.row_cells
-        if cells > _ROW_CELLS:
-            return None
-        if self._cells + cells > _ROW_CELLS:
-            # A full store starts over, so the rows in current use stay memoised.
-            self._clear()
-        return table.take(sources)
-
-    def _keep(self, table: _Slots, s: int, row: np.ndarray) -> np.ndarray:
-        """``row`` as the read-only row of ``s``, held in ``table`` if it fits."""
-        slot = self._take(table, [s])
-        if slot is None:
-            row.flags.writeable = False
-            return row
-        slot[0] = row
-        return table.get(s)
+    def _take(self, sources: list[int]) -> slice:
+        """The slots of ``sources``, after those held; a fresh store maps
+        its matrices first."""
+        if not len(self._dist):
+            shape = (self.capacity, self.g.vertex_count)
+            self._dist = _mapped(shape, np.int32)
+            if self._counts:
+                self._sigma = _mapped(shape, np.int64)
+        used = len(self._slot)
+        self._slot.update(zip(sources, range(used, used + len(sources))))
+        return slice(used, used + len(sources))
 
     def __getitem__(self, s: int) -> np.ndarray:
-        row = self._dist.get(s)
-        if row is None:
-            row = self._keep(self._dist, s, distance_vector(self.g, s))
+        slot = self._slot.get(s)
+        if slot is None:
+            self.load([s])
+            slot = self._slot[s]
+        row = self._dist[slot]
+        row.flags.writeable = False
         return row
 
     def load(self, sources: Iterable[int]) -> None:
-        """Memoise the distance rows from ``sources``, and in a store made
-        with ``counts`` their count rows, as many as the store holds,
-        filling the missing ones block by block.
+        """Memoise the rows of the first ``capacity`` distinct ``sources``,
+        filling the missing ones block by block; a store without room for
+        them beside the rows held starts over first.
 
-        A block fits one kernel word and the store's free cells, or the
-        whole store once a full store has emptied itself. Its first
-        distance row comes from ``distance_vector``; the rest come from one
+        A block holds at most ``_BLOCK`` sources. Its first distance row
+        comes from ``distance_vector``; the rest come from one
         ``_distance_rows`` call when the level bound, max d(s0, s) +
         ecc(s0) over the block, is at most the block size (the kernel costs
         about levels x edges, single rows about sources x (n + edges)), and
-        one by one otherwise. Its count rows come from one ``_count_rows``
-        pass over its distance rows.
+        one by one otherwise. In a store made with ``counts`` its count rows
+        come from one ``_count_rows`` pass over its distance rows.
         """
         wanted = list(dict.fromkeys(sources))
         self.g.check_vertices(wanted)
-        per = self._loaded_cells
-        missing = [s for s in wanted if s not in self._dist.of or (self._counts and s not in self._sigma.of)]
-        if not missing or not self.capacity:
-            return
-        if self._cells + len(missing) * per > _ROW_CELLS and len(wanted) <= self.capacity:
-            # Starting over now keeps every row asked for memoised.
+        wanted = wanted[: self.capacity]
+        missing = [s for s in wanted if s not in self._slot]
+        if len(self._slot) + len(missing) > self.capacity:
             self._clear()
             missing = wanted
-        while missing:
-            if self._cells + per > _ROW_CELLS:
-                self._clear()
-            size = min((_ROW_CELLS - self._cells) // per, _BLOCK)
-            run, missing = missing[:size], missing[size:]
-            need = [s for s in run if s not in self._dist.of]
-            if need:
-                first = self[need[0]]
-                rest = need[1:]
-                to_rest = first[rest]
-                if rest and to_rest.min() >= 0 and int(to_rest.max()) + int(first.max()) <= len(need):
-                    self._take(self._dist, rest)[:] = _distance_rows(self.g, rest)
-                else:
-                    for s in rest:
-                        self[s]
-            need = [s for s in run if self._counts and s not in self._sigma.of]
-            if need:
-                self._take(self._sigma, need)[:] = _count_rows(self.g, need, self.block(need, None, sigma=False)[0])
-
-    def sigma(self, s: int) -> np.ndarray:
-        sig = self._sigma.get(s)
-        if sig is None:
-            sig = self._keep(self._sigma, s, _count_rows(self.g, [s], self[s][None])[0])
-        return sig
+        for lo in range(0, len(missing), _BLOCK):
+            run = missing[lo : lo + _BLOCK]
+            at = self._take(run)
+            dist = self._dist[at]
+            dist[0] = first = distance_vector(self.g, run[0])
+            to_rest = first[run[1:]]
+            if to_rest.size and to_rest.min() >= 0 and int(to_rest.max()) + int(first.max()) <= len(run):
+                dist[1:] = _distance_rows(self.g, run[1:])
+            else:
+                for i, s in enumerate(run[1:], start=1):
+                    dist[i] = distance_vector(self.g, s)
+            if self._counts:
+                self._sigma[at] = _count_rows(self.g, run, dist)
 
     def block(self, X: list[int], cols, sigma: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         """The distance rows of ``X`` at the columns ``cols`` (whole rows
         when None), and with ``sigma`` their path-count rows there (else
         None), as two matrices.
 
-        When the rows fit the store together, the missing ones are memoised
-        first (a store without room for them starts over once) and each
-        matrix is read by index: whole rows by one take of the slots, then
+        ``X`` is loaded ``capacity`` sources at a time, and each chunk read
+        from each matrix by index: whole rows by one take of the slots, then
         the columns too when they cover half a row or more (two contiguous
-        takes), else slots by columns in one fancy index. Otherwise the
-        rows are read one source at a time.
+        takes), else slots by columns in one fancy index.
         """
-        kinds = ((self._dist, self.__getitem__), (self._sigma, self.sigma))[: 1 + sigma]
         if cols is not None:
             cols = np.asarray(cols)
-        if sum(t.row_cells for t, _ in kinds) * len(X) > _ROW_CELLS:
-            subs = [np.array([read(x) if cols is None else read(x)[cols] for x in X]) for _, read in kinds]
-        else:
-            if not all(all(map(t.of.__contains__, X)) for t, _ in kinds):
-                if self._cells + sum(t.row_cells for t, _ in kinds for x in X if x not in t.of) > _ROW_CELLS:
-                    self._clear()
-                for t, read in kinds:
-                    for x in X:
-                        if x not in t.of:
-                            read(x)
+        parts = []
+        for lo in range(0, max(len(X), 1), self.capacity):  # an empty X reads one empty chunk
+            part = X[lo : lo + self.capacity]
+            if not all(map(self._slot.__contains__, part)):
+                self.load(part)
+            at = np.fromiter(map(self._slot.__getitem__, part), np.intp, len(part))
             subs = []
-            for t, _ in kinds:
-                at = np.fromiter(map(t.of.__getitem__, X), np.intp, len(X))
+            for m in (self._dist, self._sigma)[: 1 + sigma]:
                 if cols is None:
-                    subs.append(t.matrix.take(at, axis=0))
+                    subs.append(m.take(at, axis=0))
                 elif 2 * cols.size >= self.g.vertex_count:
-                    subs.append(t.matrix.take(at, axis=0).take(cols, axis=1))
+                    subs.append(m.take(at, axis=0).take(cols, axis=1))
                 else:
-                    subs.append(t.matrix[at[:, None], cols])
+                    subs.append(m[at[:, None], cols])
+            parts.append(subs)
+        subs = parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
         return subs[0], subs[1] if sigma else None
 
 

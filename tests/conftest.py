@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from coarselab import graphs
 from coarselab.graphs import MetricGraph
 
 
@@ -93,3 +94,14 @@ def brute_max_discrete(g: MetricGraph, candidates, d_sep: int) -> int:
             if all(dist[x][y] >= d_sep for x, y in itertools.combinations(sub, 2)):
                 return size
     return best
+
+
+def spy_rows(monkeypatch) -> tuple[list, list, list]:
+    """Record the source of every single distance row, and the sources of
+    every kernel call and of every count-row pass."""
+    single, batched, counted = [], [], []
+    real_vector, real_rows, real_counts = graphs.distance_vector, graphs._distance_rows, graphs._count_rows
+    monkeypatch.setattr(graphs, "distance_vector", lambda g, s: single.append(s) or real_vector(g, s))
+    monkeypatch.setattr(graphs, "_distance_rows", lambda g, ss: batched.append(list(ss)) or real_rows(g, ss))
+    monkeypatch.setattr(graphs, "_count_rows", lambda g, ss, d: counted.append(list(ss)) or real_counts(g, ss, d))
+    return single, batched, counted

@@ -440,17 +440,19 @@ def test_unknown_center_label_is_pinned(capsys):
 
 
 def forced_backends(monkeypatch):
-    """Send every full-graph BFS through numpy and keep no distance row in
-    memory, so every row is searched afresh on each request."""
+    """Send every full-graph BFS through numpy and shrink each row store to
+    one source's rows, so nearly every row is searched afresh on each
+    request."""
     monkeypatch.setattr(graphs, "_NP_BFS_MIN", 0)
     monkeypatch.setattr(graphs, "_ROW_CELLS", 0)
 
 
 class TestBackendsAgree:
-    """Reports with every full-graph BFS through numpy and no memoised
-    distance or path-count row (``forced_backends``) equal the default ones.
-    Both runs take the same delta and propb algorithms; what differs is the
-    BFS kernel and whether rows come from the memo or are recomputed."""
+    """Reports with every full-graph BFS through numpy and row stores of one
+    source's distance and path-count rows (``forced_backends``) equal the
+    default ones. Both runs take the same delta and propb algorithms; what
+    differs is the BFS kernel and whether rows come from the memo or are
+    recomputed."""
 
     @pytest.mark.parametrize("space", ["farey:8", "farey:10", "grid:6"])
     @pytest.mark.parametrize("family", ["all", "canonical"])

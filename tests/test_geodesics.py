@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import brute_shortest_paths, floyd_warshall, kernel_graph, random_graph
+from conftest import brute_shortest_paths, floyd_warshall, kernel_graph, random_graph, spy_rows
 from coarselab import geodesics, graphs
 from coarselab.geodesics import (
     GeodesicFamily,
@@ -80,6 +80,21 @@ def larger_graph(seed, max_vertices=25):
     edges = [(rng.randrange(v), v) for v in range(1, n)]
     edges += [tuple(rng.sample(range(n), 2)) for _ in range((0, 0, 2, 4, n // 2, n)[seed % 6])]
     return MetricGraph(n, edges, name=f"larger_{seed}")
+
+
+def count_start_overs(monkeypatch) -> list:
+    """Record each start-over of a row store that holds rows; the ``_clear``
+    that sets up a new store is not one."""
+    starts = []
+    real = graphs._Rows._clear
+
+    def spy(rows):
+        if getattr(rows, "_slot", None):
+            starts.append(1)
+        real(rows)
+
+    monkeypatch.setattr(graphs._Rows, "_clear", spy)
+    return starts
 
 
 ORACLE_GRAPHS = (
@@ -246,7 +261,7 @@ class TestThinDelta:
         g = ORACLE_GRAPHS[index]
         expected = brute_thin_delta(g, kind)
         dist = floyd_warshall(g)
-        # with the rows memoised, then with every row searched afresh
+        # with the rows memoised, then with a store of one source's rows
         for cells in (graphs._ROW_CELLS, 0):
             monkeypatch.setattr(graphs, "_ROW_CELLS", cells)
             rep = thin_delta(g, GeodesicFamily(g, kind), budget=10**6)
@@ -325,7 +340,7 @@ class TestThinDelta:
         # emptying the store the chunk before filled
         monkeypatch.setattr(graphs, "_ROW_CELLS", 20 * g.vertex_count)
         loads = self.count_calls(monkeypatch, graphs._Rows, "load")
-        clears = self.count_calls(monkeypatch, graphs._Rows, "_clear")
+        clears = count_start_overs(monkeypatch)
         assert thin_delta(g, fam, budget=300, seed=5) == default
         assert len(loads) >= 3 and len(clears) >= 2
         assert all(len(set(ends)) <= 20 for _, ends in loads)
@@ -335,12 +350,13 @@ class TestThinDelta:
         assert g.is_connected  # its BFS runs before the spies
         fam = GeodesicFamily.canonical_of(g)
         searches = self.count_calls(monkeypatch, graphs, "_dense_bfs")
-        loads = self.count_calls(monkeypatch, graphs._Rows, "load")
+        blocks = self.count_calls(monkeypatch, graphs, "_distance_rows")
         assert thin_delta(g, fam, budget=500).triangles_checked == 500
-        # each load fills one block of at most 64 rows: its first row is a
-        # list BFS, the rest one kernel call
-        distinct = set().union(*(ends for _, ends in loads))
-        assert len(distinct) > 500 and len(searches) <= len(loads) < len(distinct) // 20
+        # each block of at most 64 rows takes one list BFS for its first row
+        # and one kernel call for the rest
+        computed = len(searches) + sum(len(sources) for _, sources in blocks)
+        assert all(len(sources) < 64 for _, sources in blocks)
+        assert computed > 500 and len(searches) == len(blocks) < computed // 20
 
 
 class TestPropertyB:
@@ -589,9 +605,7 @@ class TestPairRuns:
         runs = [dict(ell=ell, k=k, r_max=2, pair_budget=150, c_budget=6, seed=index) for k, ell in ((0, 0), (1, 1), (2, 0))]
         default = [check_property_b(fam, **run) for run in runs]
         assert any(rep.qualifying_found for rep in default)
-        full, clears = graphs._ROW_CELLS, []
-        real = graphs._Rows._clear
-        monkeypatch.setattr(graphs._Rows, "_clear", lambda rows: clears.append(1) or real(rows))
+        full, clears = graphs._ROW_CELLS, count_start_overs(monkeypatch)
         # a store of 6 distance rows, or 2 sources' distance and count rows
         for cells, block in ((6 * n, 64), (full, 1), (6 * n, 1)):
             monkeypatch.setattr(graphs, "_ROW_CELLS", cells)
@@ -600,6 +614,35 @@ class TestPairRuns:
             clears.clear()
             assert [check_property_b(fam, **run) for run in runs] == default
             assert bool(clears) == (cells < full)
+
+
+ROW_ONCE_GRAPHS = [larger_graph(seed) for seed in range(6)] + [farey_truncation(12).graph, grid(8).graph]
+
+
+class TestRowsComputedOnce:
+    """With the default store, a thin_delta or check_property_b call
+    computes each distance row and each count row once."""
+
+    @pytest.mark.parametrize("g", ROW_ONCE_GRAPHS, ids=lambda g: g.name)
+    @pytest.mark.parametrize("kind", ["all", "canonical"])
+    def test_thin_delta(self, monkeypatch, g, kind):
+        assert g.is_connected  # its BFS runs before the spies
+        single, batched, counted = spy_rows(monkeypatch)
+        thin_delta(g, GeodesicFamily(g, kind), budget=400, seed=3)
+        dist = single + sum(batched, [])
+        assert dist and len(dist) == len(set(dist)) and not counted
+
+    # on a tree, property B reads the tree metric and no rows
+    @pytest.mark.parametrize("g", [g for g in ROW_ONCE_GRAPHS if not g.is_tree], ids=lambda g: g.name)
+    @pytest.mark.parametrize("kind", ["all", "canonical"])
+    @pytest.mark.parametrize("k, ell", [(0, 0), (1, 1)])
+    def test_property_b(self, monkeypatch, g, kind, k, ell):
+        assert g.is_connected
+        single, batched, counted = spy_rows(monkeypatch)
+        check_property_b(GeodesicFamily(g, kind), ell=ell, k=k, r_max=2, pair_budget=60, c_budget=8, seed=3)
+        dist, counts = single + sum(batched, []), sum(counted, [])
+        assert dist and len(dist) == len(set(dist)) and len(counts) == len(set(counts))
+        assert bool(counts) == (kind == "all" and k == 0)
 
 
 def shuffled_tree(rng, n, parent_of, name):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_diameter, brute_shortest_paths, floyd_warshall, kernel_graph, random_graph
+from conftest import brute_diameter, brute_shortest_paths, floyd_warshall, kernel_graph, random_graph, spy_rows
 from coarselab import graphs
 from coarselab.graphs import (
     GraphFormatError,
@@ -984,24 +984,30 @@ class TestRowStore:
     @pytest.mark.parametrize("seed", range(30))
     @pytest.mark.parametrize("memoised", [True, False])
     def test_rows_and_path_counts_match_brute_force(self, monkeypatch, seed, memoised):
+        # the default store, and one that holds a single source's rows
         if not memoised:
             monkeypatch.setattr(graphs, "_ROW_CELLS", 0)
         g = kernel_graph(seed)
         n = g.vertex_count
+        single, _, _ = spy_rows(monkeypatch)
         rows = _Rows(g)
+        assert rows.capacity == (graphs._ROW_CELLS // n if memoised else 1)
         for s in range(n):
             row = rows[s]
             expected = brute_bfs(g, [s], None, None)
             assert row.dtype == np.int32 and not row.flags.writeable
             assert row.tolist() == [expected.get(v, -1) for v in range(n)]
-            # the row from 0 is kept by the graph itself, store or no store
-            assert (rows[s] is row) == (memoised or s == 0)
-        rows = _Rows(g)
+            # a held row is read from its slot, with no new search
+            assert np.shares_memory(rows[s], row) and single == list(range(s + 1))
+        # the store of one source no longer holds row 0
+        rows[0]
+        assert single == list(range(n)) + [0] * (not memoised)
+        rows = _Rows(g, counts=True)
         for s in range(n):
-            sig = rows.sigma(s)
-            assert sig.dtype == np.int64 and not sig.flags.writeable
-            assert sig.tolist() == [len(brute_shortest_paths(g, s, v)) for v in range(n)]
-            assert (rows.sigma(s) is sig) == memoised
+            dist, sig = rows.block([s], None)
+            assert dist.tolist() == [rows[s].tolist()]
+            assert sig.dtype == np.int64
+            assert sig.tolist() == [[len(brute_shortest_paths(g, s, v)) for v in range(n)]]
 
     def test_path_counts_saturate(self, monkeypatch):
         # grid:6 corner to corner has C(10, 5) = 252 shortest paths
@@ -1009,7 +1015,7 @@ class TestRowStore:
 
         monkeypatch.setattr(graphs, "_SIGMA_MAX", 7)
         g = grid(6).graph
-        sig = _Rows(g).sigma(0).tolist()
+        sig = _Rows(g, counts=True).block([0], None)[1][0].tolist()
         exact = [len(brute_shortest_paths(g, 0, v)) for v in range(36)]
         assert max(exact) == 252
         assert sig == [min(c, 7) for c in exact]
@@ -1018,48 +1024,53 @@ class TestRowStore:
         from coarselab.spaces import grid
 
         g = grid(6).graph
-        monkeypatch.setattr(graphs, "_ROW_CELLS", 5 * 36)
-        rows = _Rows(g)
-        for s in range(36):
-            rows[s]
-            rows.sigma(s)
-            # a distance row takes 36 cells, a path-count row 72
-            assert 36 * (len(rows._dist.of) + 2 * len(rows._sigma.of)) <= 5 * 36
-            # each held row has its own slot, in a matrix of at most 5
-            # distance or 2 count rows
-            for table, limit in ((rows._dist, 5), (rows._sigma, 2)):
-                assert sorted(table.of.values()) == list(range(len(table.of)))
-                assert len(table.of) <= len(table.matrix) <= limit
-            assert s in rows._sigma.of
+        # a distance row takes 36 cells and a count row 72; a store holds
+        # at least one source's rows
+        for cells, counts in itertools.product((0, 5 * 36, 9 * 36), (False, True)):
+            monkeypatch.setattr(graphs, "_ROW_CELLS", cells)
+            rows = _Rows(g, counts=counts)
+            capacity = max(cells // (36 * (1 + 2 * counts)), 1)
+            assert rows.capacity == capacity
+            for s in range(36):
+                rows.block([s, (s + 7) % 36, (s + 14) % 36], [0, 35], sigma=counts)
+                rows[s]
+                # each held source has its own slot, in matrices of
+                # ``capacity`` rows
+                assert s in rows._slot and sorted(rows._slot.values()) == list(range(len(rows._slot)))
+                assert len(rows._slot) <= capacity == len(rows._dist) and len(rows._sigma) == capacity * counts
 
     def test_rows_handed_out_keep_their_values_when_the_store_starts_over(self, monkeypatch):
         from coarselab.spaces import grid
 
         g = grid(6).graph
         monkeypatch.setattr(graphs, "_ROW_CELLS", 3 * 36)
-        rows = _Rows(g)
-        dist, sig = rows[0], rows.sigma(0)  # the store is full
-        assert rows._dist.of == {0: 0} and rows._sigma.of == {0: 0}
-        # row 1 starts the store over and takes both slots of row 0
+        single, _, counted = spy_rows(monkeypatch)
+        # a store of one source's distance and count rows: row 1 starts it
+        # over and takes the slot of row 0
+        rows = _Rows(g, counts=True)
+        dist = rows[0]
         rows[1]
-        rows.sigma(1)
-        assert rows._dist.of == {1: 0} and rows._sigma.of == {1: 0}
-        rows.load([2, 3])
-        assert dist.tolist() == bfs_distances(g, 0)
-        assert sig.tolist() == [len(brute_shortest_paths(g, 0, v)) for v in range(36)]
-        assert rows[1].tolist() == bfs_distances(g, 1)
+        assert (single, counted) == ([0, 1], [[0], [1]])
+        assert dist.tolist() == bfs_distances(g, 0) and rows[1].tolist() == bfs_distances(g, 1)
+        # a store of three distance rows: rows 3 and 4 start it over
+        rows = _Rows(g)
+        rows.load([0, 1])
+        dist = rows[2]
+        rows.load([3, 4])
+        assert sorted(rows._slot) == [3, 4]
+        assert [d.tolist() for d in (rows[3], rows[4], dist)] == [bfs_distances(g, s) for s in (3, 4, 2)]
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("cells", [None, 0, 7])
     def test_block_matches_the_rows(self, monkeypatch, seed, cells):
-        # the default store, no store, and one that holds 7 rows, so blocks
-        # of more than 2 sources are read one at a time and smaller ones
-        # start the store over
+        # the default store, one of one source and one of two sources'
+        # distance and count rows (7n cells), so blocks of more sources are
+        # read in chunks and smaller ones start the store over
         g = kernel_graph(seed)
         n = g.vertex_count
         if cells is not None:
             monkeypatch.setattr(graphs, "_ROW_CELLS", cells * n)
-        rows = _Rows(g)
+        rows = _Rows(g, counts=True)
         rng = random.Random(seed)
         # one column is read slots by columns, 2n columns whole rows first,
         # and None whole rows alone
@@ -1074,6 +1085,27 @@ class TestRowStore:
             assert sig.tolist() == [[len(brute_shortest_paths(g, x, v)) for v in cols] for x in X]
             only, none = rows.block(X, None if width is None else cols, sigma=False)
             assert only.tolist() == dist.tolist() and none is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("held", [1, 2, 3])
+    @pytest.mark.parametrize("counts", [False, True])
+    def test_block_larger_than_the_store_matches_brute_force(self, monkeypatch, seed, held, counts):
+        # a store of ``held`` sources' rows, and blocks of 3 * held + 1
+        # sources, some repeated, read in chunks of ``held``
+        g = kernel_graph(seed)
+        n = g.vertex_count
+        monkeypatch.setattr(graphs, "_ROW_CELLS", held * n * (1 + 2 * counts))
+        rows = _Rows(g, counts=counts)
+        assert rows.capacity == held
+        rng = random.Random(seed)
+        X = [rng.randrange(n) for _ in range(3 * held + 1)]
+        paths = brute_path_counts(g)
+        for cols in (None, [rng.randrange(n) for _ in range(3)]):
+            dist, sig = rows.block(X, cols, sigma=counts)
+            cols = range(n) if cols is None else cols
+            assert dist.tolist() == [[brute_bfs(g, [x], None, None).get(v, -1) for v in cols] for x in X]
+            assert (sig.tolist() if counts else sig) == ([[paths[x][v] for v in cols] for x in X] if counts else None)
+            assert len(rows._slot) <= held
 
     def test_invalid_source_raises(self):
         with pytest.raises(ValueError, match="invalid vertex id 5"):
@@ -1114,32 +1146,32 @@ class TestCountRows:
             got = _count_rows(g, sources, dist)
             assert got.dtype == np.int64 and got.shape == (size, n)
             assert got.tolist() == [expected[s] for s in sources]
-        rows = _Rows(g)
-        assert [rows.sigma(s).tolist() for s in range(n)] == expected
+        assert _Rows(g, counts=True).block(list(range(n)), None)[1].tolist() == expected
 
     @pytest.mark.parametrize("seed", range(12))
     def test_counts_store_loads_count_rows_in_blocks(self, monkeypatch, seed):
         # a store of 5 sources' distance and count rows (15 distance rows
-        # alone), filled in blocks of at most 4 that fit its free cells
+        # alone), filled in blocks of at most 4
         g = kernel_graph(seed)
         n = g.vertex_count
         monkeypatch.setattr(graphs, "_ROW_CELLS", 15 * n)
         monkeypatch.setattr(graphs, "_BLOCK", 4)
-        calls = []
-        real = graphs._count_rows
-        monkeypatch.setattr(graphs, "_count_rows", lambda g, ss, dist: calls.append(list(ss)) or real(g, ss, dist))
+        _, _, calls = spy_rows(monkeypatch)
         rows = _Rows(g, counts=True)
         assert (rows.capacity, _Rows(g).capacity) == (5, 15)
+        # load fills the first 5 sources only
+        first = list(range(min(n, 5)))
         rows.load(range(n))
-        assert all(0 < len(block) <= 4 for block in calls)
-        assert sorted(s for block in calls for s in block) == list(range(n))
-        assert rows._cells <= 15 * n and rows._sigma.of and set(rows._sigma.of) <= set(rows._dist.of)
+        assert calls == [first[:4], first[4:]][: 1 + (n > 4)]
         expected = brute_path_counts(g)
-        held = list(rows._sigma.of)
         calls.clear()
-        rows.load(held)  # every row held: nothing to fill
-        assert not calls
-        assert [rows.sigma(s).tolist() for s in held] == [expected[s] for s in held]
+        assert rows.block(first, None)[1].tolist() == [expected[s] for s in first]
+        assert not calls  # every row held: nothing to fill
+        # the whole graph 5 sources at a time, each count row filled once
+        assert rows.block(list(range(n)), None)[1].tolist() == expected
+        assert all(0 < len(block) <= 4 for block in calls)
+        assert sorted(s for block in calls for s in block) == list(range(5, n))
+        assert len(rows._slot) <= 5
 
 
 class TestDistanceRows:
@@ -1180,31 +1212,26 @@ class TestDistanceRows:
         with pytest.raises(ValueError, match="invalid vertex id 5"):
             _Rows(path_graph(5)).load([0, 5])
 
-    @staticmethod
-    def spy(monkeypatch) -> tuple[list, list]:
-        """Record the sources of every single row and every kernel call."""
-        single, batched = [], []
-        real_vector, real_rows = graphs.distance_vector, graphs._distance_rows
-        monkeypatch.setattr(graphs, "distance_vector", lambda g, s: single.append(s) or real_vector(g, s))
-        monkeypatch.setattr(graphs, "_distance_rows", lambda g, ss: batched.append(list(ss)) or real_rows(g, ss))
-        return single, batched
-
-    def test_load_evicts_mid_call(self, monkeypatch):
+    def test_load_fills_the_first_capacity_sources(self, monkeypatch):
         from coarselab.spaces import farey_truncation
 
         g = farey_truncation(6).graph  # 48 vertices, diameter 5
         n = g.vertex_count
         monkeypatch.setattr(graphs, "_ROW_CELLS", 12 * n)
-        single, batched = self.spy(monkeypatch)
+        single, batched, counted = spy_rows(monkeypatch)
         rows = _Rows(g)
         rows.load([*range(n), 3])
-        # four blocks of 12 rows, the store starting over before each; the
-        # level bound (at most 5 + 5) lets each take one list BFS and one
-        # kernel call
+        # the first 12 sources only; the level bound (at most 5 + 5) lets
+        # the block take one list BFS and one kernel call
+        assert single == [0] and batched == [list(range(1, 12))]
+        # a block of every row reads them 12 at a time, the store starting
+        # over before each chunk but the first
+        dist, _ = rows.block(list(range(n)), None, sigma=False)
         blocks = [list(range(lo, lo + 12)) for lo in range(0, n, 12)]
         assert single == [b[0] for b in blocks]
         assert batched == [b[1:] for b in blocks]
-        assert sorted(rows._dist.of) == blocks[-1] and not rows._sigma.of
+        assert sorted(rows._slot) == blocks[-1] and not counted
+        assert dist.tolist() == [bfs_distances(g, s) for s in range(n)]
         for s in range(n):
             assert rows[s].tolist() == bfs_distances(g, s) and not rows[s].flags.writeable
 
@@ -1216,11 +1243,11 @@ class TestDistanceRows:
         monkeypatch.setattr(graphs, "_ROW_CELLS", 10 * n)
         rows = _Rows(g)
         rows.load(range(8))
-        single, batched = self.spy(monkeypatch)
-        # 6 rows missing, 2 free: the store starts over before the first
-        # block instead of between two, and recomputes rows 6 and 7
+        single, batched, _ = spy_rows(monkeypatch)
+        # 6 rows missing, 2 free: the store starts over, and recomputes rows
+        # 6 and 7 so that every row asked for is held
         rows.load(range(6, 14))
-        assert sorted(rows._dist.of) == list(range(6, 14))
+        assert sorted(rows._slot) == list(range(6, 14))
         assert single == [6] and batched == [list(range(7, 14))]
 
     def test_deep_block_takes_single_rows(self, monkeypatch):
@@ -1228,7 +1255,7 @@ class TestDistanceRows:
 
         g = broom_tree(100).graph
         n = g.vertex_count
-        single, batched = self.spy(monkeypatch)
+        single, batched, _ = spy_rows(monkeypatch)
         # the far end of the longest ray: its first vertex has eccentricity
         # 136, far above the 64 levels the block may take
         deep = list(range(n - 64, n))
@@ -1242,7 +1269,7 @@ class TestDistanceRows:
         from coarselab.spaces import regular_tree
 
         g = regular_tree(3, 5).graph  # 94 vertices, eccentricities <= 10
-        single, batched = self.spy(monkeypatch)
+        single, batched, _ = spy_rows(monkeypatch)
         rows = _Rows(g)
         rows.load(range(g.vertex_count))
         assert single == [0, 64] and batched == [list(range(1, 64)), list(range(65, 94))]
