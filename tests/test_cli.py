@@ -426,6 +426,17 @@ def test_one_center_label_computes_one_label(labels_computed, capsys):
             "propb --space farey:40 --ell 0 --k 0 --rmax 5 --pair-budget 24 --c-budget 48",
             "e651d2209383362427b3586dcb9864821c0072de82df5e315797eb7b922ba004",
         ),
+        # recorded while a tree pair took one distance cube over its
+        # endpoint balls for every neighbourhood vertex: k = 2 beside a
+        # broom's 300-ray root, and k = 1 on a ternary tree
+        (
+            "propb --space broom:300 --ell 0 --k 2 --rmax 5 --pair-budget 200 --seed 3",
+            "f3e0c7d7636600a1e72ec5685eb4f233a89ce40d1ebc1cbf82183a924fb4bede",
+        ),
+        (
+            "propb --space tree:3,9 --ell 1 --k 1 --pair-budget 500",
+            "d35d074fa2b16e13c609e921e5fc36db97b65e1fecda18b1f7b063b6f8890d63",
+        ),
     ],
 )
 def test_reports_are_pinned(capsys, argv, digest):
