@@ -17,11 +17,14 @@ Instance enumeration is exhaustive when the pair universe fits the budget,
 otherwise a seeded deterministic sample is drawn and reported as such.
 Every instance that is checked is checked exactly: integer distances,
 exact shortest-path counting, no tolerances. On trees a pair reads no
-adjacency: its neighbourhoods are set balls over the CSR arrays, its
-distances come from the tree metric, and one cube at r_max gives every
-neighbourhood vertex the first radius at which it joins G(a,b;r) and
-every deep point the first radius with a geodesic avoiding N(c;k), so
-each radius is a comparison. Other graphs go pair by pair inside the
+adjacency and rests on two lemmas. A vertex w joins G(a,b;r) at r = 0
+when d(a,w) + d(w,b) = d(a,b), else at min(d(a,w), d(b,w)): every path
+from a or b into w's branch goes through w. And the intersection clause
+is vacuous: with d(c,{a,b}) >= r, N(a;r) projects onto [a,b] inside
+[a,c] and N(b;r) inside [c,b], so every a'-b' geodesic passes through c
+(if both projections are c, then a' or b' is c). Counts take the set
+balls N(c;k) over the CSR arrays and their distances to a and b from the
+tree metric, none at k = 0. Other graphs go pair by pair inside the
 geodesic envelope of the pair, reading distance and path-count rows from
 one memoised store per call (``graphs._Rows``). It loads the endpoint
 rows of a run of pairs, which build the run's checkers, then the rows
@@ -93,9 +96,9 @@ __all__ = [
 # fall back from vectorized int64 products to exact per-instance search.
 _SIGMA_VECTOR_MAX = _SIGMA_MAX
 
-# A tree pair's cube, |N(a; r_max)| x |N(b; r_max)| cells per neighbourhood
-# vertex, is cut into slices of at most this many cells (or one vertex, if
-# that alone is larger).
+# The σ product of a non-tree pair, |N(a;R)| x |N(b;R)| cells per centre,
+# is cut into slices of at most this many cells (or one centre, if that
+# alone is larger).
 _CUBE_CELLS = 2**21
 
 
@@ -363,12 +366,16 @@ def check_property_b(
     ``observed_D == 0`` with ``qualifying_found == False`` means no
     instance qualified at these parameters: a vacuous run, not a pass.
 
-    On a tree each pair is one ``_TreePairChecker``. Elsewhere the pairs
-    go in runs (``_pair_checkers``): a run's endpoint rows are loaded at
-    once and build its checkers and pools, then the rows their instances
-    read are loaded in blocks that fit one kernel call and the store,
-    with the count rows beside them for the σ clause (k = 0, all
-    geodesics). N(c;k) is computed once per call.
+    On a tree each pair is one ``_TreePairChecker``: w joins G(a,b;r) at
+    r = 0 on [a,b] and at min(d(a,w), d(b,w)) off it, since every path
+    from a or b into w's branch goes through w; and no geodesic at radius
+    r avoids a centre at depth r or more, since N(a;r) projects onto
+    [a,c] and N(b;r) onto [c,b]. Elsewhere the pairs go in runs
+    (``_pair_checkers``): a run's endpoint rows are loaded at once and
+    build its checkers and pools, then the rows their instances read are
+    loaded in blocks that fit one kernel call and the store, with the
+    count rows beside them for the σ clause (k = 0, all geodesics).
+    N(c;k) is computed once per call.
     """
     if ell < 0 or k < 0 or r_max < 0:
         raise ValueError("ell, k, r_max must be nonnegative")
@@ -467,17 +474,19 @@ class _TreePairChecker:
     metric, no search over the adjacency.
 
     On a tree the two family kinds coincide (each pair has exactly one
-    geodesic) and G(a,b) is the a-b path. A = N(a; r_max), B = N(b; r_max)
-    and every N(c;k) are set balls over the CSR arrays. One cube per pair,
-    at r_max, holds d(a',w) + d(w,b') - d(a',b') for every cell (a', b')
-    and neighbourhood vertex w: twice w's distance to the a'-b' geodesic.
-    It is 0 where w lies on the geodesic, and above 2k at a centre c where
-    the geodesic misses N(c;k). A cell is in play from its level
-    max(d(a,a'), d(b,b')) on, so the cube gives each w the first radius at
-    which it joins G(a,b;r) and each c the first radius with a geodesic
-    avoiding N(c;k); counts and violations at every radius compare with
-    those. Centres are settled on first use, the cube in slices of at most
-    ``_CUBE_CELLS`` cells.
+    geodesic) and G(a,b) is the a-b path. Two lemmas settle every instance
+    from d(w,a) and d(w,b) alone:
+
+    * Join level. w joins G(a,b;r) at r = 0 when d(a,w) + d(w,b) = d(a,b),
+      otherwise at min(d(a,w), d(b,w)): every path from a or b into w's
+      branch goes through w, so the cheapest cell whose geodesic holds w
+      is (w, b) or (a, w). At k = 0 every count is 1, since each centre
+      lies on [a,b]; otherwise a pair's counts take one ``_set_balls``
+      call for its N(c;k) and one LCA batch for their distances to a and b.
+    * The intersection clause is vacuous. For a centre c with
+      d(c,{a,b}) >= r, a' in N(a;r) projects onto [a,b] inside [a,c] and
+      b' in N(b;r) inside [c,b]; if both projections are c, then a' = c or
+      b' = c. So [a',b'] always passes through c.
     """
 
     reachable = True
@@ -488,12 +497,7 @@ class _TreePairChecker:
         self.path = tm.path(a, b)
         self.d_ab = len(self.path) - 1
         self.pos = {v: i for i, v in enumerate(self.path)}
-        n = g.vertex_count
-        ends = _set_balls(g, np.asarray([a, n + b], dtype=np.int64), r_max)
-        split = int(np.searchsorted(ends, n))
-        self.A, self.B = ends[:split], ends[split:] - n
         self._counts: dict[int, list[int]] = {}  # c -> |G(a,b;r) ∩ N(c;k)| for r = 0..r_max
-        self._first: dict[int, int] = {}  # c -> least r with a geodesic avoiding N(c;k)
 
     def depths(self, cs: list[int]) -> np.ndarray:
         """d(c, {a, b}) for every c of ``cs``, all on the a-b path."""
@@ -505,67 +509,33 @@ class _TreePairChecker:
         return np.sort(np.asarray(self.path)[np.minimum(i, self.d_ab - i) >= self.ell]).tolist()
 
     def counts(self, r: int, cs: list[int]) -> list[int]:
+        if self.k == 0:
+            return [1] * len(cs)
         self._settle(cs)
         return [self._counts[c][r] for c in cs]
 
-    def violations(self, r: int, cs: list[int]):
-        self._settle(cs)
-        for c in cs:
-            if self._first[c] <= r:
-                yield c, functools.partial(self._witness, c, r)
-
-    def _distances(self, W: np.ndarray) -> list[np.ndarray]:
-        """d(A, B), d(W, A) and d(W, B) as int32 matrices, from one LCA
-        batch that also gives ``da`` = d(A, a) and ``db`` = d(b, B)."""
-        A, B = self.A, self.B
-        blocks = ((A, B), (W, A), (W, B), (A, [self.a]), ([self.b], B))
-        d = self.tm.pair_distances(
-            np.concatenate([np.repeat(x, len(y)) for x, y in blocks]),
-            np.concatenate([np.tile(y, len(x)) for x, y in blocks]),
-        ).astype(np.int32)
-        cuts = np.cumsum([len(x) * len(y) for x, y in blocks])[:-1]
-        parts = [part.reshape(len(x), len(y)) for part, (x, y) in zip(np.split(d, cuts), blocks)]
-        self.da, self.db = parts[3][:, 0], parts[4][0]
-        return parts[:3]
+    def violations(self, r: int, cs: list[int]) -> tuple:
+        """Always empty: every a'-b' geodesic at radius r passes through
+        each centre at depth r or more, the lemma's premise, checked here."""
+        if (self.depths(cs) < r).any():
+            raise ValueError(f"a centre lies within {r} of an end of its pair, where the vacuous clause is not proved")
+        return ()
 
     def _settle(self, cs: list[int]) -> None:
-        """Fill ``_counts`` and ``_first`` for the centres of ``cs`` not
-        yet settled."""
-        centres = [c for c in cs if c not in self._first]
+        """Fill ``_counts`` for the centres of ``cs`` not yet settled."""
+        centres = [c for c in cs if c not in self._counts]
         if not centres:
             return
         n, never = self.g.vertex_count, self.r_max + 1
         keys = _set_balls(self.g, np.arange(len(centres), dtype=np.int64) * n + centres, self.k)
         owner, ws = np.divmod(keys, n)
-        W = _sorted_unique(ws.copy())  # every N(c;k), so every centre too
-        mab, mwa, mwb = self._distances(W)
-        level = np.maximum.outer(self.da, self.db).astype(np.min_scalar_type(never))
-        joins = np.empty(W.size, dtype=np.int64)
-        far = np.empty(W.size, dtype=np.int64)
-        step = max(1, _CUBE_CELLS // mab.size)
-        for t in range(0, W.size, step):
-            # excess[t, i, j] = d(w, A[i]) + d(w, B[j]) - d(A[i], B[j]) for
-            # w = W[t]: twice w's distance to the A[i]-B[j] geodesic, which
-            # is 0 when w lies on it and above 2k when it misses N(w;k).
-            excess = mwa[t : t + step, :, None] + mwb[t : t + step, None, :]
-            excess -= mab
-            cells = (len(excess), -1)
-            joins[t : t + step] = np.where(excess == 0, level, never).reshape(cells).min(axis=1)
-            far[t : t + step] = np.where(excess > 2 * self.k, level, never).reshape(cells).min(axis=1)
+        d = self.tm.pair_distances(np.concatenate((ws, ws)), np.repeat([self.a, self.b], ws.size))
+        da, db = d[: ws.size], d[ws.size :]
+        joins = np.where(da + db == self.d_ab, 0, np.minimum(np.minimum(da, db), never))
         # Counts by radius: how many of each centre's neighbourhood have joined.
-        joined = np.bincount(owner * (never + 1) + joins[np.searchsorted(W, ws)], minlength=len(centres) * (never + 1))
+        joined = np.bincount(owner * (never + 1) + joins, minlength=len(centres) * (never + 1))
         by_r = np.cumsum(joined.reshape(len(centres), never + 1), axis=1)[:, :never].tolist()
         self._counts.update(zip(centres, by_r))
-        self._first.update(zip(centres, far[np.searchsorted(W, centres)].tolist()))
-
-    def _witness(self, c: int, r: int) -> Path:
-        # The first (a', b') cell in row-major order, among those in play at
-        # r, whose geodesic misses N(c;k).
-        mab, mca, mcb = self._distances(np.asarray([c], dtype=np.int64))
-        fail = (mca.T + mcb - mab > 2 * self.k) & (self.da[:, None] <= r) & (self.db[None, :] <= r)
-        assert fail.any()
-        i, j = divmod(int(fail.argmax()), self.B.size)
-        return Path(tuple(self.tm.path(int(self.A[i]), int(self.B[j]))))
 
 
 class _PairChecker:
@@ -692,9 +662,9 @@ class _PairChecker:
         at the deepest radius R they are checked at, in slices of at most
         ``_CUBE_CELLS`` cells; later calls ask about those centres at radii
         up to R, as :func:`check_property_b`'s do. A cell (a', b') is in
-        play from its level max(d(a,a'), d(b,b')) on, as in
-        ``_TreePairChecker._settle``, and c violates there where it is not
-        on every a'-b' geodesic."""
+        play from its level max(d(a,a'), d(b,b')) on: it is the least r
+        with a' in N(a;r) and b' in N(b;r). So c first violates at the
+        least level of a cell whose geodesics do not all pass through c."""
         if self._first is None:
             never = self.r_max + 1
             A, B = self._sets_at(min(self.r_max, int(self.depth_row[cs].max()) - self.ell))

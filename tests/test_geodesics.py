@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_shortest_paths, floyd_warshall, kernel_graph, random_graph, spy_rows
 from coarselab import geodesics, graphs
@@ -13,7 +15,7 @@ from coarselab.geodesics import (
     check_property_b,
     thin_delta,
 )
-from coarselab.graphs import MetricGraph, canonical_geodesic, distance
+from coarselab.graphs import MetricGraph, ball, canonical_geodesic, distance
 from coarselab.spaces import broom_tree, farey_truncation, grid, regular_tree
 
 
@@ -672,24 +674,49 @@ def tree_oracle_graphs(max_vertices):
 TREE_ORACLE_GRAPHS = tree_oracle_graphs(9)
 
 
+@st.composite
+def small_trees(draw, max_vertices):
+    """A tree on at most ``max_vertices`` vertices, each hung off an
+    earlier one, under a drawn relabelling."""
+    n = draw(st.sampled_from(range(2, max_vertices + 1)))  # integers() would favour the smallest
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    label = draw(st.permutations(range(n)))
+    return MetricGraph(n, [(label[p], label[v]) for v, p in enumerate(parents, 1)], name=f"drawn_{n}")
+
+
+def assert_tree_matches_brute_force(g, ell, k, r_max):
+    assert g.is_tree
+    n = g.vertex_count
+    # On a tree both families are the one geodesic of each pair.
+    observed, qualifying, instances, violating = brute_property_b(g, "all", ell, k, r_max)
+    assert not violating
+    for kind in ("all", "canonical"):
+        rep = check_property_b(GeodesicFamily(g, kind), ell=ell, k=k, r_max=r_max, pair_budget=n * n, c_budget=n)
+        assert rep.exhaustive
+        assert (rep.observed_D, rep.qualifying_found) == (observed, qualifying)
+        assert (rep.samples_checked, rep.violations_total) == (instances, 0)
+
+
 class TestTreePropertyB:
-    """The tree backend (one distance cube per pair) against brute force,
-    exhaustively, and against the table backend at sampled budgets."""
+    """The tree backend against brute force, exhaustively, and against the
+    table backend at sampled budgets. It rests on two lemmas: w joins
+    G(a,b;r) at r = 0 on [a,b] and at min(d(a,w), d(b,w)) off it, since
+    every path from a or b into w's branch goes through w; and no geodesic
+    at radius r avoids a centre at depth r or more, since N(a;r) projects
+    onto [a,c] and N(b;r) onto [c,b]."""
 
     @pytest.mark.parametrize("index", range(len(TREE_ORACLE_GRAPHS)))
     def test_matches_brute_force(self, index):
         g = TREE_ORACLE_GRAPHS[index]
         assert g.is_tree
         n = g.vertex_count
-        for r_max, k, ell in itertools.product((0, 1, 2, 3), (0, 1, 2), (0, 1)):
-            for kind in ("all", "canonical"):
-                rep = check_property_b(
-                    GeodesicFamily(g, kind), ell=ell, k=k, r_max=r_max, pair_budget=n * n, c_budget=n
-                )
-                assert rep.exhaustive
-                observed, qualifying, instances, violating = brute_property_b(g, kind, ell, k, r_max)
-                assert (rep.observed_D, rep.qualifying_found) == (observed, qualifying)
-                assert (rep.samples_checked, rep.violations_total) == (instances, 0) and not violating
+        for r_max, k, ell in itertools.product((0, 1, 2, 3, 4), (0, 1, 2, 3), (0, 1)):
+            assert_tree_matches_brute_force(g, ell, k, r_max)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(g=small_trees(10), ell=st.integers(0, 2), k=st.integers(0, 3), r_max=st.integers(0, 4))
+    def test_matches_brute_force_on_drawn_trees(self, g, ell, k, r_max):
+        assert_tree_matches_brute_force(g, ell, k, r_max)
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("kind", ["all", "canonical"])
@@ -710,35 +737,68 @@ class TestTreePropertyB:
         assert tree == table
         assert any(rep.qualifying_found and not rep.exhaustive for rep in tree)
 
-    @pytest.mark.parametrize("bound", [1, 300, 3_000])
-    def test_sliced_cubes_give_the_same_reports(self, monkeypatch, bound):
+    def test_root_pairs_match_the_table_backend(self, monkeypatch):
         # Pairs beside broom:12's root reach many rays within r_max = 3: the
-        # root pair (0, 1) has 34 x 24 cells per neighbourhood vertex.
+        # root pair (0, 1) has N(0;3) x N(1;3) = 34 x 24 endpoint cells.
         g = broom_tree(12).graph
-        checker = geodesics._TreePairChecker(g, g.tree_metric(), 0, 1, 0, 1, 3)
-        assert checker.A.size * checker.B.size == 816
+        assert (len(ball(g, 0, 3)), len(ball(g, 1, 3))) == (34, 24)
         fam = GeodesicFamily.all_of(g)
         runs = [dict(ell=0, k=k, r_max=3, pair_budget=pairs, seed=1) for k in (0, 1, 2) for pairs in (40, 120)]
-        whole = [check_property_b(fam, **run) for run in runs]
-        monkeypatch.setattr(geodesics, "_CUBE_CELLS", bound)
-        assert [check_property_b(fam, **run) for run in runs] == whole
+        tree = [check_property_b(fam, **run) for run in runs]
+        monkeypatch.setattr(MetricGraph, "is_tree", property(lambda g: False))
+        assert [check_property_b(fam, **run) for run in runs] == tree
+        assert all(rep.qualifying_found for rep in tree)
 
-    def test_witness_is_the_first_cell_in_play(self):
-        # No tree instance violates, so the witness is checked at k = -1:
-        # N(c; -1) is empty and every geodesic avoids it. Every centre then
-        # violates from r = 0 on, and its witness is the geodesic of the
-        # least a' in N(a;r) and the least b' in N(b;r).
+    def test_violations_need_centres_at_depth_r(self):
+        # No geodesic at radius r avoids a centre at depth r or more; a
+        # centre nearer an end is outside what the clause's proof covers.
         g = broom_tree(6).graph
-        dist = floyd_warshall(g)
         for a, b in [(0, 5), (3, 17), (20, 8)]:
-            checker = geodesics._TreePairChecker(g, g.tree_metric(), a, b, 0, -1, 3)
+            checker = geodesics._TreePairChecker(g, g.tree_metric(), a, b, 0, 1, 3)
             pool = checker.qualifying_pool()
+            depth = dict(zip(pool, checker.depths(pool).tolist()))
             for r in range(4):
-                found = list(checker.violations(r, pool))
-                assert [c for c, _ in found] == pool
-                ap, bp = (min(v for v in range(g.vertex_count) if dist[x][v] <= r) for x in (a, b))
-                for _, witness in found:
-                    assert witness().vertices == canonical_geodesic(g, ap, bp).vertices
+                deep = [c for c in pool if depth[c] >= r]
+                assert list(checker.violations(r, deep)) == []
+                for c in pool:
+                    if depth[c] < r:
+                        with pytest.raises(ValueError):
+                            checker.violations(r, deep + [c])
+
+    @pytest.mark.parametrize("a, b", [(0, 1), (5, 40), (78, 60)])
+    def test_counts_take_two_distances_per_neighbourhood_vertex(self, monkeypatch, a, b):
+        # Two tree distances per neighbourhood vertex, whatever the endpoint
+        # balls: the root pair (0, 1) has 34 x 24 = 816 cells at r_max = 3.
+        g = broom_tree(12).graph
+        tm = g.tree_metric()
+        queried = []
+        real = graphs._TreeMetric.lca_pairs
+        monkeypatch.setattr(
+            graphs._TreeMetric, "lca_pairs", lambda self, u, v: queried.append(len(u)) or real(self, u, v)
+        )
+        fam = GeodesicFamily.all_of(g)
+        checker = geodesics._TreePairChecker(g, tm, a, b, 0, 1, 3)
+        assert queried == [1]  # the a-b path
+        pool = checker.qualifying_pool()
+        depth = checker.depths(pool)
+        for r in range(4):
+            cs = [c for c, d in zip(pool, depth.tolist()) if d >= r]
+            counts = checker.counts(r, cs)
+            assert counts == [len(ball(g, c, 1) & fam.union_r(a, b, r)) for c in cs]
+            assert list(checker.violations(r, cs)) == []
+        assert sum(queried) <= 1 + 2 * sum(len(ball(g, c, 1)) for c in pool)
+
+    def test_k_zero_reads_no_neighbourhood_and_no_distance(self, monkeypatch):
+        g = broom_tree(12).graph
+        g.tree_metric()
+
+        def fail(*args):
+            raise AssertionError("queried at k = 0")
+
+        monkeypatch.setattr(geodesics, "_set_balls", fail)
+        monkeypatch.setattr(graphs._TreeMetric, "pair_distances", fail)
+        rep = check_property_b(GeodesicFamily.all_of(g), ell=0, k=0, r_max=3, pair_budget=120, seed=1)
+        assert rep.qualifying_found and rep.observed_D == 1 and rep.violations_total == 0
 
     def test_reads_no_adjacency_tuples(self, monkeypatch):
         g = broom_tree(20).graph
