@@ -737,15 +737,19 @@ class TestTreePropertyB:
         assert tree == table
         assert any(rep.qualifying_found and not rep.exhaustive for rep in tree)
 
-    def test_root_pairs_match_the_table_backend(self, monkeypatch):
+    @pytest.mark.parametrize("bound", [1, 300, 3_000])
+    def test_sliced_cubes_give_the_same_reports(self, monkeypatch, bound):
         # Pairs beside broom:12's root reach many rays within r_max = 3: the
-        # root pair (0, 1) has N(0;3) x N(1;3) = 34 x 24 endpoint cells.
+        # root pair (0, 1) has N(0;3) x N(1;3) = 34 x 24 = 816 endpoint cells.
+        # The tree backend has no cube; the table backend's σ product, cut
+        # into slices of at most ``bound`` cells, must give its reports.
         g = broom_tree(12).graph
         assert (len(ball(g, 0, 3)), len(ball(g, 1, 3))) == (34, 24)
         fam = GeodesicFamily.all_of(g)
         runs = [dict(ell=0, k=k, r_max=3, pair_budget=pairs, seed=1) for k in (0, 1, 2) for pairs in (40, 120)]
         tree = [check_property_b(fam, **run) for run in runs]
         monkeypatch.setattr(MetricGraph, "is_tree", property(lambda g: False))
+        monkeypatch.setattr(geodesics, "_CUBE_CELLS", bound)
         assert [check_property_b(fam, **run) for run in runs] == tree
         assert all(rep.qualifying_found for rep in tree)
 
