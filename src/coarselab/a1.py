@@ -165,6 +165,15 @@ class FatCover:
         return _depth_profiles(self)
 
     @cached_property
+    def anchor_fold(self) -> tuple[np.ndarray, np.ndarray]:
+        """The safe core's profiles folded onto their anchors, read-only,
+        built once per cover; see :func:`_anchor_fold`."""
+        fold = _anchor_fold(self.profiles)
+        for part in fold:
+            part.flags.writeable = False
+        return fold
+
+    @cached_property
     def anchors(self) -> dict[int, int]:
         """Anchor of each set: the member deepest inside it, least id on
         ties. Computed once per cover; see :func:`select_anchors`."""
@@ -446,7 +455,7 @@ def check_a1_maps(g: MetricGraph, fc: FatCover) -> A1MapsReport:
     points of a_x are anchors of sets containing x."""
     p = fc.profiles
     total = _totals(fc, p)
-    fold_anchor, fold_num = _anchor_fold(p)
+    fold_anchor, fold_num = fc.anchor_fold
     held = fold_anchor >= 0
     support = held.sum(axis=1)
     k = int(support.argmax())
@@ -559,7 +568,7 @@ def variation_sweep(g: MetricGraph, fc: FatCover) -> VariationSweepReport:
     comp_bound = 4 * dd
 
     p = fc.profiles
-    fold_anchor, fold_num = _anchor_fold(p)
+    fold_anchor, fold_num = fc.anchor_fold
     depth, total = p.depth, p.depth.sum(axis=1)
     top = int(total.max(initial=0))
     # l1 numerators reach 2 s_z s_w <= 2 top^2; the largest product is one
@@ -651,7 +660,7 @@ def store_a1_maps(g: MetricGraph, fc: FatCover) -> str:
     every weight in lowest terms."""
     p = fc.profiles
     total = _totals(fc, p)[:, None]
-    fold_anchor, fold_num = _anchor_fold(p)
+    fold_anchor, fold_num = fc.anchor_fold
     div = np.gcd(fold_num, total)
     held = fold_anchor >= 0
     entries = [

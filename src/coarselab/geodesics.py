@@ -13,36 +13,38 @@ For each qualifying instance (a, b, r, c) it visits, the checker verifies
 * that every family geodesic from N(a;r) to N(b;r) meets N(c;k), recording
   a witness geodesic whenever one avoids it.
 
-Instance enumeration is exhaustive when the pair universe fits the budget,
-otherwise a seeded deterministic sample is drawn and reported as such.
-Every instance that is checked is checked exactly: integer distances,
-exact shortest-path counting, no tolerances. On trees a pair reads no
-adjacency and rests on two lemmas. A vertex w joins G(a,b;r) at r = 0
-when d(a,w) + d(w,b) = d(a,b), else at min(d(a,w), d(b,w)): every path
-from a or b into w's branch goes through w. And the intersection clause
-is vacuous: with d(c,{a,b}) >= r, N(a;r) projects onto [a,b] inside
-[a,c] and N(b;r) inside [c,b], so every a'-b' geodesic passes through c
-(if both projections are c, then a' or b' is c). Counts take the set
-balls N(c;k) over the CSR arrays and their distances to a and b from the
-tree metric, none at k = 0. Other graphs go pair by pair inside the
-geodesic envelope of the pair, reading distance and path-count rows from
-one memoised store per call (``graphs._Rows``). It loads the endpoint
-rows of a run of pairs, which build the run's checkers, then the rows
-their instances read, with their path-count rows when the σ clause runs,
-in kernel-sized blocks; it hands the rows of many sources at many
-columns back as one matrix (``_Rows.block``). With k = 0 and all
-geodesics the intersection clause is one product of path counts per
-pair, at its deepest radius, which gives every centre the first radius
-at which a geodesic avoids it. A violation is counted when found; its
-witness cell and geodesic are found only if the report keeps it.
-:func:`thin_delta` takes one path on every graph. Its triples go in runs
-whose far ends' rows the same kind of store loads at once. A run's
-distinct sides are the rows of one array, each padded with its far end,
-and its triangles are rows of three indices into it: canonical sides all
-walk down the far ends' rows together (``graphs._canonical_walks``), and
-all-family sides are enumerated side by side, their products cut at the
-budget. One set-labelled bit-parallel BFS gives every defect of a batch
-of triangles (``graphs._triangle_defects``).
+Instance enumeration is exhaustive when the pair universe fits the
+budget, otherwise a seeded deterministic sample is drawn and reported as
+such. Every instance that is checked is checked exactly: integer
+distances, exact shortest-path counting, no tolerances. On trees a pair
+reads no adjacency and rests on two lemmas. A vertex w joins G(a,b;r) at
+r = 0 when d(a,w) + d(w,b) = d(a,b), else at min(d(a,w), d(b,w)): every
+path from a or b into w's branch goes through w. And the intersection
+clause is vacuous: with d(c,{a,b}) >= r, N(a;r) projects onto [a,b]
+inside [a,c] and N(b;r) inside [c,b], so every a'-b' geodesic passes
+through c (if both projections are c, then a' or b' is c). Counts take
+the set balls N(c;k) over the CSR arrays and their distances to a and b
+from the tree metric, none at k = 0. Other graphs go pair by pair inside
+the geodesic envelope of the pair, reading distance and path-count rows
+from one memoised store per call (``graphs._Rows``). It loads the
+endpoint rows of a run of pairs, which build the run's checkers, then
+the rows their instances read, with their path-count rows when the σ
+clause runs, in runs that fill the store whole kernel blocks at a time;
+it hands the rows of many sources at many columns back as one matrix
+(``_Rows.block``). With k = 0 and all geodesics the intersection clause
+is one product of path counts per pair, at its deepest radius, which
+gives every centre the first radius at which a geodesic avoids it. A
+violation is counted when found; its witness cell and geodesic are found
+only if the report keeps it. :func:`thin_delta` takes one path on every
+graph. Its triples go in runs whose far ends' rows the same kind of
+store loads at once, as many as it holds (one kernel block for the all
+family, which turns each row into a list). A run's distinct sides are
+the rows of one array, each padded with its far end, and its triangles
+are rows of three indices into it: canonical sides all walk down the far
+ends' rows together (``graphs._canonical_walks``), and all-family sides
+are enumerated side by side, their products cut at the budget. One
+set-labelled bit-parallel BFS gives every defect of a batch of triangles
+(``graphs._triangle_defects``).
 
 A family enters only as its walk down a distance row: the canonical walk
 (the least-id step) or all walks (every step one closer). G(a,b;r) has
@@ -80,6 +82,7 @@ from .graphs import (
     _set_balls,
     _sorted_unique,
     _triangle_defects,
+    _walk_room,
     ball,
 )
 
@@ -203,8 +206,15 @@ def thin_delta(
     truncated = out_of_budget = False
     # A run's triangles are rows of indices into one array of its distinct
     # sides x-y, y-z and x-z, each padded with its far end y or z, whose
-    # rows the run loads.
-    for chunk, far_ends in _loaded_runs(triples, rows, lambda triple: triple[1:]):
+    # rows the run loads. A canonical run fills the store, with as many
+    # triples as ``_canonical_walks`` walks within its cell budget; the
+    # all family turns each far end's row into a list, so its runs keep to
+    # one block of far ends.
+    if fam.kind == "canonical":
+        room, most = None, max(_walk_room(rows) // 3, 1)
+    else:
+        room, most = _BLOCK, None
+    for chunk, far_ends in _loaded_runs(triples, rows, lambda triple: triple[1:], room, most):
         if fam.kind == "canonical":
             sides, tris = _canonical_sides(rows, chunk)
         else:
@@ -275,21 +285,28 @@ def _all_family_sides(adj, rows: _Rows, chunk: list, far_ends: list[int], cap: i
     return np.concatenate(blocks), np.concatenate(parts), truncated, cut
 
 
-def _loaded_runs(items: Iterable, rows: _Rows, ends) -> Iterator[tuple[list, list[int]]]:
+def _loaded_runs(
+    items: Iterable, rows: _Rows, ends, room: int | None = None, most: int | None = None
+) -> Iterator[tuple[list, list[int]]]:
     """Consecutive runs of ``items``, each with the vertices whose rows its
     items read (``ends(item)``, in order of first use), loaded into
-    ``rows`` before the run is yielded. A run has at least one item; beyond
-    its first, its vertices fit one kernel block and the store."""
-    room = min(_BLOCK, rows.capacity)
+    ``rows`` before the run is yielded, so ``load`` fills whole kernel
+    blocks. A run has at least one item and at most ``most``; beyond its
+    first item, its vertices fit the store and number at most ``room``.
+    Each item's ends are checked against the run's once, so a run costs
+    time linear in the ends of its items."""
+    room = rows.capacity if room is None else min(room, rows.capacity)
     chunk: list = []
     used: dict[int, None] = {}
     for item in items:
-        if chunk and len(used.keys() | ends(item)) > room:
+        fresh = dict.fromkeys(v for v in ends(item) if v not in used)
+        if chunk and (len(used) + len(fresh) > room or len(chunk) == most):
             rows.load(used)
             yield chunk, list(used)
             chunk, used = [], {}
+            fresh = dict.fromkeys(ends(item))
         chunk.append(item)
-        used.update(dict.fromkeys(ends(item)))
+        used.update(fresh)
     if chunk:
         rows.load(used)
         yield chunk, list(used)
@@ -373,8 +390,8 @@ def check_property_b(
     [a,c] and N(b;r) onto [c,b]. Elsewhere the pairs go in runs
     (``_pair_checkers``): a run's endpoint rows are loaded at once and
     build its checkers and pools, then the rows their instances read are
-    loaded in blocks that fit one kernel call and the store, with the
-    count rows beside them for the σ clause (k = 0, all geodesics).
+    loaded in runs that fill the store, with the count rows beside them
+    for the σ clause (k = 0, all geodesics).
     N(c;k) is computed once per call.
     """
     if ell < 0 or k < 0 or r_max < 0:
@@ -456,14 +473,15 @@ def _pair_checkers(
     fam: GeodesicFamily, pairs: Iterable[tuple[int, int]], ell: int, k: int, r_max: int
 ) -> Iterator[_PairChecker]:
     """The checker of every pair of ``pairs``, in order, on one row store
-    that is filled run by run: the endpoint rows of a run of pairs, which
-    build its checkers and their pools, then the rows those checkers'
-    instances read (``_PairChecker.reads``), with their count rows when
-    the σ clause runs, in runs of checkers whose rows fit one kernel block
-    and the store. Neighbourhoods are memoised for the whole call."""
+    that is filled run by run: the endpoint rows of a run of at most
+    ``_BLOCK`` pairs (so the checkers' n-sized masks stay few), which build
+    its checkers and their pools, then the rows those checkers' instances
+    read (``_PairChecker.reads``), with their count rows when the σ clause
+    runs, in runs of checkers whose rows fit the store, loaded whole kernel
+    blocks at a time. Neighbourhoods are memoised for the whole call."""
     rows = _Rows(fam.graph, counts=fam.kind == "all" and k == 0)
     hoods: dict[int, np.ndarray] = {}
-    for run, _ in _loaded_runs(pairs, rows, lambda pair: pair):
+    for run, _ in _loaded_runs(pairs, rows, lambda pair: pair, most=_BLOCK):
         checkers = [_PairChecker(fam, rows, a, b, ell, k, r_max, hoods) for a, b in run]
         for part, _ in _loaded_runs(checkers, rows, lambda checker: checker.reads):
             yield from part

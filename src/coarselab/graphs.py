@@ -46,9 +46,11 @@ fancy index. Every row enters through ``_Rows.load``, which fills a
 block's distance and count rows together: ``_distance_rows`` is a
 bit-parallel BFS that runs up to 64 searches in the bits of one machine
 word (MS-BFS: Then et al., *The More the Merrier*, PVLDB 8(4), 2014),
-used where the searches are shallow; its rows are copied once, into
-their slots. The count rows come from one level-synchronous pass over
-the block (``_count_rows``). The kernel's level step, ``_bit_levels`` (a
+used where the searches are shallow for their number (a bound read from
+the graph's kept row from 0), which keeps the level each bit arrives at
+in bit planes; its rows are copied once, into their slots. The count
+rows come from one level-synchronous pass over the block
+(``_count_rows``). The kernel's level step, ``_bit_levels`` (a
 gather of the frontier words over the edges, a ``bitwise_or.reduceat``
 per vertex, the isolated vertices zeroed and the bits seen before
 dropped), also runs ``_triangle_defects``: one search per side of many
@@ -437,19 +439,32 @@ def _distance_rows(g: MetricGraph, sources: Collection[int]) -> np.ndarray:
     int32 array (-1 unreachable; a transposed view, so one copy places the
     rows): a bit-parallel BFS (:func:`_bit_levels`) in which source i owns
     bit i % 64 of word i // 64 of every vertex, so one pass over the edges
-    per level advances up to 64 searches per word."""
+    per level advances up to 64 searches per word.
+
+    Arrivals are kept bit-sliced: a bit that arrives at level d is ORed
+    into plane b for every binary digit b of d + 1 (the sources arrive at
+    level 0), and the ⌈log2(levels + 2)⌉ planes are unpacked once at the
+    end, where their sum less one is the distance and -1 where no bit
+    came."""
     g.check_vertices(sources)
     src = np.asarray(sources, dtype=np.int64).reshape(-1)
     k, n = src.size, g.vertex_count
     ids = np.arange(k)
-    dist = np.full((n, k), -1, dtype=np.int32)  # transposed while filled
-    dist[src, ids] = 0
     frontier = np.zeros((n + 1, (k + 63) // 64), dtype=np.uint64)
     np.bitwise_or.at(frontier, (src, ids // 64), np.left_shift(np.uint64(1), (ids % 64).astype(np.uint64)))
-    for level, (hit, reached) in enumerate(_bit_levels(g, frontier), start=1):
-        bits = np.unpackbits(reached[hit].astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, :k].view(bool)
-        dist[hit] = np.where(bits, level, dist[hit])
-    return dist.T
+    planes = [frontier[:n].copy()]
+    for mark, (hit, reached) in enumerate(_bit_levels(g, frontier), start=2):  # mark = level + 1
+        gained = reached[hit]
+        planes += [np.zeros_like(planes[0]) for _ in range(mark.bit_length() - len(planes))]
+        for b in range(mark.bit_length()):
+            if mark >> b & 1:
+                planes[b][hit] |= gained
+    # Levels + 1 in the narrowest type that holds them, transposed.
+    dist = np.zeros((n, k), dtype=np.min_scalar_type((1 << len(planes)) - 1))
+    for b, plane in enumerate(planes):
+        bits = np.unpackbits(plane.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little")[:, :k]
+        dist |= bits.astype(dist.dtype, copy=False) << b
+    return np.subtract(dist, 1, dtype=np.int32).T
 
 
 def _count_rows(g: MetricGraph, sources: list[int], dist: np.ndarray) -> np.ndarray:
@@ -463,19 +478,34 @@ def _count_rows(g: MetricGraph, sources: list[int], dist: np.ndarray) -> np.ndar
     arrays (``_key_neighbours``) and sum them by ``np.add.reduceat``: the
     neighbours one closer are the only ones counted by then, since those
     at the same level or beyond still hold 0. Saturating each sum keeps
-    every later sum exact in int64, and min(count, ``_SIGMA_MAX``) exact."""
+    every later sum exact in int64, and min(count, ``_SIGMA_MAX``) exact.
+
+    A level's keys gather in slices of about ``_ROW_CELLS // 16``
+    neighbours (a gathered neighbour holds some 40 bytes of int64
+    temporaries, so a slice stays within the store's 8 MB), and the
+    level's counts are written once all its slices are summed."""
     n = g.vertex_count
     indptr, indices = g.csr_arrays()
+    degree = np.diff(indptr)
+    most = max(_ROW_CELLS // 16, 1)
     flat = dist.reshape(-1)
-    keys = np.argsort(flat, kind="stable")  # the unreachable cells first
-    ends = np.cumsum(np.bincount(flat + 1))  # where each level's keys end, from -1 up
+    # Levels from -1 up, shifted to 0 up in the narrowest type that holds
+    # them: numpy's stable sort of small integers is a radix sort.
+    shifted = (flat + 1).astype(np.min_scalar_type(int(flat.max(initial=0)) + 1))
+    keys = np.argsort(shifted, kind="stable")  # the unreachable cells first
+    ends = np.cumsum(np.bincount(shifted))  # where each level's keys end
     sig = np.zeros(flat.size, dtype=np.int64)
     sig[np.arange(len(sources)) * n + sources] = 1
     for lo, hi in zip(ends[1:-1].tolist(), ends[2:].tolist()):
         level = keys[lo:hi]
-        # A vertex at level 1 or beyond has a neighbour, so no segment is empty.
-        nbrs, counts = _key_neighbours(indptr, indices, level)
-        sums = np.add.reduceat(sig[nbrs], np.cumsum(counts) - counts)
+        gathered = np.cumsum(degree[level % n])
+        cuts = np.searchsorted(gathered, np.arange(most, int(gathered[-1]), most), side="right").tolist()
+        sums = np.empty(level.size, dtype=np.int64)
+        for a, b in zip([0, *cuts], [*cuts, level.size]):
+            if a < b:
+                # A vertex at level 1 or beyond has a neighbour, so no segment is empty.
+                nbrs, counts = _key_neighbours(indptr, indices, level[a:b])
+                sums[a:b] = np.add.reduceat(sig[nbrs], np.cumsum(counts) - counts)
         sig[level] = np.minimum(sums, _SIGMA_MAX)
     return sig.reshape(len(sources), n)
 
@@ -488,16 +518,21 @@ def _triangle_defects(g: MetricGraph, sides: np.ndarray, triangles: np.ndarray) 
 
     Set 3t + i starts from the two sides of triangle t other than i, and
     owns bit (3t + i) % 63 of word (3t + i) // 63 of a bit-parallel BFS
-    (:func:`_bit_levels`) over at most ``_BLOCK`` words of sets at once.
+    (:func:`_bit_levels`) over batches of at most ``_BLOCK`` words of
+    sets. A word of a batch holds 63 · width side positions and a word per
+    edge of the level step's gather; a batch keeps these within
+    ``_ROW_CELLS // 16`` cells, at least one word.
     Each level checks the side vertices not yet reached by their own set;
     the level that reaches the last of a triangle's is its defect. A
     padded vertex is the end of another side, reached before any level
     runs, and on a tree every side vertex is, so no level runs there."""
     n = g.vertex_count
     per_word = 21  # triangles per word: three sets each, in one word
+    cells = 3 * per_word * sides.shape[1] + g.csr_arrays()[1].size + 1
+    step = per_word * min(_BLOCK, max(_ROW_CELLS // 16 // cells, 1))
     worst = np.zeros(len(triangles), dtype=np.int64)
-    for lo in range(0, len(triangles), _BLOCK * per_word):
-        batch = sides[triangles[lo : lo + _BLOCK * per_word]]
+    for lo in range(0, len(triangles), step):
+        batch = sides[triangles[lo : lo + step]]
         count, _, width = batch.shape
         words = -(-count // per_word)
         # Side j of a triangle starts the triangle's two other sets and
@@ -726,12 +761,14 @@ class _Rows:
         filling the missing ones block by block; a store without room for
         them beside the rows held starts over first.
 
-        A block holds at most ``_BLOCK`` sources. Its first distance row
-        comes from ``distance_vector``; the rest come from one
-        ``_distance_rows`` call when the level bound, max d(s0, s) +
-        ecc(s0) over the block, is at most the block size (the kernel costs
-        about levels x edges, single rows about sources x (n + edges)), and
-        one by one otherwise. In a store made with ``counts`` its count rows
+        A block holds at most ``_BLOCK`` sources. The row from vertex 0 is
+        the one the graph keeps (``distance_vector``), copied. The others
+        come from one ``_distance_rows`` call when the level bound, max
+        d(0, s) + ecc(0) over them, read from that kept row, is at most
+        three levels per source, and one by one from ``distance_vector``
+        otherwise, a lone row too: one list row costs about three levels of
+        a 64-source kernel call (on grid:40, 0.30 ms a row against 0.08 ms
+        a level). In a store made with ``counts`` the block's count rows
         come from one ``_count_rows`` pass over its distance rows.
         """
         wanted = list(dict.fromkeys(sources))
@@ -742,18 +779,28 @@ class _Rows:
             self._clear()
             missing = wanted
         for lo in range(0, len(missing), _BLOCK):
-            run = missing[lo : lo + _BLOCK]
+            run = sorted(missing[lo : lo + _BLOCK], key=bool)  # vertex 0 first
             at = self._take(run)
             dist = self._dist[at]
-            dist[0] = first = distance_vector(self.g, run[0])
-            to_rest = first[run[1:]]
-            if to_rest.size and to_rest.min() >= 0 and int(to_rest.max()) + int(first.max()) <= len(run):
-                dist[1:] = _distance_rows(self.g, run[1:])
+            if run[0] == 0:
+                dist[0] = distance_vector(self.g, 0)
+            rest = run[run[0] == 0 :]
+            if len(rest) > 1 and self._level_bound(rest) <= 3 * len(rest):
+                dist[len(run) - len(rest) :] = _distance_rows(self.g, rest)
             else:
-                for i, s in enumerate(run[1:], start=1):
+                for i, s in enumerate(rest, start=len(run) - len(rest)):
                     dist[i] = distance_vector(self.g, s)
             if self._counts:
                 self._sigma[at] = _count_rows(self.g, run, dist)
+
+    def _level_bound(self, sources: list[int]) -> int:
+        """A bound on the levels of a search from ``sources``, from the row
+        from vertex 0 that the graph keeps: ecc(s) <= d(0, s) + ecc(0), or
+        n where some source lies outside 0's component."""
+        g = self.g
+        root = g._root_row if g._root_row is not None else distance_vector(g, 0)
+        near = root[sources]
+        return int(near.max()) + int(root.max()) if near.min() >= 0 else g.vertex_count
 
     def block(self, X: list[int], cols, sigma: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         """The distance rows of ``X`` at the columns ``cols`` (whole rows
@@ -886,31 +933,56 @@ def _canonical_walks(rows: "_Rows", sources: np.ndarray, ends: np.ndarray) -> np
     pair joined by a path), as row w of one (W, L) int32 array padded with
     its far end ``ends[w]``; L is one more than the longest.
 
-    The walks advance together down their far ends' rows, read from
-    ``rows`` as one block: each step gathers the live walks' neighbours
-    over the CSR arrays and takes, per walk, the least one closer by one
-    ``np.minimum.reduceat``, the tie-break of :func:`_canonical_step`."""
+    The walks advance together down their far ends' rows, read in place
+    from their slots in ``rows``, with the far ends loaded ``capacity`` at
+    a time (one group when they fit the store): each step gathers the live
+    walks' neighbours over the CSR arrays and takes, per walk, the least
+    one closer by one ``np.minimum.reduceat``, the tie-break of
+    :func:`_canonical_step`."""
     g = rows.g
     n = g.vertex_count
     indptr, indices = g.csr_arrays()
-    far = _sorted_unique(np.array(ends, dtype=np.int64))
-    dist, _ = rows.block(far.tolist(), None, sigma=False)
-    flat = dist.reshape(-1)
-    base = np.searchsorted(far, ends) * n  # each walk's row in ``flat``
-    cur = np.array(sources, dtype=np.int32)
-    left = flat[base + cur]  # steps still to take
-    walks = np.empty((cur.size, int(left.max(initial=0)) + 1), dtype=np.int32)
-    walks[:, 0] = cur
-    live = np.flatnonzero(left)
-    for step in range(1, walks.shape[1]):
-        at, counts = _segments(indptr, cur[live])
-        nbrs = indices[at]
-        closer = flat[np.repeat(base[live], counts) + nbrs] == np.repeat(left[live] - 1, counts)
-        cur[live] = np.minimum.reduceat(np.where(closer, nbrs, n), np.cumsum(counts) - counts)
-        left[live] -= 1
-        walks[:, step] = cur
-        live = live[left[live] > 0]
-    return walks
+    ends = np.asarray(ends, dtype=np.int64)
+    starts = np.asarray(sources, dtype=np.int32)
+    far = _sorted_unique(ends.copy())
+    owner = np.searchsorted(far, ends)  # each walk's far end in ``far``
+    groups = []
+    for lo in range(0, far.size, rows.capacity):
+        group = far[lo : lo + rows.capacity].tolist()
+        rows.load(group)
+        slots = np.fromiter(map(rows._slot.__getitem__, group), np.int64, len(group))
+        mine = np.flatnonzero((owner >= lo) & (owner < lo + len(group)))
+        flat = rows._dist.reshape(-1)
+        base = slots[owner[mine] - lo] * n  # each walk's row in ``flat``
+        cur = starts[mine]
+        left = flat[base + cur]  # steps still to take
+        walks = np.empty((cur.size, int(left.max(initial=0)) + 1), dtype=np.int32)
+        walks[:, 0] = cur
+        live = np.flatnonzero(left)
+        for step in range(1, walks.shape[1]):
+            at, counts = _segments(indptr, cur[live])
+            nbrs = indices[at]
+            closer = flat[np.repeat(base[live], counts) + nbrs] == np.repeat(left[live] - 1, counts)
+            cur[live] = np.minimum.reduceat(np.where(closer, nbrs, n), np.cumsum(counts) - counts)
+            left[live] -= 1
+            walks[:, step] = cur
+            live = live[left[live] > 0]
+        groups.append((mine, walks))
+    if len(groups) == 1:
+        return groups[0][1]
+    out = np.empty((starts.size, max((walks.shape[1] for _, walks in groups), default=1)), dtype=np.int32)
+    for mine, walks in groups:
+        out[mine, : walks.shape[1]] = walks
+        out[mine, walks.shape[1] :] = walks[:, -1:]
+    return out
+
+
+def _walk_room(rows: "_Rows") -> int:
+    """How many walks :func:`_canonical_walks` takes at once within
+    ``_ROW_CELLS // 16`` cells of walks: one walk takes at most 1 + 2 ecc(0)
+    cells, a bound on the diameter from the row from vertex 0 that the
+    graph keeps."""
+    return max(_ROW_CELLS // 16 // (1 + 2 * rows._level_bound([0])), 1)
 
 
 def set_diameter(

@@ -234,12 +234,14 @@ def farey_truncation(qmax: int) -> LabeledGraph:
     edges = [np.stack((np.zeros(2 * qmax + 1, dtype=np.int64), index[1]), axis=1)]
     p, q = ps[1:], qs[1:]
     inv = _inverses(p % q, q)
+    # |r| <= qmax needs |p|*s <= qmax*q + 1, since |p*s - r*q| = 1.
+    last = np.minimum(qmax, (qmax * q + 1) // np.maximum(np.abs(p), 1))
     for sign in (1, -1):
         # p*s - r*q = sign forces s ≡ sign * p^{-1} (mod q): s runs from its
-        # least positive residue up to qmax in steps of q.
+        # least positive residue up to ``last`` in steps of q.
         first = (sign * inv) % q
         first[first == 0] = q[first == 0]
-        counts = (qmax - first) // q + 1
+        counts = np.maximum((last - first) // q + 1, 0)
         at = np.repeat(np.arange(p.size), counts)
         s = first[at] + q[at] * (np.arange(at.size) - np.repeat(np.cumsum(counts) - counts, counts))
         r = (p[at] * s - sign) // q[at]

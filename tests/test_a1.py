@@ -596,6 +596,21 @@ class TestIntegerCore:
         assert select_anchors(b.graph, fat) == anchors
         assert select_anchors(b.graph, fat) is not anchors
 
+    def test_anchor_fold_computed_once_per_cover(self, monkeypatch):
+        # a fresh cover: the pipeline's three readers of the fold share one
+        b = broom_tree(130)
+        fat = build_fat_cover(b.graph, GeodesicFamily.all_of(b.graph), r=1, delta=0, d_constant=1, basepoint=b.basepoint)
+        folds = []
+        real = a1._anchor_fold
+        monkeypatch.setattr(a1, "_anchor_fold", lambda p: folds.append(p) or real(p))
+        check_a1_maps(b.graph, fat)
+        variation_sweep(b.graph, fat)
+        store_a1_maps(b.graph, fat)
+        assert len(folds) == 1 and folds[0] is fat.profiles
+        anchor, num = fat.anchor_fold
+        assert not (anchor.flags.writeable or num.flags.writeable)
+        assert [x.tolist() for x in fat.anchor_fold] == [x.tolist() for x in real(fat.profiles)]
+
 
 def test_fractions_only_at_the_boundary():
     """cli.py names no Fraction, and in a1.py only phi, a1_map, A1Map,

@@ -288,8 +288,8 @@ class TestThinDelta:
         runs = []
         real = geodesics._loaded_runs
 
-        def spy(items, rows, ends):
-            for chunk, far_ends in real(items, rows, ends):
+        def spy(items, rows, ends, *bounds):
+            for chunk, far_ends in real(items, rows, ends, *bounds):
                 runs.append(list(chunk))
                 yield chunk, far_ends
 
@@ -348,17 +348,35 @@ class TestThinDelta:
         assert all(len(set(ends)) <= 20 for _, ends in loads)
 
     def test_one_list_bfs_per_block(self, monkeypatch):
+        # The name is kept from when each block spent one list BFS on its
+        # first row; now no row of the run is a list BFS.
         g = farey_truncation(30).graph
         assert g.is_connected  # its BFS runs before the spies
         fam = GeodesicFamily.canonical_of(g)
         searches = self.count_calls(monkeypatch, graphs, "_dense_bfs")
         blocks = self.count_calls(monkeypatch, graphs, "_distance_rows")
         assert thin_delta(g, fam, budget=500).triangles_checked == 500
-        # each block of at most 64 rows takes one list BFS for its first row
-        # and one kernel call for the rest
-        computed = len(searches) + sum(len(sources) for _, sources in blocks)
-        assert all(len(sources) < 64 for _, sources in blocks)
-        assert computed > 500 and len(searches) == len(blocks) < computed // 20
+        # the run's far ends fill kernel blocks of 64, all but the last full
+        sizes = [len(sources) for _, sources in blocks]
+        assert not searches and sum(sizes) > 500
+        assert all(size == 64 for size in sizes[:-1]) and 0 < sizes[-1] <= 64
+
+    def test_one_walk_and_one_defect_pass_per_store_sized_run(self, monkeypatch):
+        # farey:30 holds 1,885 rows in the default store, more than the far
+        # ends of 500 triples: one run, one walk of every side, one defect
+        # pass; a store of 50 rows, with defect batches of one word, gives
+        # the same report
+        g = farey_truncation(30).graph
+        fam = GeodesicFamily.canonical_of(g)
+        walks = self.count_calls(monkeypatch, geodesics, "_canonical_walks")
+        defects = self.count_calls(monkeypatch, geodesics, "_triangle_defects")
+        default = thin_delta(g, fam, budget=500)
+        assert len(walks) == len(defects) == 1
+        assert len(walks[0][1]) == len(defects[0][1]) > 500
+        monkeypatch.setattr(graphs, "_ROW_CELLS", 50 * g.vertex_count)
+        walks.clear()
+        assert thin_delta(g, fam, budget=500) == default
+        assert len(walks) > 10
 
 
 class TestPropertyB:

@@ -1149,6 +1149,19 @@ class TestCountRows:
         assert _Rows(g, counts=True).block(list(range(n)), None)[1].tolist() == expected
 
     @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("cells", [0, 16 * 5])
+    def test_sliced_level_gathers_match_brute_force(self, monkeypatch, seed, cells):
+        # gathers of about one neighbour, or about five, at a time: a
+        # level's counts are written only once all its slices are summed
+        monkeypatch.setattr(graphs, "_ROW_CELLS", cells)
+        g = kernel_graph(seed)
+        n = g.vertex_count
+        expected = brute_path_counts(g)
+        sources = [*range(n), *range(n)]
+        dist = np.array([bfs_distances(g, s) for s in sources], dtype=np.int32)
+        assert _count_rows(g, sources, dist).tolist() == [expected[s] for s in sources]
+
+    @pytest.mark.parametrize("seed", range(12))
     def test_counts_store_loads_count_rows_in_blocks(self, monkeypatch, seed):
         # a store of 5 sources' distance and count rows (15 distance rows
         # alone), filled in blocks of at most 4
@@ -1198,8 +1211,11 @@ class TestDistanceRows:
             MetricGraph(5, [(0, 2), (1, 2)]),  # the last segments are empty
             MetricGraph(6, [(2, 3), (3, 5)]),  # isolated vertices between segments
             path_graph(4),
+            # 129 levels from an end (arrival marks up to 130 take 8 bit
+            # planes), and 266 sources over five words
+            MetricGraph(133, [(v, v + 1) for v in range(129)]),
         ],
-        ids=["n1", "edgeless", "trailing_isolated", "isolated", "path"],
+        ids=["n1", "edgeless", "trailing_isolated", "isolated", "path", "deep"],
     )
     def test_isolated_vertices_and_duplicate_sources(self, g):
         sources = [*range(g.vertex_count), *range(g.vertex_count)]
@@ -1221,15 +1237,15 @@ class TestDistanceRows:
         single, batched, counted = spy_rows(monkeypatch)
         rows = _Rows(g)
         rows.load([*range(n), 3])
-        # the first 12 sources only; the level bound (at most 5 + 5) lets
-        # the block take one list BFS and one kernel call
+        # the first 12 sources only: row 0 is the graph's kept row, and the
+        # level bound (at most 5 + 5) lets the other 11 take one kernel call
         assert single == [0] and batched == [list(range(1, 12))]
         # a block of every row reads them 12 at a time, the store starting
-        # over before each chunk but the first
+        # over before each chunk but the first, each chunk one kernel call
         dist, _ = rows.block(list(range(n)), None, sigma=False)
         blocks = [list(range(lo, lo + 12)) for lo in range(0, n, 12)]
-        assert single == [b[0] for b in blocks]
-        assert batched == [b[1:] for b in blocks]
+        assert single == [0]
+        assert batched == [blocks[0][1:], *blocks[1:]]
         assert sorted(rows._slot) == blocks[-1] and not counted
         assert dist.tolist() == [bfs_distances(g, s) for s in range(n)]
         for s in range(n):
@@ -1245,19 +1261,21 @@ class TestDistanceRows:
         rows.load(range(8))
         single, batched, _ = spy_rows(monkeypatch)
         # 6 rows missing, 2 free: the store starts over, and recomputes rows
-        # 6 and 7 so that every row asked for is held
+        # 6 and 7 so that every row asked for is held, in one kernel call
         rows.load(range(6, 14))
         assert sorted(rows._slot) == list(range(6, 14))
-        assert single == [6] and batched == [list(range(7, 14))]
+        assert single == [] and batched == [list(range(6, 14))]
 
     def test_deep_block_takes_single_rows(self, monkeypatch):
         from coarselab.spaces import broom_tree
 
         g = broom_tree(100).graph
+        assert g.is_connected  # the graph keeps its row from 0
         n = g.vertex_count
         single, batched, _ = spy_rows(monkeypatch)
-        # the far end of the longest ray: its first vertex has eccentricity
-        # 136, far above the 64 levels the block may take
+        # the far end of the longest ray: 100 from vertex 0, whose
+        # eccentricity is 100, so the level bound 200 exceeds the 3 levels a
+        # source that a block of 64 may take
         deep = list(range(n - 64, n))
         rows = _Rows(g)
         rows.load(deep)
@@ -1272,8 +1290,25 @@ class TestDistanceRows:
         single, batched, _ = spy_rows(monkeypatch)
         rows = _Rows(g)
         rows.load(range(g.vertex_count))
-        assert single == [0, 64] and batched == [list(range(1, 64)), list(range(65, 94))]
+        # the first block copies the graph's row from 0, and both blocks
+        # take the kernel for every other row
+        assert single == [0] and batched == [list(range(1, 64)), list(range(64, 94))]
         for s in range(g.vertex_count):
+            assert rows[s].tolist() == bfs_distances(g, s)
+
+    def test_row_0_is_copied_wherever_it_falls_in_a_block(self, monkeypatch):
+        from coarselab.spaces import grid
+
+        g = grid(5).graph
+        single, batched, _ = spy_rows(monkeypatch)
+        rows = _Rows(g)
+        # within 3 of vertex 0, whose eccentricity is 8: the level bound 11
+        # is below the 15 levels five sources may take
+        rows.load([7, 3, 0, 1, 5, 6])
+        # row 0 leads its block's slots; the rest share one kernel call
+        assert single == [0] and batched == [[7, 3, 1, 5, 6]]
+        assert rows[0] is not distance_vector(g, 0) and rows[0].tolist() == bfs_distances(g, 0)
+        for s in (7, 3, 1, 5, 6):
             assert rows[s].tolist() == bfs_distances(g, s)
 
 

@@ -150,7 +150,7 @@ class TestFarey:
         for n in range(-5, 6):
             assert f.graph.has_edge(inf, f.vertex_of(f"{n}/1"))
 
-    @pytest.mark.parametrize("qmax", [5, 12, 30])
+    @pytest.mark.parametrize("qmax", [*range(1, 13), 30])
     def test_determinant_rule_exhaustive(self, qmax):
         # independent full-pair re-scan straight from the labels
         f = farey_truncation(qmax)
@@ -166,6 +166,25 @@ class TestFarey:
             adj[u, v] = adj[v, u] = True
         np.fill_diagonal(det, 0)
         assert ((det == 1) == adj).all()
+
+    @pytest.mark.parametrize("qmax", [13, 20, 31, 45, 60])
+    def test_edges_match_the_unbounded_enumeration(self, qmax):
+        # each fraction p/q against every denominator s in 1..qmax and both
+        # signs, r = (p*s - sign) / q kept when it is an integer in the
+        # window: no bound on s from |r| <= qmax
+        f = farey_truncation(qmax)
+        fracs = np.array([tuple(map(int, lab.split("/"))) for lab in f.labels], dtype=np.int64)
+        ids = {(int(p), int(q)): v for v, (p, q) in enumerate(fracs)}
+        p, q = fracs[1:, :1], fracs[1:, 1:]
+        s = np.arange(1, qmax + 1)[None, :]
+        expected = {(0, ids[n, 1]) for n in range(-qmax, qmax + 1)}  # 1/0 meets the integers
+        for sign in (1, -1):
+            num = p * s - sign
+            hit = (num % q == 0) & (np.abs(num // q) <= qmax)
+            for i, j in zip(*np.nonzero(hit)):
+                u, v = i + 1, ids[int(num[i, j] // q[i, 0]), int(s[0, j])]
+                expected.add((min(u, v), max(u, v)))
+        assert set(f.graph.edges()) == expected
 
     def test_vertex_set_is_window(self):
         qmax = 9
