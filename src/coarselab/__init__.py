@@ -17,7 +17,6 @@ from .a1 import (
     check_a1_maps,
     lebesgue_check,
     phi,
-    select_anchors,
     variation,
     variation_sweep,
 )

@@ -71,7 +71,6 @@ __all__ = [
     "build_fat_cover",
     "lebesgue_check",
     "phi",
-    "select_anchors",
     "a1_map",
     "check_a1_maps",
     "variation",
@@ -176,7 +175,8 @@ class FatCover:
     @cached_property
     def anchors(self) -> dict[int, int]:
         """Anchor of each set: the member deepest inside it, least id on
-        ties. Computed once per cover; see :func:`select_anchors`."""
+        ties, so its weight against the set is nonzero. Computed once per
+        cover."""
         return dict(enumerate(self.profiles.set_anchor.tolist()))
 
 
@@ -337,17 +337,10 @@ def _anchor_numerators(depths: dict[int, int], anchors: dict[int, int]) -> dict[
     return nums
 
 
-def select_anchors(g: MetricGraph, fc: FatCover) -> dict[int, int]:
-    """Anchor of each set: the member deepest inside it, least id on ties.
-    Its weight against the set is automatically nonzero."""
-    return dict(fc.anchors)
-
-
-def a1_map(g: MetricGraph, fc: FatCover, x: int, anchors: dict[int, int] | None = None) -> A1Map:
+def a1_map(g: MetricGraph, fc: FatCover, x: int) -> A1Map:
     """The probability vector a_x: weight phi_V(x) placed at the anchor of
     each set containing x; colliding anchors accumulate."""
-    if anchors is None:
-        anchors = fc.anchors
+    anchors = fc.anchors
     entries: dict[int, Fraction] = {}
     for i, w in phi(g, fc, x).items():
         z = anchors[i]
@@ -496,20 +489,18 @@ class VariationReport:
     complement_diff_sum: int
 
 
-def variation(g: MetricGraph, fc: FatCover, z: int, w: int, anchors: dict[int, int] | None = None) -> VariationReport:
+def variation(g: MetricGraph, fc: FatCover, z: int, w: int) -> VariationReport:
     """Exact ||a_z - a_w||_1 plus the two intermediate quantities the
     variation bound chains through: the largest per-set weight difference
     and the summed complement-distance displacement."""
-    if anchors is None:
-        anchors = fc.anchors
     g.check_vertex(z)
     pz, sz = _weights(fc, z)
     g.check_vertex(w)
     pw, sw = _weights(fc, w)
     comp = sum(abs(pz.get(i, 0) - pw.get(i, 0)) for i in pz.keys() | pw.keys())
     phi_num = max((abs(pz.get(i, 0) * sw - pw.get(i, 0) * sz) for i in pz.keys() | pw.keys()), default=0)
-    nz = _anchor_numerators(pz, anchors)
-    nw = _anchor_numerators(pw, anchors)
+    nz = _anchor_numerators(pz, fc.anchors)
+    nw = _anchor_numerators(pw, fc.anchors)
     l1_num = sum(abs(nz.get(v, 0) * sw - nw.get(v, 0) * sz) for v in nz.keys() | nw.keys())
     d = distance(g, z, w)
     if d is None:

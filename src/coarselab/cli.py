@@ -170,7 +170,7 @@ def _propb_lines(rep: PropertyBReport) -> list[str]:
     ]
     if not rep.qualifying_found:
         lines.append("# WARNING: no qualifying instance at these parameters; observed_D=0 is vacuous")
-    for v in rep.intersection_violations[:10]:
+    for v in rep.intersection_violations:
         path = "-".join(str(x) for x in v.geodesic.vertices)
         lines.append(f"violation a={v.a} b={v.b} r={v.r} c={v.c} path={path}")
     return lines
@@ -253,11 +253,9 @@ def cmd_cover(args) -> tuple[int, list[str]]:
 class PipelineA1Result:
     exit_code: int
     lines: list[str]
-    delta: int | None = None
     propb: PropertyBReport | None = None
     fat: FatCover | None = None
     sweep: VariationSweepReport | None = None
-    support_bound: int | None = None
     max_support: int | None = None
     all_pass: bool = False
 
@@ -303,10 +301,10 @@ def pipeline_a1(
     if d_constant is None:
         if not rep.qualifying_found:
             lines.append("# no qualifying instance: cannot measure D at this scale")
-            return PipelineA1Result(EXIT_SCOPE, lines, delta=delta_val, propb=rep)
+            return PipelineA1Result(EXIT_SCOPE, lines, propb=rep)
         if rep.violations_total > 0:
             lines.append("# family fails the intersection clause: boundedness premise refuted")
-            return PipelineA1Result(EXIT_SCOPE, lines, delta=delta_val, propb=rep)
+            return PipelineA1Result(EXIT_SCOPE, lines, propb=rep)
         d_constant = rep.observed_D
     lines.append(f"d_constant={d_constant}")
     lines.append(f"asdim_upper={asdim_upper_from_D(d_constant)}")
@@ -316,7 +314,7 @@ def pipeline_a1(
         fat = build_fat_cover(g, fam, r, delta_val, d_constant, space.basepoint, ell=ell)
     except ScopeTooSmallError as exc:
         lines.append(f"# scope: {exc}")
-        return PipelineA1Result(EXIT_SCOPE, lines, delta=delta_val, propb=rep)
+        return PipelineA1Result(EXIT_SCOPE, lines, propb=rep)
 
     base = fat.base
     lines.append("# section cover")
@@ -385,11 +383,9 @@ def pipeline_a1(
     return PipelineA1Result(
         EXIT_OK if all_pass else EXIT_ALARM,
         lines,
-        delta=delta_val,
         propb=rep,
         fat=fat,
         sweep=sweep,
-        support_bound=maps.support_radius_bound,
         max_support=maps.max_support,
         all_pass=all_pass,
     )
@@ -410,8 +406,7 @@ def cmd_a1(args) -> tuple[int, list[str]]:
         space_name=args.space,
     )
     lines = result.lines
-    if _is_farey(args.space):
-        _farey_note(args.space, lines)
+    _farey_note(args.space, lines)
     if args.dump_maps and result.fat is not None:
         lines.append("# section a1_maps")
         lines.extend(store_a1_maps(space.graph, result.fat).rstrip("\n").split("\n"))

@@ -101,7 +101,8 @@ _SIGMA_VECTOR_MAX = _SIGMA_MAX
 
 # The σ product of a non-tree pair, |N(a;R)| x |N(b;R)| cells per centre,
 # is cut into slices of at most this many cells (or one centre, if that
-# alone is larger).
+# alone is larger), and so is the all family's G(a,b;r) cube, |N(b;r)|
+# x |envelope| cells per row of N(a;r).
 _CUBE_CELLS = 2**21
 
 
@@ -110,23 +111,20 @@ class GeodesicFamily:
     """A deterministic choice of geodesics joining every vertex pair.
 
     ``kind == "all"`` resolves to every geodesic (enumeration capped at
-    ``cap`` with an explicit truncation flag); ``kind == "canonical"``
-    resolves to the single lexicographically least geodesic.
+    ``GEODESIC_CAP`` with an explicit truncation flag); ``kind ==
+    "canonical"`` resolves to the single lexicographically least geodesic.
     """
 
     graph: MetricGraph
     kind: Literal["all", "canonical"]
-    cap: int = GEODESIC_CAP
 
     def __post_init__(self):
         if self.kind not in ("all", "canonical"):
             raise ValueError(f"geodesic family kind must be 'all' or 'canonical', got {self.kind!r}")
-        if self.cap < 1:
-            raise ValueError("cap must be positive")
 
     @staticmethod
-    def all_of(graph: MetricGraph, cap: int = GEODESIC_CAP) -> "GeodesicFamily":
-        return GeodesicFamily(graph, "all", cap)
+    def all_of(graph: MetricGraph) -> "GeodesicFamily":
+        return GeodesicFamily(graph, "all")
 
     @staticmethod
     def canonical_of(graph: MetricGraph) -> "GeodesicFamily":
@@ -218,7 +216,7 @@ def thin_delta(
         if fam.kind == "canonical":
             sides, tris = _canonical_sides(rows, chunk)
         else:
-            sides, tris, cut, out_of_budget = _all_family_sides(g._adj, rows, chunk, far_ends, fam.cap, budget - checked)
+            sides, tris, cut, out_of_budget = _all_family_sides(rows, chunk, far_ends, budget - checked)
             truncated = truncated or cut
         if len(tris):
             worst = _triangle_defects(g, sides, tris)
@@ -245,15 +243,16 @@ def _canonical_sides(rows: _Rows, chunk: list) -> tuple[np.ndarray, np.ndarray]:
     return _canonical_walks(rows, *np.divmod(pairs, n)), np.searchsorted(pairs, keys)
 
 
-def _all_family_sides(adj, rows: _Rows, chunk: list, far_ends: list[int], cap: int, room: int):
+def _all_family_sides(rows: _Rows, chunk: list, far_ends: list[int], room: int):
     """The all family's triangles over the triples of ``chunk``, at most
     ``room`` of them, in enumeration order: triple by triple, and within a
     triple the product of its sides' geodesics in ``itertools.product``
     order, each side's geodesics in lexicographic order (``_all_walks``).
     Returns every distinct side's geodesics as the rows of one array,
     padded with their far ends, the triangles as rows of three indices
-    into it, whether some side's enumeration stopped at ``cap``, and
-    whether ``room`` cut the enumeration short."""
+    into it, whether some side's enumeration stopped at ``GEODESIC_CAP``,
+    and whether ``room`` cut the enumeration short."""
+    adj = rows.g._adj
     walk_rows = {v: rows[v].tolist() for v in far_ends}
     width = 1 + max(max(walk_rows[y][x], walk_rows[z][y], walk_rows[z][x]) for x, y, z in chunk)
     blocks: list[np.ndarray] = []  # each distinct side's geodesics
@@ -264,7 +263,7 @@ def _all_family_sides(adj, rows: _Rows, chunk: list, far_ends: list[int], cap: i
     for x, y, z in chunk:
         for u, end in ((x, y), (y, z), (x, z)):
             if (u, end) not in ids:
-                walks, capped = _all_walks(adj, walk_rows[end], u, cap)
+                walks, capped = _all_walks(adj, walk_rows[end], u, GEODESIC_CAP)
                 truncated = truncated or capped
                 block = np.full((len(walks), width), end, dtype=np.int32)
                 block[:, : len(walks[0])] = [walk.vertices for walk in walks]
@@ -367,7 +366,7 @@ def check_property_b(
     pair_budget: int = 4000,
     c_budget: int = 64,
     seed: int = 0,
-    violation_cap: int = 50,
+    violation_cap: int = 10,
 ) -> PropertyBReport:
     """Measure the boundedness constant of a geodesic family.
 
@@ -651,13 +650,17 @@ class _PairChecker:
             members[list(set().union(*(self.canonical(ap, bp) for ap in A for bp in B)))] = True
             return members
         # Every member lies in the envelope, so only its columns are compared.
+        # A, B and the envelope lie in the component of a and b, so every
+        # distance read is nonnegative.
         env = self.envelope
         dist_a, _ = self.rows.block(A, np.concatenate((B, env)), sigma=False)
         rows_b, _ = self.rows.block(B, env, sigma=False)
-        mab, rows_a = dist_a[:, : len(B)], dist_a[:, len(B) :]
-        ok = (rows_a[:, None, :] >= 0) & (rows_b[None, :, :] >= 0) & (mab[:, :, None] >= 0)
-        hit = ok & (rows_a[:, None, :] + rows_b[None, :, :] == mab[:, :, None])
-        members[env[hit.any(axis=(0, 1))]] = True
+        mab, rows_a = dist_a[:, : len(B), None], dist_a[:, None, len(B) :]
+        hit = np.zeros(env.size, dtype=bool)
+        step = max(1, _CUBE_CELLS // rows_b.size)
+        for t in range(0, len(A), step):
+            hit |= (rows_a[t : t + step] + rows_b == mab[t : t + step]).any(axis=(0, 1))
+        members[env[hit]] = True
         return members
 
     # -- intersection clause --

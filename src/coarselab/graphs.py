@@ -322,18 +322,17 @@ def _edge_array(edges: Iterable[tuple[int, int]] | np.ndarray, n: int) -> np.nda
 # -- BFS metric --------------------------------------------------------
 
 
-def bfs_distances(g: MetricGraph, source: int, cutoff: int | None = None) -> list[int]:
-    """Distances from ``source`` to every vertex; ``-1`` marks unreachable
-    (or beyond ``cutoff``)."""
-    return _dense_bfs(g, (source,), cutoff)
+def bfs_distances(g: MetricGraph, source: int) -> list[int]:
+    """Distances from ``source`` to every vertex; ``-1`` marks unreachable."""
+    return _dense_bfs(g, (source,))
 
 
-def multi_source_distances(g: MetricGraph, sources: Iterable[int], cutoff: int | None = None) -> list[int]:
+def multi_source_distances(g: MetricGraph, sources: Iterable[int]) -> list[int]:
     """Distance to the nearest of ``sources`` for every vertex, ``-1`` beyond reach."""
-    return _dense_bfs(g, sources, cutoff)
+    return _dense_bfs(g, sources)
 
 
-def _dense_bfs(g: MetricGraph, sources: Iterable[int], cutoff: int | None) -> list[int]:
+def _dense_bfs(g: MetricGraph, sources: Iterable[int]) -> list[int]:
     sources = list(sources)
     g.check_vertices(sources)
     dist = [-1] * g.vertex_count
@@ -342,13 +341,9 @@ def _dense_bfs(g: MetricGraph, sources: Iterable[int], cutoff: int | None) -> li
         if dist[s] != 0:
             dist[s] = 0
             queue.append(s)
-    limit = g.vertex_count if cutoff is None else cutoff
     adj = g._adj
     for u in queue:
-        du = dist[u]
-        if du >= limit:
-            continue
-        du += 1
+        du = dist[u] + 1
         for w in adj[u]:
             if dist[w] < 0:
                 dist[w] = du
@@ -803,17 +798,15 @@ class _Rows:
         return int(near.max()) + int(root.max()) if near.min() >= 0 else g.vertex_count
 
     def block(self, X: list[int], cols, sigma: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-        """The distance rows of ``X`` at the columns ``cols`` (whole rows
-        when None), and with ``sigma`` their path-count rows there (else
-        None), as two matrices.
+        """The distance rows of ``X`` at the columns ``cols``, and with
+        ``sigma`` their path-count rows there (else None), as two matrices.
 
         ``X`` is loaded ``capacity`` sources at a time, and each chunk read
         from each matrix by index: whole rows by one take of the slots, then
-        the columns too when they cover half a row or more (two contiguous
+        the columns, when they cover half a row or more (two contiguous
         takes), else slots by columns in one fancy index.
         """
-        if cols is not None:
-            cols = np.asarray(cols)
+        cols = np.asarray(cols)
         parts = []
         for lo in range(0, max(len(X), 1), self.capacity):  # an empty X reads one empty chunk
             part = X[lo : lo + self.capacity]
@@ -822,9 +815,7 @@ class _Rows:
             at = np.fromiter(map(self._slot.__getitem__, part), np.intp, len(part))
             subs = []
             for m in (self._dist, self._sigma)[: 1 + sigma]:
-                if cols is None:
-                    subs.append(m.take(at, axis=0))
-                elif 2 * cols.size >= self.g.vertex_count:
+                if 2 * cols.size >= self.g.vertex_count:
                     subs.append(m.take(at, axis=0).take(cols, axis=1))
                 else:
                     subs.append(m[at[:, None], cols])
@@ -1263,7 +1254,8 @@ def load_graph(text: str) -> MetricGraph:
     if header is None:
         raise GraphFormatError(1, "missing 'graph' header line")
     if last_id != expected - 1:
-        raise GraphFormatError(last_id + 2, f"expected {expected} vertex lines, found {last_id + 1}")
+        # the missing vertex line would come after the last line of the text
+        raise GraphFormatError(lineno + 1, f"expected {expected} vertex lines, found {last_id + 1}")
     # symmetry check, reported with the line of the one-sided endpoint
     for vid, (lineno, ns) in rows.items():
         for n in ns:

@@ -22,7 +22,6 @@ from coarselab.a1 import (
     check_a1_maps,
     lebesgue_check,
     phi,
-    select_anchors,
     store_a1_maps,
     variation,
     variation_sweep,
@@ -339,7 +338,7 @@ class TestAnchors:
         fc = FatCover.from_sets(
             g, (fs,), r=1, d_constant=1, base=None, diam_base=2, safe=frozenset(members), order_max=1,
         )
-        assert select_anchors(g, fc) == {0: 4}
+        assert fc.anchors == {0: 4}
 
     def test_tie_breaks_to_least_id(self):
         g = path_graph(9)
@@ -348,48 +347,46 @@ class TestAnchors:
         fc = FatCover.from_sets(
             g, (fs,), r=1, d_constant=1, base=None, diam_base=1, safe=frozenset(members), order_max=1,
         )
-        assert select_anchors(g, fc) == {0: 2}
+        assert fc.anchors == {0: 2}
 
     def test_anchor_weight_nonzero(self, broom400_fat):
         b, fat = broom400_fat
-        anchors = select_anchors(b.graph, fat)
+        anchors = fat.anchors
         for i, z in list(anchors.items())[:20]:
             assert fat.sets[i].depth[z] >= 1
 
     def test_deterministic(self, broom400_fat):
         b, fat = broom400_fat
-        assert select_anchors(b.graph, fat) == select_anchors(b.graph, fat)
+        assert fat.anchors == dict(enumerate(fat.profiles.set_anchor.tolist()))
 
 
 class TestA1Map:
     def test_unit_mass_at_single_anchor(self, broom400_fat):
         b, fat = broom400_fat
-        anchors = select_anchors(b.graph, fat)
+        anchors = fat.anchors
         for x in sorted(fat.safe):
             if len(fat.sets_of[x]) == 1:
-                amap = a1_map(b.graph, fat, x, anchors)
+                amap = a1_map(b.graph, fat, x)
                 (entry,) = amap.entries.items()
                 assert entry == (anchors[fat.sets_of[x][0]], Fraction(1))
                 break
 
     def test_norm_and_support(self, broom400_fat):
         b, fat = broom400_fat
-        anchors = select_anchors(b.graph, fat)
         for x in sorted(fat.safe)[::53]:
-            amap = a1_map(b.graph, fat, x, anchors)
+            amap = a1_map(b.graph, fat, x)
             assert amap.l1_norm() == 1
             assert all(v > 0 for v in amap.entries.values())
             assert len(amap.entries) <= 2 * fat.d_constant
 
     def test_support_within_radius_bound(self, broom400_fat):
         b, fat = broom400_fat
-        anchors = select_anchors(b.graph, fat)
         bound = 4 * fat.r + fat.diam_base
         tm = b.graph.tree_metric()
         import numpy as np
 
         for x in sorted(fat.safe)[::201]:
-            amap = a1_map(b.graph, fat, x, anchors)
+            amap = a1_map(b.graph, fat, x)
             supp = np.asarray(amap.support(), dtype=np.int64)
             assert int(tm.pair_distances(np.full(supp.shape, x), supp).max()) <= bound
 
@@ -450,12 +447,11 @@ class TestDumpFormat:
         text = store_a1_maps(b.graph, fat)
         lines = text.strip().split("\n")
         assert len(lines) == len(fat.safe)
-        anchors = select_anchors(b.graph, fat)
         for line in lines[:30]:
             head, _, body = line.partition(" : ")
             assert head.startswith("a x=")
             x = int(head[4:])
-            expected = a1_map(b.graph, fat, x, anchors).entries
+            expected = a1_map(b.graph, fat, x).entries
             parts = dict(p.split("=") for p in body.split())
             assert {int(z): Fraction(v) for z, v in parts.items()} == expected
             assert sorted(int(z) for z in parts) == [int(z) for z in parts]
@@ -482,7 +478,7 @@ def assert_sweep_matches_pointwise(g, fat, monkeypatch):
     ``variation`` on every adjacent safe pair, on int64 arrays and again
     with the overflow bound forcing Python ints, in blocks of 3 pairs."""
     pairs = [(z, w) for z in sorted(fat.safe) for w in g.neighbors(z) if w > z and w in fat.safe]
-    reports = [variation(g, fat, z, w, fat.anchors) for z, w in pairs]
+    reports = [variation(g, fat, z, w) for z, w in pairs]
     dd, r = fat.d_constant, fat.r
     sup_l1 = max((rep.l1 for rep in reports), default=Fraction(0))
     steps = [
@@ -592,9 +588,6 @@ class TestIntegerCore:
         variation(b.graph, fat, x, x)
         a1_map(b.graph, fat, x)
         assert fat.anchors is anchors
-        # the public form hands out a copy, so callers cannot edit the cache
-        assert select_anchors(b.graph, fat) == anchors
-        assert select_anchors(b.graph, fat) is not anchors
 
     def test_anchor_fold_computed_once_per_cover(self, monkeypatch):
         # a fresh cover: the pipeline's three readers of the fold share one

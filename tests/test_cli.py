@@ -121,6 +121,23 @@ class TestPropb:
         assert "observed_D=1" in out
         assert "violations_total=0" not in out
 
+    def test_report_prints_every_kept_violation(self, capsys):
+        # thousands of violations: the report lists the ones the checker
+        # keeps, no more and no fewer
+        argv = ("--space", "grid:8", "--family", "canonical", "--k", "1", "--rmax", "2")
+        code, out, _ = run_cli(capsys, "propb", *argv)
+        assert code == 0
+        g = parse_space("grid:8").graph
+        rep = geodesics.check_property_b(
+            geodesics.GeodesicFamily(g, "canonical"), ell=0, k=1, r_max=2, pair_budget=1000, c_budget=64
+        )
+        assert rep.violations_total == 3226 and 0 < len(rep.intersection_violations) < rep.violations_total
+        kept = [
+            f"violation a={v.a} b={v.b} r={v.r} c={v.c} path={'-'.join(map(str, v.geodesic.vertices))}"
+            for v in rep.intersection_violations
+        ]
+        assert [line for line in out.splitlines() if line.startswith("violation ")] == kept
+
     def test_default_k_uses_delta(self, capsys):
         code, out, _ = run_cli(
             capsys, "propb", "--space", "broom:15", "--rmax", "2", "--pair-budget", "40"

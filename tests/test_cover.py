@@ -354,7 +354,7 @@ def old_safe_core(g: MetricGraph, cover: Cover, radius: int) -> frozenset[int]:
     outside = [v for v in range(g.vertex_count) if v not in region]
     if not outside or radius == 0:
         return frozenset(region)
-    dist_out = multi_source_distances(g, outside, cutoff=radius)
+    dist_out = multi_source_distances(g, outside)
     return frozenset(v for v in region if not 0 <= dist_out[v] <= radius)
 
 

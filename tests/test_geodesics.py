@@ -222,11 +222,6 @@ class TestFamilyValidation:
         with pytest.raises(ValueError, match="kind"):
             GeodesicFamily(g, "Canonical")
 
-    @pytest.mark.parametrize("cap", [0, -1])
-    def test_nonpositive_cap_raises(self, cap):
-        with pytest.raises(ValueError, match="cap"):
-            GeodesicFamily.all_of(cycle_graph(5), cap=cap)
-
 
 class TestThinDelta:
     def test_trees_are_zero_thin(self):
@@ -634,6 +629,33 @@ class TestPairRuns:
             clears.clear()
             assert [check_property_b(fam, **run) for run in runs] == default
             assert bool(clears) == (cells < full)
+
+
+class TestUnionCubes:
+    """For all geodesics, G(a,b;r) compares an |A| x |B| x |E| cube of
+    distances, cut into slices of rows of A of at most ``_CUBE_CELLS``
+    cells; no bound changes a report."""
+
+    @pytest.mark.parametrize("bound", [1, 300, geodesics._CUBE_CELLS])
+    @pytest.mark.parametrize("kind", ["all", "canonical"])
+    def test_sliced_union_cubes_give_the_same_reports(self, monkeypatch, bound, kind):
+        runs = [dict(ell=ell, k=k, r_max=2, pair_budget=60, c_budget=6, seed=3) for k, ell in ((1, 0), (2, 1))]
+        cases = [(GeodesicFamily(g, kind), run) for g in larger_non_tree_graphs(4) + [grid(6).graph] for run in runs]
+        # the reference reads every cube whole
+        monkeypatch.setattr(geodesics, "_CUBE_CELLS", 2**62)
+        whole = [check_property_b(fam, **run) for fam, run in cases]
+        assert any(rep.observed_D > 1 for rep in whole)
+        cubes = []
+        real = geodesics._PairChecker._members_of_union_r
+
+        def spy(checker, A, B):
+            cubes.append(len(A) * len(B) * checker.envelope.size)
+            return real(checker, A, B)
+
+        monkeypatch.setattr(geodesics._PairChecker, "_members_of_union_r", spy)
+        monkeypatch.setattr(geodesics, "_CUBE_CELLS", bound)
+        assert [check_property_b(fam, **run) for fam, run in cases] == whole
+        assert max(cubes) > 300
 
 
 ROW_ONCE_GRAPHS = [larger_graph(seed) for seed in range(6)] + [farey_truncation(12).graph, grid(8).graph]

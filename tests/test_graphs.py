@@ -665,9 +665,9 @@ class TestBfsKernel:
         sources = []
         real = graphs.bfs_distances
 
-        def counting(g, source, cutoff=None):
+        def counting(g, source):
             sources.append(source)
-            return real(g, source, cutoff)
+            return real(g, source)
 
         monkeypatch.setattr(graphs, "bfs_distances", counting)
         g = broom_tree(30).graph
@@ -1004,7 +1004,7 @@ class TestRowStore:
         assert single == list(range(n)) + [0] * (not memoised)
         rows = _Rows(g, counts=True)
         for s in range(n):
-            dist, sig = rows.block([s], None)
+            dist, sig = rows.block([s], range(n))
             assert dist.tolist() == [rows[s].tolist()]
             assert sig.dtype == np.int64
             assert sig.tolist() == [[len(brute_shortest_paths(g, s, v)) for v in range(n)]]
@@ -1015,7 +1015,7 @@ class TestRowStore:
 
         monkeypatch.setattr(graphs, "_SIGMA_MAX", 7)
         g = grid(6).graph
-        sig = _Rows(g, counts=True).block([0], None)[1][0].tolist()
+        sig = _Rows(g, counts=True).block([0], range(36))[1][0].tolist()
         exact = [len(brute_shortest_paths(g, 0, v)) for v in range(36)]
         assert max(exact) == 252
         assert sig == [min(c, 7) for c in exact]
@@ -1072,18 +1072,16 @@ class TestRowStore:
             monkeypatch.setattr(graphs, "_ROW_CELLS", cells * n)
         rows = _Rows(g, counts=True)
         rng = random.Random(seed)
-        # one column is read slots by columns, 2n columns whole rows first,
-        # and None whole rows alone
+        # one column is read slots by columns, and 2n columns or every
+        # column in order whole rows first
         for size, width in itertools.product((1, 2, 5), (1, 2 * n, None)):
             X = rng.sample(range(n), min(size, n))
-            cols = None if width is None else [rng.randrange(n) for _ in range(width)]
+            cols = range(n) if width is None else [rng.randrange(n) for _ in range(width)]
             dist, sig = rows.block(X, cols)
-            if cols is None:
-                cols = range(n)
             assert dist.dtype == np.int32 and sig.dtype == np.int64
             assert dist.tolist() == [[bfs_distances(g, x)[v] for v in cols] for x in X]
             assert sig.tolist() == [[len(brute_shortest_paths(g, x, v)) for v in cols] for x in X]
-            only, none = rows.block(X, None if width is None else cols, sigma=False)
+            only, none = rows.block(X, cols, sigma=False)
             assert only.tolist() == dist.tolist() and none is None
 
     @pytest.mark.parametrize("seed", range(6))
@@ -1100,9 +1098,8 @@ class TestRowStore:
         rng = random.Random(seed)
         X = [rng.randrange(n) for _ in range(3 * held + 1)]
         paths = brute_path_counts(g)
-        for cols in (None, [rng.randrange(n) for _ in range(3)]):
+        for cols in (range(n), [rng.randrange(n) for _ in range(3)]):
             dist, sig = rows.block(X, cols, sigma=counts)
-            cols = range(n) if cols is None else cols
             assert dist.tolist() == [[brute_bfs(g, [x], None, None).get(v, -1) for v in cols] for x in X]
             assert (sig.tolist() if counts else sig) == ([[paths[x][v] for v in cols] for x in X] if counts else None)
             assert len(rows._slot) <= held
@@ -1146,7 +1143,7 @@ class TestCountRows:
             got = _count_rows(g, sources, dist)
             assert got.dtype == np.int64 and got.shape == (size, n)
             assert got.tolist() == [expected[s] for s in sources]
-        assert _Rows(g, counts=True).block(list(range(n)), None)[1].tolist() == expected
+        assert _Rows(g, counts=True).block(list(range(n)), range(n))[1].tolist() == expected
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("cells", [0, 16 * 5])
@@ -1178,10 +1175,10 @@ class TestCountRows:
         assert calls == [first[:4], first[4:]][: 1 + (n > 4)]
         expected = brute_path_counts(g)
         calls.clear()
-        assert rows.block(first, None)[1].tolist() == [expected[s] for s in first]
+        assert rows.block(first, range(n))[1].tolist() == [expected[s] for s in first]
         assert not calls  # every row held: nothing to fill
         # the whole graph 5 sources at a time, each count row filled once
-        assert rows.block(list(range(n)), None)[1].tolist() == expected
+        assert rows.block(list(range(n)), range(n))[1].tolist() == expected
         assert all(0 < len(block) <= 4 for block in calls)
         assert sorted(s for block in calls for s in block) == list(range(5, n))
         assert len(rows._slot) <= 5
@@ -1242,7 +1239,7 @@ class TestDistanceRows:
         assert single == [0] and batched == [list(range(1, 12))]
         # a block of every row reads them 12 at a time, the store starting
         # over before each chunk but the first, each chunk one kernel call
-        dist, _ = rows.block(list(range(n)), None, sigma=False)
+        dist, _ = rows.block(list(range(n)), range(n), sigma=False)
         blocks = [list(range(lo, lo + 12)) for lo in range(0, n, 12)]
         assert single == [0]
         assert batched == [blocks[0][1:], *blocks[1:]]
@@ -1425,6 +1422,16 @@ class TestFileFormat:
         text = "graph bad 2\n0: 1\nnonsense\n"
         with pytest.raises(GraphFormatError, match="line 3"):
             load_graph(text)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("graph g 3\n# a\n# b\n0: 1\n1: 0\n", 6), ("graph g 3\n\n0: 1\n# c\n1: 0\n\n\n", 8)],
+    )
+    def test_missing_vertex_line_is_reported_after_the_last_line(self, text, line):
+        # comment and blank lines count as lines
+        with pytest.raises(GraphFormatError, match=f"^line {line}: expected 3 vertex lines, found 2$") as exc:
+            load_graph(text)
+        assert exc.value.line == line
 
     def test_out_of_range_neighbor(self):
         with pytest.raises(GraphFormatError, match="out of range"):
