@@ -53,7 +53,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .cover import Cover, CoverDiameterReport, CoverParams, _set_keys, _split_keys, build_cover, verify_diameters
-from .geodesics import GeodesicFamily
+from .geodesics import ClaimViolation, GeodesicFamily
 from .graphs import MetricGraph, _find, _set_balls, _set_depths, distance, distance_vector
 
 __all__ = [
@@ -81,11 +81,6 @@ __all__ = [
 
 class ScopeTooSmallError(RuntimeError):
     """The truncation cannot host the construction at this scale."""
-
-
-class ClaimViolation(RuntimeError):
-    """A verified claim of the construction failed: a theorem alarm that
-    must never fire on correct code and true premises."""
 
 
 class FatCoverOrderError(ClaimViolation):

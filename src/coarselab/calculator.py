@@ -295,10 +295,13 @@ def farey_asdim() -> int:
 
 def hyperbolic_group_asdim_upper(generators: int, delta: int) -> int:
     """For a delta-thin Cayley graph on s symmetric generators, all
-    geodesics form a bounded family with D <= s^(2 delta), giving the
-    upper bound 2 s^(2 delta) - 1."""
+    geodesics form a bounded family with D at most |N(c; 2 delta)|, since
+    |G(a,b;r) ∩ N(c;2 delta)| <= |N(c;2 delta)|. A ball of radius m in a
+    graph of degree s holds at most 1 + s·Σ_{i<m} (s-1)^i vertices (the
+    ball of the s-regular tree), which gives the upper bound 2D - 1."""
     if generators < 1:
         raise ValueError("need at least one generator")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    return 2 * generators ** (2 * delta) - 1
+    ball = 1 + generators * sum((generators - 1) ** i for i in range(2 * delta))
+    return 2 * ball - 1

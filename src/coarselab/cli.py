@@ -18,6 +18,7 @@ capacity exact limit 40.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -492,7 +493,10 @@ def cmd_asdim(args) -> tuple[int, list[str]]:
 # -- parser ---------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later
+    ``main`` calls in the same process."""
     p = argparse.ArgumentParser(prog="coarselab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

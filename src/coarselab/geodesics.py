@@ -27,15 +27,18 @@ the set balls N(c;k) over the CSR arrays and their distances to a and b
 from the tree metric, none at k = 0. Other graphs go pair by pair inside
 the geodesic envelope of the pair, reading distance and path-count rows
 from one memoised store per call (``graphs._Rows``). It loads the
-endpoint rows of a run of pairs, which build the run's checkers, then
-the rows their instances read, with their path-count rows when the σ
-clause runs, in runs that fill the store whole kernel blocks at a time;
-it hands the rows of many sources at many columns back as one matrix
-(``_Rows.block``). With k = 0 and all geodesics the intersection clause
-is one product of path counts per pair, at its deepest radius, which
-gives every centre the first radius at which a geodesic avoids it. A
-violation is counted when found; its witness cell and geodesic are found
-only if the report keeps it. :func:`thin_delta` takes one path on every
+endpoint rows of a run of pairs, which build the run's checkers together
+as (pairs x n) array operations, then the rows their instances read, in
+runs that fill the store whole kernel blocks at a time; it hands the
+rows of many sources at many columns back as one matrix (``_Rows.block``)
+and single entries of many rows as arrays (``_Rows.cells``). With k = 0
+and all geodesics the intersection clause is one pass per run of pairs
+over the levels r = 0, 1, ... of the endpoint cells (a', b'), level
+max(d(a,a'), d(b,b')): each level's cells are read once, by path
+counts, against the centres that have not yet violated, so every centre
+gets its first violating radius and leaves the pass there. A violation is
+counted when found; its witness cell and geodesic are found only if the
+report keeps it. :func:`thin_delta` takes one path on every
 graph. Its triples go in runs whose far ends' rows the same kind of
 store loads at once, as many as it holds (one kernel block for the all
 family, which turns each row into a list). A run's distinct sides are
@@ -87,6 +90,7 @@ from .graphs import (
 )
 
 __all__ = [
+    "ClaimViolation",
     "GeodesicFamily",
     "HyperbolicityReport",
     "thin_delta",
@@ -95,14 +99,21 @@ __all__ = [
     "check_property_b",
 ]
 
+
+class ClaimViolation(RuntimeError):
+    """A verified claim of the construction failed: a theorem alarm that
+    must never fire on correct code and true premises."""
+
+
 # Shortest-path counts at or above this bound (row stores saturate there)
 # fall back from vectorized int64 products to exact per-instance search.
 _SIGMA_VECTOR_MAX = _SIGMA_MAX
 
-# The σ product of a non-tree pair, |N(a;R)| x |N(b;R)| cells per centre,
-# is cut into slices of at most this many cells (or one centre, if that
-# alone is larger), and so is the all family's G(a,b;r) cube, |N(b;r)|
-# x |envelope| cells per row of N(a;r).
+# The all family's G(a,b;r) cube, |N(b;r)| x |envelope| cells per row of
+# N(a;r), is cut into slices of at most this many cells (or one row, if
+# that is larger). The σ clause's level pass reads its (pair, centre,
+# cell) entries in slices of a 64th of it: an entry's indices and its
+# three reads take about 16 int64 cells.
 _CUBE_CELLS = 2**21
 
 
@@ -142,7 +153,7 @@ class GeodesicFamily:
         """G(a, b; r): the union of G(a', b') over a' in N(a;r), b' in N(b;r)."""
         if r < 0:
             raise ValueError("r must be nonnegative")
-        checker = _PairChecker(self, _Rows(self.graph), a, b, 0, 0, r)
+        (checker,) = _PairChecker.run(self, _Rows(self.graph), [(a, b)], 0, 0, r, {})
         if not checker.reachable:
             raise ValueError(f"vertices {a} and {b} are unreachable from each other")
         return set(np.flatnonzero(checker._members_of_union_r(*checker._sets_at(r))).tolist())
@@ -386,11 +397,16 @@ def check_property_b(
     r = 0 on [a,b] and at min(d(a,w), d(b,w)) off it, since every path
     from a or b into w's branch goes through w; and no geodesic at radius
     r avoids a centre at depth r or more, since N(a;r) projects onto
-    [a,c] and N(b;r) onto [c,b]. Elsewhere the pairs go in runs
+    [a,c] and N(b;r) onto [c,b]; a centre nearer an end than r is a
+    :class:`ClaimViolation`. Elsewhere the pairs go in runs
     (``_pair_checkers``): a run's endpoint rows are loaded at once and
     build its checkers and pools, then the rows their instances read are
-    loaded in runs that fill the store, with the count rows beside them
-    for the σ clause (k = 0, all geodesics).
+    loaded in runs that fill the store. With k = 0 and all geodesics the
+    σ clause is settled level by level over the run (``_sigma_levels``):
+    the cells (a', b') of level exactly r, max(d(a,a'), d(b,b')) = r, are
+    N(a;r) x {b' : d(b,b') = r} and {a' : d(a,a') = r} x N(b;r-1); each is
+    read once against each centre still in play, and a centre leaves at
+    its first violating level or once r passes its depth - ell.
     N(c;k) is computed once per call.
     """
     if ell < 0 or k < 0 or r_max < 0:
@@ -410,11 +426,10 @@ def check_property_b(
 
     if g.is_tree:
         tm = g.tree_metric()
-        workers: Iterable[_TreePairChecker | _PairChecker] = (
-            _TreePairChecker(g, tm, a, b, ell, k, r_max) for a, b in pair_iter
-        )
+        trees = (_TreePairChecker(g, tm, a, b, ell, k, r_max) for a, b in pair_iter)
+        workers: Iterable = ((tree, _centres(tree, c_budget, seed)) for tree in trees)
     else:
-        workers = _pair_checkers(fam, pair_iter, ell, k, r_max)
+        workers = _pair_checkers(fam, pair_iter, ell, k, r_max, c_budget, seed)
 
     observed = 0
     samples = 0
@@ -424,29 +439,22 @@ def check_property_b(
     violations: list[PropertyBViolation] = []
     violations_total = 0
 
-    for worker in workers:
+    for worker, centres in workers:
         if not worker.reachable:
             continue
         pairs_checked += 1
-        pool = worker.qualifying_pool()
-        if not pool:
+        if not centres:
             continue
         qualifying_found = True
         a, b = worker.a, worker.b
-        if len(pool) > c_budget:
-            c_truncated = True
-            rng_c = random.Random(seed * 2_654_435_761 + a * 1_000_003 + b)
-            pool = sorted(rng_c.sample(pool, c_budget))
-        pool_at = np.asarray(pool)
-        pool_depth = worker.depths(pool)
-        for r in range(0, r_max + 1):
+        c_truncated = c_truncated or len(centres) < len(worker.qualifying_pool())
+        pool_at = np.asarray(centres)
+        pool_depth = worker.depths(centres)
+        # a centre at depth d is checked at radii r <= d - ell
+        for r in range(min(r_max, int(pool_depth.max()) - ell) + 1):
             cs = pool_at[pool_depth >= r + ell].tolist()
-            if not cs:
-                continue
-            for c, cnt in zip(cs, worker.counts(r, cs)):
-                samples += 1
-                if cnt > observed:
-                    observed = cnt
+            samples += len(cs)
+            observed = max(observed, *worker.counts(r, cs))
             # Every violation counts; only those kept build their witness.
             for c, witness in worker.violations(r, cs):
                 violations_total += 1
@@ -468,22 +476,156 @@ def check_property_b(
     )
 
 
+def _row_lists(mask: np.ndarray) -> list[list[int]]:
+    """The columns set in each row of a boolean matrix, by one nonzero."""
+    flat = np.nonzero(mask)[1].tolist()
+    ends = np.cumsum(mask.sum(axis=1)).tolist()
+    return [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
+def _centres(worker, c_budget: int, seed: int) -> list[int]:
+    """The centres checked for a pair: its qualifying pool, or a seeded
+    sample of ``c_budget`` of them, sorted."""
+    pool = worker.qualifying_pool()
+    if len(pool) <= c_budget:
+        return pool
+    rng_c = random.Random(seed * 2_654_435_761 + worker.a * 1_000_003 + worker.b)
+    return sorted(rng_c.sample(pool, c_budget))
+
+
 def _pair_checkers(
-    fam: GeodesicFamily, pairs: Iterable[tuple[int, int]], ell: int, k: int, r_max: int
-) -> Iterator[_PairChecker]:
-    """The checker of every pair of ``pairs``, in order, on one row store
-    that is filled run by run: the endpoint rows of a run of at most
-    ``_BLOCK`` pairs (so the checkers' n-sized masks stay few), which build
-    its checkers and their pools, then the rows those checkers' instances
-    read (``_PairChecker.reads``), with their count rows when the σ clause
-    runs, in runs of checkers whose rows fit the store, loaded whole kernel
-    blocks at a time. Neighbourhoods are memoised for the whole call."""
-    rows = _Rows(fam.graph, counts=fam.kind == "all" and k == 0)
+    fam: GeodesicFamily, pairs: Iterable[tuple[int, int]], ell: int, k: int, r_max: int, c_budget: int, seed: int
+) -> Iterator[tuple[_PairChecker, list[int]]]:
+    """The checker of every pair of ``pairs``, in order, with its centres,
+    on one row store that is filled run by run. The endpoint rows of a run
+    of at most ``_BLOCK`` pairs (so the run's (pairs x n) arrays stay
+    small) build its checkers together (``_PairChecker.run``). With k = 0
+    and all geodesics, one level pass (``_sigma_levels``) then settles the
+    σ clause of the whole run, loading only the rows it reads. The rows
+    the other checkers' instances read (``_PairChecker.reads``) are loaded
+    in runs of checkers whose rows fit the store, whole kernel blocks at a
+    time. Neighbourhoods are memoised for the whole call."""
+    sigma = fam.kind == "all" and k == 0
+    rows = _Rows(fam.graph, counts=sigma)
     hoods: dict[int, np.ndarray] = {}
     for run, _ in _loaded_runs(pairs, rows, lambda pair: pair, most=_BLOCK):
-        checkers = [_PairChecker(fam, rows, a, b, ell, k, r_max, hoods) for a, b in run]
-        for part, _ in _loaded_runs(checkers, rows, lambda checker: checker.reads):
+        checkers = _PairChecker.run(fam, rows, run, ell, k, r_max, hoods)
+        centres = [_centres(checker, c_budget, seed) for checker in checkers]
+        if sigma:
+            _sigma_levels(rows, checkers, centres)
+        for part, _ in _loaded_runs(zip(checkers, centres), rows, lambda item: item[0].reads):
             yield from part
+
+
+def _sigma_levels(rows: _Rows, checkers: list[_PairChecker], centres: list[list[int]]) -> None:
+    """The σ clause (k = 0, all geodesics) of a run of checkers, in one
+    pass over the levels r = 0, 1, ... of their endpoint cells.
+
+    A cell (a', b') is in play from its level max(d(a,a'), d(b,b')) on: it
+    is the least r with a' in N(a;r) and b' in N(b;r). So the cells of
+    level exactly r are N(a;r) x {b' : d(b,b') = r} and {a' : d(a,a') = r}
+    x N(b;r-1), and a centre first violates at the least level of a cell
+    some of whose geodesics avoid it (``_avoided``). Each level reads its
+    cells against the centres still in play, over every pair of the run
+    at once, in slices of at most ``_CUBE_CELLS // 64`` (pair, centre,
+    cell) entries: a centre leaves the pass at its first violating level,
+    or once r passes its own depth - ell, the last radius it is checked
+    at.
+    Each settled checker gets its centres' first violating levels
+    (r_max + 1 if none) and reads no more rows. A pair that reads a path
+    count too large for exact int64 products keeps its reads, for the
+    per-radius search."""
+    todo = [i for i, cs in enumerate(centres) if cs]
+    if not todo:
+        return
+    group = [checkers[i] for i in todo]
+    pairs, n = len(group), rows.g.vertex_count
+    ell, r_max = group[0].ell, group[0].r_max
+    owner = np.repeat(np.arange(pairs), [len(centres[i]) for i in todo])
+    cs = np.concatenate([centres[i] for i in todo])
+    Da, Db = _endpoint_rows(rows, group)
+    reach = (Da >= 0) & (Db >= 0)
+    last = np.minimum(r_max, np.minimum(Da, Db)[owner, cs] - ell)  # the last level each centre is checked at
+    top = int(last.max())
+    # Each pair's vertices in order of their distance from a, and from b,
+    # and where level r starts in each order: |N(a;r-1)|, |N(b;r-1)|.
+    (order_a, below_a), (order_b, below_b) = (_level_order(D, reach, top) for D in (Da, Db))
+    first = np.full(cs.size, r_max + 1)
+    live = np.ones(cs.size, dtype=bool)
+    inexact = np.zeros(pairs, dtype=bool)
+    step = max(1, _CUBE_CELLS // 64)
+    for r in range(top + 1):
+        idx = np.flatnonzero(live & (last >= r))
+        if not idx.size:
+            break
+        z = np.bincount(owner[idx], minlength=pairs)  # each pair's centres in play
+        z_at = np.cumsum(z) - z
+        # Two blocks of cells per pair: N(a;r) x S(b;r) and S(a;r) x N(b;r-1),
+        # as row and column ranges of the pair's orders.
+        a_lo = np.concatenate((np.zeros(pairs, dtype=np.int64), below_a[:, r]))
+        a_hi = np.tile(below_a[:, r + 1], 2)
+        b_lo = np.concatenate((below_b[:, r], np.zeros(pairs, dtype=np.int64)))
+        b_hi = np.concatenate((below_b[:, r + 1], below_b[:, r]))
+        x, y, zz = a_hi - a_lo, b_hi - b_lo, np.tile(z, 2)
+        sizes = x * y * zz
+        ends = np.cumsum(sizes)
+        total = int(ends[-1])
+        avoided = np.zeros(cs.size, dtype=bool)
+        for lo in range(0, total, step):
+            t = np.arange(lo, min(lo + step, total))
+            blk = np.searchsorted(ends, t, side="right")
+            at = t - (ends[blk] - sizes[blk])
+            i, rest = np.divmod(at, y[blk] * zz[blk])
+            j, l = np.divmod(rest, zz[blk])
+            p = blk % pairs
+            ap = order_a[p * n + a_lo[blk] + i]
+            bp = order_b[p * n + b_lo[blk] + j]
+            ci = idx[z_at[p] + l]
+            fails, saturated = _avoided(rows, ap, bp, cs[ci])
+            avoided[ci[fails]] = True
+            inexact[p[saturated]] = True
+        newly = np.flatnonzero(avoided & live)
+        first[newly] = r
+        live[newly] = False
+        live &= ~inexact[owner]
+    for p, checker in enumerate(group):
+        if not inexact[p]:
+            checker._first = dict(zip(centres[todo[p]], first[owner == p].tolist()))
+            checker.reads = []
+
+
+def _level_order(D: np.ndarray, reach: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's reached columns in order of their value up to ``top``,
+    flattened (row p from p * n on), and below[p, r], the number of them
+    below r, for r = 0..top + 1."""
+    pairs = len(D)
+    key = np.where(reach & (D <= top), D, top + 1).astype(np.min_scalar_type(top + 1))
+    by_level = np.bincount((key + np.arange(pairs)[:, None] * (top + 2)).ravel(), minlength=pairs * (top + 2))
+    below = np.zeros((pairs, top + 3), dtype=np.int64)
+    below[:, 1:] = by_level.reshape(pairs, top + 2).cumsum(axis=1)
+    return np.argsort(key, axis=1, kind="stable").astype(np.int32).ravel(), below
+
+
+def _endpoint_rows(rows: _Rows, checkers: list[_PairChecker]) -> tuple[np.ndarray, np.ndarray]:
+    """The distance rows of the checkers' a ends and of their b ends, as two
+    (pairs x n) matrices."""
+    ends = [checker.a for checker in checkers] + [checker.b for checker in checkers]
+    dist, _ = rows.block(ends, np.arange(rows.g.vertex_count), sigma=False)
+    return dist[: len(checkers)], dist[len(checkers) :]
+
+
+def _avoided(rows: _Rows, ap: np.ndarray, bp: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each entry i, whether some geodesic from ``ap[i]`` to ``bp[i]``
+    avoids ``c[i]``, and whether a path count read is too large for the
+    exact test. c lies on every such geodesic iff the distance identity
+    holds and the path counts multiply, sig(a',c)·sig(c,b') = sig(a',b');
+    counts are symmetric, so b''s row gives sig(c,b')."""
+    m = ap.size
+    dist, sigma = rows.cells(np.concatenate((ap, ap, bp)), np.concatenate((bp, c, c)))
+    d_ab, d_ac, d_bc = dist[:m], dist[m : 2 * m], dist[2 * m :]
+    s_ab, s_ac, s_bc = sigma[:m], sigma[m : 2 * m], sigma[2 * m :]
+    saturated = (sigma >= _SIGMA_VECTOR_MAX).reshape(3, m).any(axis=0)
+    return (d_ac + d_bc != d_ab) | (s_ac * s_bc != s_ab), saturated
 
 
 class _TreePairChecker:
@@ -514,6 +656,8 @@ class _TreePairChecker:
         self.path = tm.path(a, b)
         self.d_ab = len(self.path) - 1
         self.pos = {v: i for i, v in enumerate(self.path)}
+        i = np.arange(self.d_ab + 1)
+        self.pool = np.sort(np.asarray(self.path)[np.minimum(i, self.d_ab - i) >= ell]).tolist()
         self._counts: dict[int, list[int]] = {}  # c -> |G(a,b;r) ∩ N(c;k)| for r = 0..r_max
 
     def depths(self, cs: list[int]) -> np.ndarray:
@@ -522,8 +666,7 @@ class _TreePairChecker:
         return np.minimum(i, self.d_ab - i)
 
     def qualifying_pool(self) -> list[int]:
-        i = np.arange(self.d_ab + 1)
-        return np.sort(np.asarray(self.path)[np.minimum(i, self.d_ab - i) >= self.ell]).tolist()
+        return self.pool
 
     def counts(self, r: int, cs: list[int]) -> list[int]:
         if self.k == 0:
@@ -533,9 +676,10 @@ class _TreePairChecker:
 
     def violations(self, r: int, cs: list[int]) -> tuple:
         """Always empty: every a'-b' geodesic at radius r passes through
-        each centre at depth r or more, the lemma's premise, checked here."""
+        each centre at depth r or more. That premise is checked here; a
+        centre nearer an end is an internal error, not bad input."""
         if (self.depths(cs) < r).any():
-            raise ValueError(f"a centre lies within {r} of an end of its pair, where the vacuous clause is not proved")
+            raise ClaimViolation(f"a centre lies within {r} of an end of its pair, where the vacuous clause is not proved")
         return ()
 
     def _settle(self, cs: list[int]) -> None:
@@ -561,34 +705,28 @@ class _PairChecker:
 
     Every shortest path between N(a;r) and N(b;r) for r <= r_max lies in the
     envelope E = {w : d(a,w) + d(w,b) <= d(a,b) + 4 r_max}; the union
-    G(a,b;r) is computed on E's columns only. The checker finds its pair's
-    qualifying pool from the endpoint rows when it is built, and ``reads``
-    lists the sources whose rows its instances read: N(a;R) and N(b;R) at
-    the pair's deepest radius R, or only N(b;R), the far ends, for the
-    canonical family. The caller loads them for a run of checkers at once.
-    Each N(c;k) is a sorted int32 array in ``hoods``, a memo the caller
-    shares between pairs. With k = 0 and all geodesics, one σ product per
-    pair, at R, gives every centre the first radius at which it violates.
+    G(a,b;r) is computed on E's columns only, found on first use. Checkers
+    are built in runs, together, from their endpoint rows (:meth:`run`),
+    which give every pair's reach, depths and qualifying pool as (pairs x
+    n) array operations; ``reads`` lists the sources whose rows the pair's
+    instances read: N(a;R) and N(b;R) at its deepest radius R, or only
+    N(b;R), the far ends, for the canonical family. The caller loads them
+    for a run of checkers at once. Each N(c;k) is a sorted int32 array in
+    ``hoods``, a memo the caller shares between pairs. With k = 0 and all
+    geodesics, ``_sigma_levels`` settles the intersection clause of a run
+    of checkers level by level: the cells (a', b') of level exactly r,
+    max(d(a,a'), d(b,b')) = r, are read once against each centre not yet
+    violated, which gives each centre its first violating radius
+    (``_first``), unless the pair reads a path count too large for exact
+    int64 products, and falls back to the per-radius search.
     """
 
-    def __init__(
-        self, fam: GeodesicFamily, rows: _Rows, a: int, b: int, ell: int, k: int, r_max: int, hoods: dict | None = None
-    ):
-        self.g = fam.graph
+    def __init__(self, fam: GeodesicFamily, rows: _Rows, a: int, b: int, ell: int, k: int, r_max: int, hoods: dict):
+        # the pair's fields from its endpoint rows come from ``run``
+        self.g, self.rows = fam.graph, rows
         self.a, self.b = a, b
         self.ell, self.k, self.r_max = ell, k, r_max
-        self.hoods = {} if hoods is None else hoods
-        self.reads: list[int] = []
-        da, db = rows[a], rows[b]
-        self.reachable = bool(da[b] >= 0)
-        if not self.reachable:
-            return
-        d_ab = int(da[b])
-        self.da, self.db = da, db
-        self.rows = rows
-        self.reach = reach = (da >= 0) & (db >= 0)
-        self.depth_row = np.minimum(da, db)
-        self.envelope = np.flatnonzero(reach & (da + db <= d_ab + 4 * r_max))
+        self.hoods = hoods
         # canonical(u, v): the canonical u-v geodesic, walked once down v's
         # row, which becomes a list once per far end v
         self.canonical = None
@@ -596,20 +734,47 @@ class _PairChecker:
             adj = self.g._adj
             row_list = functools.cache(lambda v: rows[v].tolist())
             self.canonical = functools.cache(lambda u, v: tuple(_canonical_walk(adj, row_list(v), u)))
-        # The σ clause's memo: each centre's first violating radius, once
-        # settled; ``_exact`` turns False at a count too large for int64
-        # products.
+        # each centre's first violating radius, once the level pass settles it
         self._first: dict[int, int] | None = None
-        self._exact = True
-        pool = np.flatnonzero(self._members_of_union_r([a], [b]) & (self.depth_row >= ell))
-        self.pool = pool.tolist()
-        if pool.size:
-            # A radius r is checked only with a deep point at depth r + ell;
-            # its instances read the rows of N(a;r) and N(b;r), or only of
-            # N(b;r) (the far ends) for the canonical family.
-            r = min(r_max, int(self.depth_row[pool].max()) - ell)
-            near = db <= r if self.canonical is not None else (da <= r) | (db <= r)
-            self.reads = np.flatnonzero(reach & near).tolist()
+
+    @classmethod
+    def run(cls, fam: GeodesicFamily, rows: _Rows, pairs: list, ell: int, k: int, r_max: int, hoods: dict) -> list:
+        """The checkers of ``pairs``, built together from their endpoint
+        rows: every pair's reach, depths, pool and reads by (pairs x n)
+        array operations."""
+        checkers = [cls(fam, rows, a, b, ell, k, r_max, hoods) for a, b in pairs]
+        canonical = fam.kind == "canonical"
+        Da, Db = _endpoint_rows(rows, checkers)
+        d_ab = Da[np.arange(len(checkers)), [checker.b for checker in checkers]][:, None]
+        lengths = d_ab.ravel().tolist()
+        reach = (Da >= 0) & (Db >= 0)
+        depth = np.minimum(Da, Db)
+        if not canonical:
+            on = reach & (Da + Db == d_ab)  # G(a,b), by the distance identity
+        else:
+            on = np.zeros_like(reach)
+            for i, checker in enumerate(checkers):
+                if lengths[i] >= 0:
+                    on[i, list(checker.canonical(checker.a, checker.b))] = True
+        pool = on & (depth >= ell)
+        # A radius r is checked only with a deep point at depth r + ell; its
+        # instances read the rows of N(a;r) and N(b;r), or only of N(b;r)
+        # (the far ends) for the canonical family. A pair without a pool
+        # reads nothing: its deepest radius is negative.
+        deepest = np.minimum(r_max, np.where(pool, depth, -1).max(axis=1) - ell)[:, None]
+        near = Db <= deepest if canonical else (Da <= deepest) | (Db <= deepest)
+        pools, reads = _row_lists(pool), _row_lists(reach & near)
+        for i, checker in enumerate(checkers):
+            checker.d_ab = lengths[i]
+            checker.reachable = checker.d_ab >= 0
+            checker.da, checker.db, checker.reach, checker.depth_row = Da[i], Db[i], reach[i], depth[i]
+            checker.pool, checker.reads = pools[i], reads[i]
+        return checkers
+
+    @functools.cached_property
+    def envelope(self) -> np.ndarray:
+        """The columns of E, which only the all family's G(a,b;r) reads."""
+        return np.flatnonzero(self.reach & (self.da + self.db <= self.d_ab + 4 * self.r_max))
 
     def depths(self, cs: list[int]) -> np.ndarray:
         """d(c, {a, b}) for every c of ``cs``."""
@@ -668,66 +833,33 @@ class _PairChecker:
     def violations(self, r: int, cs: list[int]):
         """Each c of ``cs`` that some family geodesic from N(a;r) to N(b;r)
         avoids, in order, with a thunk that returns such a geodesic."""
-        if self.canonical is None and self.k == 0 and self._exact:
-            first = self._first_violations(cs)
-            if first is not None:
-                return [(c, functools.partial(self._sigma_witness, r, c)) for c in cs if first[c] <= r]
+        if self._first is not None:
+            return [(c, functools.partial(self._sigma_witness, r, c)) for c in cs if self._first[c] <= r]
         return self._violations_general(*self._sets_at(r), cs)
 
-    def _first_violations(self, cs: list[int]) -> dict[int, int] | None:
-        """The least radius at which each centre violates (r_max + 1 if
-        none), or None when a path count is too large for exact int64
-        products, and the per-radius search from then on.
-
-        The first call settles the centres of its ``cs`` by one σ product
-        at the deepest radius R they are checked at, in slices of at most
-        ``_CUBE_CELLS`` cells; later calls ask about those centres at radii
-        up to R, as :func:`check_property_b`'s do. A cell (a', b') is in
-        play from its level max(d(a,a'), d(b,b')) on: it is the least r
-        with a' in N(a;r) and b' in N(b;r). So c first violates at the
-        least level of a cell whose geodesics do not all pass through c."""
-        if self._first is None:
-            never = self.r_max + 1
-            A, B = self._sets_at(min(self.r_max, int(self.depth_row[cs].max()) - self.ell))
-            level = np.maximum.outer(self.da[A], self.db[B]).astype(np.min_scalar_type(never))[:, :, None]
-            step = max(1, _CUBE_CELLS // level.size)
-            first: dict[int, int] = {}
-            for t in range(0, len(cs), step):
-                part = cs[t : t + step]
-                on_all = self._on_every_geodesic(A, B, part)
-                if on_all is None:
-                    self._exact = False
-                    return None
-                first.update(zip(part, np.where(on_all, never, level).min(axis=(0, 1)).tolist()))
-            self._first = first
-        return self._first
-
-    def _on_every_geodesic(self, A, B, cs) -> np.ndarray | None:
+    def _on_every_geodesic(self, A: list[int], B: list[int], c: int) -> np.ndarray:
         # c lies on every shortest a'→b' path iff the distance identity
         # holds and the path counts multiply: sig(a',c)·sig(c,b') = sig(a',b').
-        # Counts are symmetric, so b's rows give sig(c,b'). Returns the
-        # |A| x |B| x |cs| mask, or None when a count is too large for exact
-        # int64 products.
+        # Counts are symmetric, so b's rows give sig(c,b'). The |A| x |B|
+        # mask is False where the test fails, and where a count is too
+        # large for exact int64 products.
         nb = len(B)
-        dist_a, sig_a = self.rows.block(A, B + cs)
-        dbc, sbc = self.rows.block(B, cs)
-        if max(sig_a.max(), sbc.max()) >= _SIGMA_VECTOR_MAX:
-            return None
-        dab, dac = dist_a[:, :nb], dist_a[:, nb:]
-        sab, sac = sig_a[:, :nb], sig_a[:, nb:]
-        return (dac[:, None, :] + dbc[None, :, :] == dab[:, :, None]) & (
-            sac[:, None, :] * sbc[None, :, :] == sab[:, :, None]
-        )
+        dist_a, sig_a = self.rows.block(A, B + [c])
+        dbc, sbc = (m[:, 0] for m in self.rows.block(B, [c]))
+        exact = (sig_a[:, :nb] < _SIGMA_VECTOR_MAX) & (sig_a[:, nb:] < _SIGMA_VECTOR_MAX) & (sbc < _SIGMA_VECTOR_MAX)
+        return exact & (dist_a[:, nb:] + dbc == dist_a[:, :nb]) & (sig_a[:, nb:] * sbc == sig_a[:, :nb])
 
     def _sigma_witness(self, r: int, c: int) -> Path:
         # The first (a', b') cell in row-major order, among those in play at
-        # r, with a geodesic avoiding c. The σ product fails there, so c is
-        # neither a' nor b'.
+        # r, with a geodesic avoiding c: where the σ test fails, or a count
+        # too large for it leaves the search to decide. c is neither a' nor b'.
         A, B = self._sets_at(r)
-        i, j = divmod(int((~self._on_every_geodesic(A, B, [c])).argmax()), len(B))
-        witness = self._avoiding_geodesic(A[i], B[j], {c})
-        assert witness is not None
-        return witness
+        for cell in np.flatnonzero(~self._on_every_geodesic(A, B, c)).tolist():
+            i, j = divmod(cell, len(B))
+            witness = self._avoiding_geodesic(A[i], B[j], {c})
+            if witness is not None:
+                return witness
+        raise AssertionError(f"no geodesic at radius {r} avoids {c}")
 
     def _violations_general(self, A, B, cs):
         for c in cs:

@@ -41,9 +41,10 @@ shortest-path-count rows from one on-demand store, ``_Rows``, which keeps
 at most ``_ROW_CELLS`` cells of them. One map gives each held source a
 slot: a row of an int32 matrix of distances and, in a store made for path
 counts, of an int64 matrix of counts. A distance row is a read-only view
-of its slot, and ``_Rows.block`` reads many rows at many columns by one
-fancy index. Every row enters through ``_Rows.load``, which fills a
-block's distance and count rows together: ``_distance_rows`` is a
+of its slot, ``_Rows.block`` reads many rows at many columns by one
+fancy index, and ``_Rows.cells`` one entry each of many rows. Every row
+enters through ``_Rows.load``, which fills a block's distance and count
+rows together: ``_distance_rows`` is a
 bit-parallel BFS that runs up to 64 searches in the bits of one machine
 word (MS-BFS: Then et al., *The More the Merrier*, PVLDB 8(4), 2014),
 used where the searches are shallow for their number (a bound read from
@@ -712,7 +713,8 @@ class _Rows:
     the rows asked for starts over with fresh matrices, so a row handed out
     earlier keeps its values. ``rows.block(X, cols)`` reads the distance
     and count rows of many sources at many columns, ``capacity`` sources
-    at a time, by one fancy index into each matrix.
+    at a time, by one fancy index into each matrix; ``rows.cells(sources,
+    cols)`` reads one entry of each pair the same way.
     """
 
     __slots__ = ("g", "capacity", "_counts", "_slot", "_dist", "_sigma")
@@ -822,6 +824,36 @@ class _Rows:
             parts.append(subs)
         subs = parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
         return subs[0], subs[1] if sigma else None
+
+    def cells(self, sources: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distance and path count from ``sources[i]`` at ``cols[i]``
+        for every i, as two arrays, in a store made with ``counts``.
+
+        The distinct sources are read ``capacity`` at a time, those held
+        first, so a read that fits the store beside its rows loads only the
+        missing ones; each group is read by one fancy index into each
+        matrix."""
+        distinct = _sorted_unique(sources.copy())
+        pos = np.searchsorted(distinct, sources)
+        held = np.fromiter(map(self._slot.__contains__, distinct.tolist()), bool, distinct.size)
+        order = np.argsort(~held, kind="stable")  # held sources first
+        groups = range(0, distinct.size, self.capacity)
+        if len(groups) > 1:
+            group_of = np.empty(distinct.size, dtype=np.intp)
+            group_of[order] = np.arange(distinct.size) // self.capacity
+            group_of = group_of[pos]
+        slot_of = np.empty(distinct.size, dtype=np.intp)
+        dist = np.empty(sources.size, dtype=np.int32)
+        sigma = np.empty(sources.size, dtype=np.int64)
+        for lo in groups:
+            ids = order[lo : lo + self.capacity]
+            group = distinct[ids].tolist()
+            self.load(group)
+            slot_of[ids] = list(map(self._slot.__getitem__, group))
+            mine = np.flatnonzero(group_of == lo // self.capacity) if len(groups) > 1 else slice(None)
+            at, where = slot_of[pos[mine]], cols[mine]
+            dist[mine], sigma[mine] = self._dist[at, where], self._sigma[at, where]
+        return dist, sigma
 
 
 def distance(g: MetricGraph, u: int, v: int) -> int | None:

@@ -73,6 +73,20 @@ def brute_shortest_paths(g: MetricGraph, u: int, v: int) -> list[tuple[int, ...]
     return sorted(found)
 
 
+def brute_path_counts(g: MetricGraph) -> list[list[int]]:
+    """Shortest-path counts between every pair by dynamic programming over
+    Floyd-Warshall distances: 1 from a vertex to itself, and to v the sum
+    over v's neighbours one closer to the source."""
+    dist = floyd_warshall(g)
+    n = g.vertex_count
+    counts = [[0] * n for _ in range(n)]
+    for s in range(n):
+        counts[s][s] = 1
+        for v in sorted((v for v in range(n) if 0 < dist[s][v] < float("inf")), key=dist[s].__getitem__):
+            counts[s][v] = sum(counts[s][u] for u in g.neighbors(v) if dist[s][u] == dist[s][v] - 1)
+    return counts
+
+
 def brute_diameter(g: MetricGraph, members) -> int | None:
     dist = floyd_warshall(g)
     best = 0

@@ -205,7 +205,7 @@ class TestClosedForms:
         assert asdim_upper_from_D(3) == 5
 
     def test_hyperbolic_group(self):
-        assert hyperbolic_group_asdim_upper(2, 1) == 7
+        assert hyperbolic_group_asdim_upper(2, 1) == 9  # |N(c;2)| <= 5 on 2 generators
         assert hyperbolic_group_asdim_upper(4, 0) == 1
 
     def test_guards(self):

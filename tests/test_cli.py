@@ -138,6 +138,23 @@ class TestPropb:
         ]
         assert [line for line in out.splitlines() if line.startswith("violation ")] == kept
 
+    def test_shallow_tree_centre_is_a_theorem_alarm(self, capsys, monkeypatch):
+        # check_property_b reads a pair's depths first, to pick its centres
+        # at each radius; there every centre reads one step deeper than it
+        # is, so a centre within r of an end reaches the tree lemma, whose
+        # premise failure is an internal error (exit 1), not bad input
+        real = geodesics._TreePairChecker.depths
+
+        def deeper_at_first(checker, cs):
+            lie = not hasattr(checker, "lied")
+            checker.lied = True
+            return real(checker, cs) + lie
+
+        monkeypatch.setattr(geodesics._TreePairChecker, "depths", deeper_at_first)
+        code, out, err = run_cli(capsys, "propb", "--space", "broom:10", "--k", "0", "--rmax", "2", "--pair-budget", "20")
+        assert (code, out) == (1, "")
+        assert err.startswith("THEOREM ALARM: a centre lies within 1 of an end of its pair")
+
     def test_default_k_uses_delta(self, capsys):
         code, out, _ = run_cli(
             capsys, "propb", "--space", "broom:15", "--rmax", "2", "--pair-budget", "40"

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_shortest_paths, floyd_warshall, kernel_graph, random_graph, spy_rows
+from conftest import brute_path_counts, brute_shortest_paths, floyd_warshall, kernel_graph, random_graph, spy_rows
 from coarselab import geodesics, graphs
 from coarselab.geodesics import (
     GeodesicFamily,
@@ -494,7 +495,7 @@ class TestPropertyB:
             return walk
 
         monkeypatch.setattr(geodesics, "_canonical_walk", spy)
-        pair = geodesics._PairChecker(GeodesicFamily.canonical_of(g), rows, 9, 54, 0, 1, 2)
+        (pair,) = geodesics._PairChecker.run(GeodesicFamily.canonical_of(g), rows, [(9, 54)], 0, 1, 2, {})
         pool = pair.qualifying_pool()
         for r in range(3):
             pair.counts(r, pool)
@@ -634,28 +635,39 @@ class TestPairRuns:
 class TestUnionCubes:
     """For all geodesics, G(a,b;r) compares an |A| x |B| x |E| cube of
     distances, cut into slices of rows of A of at most ``_CUBE_CELLS``
-    cells; no bound changes a report."""
+    cells, and the σ clause's level pass reads its (pair, centre, cell)
+    entries in slices of at most a 64th of ``_CUBE_CELLS``; no bound
+    changes a report."""
 
     @pytest.mark.parametrize("bound", [1, 300, geodesics._CUBE_CELLS])
     @pytest.mark.parametrize("kind", ["all", "canonical"])
     def test_sliced_union_cubes_give_the_same_reports(self, monkeypatch, bound, kind):
-        runs = [dict(ell=ell, k=k, r_max=2, pair_budget=60, c_budget=6, seed=3) for k, ell in ((1, 0), (2, 1))]
+        runs = [dict(ell=ell, k=k, r_max=2, pair_budget=60, c_budget=6, seed=3) for k, ell in ((1, 0), (2, 1), (0, 0))]
         cases = [(GeodesicFamily(g, kind), run) for g in larger_non_tree_graphs(4) + [grid(6).graph] for run in runs]
         # the reference reads every cube whole
         monkeypatch.setattr(geodesics, "_CUBE_CELLS", 2**62)
         whole = [check_property_b(fam, **run) for fam, run in cases]
         assert any(rep.observed_D > 1 for rep in whole)
-        cubes = []
-        real = geodesics._PairChecker._members_of_union_r
+        cubes, slices = [], []
+        real_union, real_avoided = geodesics._PairChecker._members_of_union_r, geodesics._avoided
 
-        def spy(checker, A, B):
+        def union(checker, A, B):
             cubes.append(len(A) * len(B) * checker.envelope.size)
-            return real(checker, A, B)
+            return real_union(checker, A, B)
 
-        monkeypatch.setattr(geodesics._PairChecker, "_members_of_union_r", spy)
+        def avoided(rows, ap, bp, c):
+            slices.append(ap.size)
+            return real_avoided(rows, ap, bp, c)
+
+        monkeypatch.setattr(geodesics._PairChecker, "_members_of_union_r", union)
+        monkeypatch.setattr(geodesics, "_avoided", avoided)
         monkeypatch.setattr(geodesics, "_CUBE_CELLS", bound)
         assert [check_property_b(fam, **run) for fam, run in cases] == whole
         assert max(cubes) > 300
+        # the σ clause runs for the all family only; its slices keep to the bound
+        assert bool(slices) == (kind == "all") and max(slices, default=0) <= max(1, bound // 64)
+        if kind == "all" and bound > 300:
+            assert max(slices) > 300
 
 
 ROW_ONCE_GRAPHS = [larger_graph(seed) for seed in range(6)] + [farey_truncation(12).graph, grid(8).graph]
@@ -781,8 +793,8 @@ class TestTreePropertyB:
     def test_sliced_cubes_give_the_same_reports(self, monkeypatch, bound):
         # Pairs beside broom:12's root reach many rays within r_max = 3: the
         # root pair (0, 1) has N(0;3) x N(1;3) = 34 x 24 = 816 endpoint cells.
-        # The tree backend has no cube; the table backend's σ product, cut
-        # into slices of at most ``bound`` cells, must give its reports.
+        # The tree backend has no cube; the table backend's σ level pass,
+        # read in slices of at most ``bound`` cells, must give its reports.
         g = broom_tree(12).graph
         assert (len(ball(g, 0, 3)), len(ball(g, 1, 3))) == (34, 24)
         fam = GeodesicFamily.all_of(g)
@@ -806,7 +818,7 @@ class TestTreePropertyB:
                 assert list(checker.violations(r, deep)) == []
                 for c in pool:
                     if depth[c] < r:
-                        with pytest.raises(ValueError):
+                        with pytest.raises(geodesics.ClaimViolation):
                             checker.violations(r, deep + [c])
 
     @pytest.mark.parametrize("a, b", [(0, 1), (5, 40), (78, 60)])
@@ -852,20 +864,23 @@ class TestTreePropertyB:
         assert rep.qualifying_found and rep.violations_total == 0
 
 
-def eager_sigma_violations(checker, A, B, cs, on_all):
-    """The σ clause as a per-cell search: one ``np.argwhere`` per c, its
-    first avoidable (a', b') cell's witness built at once, whether the
-    violation is kept or not. It also checks that every avoidable cell,
-    not only the first, has an avoiding geodesic."""
-    avoidable = ~on_all
-    for idx, c in enumerate(cs):
-        cells = np.argwhere(avoidable[:, :, idx]).tolist()
-        for i, j in cells:
-            assert checker._avoiding_geodesic(A[i], B[j], {c}) is not None
-        if cells:
-            i, j = cells[0]
-            witness = checker._avoiding_geodesic(A[i], B[j], {c})
-            yield c, lambda witness=witness: witness
+def eager_sigma_violations(checker, dist, counts, A, B, cs):
+    """The σ clause as a per-cell search: for each c, every (a', b') cell
+    whose shortest paths do not all pass through c, by the Floyd-Warshall
+    distances and the brute path counts, is searched for an avoiding
+    geodesic; the first cell's witness, in row-major order, is built at
+    once, whether the violation is kept or not."""
+    for c in cs:
+        cells = [
+            (ap, bp)
+            for ap in A
+            for bp in B
+            if dist[ap][c] + dist[c][bp] != dist[ap][bp] or counts[ap][c] * counts[c][bp] != counts[ap][bp]
+        ]
+        witnesses = [checker._avoiding_geodesic(ap, bp, {c}) for ap, bp in cells]
+        assert None not in witnesses
+        if witnesses:
+            yield c, lambda witness=witnesses[0]: witness
 
 
 SIGMA_GRAPHS = {
@@ -877,10 +892,10 @@ SIGMA_GRAPHS = {
 
 
 class TestSigmaClause:
-    """The σ clause (k = 0, all geodesics) runs one product per pair, at its
-    deepest radius, and builds a witness only for the violations kept; a
-    product per radius with a per-cell search and eager witnesses is its
-    oracle."""
+    """The σ clause (k = 0, all geodesics) is settled by one level pass per
+    run of pairs, and builds a witness, by one single-centre product, only
+    for the violations kept; a per-radius, per-cell search with eager
+    witnesses is its oracle."""
 
     @pytest.mark.parametrize("name", SIGMA_GRAPHS)
     def test_lazy_witnesses_match_the_eager_search(self, monkeypatch, name):
@@ -890,20 +905,19 @@ class TestSigmaClause:
         products = []
         real_product = geodesics._PairChecker._on_every_geodesic
 
-        def product(checker, A, B, cs):
-            products.append(checker)
-            return real_product(checker, A, B, cs)
+        def product(checker, A, B, c):
+            products.append(c)
+            return real_product(checker, A, B, c)
 
         monkeypatch.setattr(geodesics._PairChecker, "_on_every_geodesic", product)
         lazy = {cap: check_property_b(fam, violation_cap=cap, **params) for cap in (0, 1, 3, 50)}
+        dist = floyd_warshall(g)
+        counts = brute_path_counts(g)
         searched = []
 
         def eager(checker, r, cs):
-            A, B = checker._sets_at(r)
-            on_all = real_product(checker, A, B, cs)
-            assert on_all is not None
             searched.append(len(cs))
-            return eager_sigma_violations(checker, A, B, cs, on_all)
+            return eager_sigma_violations(checker, dist, counts, *checker._sets_at(r), cs)
 
         monkeypatch.setattr(geodesics._PairChecker, "violations", eager)
         full = check_property_b(fam, violation_cap=10**6, **params)
@@ -915,10 +929,128 @@ class TestSigmaClause:
             assert dataclasses.replace(rep, intersection_violations=()) == dataclasses.replace(
                 full, intersection_violations=()
             )
-        # one product per pair with a pool, and one per witness built
-        kept = sum(len(rep.intersection_violations) for rep in lazy.values())
-        assert len(products) == len(set(map(id, products))) + kept
+        # one single-centre product per witness built, and no other
+        assert len(products) == sum(len(rep.intersection_violations) for rep in lazy.values())
+
+    def test_the_witness_product_leaves_large_counts_to_the_search(self, monkeypatch):
+        # A cell whose counts reach the bound is not taken as one whose
+        # geodesics all pass through c, even where they do: the witness
+        # search decides it
+        g = grid(6).graph
+        dist = floyd_warshall(g)
+        counts = brute_path_counts(g)
+        monkeypatch.setattr(geodesics, "_SIGMA_VECTOR_MAX", 6)
+        rows = graphs._Rows(g, counts=True)
+        (checker,) = geodesics._PairChecker.run(GeodesicFamily.all_of(g), rows, [(0, 35)], 0, 0, 2, {})
+        A, B = checker._sets_at(2)
+        unsure = 0
+        for c in checker.qualifying_pool():
+            mask = checker._on_every_geodesic(A, B, c)
+            for (i, ap), (j, bp) in itertools.product(enumerate(A), enumerate(B)):
+                exact = max(counts[ap][bp], counts[ap][c], counts[c][bp]) < 6
+                on_all = dist[ap][c] + dist[c][bp] == dist[ap][bp] and counts[ap][c] * counts[c][bp] == counts[ap][bp]
+                assert mask[i, j] == (exact and on_all)
+                unsure += on_all and not exact
+        assert unsure
+
     def test_the_structured_spaces_violate(self):
         for name in ("grid:6", "farey:8"):
             fam = GeodesicFamily.all_of(SIGMA_GRAPHS[name])
             assert check_property_b(fam, ell=0, k=0, r_max=2, pair_budget=120, seed=3).violations_total > 50
+
+
+def spy_sigma_runs(monkeypatch) -> list:
+    """Record each level pass: its run's checkers and centres, and the
+    (centre, a', b') entries it reads, one slice per ``_avoided`` call."""
+    runs = []
+    real_levels, real_avoided = geodesics._sigma_levels, geodesics._avoided
+
+    def levels(rows, checkers, centres):
+        runs.append((checkers, centres, []))
+        real_levels(rows, checkers, centres)
+
+    def avoided(rows, ap, bp, c):
+        runs[-1][2].append(list(zip(c.tolist(), ap.tolist(), bp.tolist())))
+        return real_avoided(rows, ap, bp, c)
+
+    monkeypatch.setattr(geodesics, "_sigma_levels", levels)
+    monkeypatch.setattr(geodesics, "_avoided", avoided)
+    return runs
+
+
+class TestSigmaLevels:
+    """The level pass against brute force and against the cells it must
+    read: every (pair, centre, cell) up to the centre's first violating
+    level, or its last checked radius, once, and no other."""
+
+    @pytest.mark.parametrize("index", range(len(PROPB_GRAPHS)))
+    @pytest.mark.parametrize("kind", ["all", "canonical"])
+    @pytest.mark.parametrize("bound", [1, 300])
+    def test_sliced_levels_match_brute_force(self, monkeypatch, index, kind, bound):
+        g = PROPB_GRAPHS[index]
+        dist = floyd_warshall(g)
+        n = g.vertex_count
+        fam = GeodesicFamily(g, kind)
+        monkeypatch.setattr(geodesics, "_CUBE_CELLS", bound)
+        runs = spy_sigma_runs(monkeypatch)
+        for r_max, ell in itertools.product((0, 1, 2), (0, 1)):
+            rep = check_property_b(fam, ell=ell, k=0, r_max=r_max, pair_budget=n * n, c_budget=n, violation_cap=n**4)
+            observed, qualifying, instances, violating = brute_property_b(g, kind, ell, 0, r_max)
+            assert rep.exhaustive
+            assert (rep.observed_D, rep.qualifying_found) == (observed, qualifying)
+            assert (rep.samples_checked, rep.violations_total) == (instances, len(violating))
+            assert {(v.a, v.b, v.r, v.c) for v in rep.intersection_violations} == violating
+            for v in rep.intersection_violations:
+                path = v.geodesic.vertices
+                assert path in brute_shortest_paths(g, path[0], path[-1])[: 1 if kind == "canonical" else None]
+                assert dist[v.a][path[0]] <= v.r and dist[v.b][path[-1]] <= v.r and v.c not in path
+        slices = [len(part) for _, _, parts in runs for part in parts]
+        assert bool(slices) == (kind == "all") and max(slices, default=0) <= max(1, bound // 64)
+
+    @pytest.mark.parametrize("name", SIGMA_GRAPHS)
+    @pytest.mark.parametrize("bound", [1, 300, geodesics._CUBE_CELLS])
+    def test_each_cell_is_read_once_up_to_its_first_violation(self, monkeypatch, name, bound):
+        g = SIGMA_GRAPHS[name]
+        dist = floyd_warshall(g)
+        ell, r_max = (1 if name.startswith("kernel") else 0), 2  # some centres checked below r_max
+        monkeypatch.setattr(geodesics, "_CUBE_CELLS", bound)
+        runs = spy_sigma_runs(monkeypatch)
+        rep = check_property_b(
+            GeodesicFamily.all_of(g), ell=ell, k=0, r_max=r_max, pair_budget=120, c_budget=4, seed=5, violation_cap=10**6
+        )
+        first = {}
+        for v in rep.intersection_violations:
+            first[v.a, v.b, v.c] = min(v.r, first.get((v.a, v.b, v.c), v.r))
+        assert any(parts for _, _, parts in runs) == rep.qualifying_found
+        assert len(first) > 50 or name.startswith("kernel")
+        for checkers, centres, parts in runs:
+            expected = collections.Counter()
+            for checker, cs in zip(checkers, centres):
+                a, b = checker.a, checker.b
+                reach = [w for w in range(g.vertex_count) if dist[a][w] < float("inf")]
+                for c in cs:
+                    last = min(r_max, min(dist[a][c], dist[b][c]) - ell, first.get((a, b, c), r_max))
+                    expected.update(
+                        (c, ap, bp) for ap in reach for bp in reach if max(dist[a][ap], dist[b][bp]) <= last
+                    )
+            assert collections.Counter(entry for part in parts for entry in part) == expected
+
+    @pytest.mark.parametrize("name", ["grid:6", "farey:8", "kernel_5", "kernel_11"])
+    def test_pairs_with_large_counts_fall_back_beside_the_others(self, monkeypatch, name):
+        g = SIGMA_GRAPHS[name]
+        fam = GeodesicFamily.all_of(g)
+        params = dict(ell=0, k=0, r_max=2, pair_budget=150, c_budget=6, seed=2, violation_cap=10**6)
+        default = check_property_b(fam, **params)
+        counts = sorted(set(itertools.chain.from_iterable(brute_path_counts(g))))
+        runs = spy_sigma_runs(monkeypatch)
+        general = []
+        real_general = geodesics._PairChecker._violations_general
+        monkeypatch.setattr(
+            geodesics._PairChecker, "_violations_general", lambda *args: general.append(1) or real_general(*args)
+        )
+        monkeypatch.setattr(geodesics, "_SIGMA_VECTOR_MAX", counts[len(counts) // 2])
+        assert check_property_b(fam, **params) == default
+        mixed = [
+            {checker._first is None for checker, cs in zip(checkers, centres) if cs} for checkers, centres, _ in runs
+        ]
+        assert {True, False} in mixed and general

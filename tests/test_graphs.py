@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_diameter, brute_shortest_paths, floyd_warshall, kernel_graph, random_graph, spy_rows
+from conftest import (
+    brute_diameter,
+    brute_path_counts,
+    brute_shortest_paths,
+    floyd_warshall,
+    kernel_graph,
+    random_graph,
+    spy_rows,
+)
 from coarselab import graphs
 from coarselab.graphs import (
     GraphFormatError,
@@ -1104,23 +1112,44 @@ class TestRowStore:
             assert (sig.tolist() if counts else sig) == ([[paths[x][v] for v in cols] for x in X] if counts else None)
             assert len(rows._slot) <= held
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("held", [1, 2, 3, None])
+    def test_cells_match_brute_force(self, monkeypatch, seed, held):
+        # one entry each of many sources, some repeated, from a store of
+        # ``held`` sources' rows (or the default one) that holds a row already
+        g = kernel_graph(seed)
+        n = g.vertex_count
+        if held is not None:
+            monkeypatch.setattr(graphs, "_ROW_CELLS", held * n * 3)
+        rows = _Rows(g, counts=True)
+        rng = random.Random(seed)
+        rows.load([rng.randrange(n)])
+        sources = np.array([rng.randrange(n) for _ in range(40)])
+        cols = np.array([rng.randrange(n) for _ in range(40)])
+        dist, sig = rows.cells(sources, cols)
+        paths = brute_path_counts(g)
+        assert dist.dtype == np.int32 and sig.dtype == np.int64
+        assert dist.tolist() == [bfs_distances(g, s)[v] for s, v in zip(sources.tolist(), cols.tolist())]
+        assert sig.tolist() == [paths[s][v] for s, v in zip(sources.tolist(), cols.tolist())]
+        assert len(rows._slot) <= rows.capacity
+
+    def test_cells_load_only_the_rows_not_held(self, monkeypatch):
+        # a read that fits the store beside its rows computes only the
+        # missing ones, whatever the order of its sources
+        from coarselab.spaces import grid
+
+        g = grid(6).graph
+        monkeypatch.setattr(graphs, "_ROW_CELLS", 4 * 36 * 3)
+        rows = _Rows(g, counts=True)
+        rows.load([5, 9, 30])
+        single, batched, counted = spy_rows(monkeypatch)
+        dist, _ = rows.cells(np.array([30, 7, 5, 9, 7]), np.array([0, 1, 2, 3, 4]))
+        assert dist.tolist() == [bfs_distances(g, s)[v] for s, v in ((30, 0), (7, 1), (5, 2), (9, 3), (7, 4))]
+        assert single + sum(batched, []) == [7] and sum(counted, []) == [7]
+
     def test_invalid_source_raises(self):
         with pytest.raises(ValueError, match="invalid vertex id 5"):
             _Rows(path_graph(5))[5]
-
-
-def brute_path_counts(g: MetricGraph) -> list[list[int]]:
-    """Shortest-path counts between every pair by dynamic programming over
-    Floyd-Warshall distances: 1 from a vertex to itself, and to v the sum
-    over v's neighbours one closer to the source."""
-    dist = floyd_warshall(g)
-    n = g.vertex_count
-    counts = [[0] * n for _ in range(n)]
-    for s in range(n):
-        counts[s][s] = 1
-        for v in sorted((v for v in range(n) if 0 < dist[s][v] < float("inf")), key=dist[s].__getitem__):
-            counts[s][v] = sum(counts[s][u] for u in g.neighbors(v) if dist[s][u] == dist[s][v] - 1)
-    return counts
 
 
 class TestCountRows:
