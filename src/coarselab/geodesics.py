@@ -560,13 +560,13 @@ def _sigma_levels(rows: _Rows, checkers: list[_PairChecker], centres: list[list[
             break
         z = np.bincount(owner[idx], minlength=pairs)  # each pair's centres in play
         z_at = np.cumsum(z) - z
-        # Two blocks of cells per pair: N(a;r) x S(b;r) and S(a;r) x N(b;r-1),
-        # as row and column ranges of the pair's orders.
-        a_lo = np.concatenate((np.zeros(pairs, dtype=np.int64), below_a[:, r]))
-        a_hi = np.tile(below_a[:, r + 1], 2)
-        b_lo = np.concatenate((below_b[:, r], np.zeros(pairs, dtype=np.int64)))
-        b_hi = np.concatenate((below_b[:, r + 1], below_b[:, r]))
-        x, y, zz = a_hi - a_lo, b_hi - b_lo, np.tile(z, 2)
+        # Two blocks of cells per pair, one after the other, so a pair's
+        # slices share its rows: N(a;r) x S(b;r) and S(a;r) x N(b;r-1), as
+        # row and column ranges of the pair's orders.
+        a_lo, b_lo = np.zeros(2 * pairs, dtype=np.int64), np.zeros(2 * pairs, dtype=np.int64)
+        a_hi, b_hi = np.repeat(below_a[:, r + 1], 2), np.repeat(below_b[:, r + 1], 2)
+        a_lo[1::2], b_lo[0::2], b_hi[1::2] = below_a[:, r], below_b[:, r], below_b[:, r]
+        x, y, zz = a_hi - a_lo, b_hi - b_lo, np.repeat(z, 2)
         sizes = x * y * zz
         ends = np.cumsum(sizes)
         total = int(ends[-1])
@@ -577,7 +577,7 @@ def _sigma_levels(rows: _Rows, checkers: list[_PairChecker], centres: list[list[
             at = t - (ends[blk] - sizes[blk])
             i, rest = np.divmod(at, y[blk] * zz[blk])
             j, l = np.divmod(rest, zz[blk])
-            p = blk % pairs
+            p = blk // 2
             ap = order_a[p * n + a_lo[blk] + i]
             bp = order_b[p * n + b_lo[blk] + j]
             ci = idx[z_at[p] + l]
