@@ -27,7 +27,6 @@ from .a1 import (
     ClaimViolation,
     FatCover,
     ScopeTooSmallError,
-    VariationSweepReport,
     build_fat_cover,
     check_a1_maps,
     lebesgue_check,
@@ -256,7 +255,6 @@ class PipelineA1Result:
     lines: list[str]
     propb: PropertyBReport | None = None
     fat: FatCover | None = None
-    sweep: VariationSweepReport | None = None
     max_support: int | None = None
     all_pass: bool = False
 
@@ -386,7 +384,6 @@ def pipeline_a1(
         lines,
         propb=rep,
         fat=fat,
-        sweep=sweep,
         max_support=maps.max_support,
         all_pass=all_pass,
     )

@@ -297,22 +297,18 @@ def multiplicity(
     cover: Cover,
     radius: int,
     d_constant: int | None = None,
-    complete_only: bool = True,
 ) -> MultiplicityReport:
     """Max number of cover sets meeting ``N(x; radius)``, by set index;
     the witness is the least vertex attaining a positive max.
 
-    With ``complete_only`` (the claim-checking mode) only vertices whose
-    ball stays inside the complete annuli are counted, since the bound is
-    a statement about the untruncated construction; without it the raw
-    measurement runs over every vertex. The claimed bound is ``2D`` when
-    a boundedness constant is supplied.
+    Only vertices whose ball stays inside the complete annuli are counted,
+    since the bound is a statement about the untruncated construction. The
+    claimed bound is ``2D`` when a boundedness constant is supplied.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     counts = np.bincount(_set_balls(g, cover.keys, radius) % max(g.vertex_count, 1), minlength=g.vertex_count)
-    if complete_only:
-        counts[~cover._core_mask(g, radius)] = 0
+    counts[~cover._core_mask(g, radius)] = 0
     witness = int(counts.argmax()) if counts.any() else None
     max_mult = 0 if witness is None else int(counts[witness])
     bound = None if d_constant is None else 2 * d_constant

@@ -30,17 +30,18 @@ from one memoised store per call (``graphs._Rows``). It loads the
 endpoint rows of a run of pairs, which build the run's checkers together
 as (pairs x n) array operations, then the rows their instances read, in
 runs that fill the store whole kernel blocks at a time; it hands the
-rows of many sources at many columns back as one matrix (``_Rows.block``)
-and single entries of many rows as arrays (``_Rows.cells``). With k = 0
-and all geodesics the intersection clause is one pass per run of pairs
-over the levels r = 0, 1, ... of the endpoint cells (a', b'), level
-max(d(a,a'), d(b,b')): each level's cells are read once, by path
-counts, against the centres that have not yet violated, so every centre
-gets its first violating radius and leaves the pass there. A violation is
-counted when found; its witness cell and geodesic are found only if the
-report keeps it. :func:`thin_delta` takes one path on every
-graph. Its triples go in runs whose far ends' rows the same kind of
-store loads at once, as many as it holds (one kernel block for the all
+distance rows of many sources at many columns back as one matrix
+(``_Rows.block``) and single distance and count entries of many rows as
+arrays (``_Rows.cells``). With k = 0 and all geodesics the intersection
+clause is one pass per run of pairs over the levels r = 0, 1, ... of the
+endpoint cells (a', b'), level max(d(a,a'), d(b,b')): each level's cells
+are read once, by path counts, against the centres that have not yet
+violated, so every centre gets its first violating radius and leaves the
+pass there. A checker names the violating centres (``violations``) and
+builds a witness geodesic, by one row-major search of the endpoint cells,
+only for a violation the report keeps (``witness``). :func:`thin_delta`
+takes one path on every graph. Its triples go in runs whose far ends'
+rows the same kind of store loads at once, as many as it holds (one kernel block for the all
 family, which turns each row into a list). A run's distinct sides are
 the rows of one array, each padded with its far end, and its triangles
 are rows of three indices into it: canonical sides all walk down the far
@@ -53,7 +54,7 @@ A family enters only as its walk down a distance row: the canonical walk
 (the least-id step) or all walks (every step one closer). G(a,b;r) has
 one implementation, ``_PairChecker._members_of_union_r``, which
 :meth:`GeodesicFamily.union_r` also calls; the intersection clause asks
-one question per endpoint pair, whether a family geodesic avoids N(c;k).
+one question per endpoint cell, whether a family geodesic avoids N(c;k).
 
 Convention note: ``observed_D`` is a single constant, the max over all
 checked radii r <= r_max. Some formulations in the literature let the
@@ -153,7 +154,7 @@ class GeodesicFamily:
         """G(a, b; r): the union of G(a', b') over a' in N(a;r), b' in N(b;r)."""
         if r < 0:
             raise ValueError("r must be nonnegative")
-        (checker,) = _PairChecker.run(self, _Rows(self.graph), [(a, b)], 0, 0, r, {})
+        (checker,), _, _ = _PairChecker.run(self, _Rows(self.graph), [(a, b)], 0, 0, r, {})
         if not checker.reachable:
             raise ValueError(f"vertices {a} and {b} are unreachable from each other")
         return set(np.flatnonzero(checker._members_of_union_r(*checker._sets_at(r))).tolist())
@@ -385,10 +386,11 @@ def check_property_b(
     count fits ``pair_budget``, else a seeded sample), radii r = 0..r_max,
     and the qualifying deep points c on G(a,b) with d(c, {a,b}) >= r + ell
     (subsampled to ``c_budget`` per pair when necessary). For every
-    instance it computes ``|G(a,b;r) ∩ N(c;k)|`` exactly and verifies the
-    intersection clause, recording one witness geodesic per violating
-    instance (list capped at ``violation_cap``; ``violations_total`` keeps
-    the full count, and only the violations kept build their witness).
+    instance it computes ``|G(a,b;r) ∩ N(c;k)|`` exactly (1 at k = 0) and
+    verifies the intersection clause, recording one witness geodesic per
+    violating instance (list capped at ``violation_cap``;
+    ``violations_total`` keeps the full count, and only the violations
+    kept ask their checker for a witness).
 
     ``observed_D == 0`` with ``qualifying_found == False`` means no
     instance qualified at these parameters: a vacuous run, not a pass.
@@ -406,7 +408,8 @@ def check_property_b(
     the cells (a', b') of level exactly r, max(d(a,a'), d(b,b')) = r, are
     N(a;r) x {b' : d(b,b') = r} and {a' : d(a,a') = r} x N(b;r-1); each is
     read once against each centre still in play, and a centre leaves at
-    its first violating level or once r passes its depth - ell.
+    its first violating level or once r passes its depth - ell. Other
+    pairs, and every witness, take one row-major search of the cells.
     N(c;k) is computed once per call.
     """
     if ell < 0 or k < 0 or r_max < 0:
@@ -447,19 +450,20 @@ def check_property_b(
             continue
         qualifying_found = True
         a, b = worker.a, worker.b
-        c_truncated = c_truncated or len(centres) < len(worker.qualifying_pool())
+        c_truncated = c_truncated or len(centres) < len(worker.pool)
         pool_at = np.asarray(centres)
         pool_depth = worker.depths(centres)
         # a centre at depth d is checked at radii r <= d - ell
         for r in range(min(r_max, int(pool_depth.max()) - ell) + 1):
             cs = pool_at[pool_depth >= r + ell].tolist()
             samples += len(cs)
-            observed = max(observed, *worker.counts(r, cs))
+            # N(c;0) = {c} and c lies on G(a,b) ⊆ G(a,b;r): every k = 0 count is 1.
+            observed = max(observed, *worker.counts(r, cs)) if k else max(observed, 1)
             # Every violation counts; only those kept build their witness.
-            for c, witness in worker.violations(r, cs):
+            for c in worker.violations(r, cs):
                 violations_total += 1
                 if len(violations) < violation_cap:
-                    violations.append(PropertyBViolation(a, b, r, c, witness()))
+                    violations.append(PropertyBViolation(a, b, r, c, worker.witness(r, c)))
 
     exhaustive = exhaustive_pairs and not c_truncated
     return PropertyBReport(
@@ -486,7 +490,7 @@ def _row_lists(mask: np.ndarray) -> list[list[int]]:
 def _centres(worker, c_budget: int, seed: int) -> list[int]:
     """The centres checked for a pair: its qualifying pool, or a seeded
     sample of ``c_budget`` of them, sorted."""
-    pool = worker.qualifying_pool()
+    pool = worker.pool
     if len(pool) <= c_budget:
         return pool
     rng_c = random.Random(seed * 2_654_435_761 + worker.a * 1_000_003 + worker.b)
@@ -509,17 +513,20 @@ def _pair_checkers(
     rows = _Rows(fam.graph, counts=sigma)
     hoods: dict[int, np.ndarray] = {}
     for run, _ in _loaded_runs(pairs, rows, lambda pair: pair, most=_BLOCK):
-        checkers = _PairChecker.run(fam, rows, run, ell, k, r_max, hoods)
+        checkers, Da, Db = _PairChecker.run(fam, rows, run, ell, k, r_max, hoods)
         centres = [_centres(checker, c_budget, seed) for checker in checkers]
         if sigma:
-            _sigma_levels(rows, checkers, centres)
+            _sigma_levels(rows, checkers, centres, Da, Db)
         for part, _ in _loaded_runs(zip(checkers, centres), rows, lambda item: item[0].reads):
             yield from part
 
 
-def _sigma_levels(rows: _Rows, checkers: list[_PairChecker], centres: list[list[int]]) -> None:
+def _sigma_levels(
+    rows: _Rows, checkers: list[_PairChecker], centres: list[list[int]], Da: np.ndarray, Db: np.ndarray
+) -> None:
     """The σ clause (k = 0, all geodesics) of a run of checkers, in one
-    pass over the levels r = 0, 1, ... of their endpoint cells.
+    pass over the levels r = 0, 1, ... of their endpoint cells; ``Da`` and
+    ``Db`` are the run's endpoint rows, which built its checkers.
 
     A cell (a', b') is in play from its level max(d(a,a'), d(b,b')) on: it
     is the least r with a' in N(a;r) and b' in N(b;r). So the cells of
@@ -543,7 +550,7 @@ def _sigma_levels(rows: _Rows, checkers: list[_PairChecker], centres: list[list[
     ell, r_max = group[0].ell, group[0].r_max
     owner = np.repeat(np.arange(pairs), [len(centres[i]) for i in todo])
     cs = np.concatenate([centres[i] for i in todo])
-    Da, Db = _endpoint_rows(rows, group)
+    Da, Db = Da[todo], Db[todo]
     reach = (Da >= 0) & (Db >= 0)
     last = np.minimum(r_max, np.minimum(Da, Db)[owner, cs] - ell)  # the last level each centre is checked at
     top = int(last.max())
@@ -606,14 +613,6 @@ def _level_order(D: np.ndarray, reach: np.ndarray, top: int) -> tuple[np.ndarray
     return np.argsort(key, axis=1, kind="stable").astype(np.int32).ravel(), below
 
 
-def _endpoint_rows(rows: _Rows, checkers: list[_PairChecker]) -> tuple[np.ndarray, np.ndarray]:
-    """The distance rows of the checkers' a ends and of their b ends, as two
-    (pairs x n) matrices."""
-    ends = [checker.a for checker in checkers] + [checker.b for checker in checkers]
-    dist, _ = rows.block(ends, np.arange(rows.g.vertex_count), sigma=False)
-    return dist[: len(checkers)], dist[len(checkers) :]
-
-
 def _avoided(rows: _Rows, ap: np.ndarray, bp: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each entry i, whether some geodesic from ``ap[i]`` to ``bp[i]``
     avoids ``c[i]``, and whether a path count read is too large for the
@@ -665,19 +664,15 @@ class _TreePairChecker:
         i = np.asarray([self.pos[c] for c in cs])
         return np.minimum(i, self.d_ab - i)
 
-    def qualifying_pool(self) -> list[int]:
-        return self.pool
-
     def counts(self, r: int, cs: list[int]) -> list[int]:
-        if self.k == 0:
-            return [1] * len(cs)
         self._settle(cs)
         return [self._counts[c][r] for c in cs]
 
     def violations(self, r: int, cs: list[int]) -> tuple:
-        """Always empty: every a'-b' geodesic at radius r passes through
-        each centre at depth r or more. That premise is checked here; a
-        centre nearer an end is an internal error, not bad input."""
+        """Always empty, so no witness is ever asked for: every a'-b'
+        geodesic at radius r passes through each centre at depth r or more.
+        That premise is checked here; a centre nearer an end is an internal
+        error, not bad input."""
         if (self.depths(cs) < r).any():
             raise ClaimViolation(f"a centre lies within {r} of an end of its pair, where the vacuous clause is not proved")
         return ()
@@ -718,7 +713,13 @@ class _PairChecker:
     max(d(a,a'), d(b,b')) = r, are read once against each centre not yet
     violated, which gives each centre its first violating radius
     (``_first``), unless the pair reads a path count too large for exact
-    int64 products, and falls back to the per-radius search.
+    int64 products, and falls back to the search.
+
+    ``violations(r, cs)`` returns the violating centres, from ``_first``
+    or the search; ``witness(r, c)`` runs the search for a kept one. The
+    search takes N(a;r) and N(b;r) once per (pair, r) and asks their cells
+    outside N(c;k), in row-major order (``_cells``), for a geodesic
+    avoiding N(c;k) (``_avoiding_geodesic``).
     """
 
     def __init__(self, fam: GeodesicFamily, rows: _Rows, a: int, b: int, ell: int, k: int, r_max: int, hoods: dict):
@@ -738,13 +739,14 @@ class _PairChecker:
         self._first: dict[int, int] | None = None
 
     @classmethod
-    def run(cls, fam: GeodesicFamily, rows: _Rows, pairs: list, ell: int, k: int, r_max: int, hoods: dict) -> list:
+    def run(cls, fam: GeodesicFamily, rows: _Rows, pairs: list, ell: int, k: int, r_max: int, hoods: dict) -> tuple:
         """The checkers of ``pairs``, built together from their endpoint
         rows: every pair's reach, depths, pool and reads by (pairs x n)
-        array operations."""
+        array operations; and those rows, as the matrices Da and Db."""
         checkers = [cls(fam, rows, a, b, ell, k, r_max, hoods) for a, b in pairs]
         canonical = fam.kind == "canonical"
-        Da, Db = _endpoint_rows(rows, checkers)
+        D = rows.block([a for a, _ in pairs] + [b for _, b in pairs], np.arange(rows.g.vertex_count))
+        Da, Db = D[: len(pairs)], D[len(pairs) :]
         d_ab = Da[np.arange(len(checkers)), [checker.b for checker in checkers]][:, None]
         lengths = d_ab.ravel().tolist()
         reach = (Da >= 0) & (Db >= 0)
@@ -769,7 +771,7 @@ class _PairChecker:
             checker.reachable = checker.d_ab >= 0
             checker.da, checker.db, checker.reach, checker.depth_row = Da[i], Db[i], reach[i], depth[i]
             checker.pool, checker.reads = pools[i], reads[i]
-        return checkers
+        return checkers, Da, Db
 
     @functools.cached_property
     def envelope(self) -> np.ndarray:
@@ -787,9 +789,6 @@ class _PairChecker:
             hood = self.hoods[c] = np.array(sorted(ball(self.g, c, self.k)), dtype=np.int32)
         return hood
 
-    def qualifying_pool(self) -> list[int]:
-        return self.pool
-
     def _sets_at(self, r: int) -> tuple[list[int], list[int]]:
         return (
             np.flatnonzero(self.reach & (self.da <= r)).tolist(),
@@ -799,9 +798,6 @@ class _PairChecker:
     # -- counting --
 
     def counts(self, r: int, cs: list[int]) -> list[int]:
-        if self.k == 0:
-            # N(c;0) = {c} and c ∈ G(a,b) ⊆ G(a,b;r): the intersection is {c}.
-            return [1] * len(cs)
         members = self._members_of_union_r(*self._sets_at(r))
         # One gather over every neighbourhood, summed neighbourhood by neighbourhood.
         hoods = [self._neighborhood(c) for c in cs]
@@ -818,8 +814,8 @@ class _PairChecker:
         # A, B and the envelope lie in the component of a and b, so every
         # distance read is nonnegative.
         env = self.envelope
-        dist_a, _ = self.rows.block(A, np.concatenate((B, env)), sigma=False)
-        rows_b, _ = self.rows.block(B, env, sigma=False)
+        dist_a = self.rows.block(A, np.concatenate((B, env)))
+        rows_b = self.rows.block(B, env)
         mab, rows_a = dist_a[:, : len(B), None], dist_a[:, None, len(B) :]
         hit = np.zeros(env.size, dtype=bool)
         step = max(1, _CUBE_CELLS // rows_b.size)
@@ -830,54 +826,47 @@ class _PairChecker:
 
     # -- intersection clause --
 
-    def violations(self, r: int, cs: list[int]):
-        """Each c of ``cs`` that some family geodesic from N(a;r) to N(b;r)
-        avoids, in order, with a thunk that returns such a geodesic."""
+    def violations(self, r: int, cs: list[int]) -> list[int]:
+        """The centres of ``cs`` that some family geodesic from N(a;r) to
+        N(b;r) avoids, in order: from the level pass where it settled the
+        pair, else by the witness search."""
         if self._first is not None:
-            return [(c, functools.partial(self._sigma_witness, r, c)) for c in cs if self._first[c] <= r]
-        return self._violations_general(*self._sets_at(r), cs)
-
-    def _on_every_geodesic(self, A: list[int], B: list[int], c: int) -> np.ndarray:
-        # c lies on every shortest a'→b' path iff the distance identity
-        # holds and the path counts multiply: sig(a',c)·sig(c,b') = sig(a',b').
-        # Counts are symmetric, so b's rows give sig(c,b'). The |A| x |B|
-        # mask is False where the test fails, and where a count is too
-        # large for exact int64 products.
-        nb = len(B)
-        dist_a, sig_a = self.rows.block(A, B + [c])
-        dbc, sbc = (m[:, 0] for m in self.rows.block(B, [c]))
-        exact = (sig_a[:, :nb] < _SIGMA_VECTOR_MAX) & (sig_a[:, nb:] < _SIGMA_VECTOR_MAX) & (sbc < _SIGMA_VECTOR_MAX)
-        return exact & (dist_a[:, nb:] + dbc == dist_a[:, :nb]) & (sig_a[:, nb:] * sbc == sig_a[:, :nb])
-
-    def _sigma_witness(self, r: int, c: int) -> Path:
-        # The first (a', b') cell in row-major order, among those in play at
-        # r, with a geodesic avoiding c: where the σ test fails, or a count
-        # too large for it leaves the search to decide. c is neither a' nor b'.
+            return [c for c in cs if self._first[c] <= r]
         A, B = self._sets_at(r)
-        for cell in np.flatnonzero(~self._on_every_geodesic(A, B, c)).tolist():
-            i, j = divmod(cell, len(B))
-            witness = self._avoiding_geodesic(A[i], B[j], {c})
-            if witness is not None:
-                return witness
-        raise AssertionError(f"no geodesic at radius {r} avoids {c}")
+        return [c for c in cs if self._search(A, B, c) is not None]
 
-    def _violations_general(self, A, B, cs):
-        for c in cs:
-            hood = set(self._neighborhood(c).tolist())
-            found = None
-            for ap in A:
-                if found is not None:
-                    break
-                if ap in hood:
-                    continue
-                for bp in B:
-                    if bp in hood:
-                        continue
-                    found = self._avoiding_geodesic(ap, bp, hood)
-                    if found is not None:
-                        break
-            if found is not None:
-                yield c, lambda witness=found: witness
+    def witness(self, r: int, c: int) -> Path:
+        """A family geodesic from N(a;r) to N(b;r) that avoids N(c;k), for a
+        violating centre c: that of the first cell (a', b'), in row-major
+        order, that has one."""
+        found = self._search(*self._sets_at(r), c)
+        if found is None:
+            raise ClaimViolation(f"centre {c} of pair ({self.a}, {self.b}) violates at radius {r}, but no geodesic avoids it")
+        return found
+
+    def _search(self, A: list[int], B: list[int], c: int) -> Path | None:
+        hood = set(self._neighborhood(c).tolist())
+        found = (self._avoiding_geodesic(ap, bp, hood) for ap, bp in self._cells(A, B, c, hood))
+        return next((path for path in found if path is not None), None)
+
+    def _cells(self, A: list[int], B: list[int], c: int, hood: set[int]) -> Iterator[tuple[int, int]]:
+        """The cells (a', b') of A x B outside ``hood`` = N(c;k) that might
+        hold a geodesic avoiding it, in row-major order, for A = N(a;r) and
+        B = N(b;r). With k = 0 and all geodesics, those where the σ test
+        fails or a count too large for it leaves the search to decide
+        (``_avoided``), read in slices of rows of at most ``_CUBE_CELLS //
+        64`` cells; else all of them."""
+        A, B = [ap for ap in A if ap not in hood], [bp for bp in B if bp not in hood]
+        if self.canonical is not None or self.k or not B:
+            yield from itertools.product(A, B)
+            return
+        step = max(1, _CUBE_CELLS // 64 // len(B))
+        for lo in range(0, len(A), step):
+            some = A[lo : lo + step]
+            ap, bp = np.repeat(some, len(B)), np.tile(B, len(some))
+            fails, saturated = _avoided(self.rows, ap, bp, np.full(ap.size, c))
+            hit = np.flatnonzero(fails | saturated)
+            yield from zip(ap[hit].tolist(), bp[hit].tolist())
 
     def _avoiding_geodesic(self, ap: int, bp: int, hood: set[int]) -> Path | None:
         # A family geodesic from a' to b' that misses the neighbourhood, or

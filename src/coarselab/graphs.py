@@ -41,8 +41,9 @@ shortest-path-count rows from one on-demand store, ``_Rows``, which keeps
 at most ``_ROW_CELLS`` cells of them. One map gives each held source a
 slot: a row of an int32 matrix of distances and, in a store made for path
 counts, of an int64 matrix of counts. A distance row is a read-only view
-of its slot, ``_Rows.block`` reads many rows at many columns by one
-fancy index, and ``_Rows.cells`` one entry each of many rows. Every row
+of its slot, ``_Rows.block`` reads the distance rows of many sources at
+many columns by one fancy index, and ``_Rows.cells`` one distance and
+count entry each of many rows, the only read of counts. Every row
 enters through ``_Rows.load``, which fills a block's distance and count
 rows together: ``_distance_rows`` is a
 bit-parallel BFS that runs up to 64 searches in the bits of one machine
@@ -712,9 +713,9 @@ class _Rows:
     ``rows[s]`` loads ``s`` when it is not held. A store without room for
     the rows asked for starts over with fresh matrices, so a row handed out
     earlier keeps its values. ``rows.block(X, cols)`` reads the distance
-    and count rows of many sources at many columns, ``capacity`` sources
-    at a time, by one fancy index into each matrix; ``rows.cells(sources,
-    cols)`` reads one entry of each pair the same way.
+    rows of many sources at many columns, ``capacity`` sources at a time,
+    by one fancy index; ``rows.cells(sources, cols)`` reads one distance
+    and one count entry of each pair, by one fancy index into each matrix.
     """
 
     __slots__ = ("g", "capacity", "_counts", "_slot", "_dist", "_sigma")
@@ -799,14 +800,13 @@ class _Rows:
         near = root[sources]
         return int(near.max()) + int(root.max()) if near.min() >= 0 else g.vertex_count
 
-    def block(self, X: list[int], cols, sigma: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-        """The distance rows of ``X`` at the columns ``cols``, and with
-        ``sigma`` their path-count rows there (else None), as two matrices.
+    def block(self, X: list[int], cols) -> np.ndarray:
+        """The distance rows of ``X`` at the columns ``cols``, as a matrix.
 
         ``X`` is loaded ``capacity`` sources at a time, and each chunk read
-        from each matrix by index: whole rows by one take of the slots, then
-        the columns, when they cover half a row or more (two contiguous
-        takes), else slots by columns in one fancy index.
+        by index: whole rows by one take of the slots, then the columns,
+        when they cover half a row or more (two contiguous takes), else
+        slots by columns in one fancy index.
         """
         cols = np.asarray(cols)
         parts = []
@@ -815,15 +815,11 @@ class _Rows:
             if not all(map(self._slot.__contains__, part)):
                 self.load(part)
             at = np.fromiter(map(self._slot.__getitem__, part), np.intp, len(part))
-            subs = []
-            for m in (self._dist, self._sigma)[: 1 + sigma]:
-                if 2 * cols.size >= self.g.vertex_count:
-                    subs.append(m.take(at, axis=0).take(cols, axis=1))
-                else:
-                    subs.append(m[at[:, None], cols])
-            parts.append(subs)
-        subs = parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
-        return subs[0], subs[1] if sigma else None
+            if 2 * cols.size >= self.g.vertex_count:
+                parts.append(self._dist.take(at, axis=0).take(cols, axis=1))
+            else:
+                parts.append(self._dist[at[:, None], cols])
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def cells(self, sources: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The distance and path count from ``sources[i]`` at ``cols[i]``

@@ -70,18 +70,21 @@ def test_criterion_2_a1_pipeline():
     b800 = broom_tree(800)
     for r in (2, 4):
         results[r] = pipeline_a1(b800, r=r, space_name="broom:800")
+    sups = []
     for r, res in results.items():
         assert res.exit_code == 0, f"pipeline at r={r} failed"
         assert res.all_pass
         assert res.propb.observed_D == 1
         assert res.max_support <= 2        # 2D with D = 1
-        sweep = res.sweep
+        # the report's variation section
+        sweep = dict(line.split("=", 1) for line in res.lines if "=" in line)
         # adjacent pairs: K = 1, so the chain bound is (4D+1)^2 / r
-        assert sweep.l1_bound == Fraction(25, r)
-        assert sweep.l1_ok and sweep.phi_ok and sweep.complement_ok and sweep.step_ok
-        assert sweep.sup_l1 <= Fraction(25, 1)
-        assert sweep.phi_bound == Fraction(5, r)
-    sups = [results[r].sweep.sup_l1 for r in (1, 2, 4)]
+        assert Fraction(sweep["l1_bound"]) == Fraction(25, r)
+        checks = ("variation_l1", "variation_phi", "variation_complement", "variation_step")
+        assert all(sweep[f"check_{name}"] == "pass" for name in checks)
+        sups.append(Fraction(sweep["sup_l1"]))
+        assert sups[-1] <= Fraction(25, 1)
+        assert Fraction(sweep["phi_bound"]) == Fraction(5, r)
     assert sups[0] >= sups[1] >= sups[2]
 
 

@@ -155,6 +155,16 @@ class TestPropb:
         assert (code, out) == (1, "")
         assert err.startswith("THEOREM ALARM: a centre lies within 1 of an end of its pair")
 
+    def test_violation_without_a_witness_is_a_theorem_alarm(self, capsys, monkeypatch):
+        # the level pass finds violations on farey:8; if no cell then gave
+        # a geodesic avoiding the centre, the witness search is at fault
+        # (exit 1), not the input
+        monkeypatch.setattr(geodesics._PairChecker, "_avoiding_geodesic", lambda *args: None)
+        code, out, err = run_cli(capsys, "propb", "--space", "farey:8", "--ell", "0", "--k", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("THEOREM ALARM: centre ") and "violates at radius" in err
+        assert "no geodesic avoids it" in err
+
     def test_default_k_uses_delta(self, capsys):
         code, out, _ = run_cli(
             capsys, "propb", "--space", "broom:15", "--rmax", "2", "--pair-budget", "40"
@@ -470,6 +480,16 @@ def test_one_center_label_computes_one_label(labels_computed, capsys):
         (
             "propb --space tree:3,9 --ell 1 --k 1 --pair-budget 500",
             "d35d074fa2b16e13c609e921e5fc36db97b65e1fecda18b1f7b063b6f8890d63",
+        ),
+        # perfbench's reference digests of three benchmark ops
+        (
+            "cover --space broom:260 --r 1 --ell 0 --d-constant 1",
+            "ebaf5ffb633d3e66df2a9d39c68c56a48ba75209688c24838cbd324466d5e07c",
+        ),
+        ("delta --space farey:30 --budget 500 --seed 0", "ae8b1e7a7418789337adccce50ef75c5831b5476232e8497af3b6639745b22e4"),
+        (
+            "probe growth --generator farey --params 25,50,100 --d 2 --radius 2",
+            "832bd2a7ac8848d5cb626444c2cbe52d914a8ed65cb291eeedb88b54e0e0844a",
         ),
     ],
 )

@@ -465,13 +465,10 @@ class TestMultiplicity:
         fam = GeodesicFamily.all_of(g)
         cov = build_cover(g, fam, CoverParams(r=1, ell=0, delta=0, basepoint=0))
         assert len(cov.sets) == 1
-        # the whole graph sits inside an incomplete annulus: the raw
-        # measurement sees one set everywhere, the claim mode has no
-        # eligible vertex at all
+        # the whole graph sits inside an incomplete annulus: no vertex is
+        # eligible at any radius
         for radius in (0, 1, 3):
-            raw = multiplicity(g, cov, radius, complete_only=False)
-            assert raw.max_multiplicity == 1
-        assert multiplicity(g, cov, 0).max_multiplicity == 0
+            assert multiplicity(g, cov, radius).max_multiplicity == 0
 
     def test_witness_attains_max(self, broom120_cover):
         b, _, cov = broom120_cover
@@ -499,16 +496,16 @@ class TestMultiplicity:
             assert len(met) <= 2
 
 
-def brute_multiplicity(dist, cover: Cover, radius: int, complete_only: bool) -> tuple[int, int | None]:
+def brute_multiplicity(dist, cover: Cover, radius: int) -> tuple[int, int | None]:
     """(max, witness) of the number of sets each ball N(x; radius) meets,
-    over the vertices whose ball stays inside the complete region (every
-    vertex without ``complete_only``); the witness is the least vertex
-    attaining a positive max. ``dist`` is the all-pairs distance table."""
+    over the vertices whose ball stays inside the complete region; the
+    witness is the least vertex attaining a positive max. ``dist`` is the
+    all-pairs distance table."""
     region = frozenset(np.flatnonzero(cover.region).tolist())
     best, witness = 0, None
     for x in range(len(dist)):
         nbhd = {v for v in range(len(dist)) if dist[x][v] <= radius}
-        if complete_only and not nbhd <= region:
+        if not nbhd <= region:
             continue
         met = sum(1 for cs in cover.sets if nbhd & cs.members)
         if met > best:
@@ -536,9 +533,8 @@ class TestMultiplicityOracle:
         )
         dist = floyd_warshall(g)
         for radius in range(4):
-            for complete_only in (True, False):
-                rep = multiplicity(g, cov, radius, complete_only=complete_only)
-                assert (rep.max_multiplicity, rep.witness) == brute_multiplicity(dist, cov, radius, complete_only)
+            rep = multiplicity(g, cov, radius)
+            assert (rep.max_multiplicity, rep.witness) == brute_multiplicity(dist, cov, radius)
 
     @pytest.mark.parametrize(
         "space, params",
@@ -551,9 +547,8 @@ class TestMultiplicityOracle:
         assert cov.complete and len(cov.sets) > 2
         dist = floyd_warshall(g)
         for radius in (0, 1, 2, 4):
-            for complete_only in (True, False):
-                rep = multiplicity(g, cov, radius, complete_only=complete_only)
-                assert (rep.max_multiplicity, rep.witness) == brute_multiplicity(dist, cov, radius, complete_only)
+            rep = multiplicity(g, cov, radius)
+            assert (rep.max_multiplicity, rep.witness) == brute_multiplicity(dist, cov, radius)
 
     def test_core_is_built_once_per_radius(self, broom120_cover):
         b, _, cov = broom120_cover

@@ -495,8 +495,8 @@ class TestPropertyB:
             return walk
 
         monkeypatch.setattr(geodesics, "_canonical_walk", spy)
-        (pair,) = geodesics._PairChecker.run(GeodesicFamily.canonical_of(g), rows, [(9, 54)], 0, 1, 2, {})
-        pool = pair.qualifying_pool()
+        (pair,), _, _ = geodesics._PairChecker.run(GeodesicFamily.canonical_of(g), rows, [(9, 54)], 0, 1, 2, {})
+        pool = pair.pool
         for r in range(3):
             pair.counts(r, pool)
         ends = {end for end, _, _ in walks}
@@ -648,22 +648,19 @@ class TestUnionCubes:
         monkeypatch.setattr(geodesics, "_CUBE_CELLS", 2**62)
         whole = [check_property_b(fam, **run) for fam, run in cases]
         assert any(rep.observed_D > 1 for rep in whole)
-        cubes, slices = [], []
-        real_union, real_avoided = geodesics._PairChecker._members_of_union_r, geodesics._avoided
+        cubes = []
+        real_union = geodesics._PairChecker._members_of_union_r
 
         def union(checker, A, B):
             cubes.append(len(A) * len(B) * checker.envelope.size)
             return real_union(checker, A, B)
 
-        def avoided(rows, ap, bp, c):
-            slices.append(ap.size)
-            return real_avoided(rows, ap, bp, c)
-
         monkeypatch.setattr(geodesics._PairChecker, "_members_of_union_r", union)
-        monkeypatch.setattr(geodesics, "_avoided", avoided)
+        runs = spy_sigma_runs(monkeypatch)
         monkeypatch.setattr(geodesics, "_CUBE_CELLS", bound)
         assert [check_property_b(fam, **run) for fam, run in cases] == whole
         assert max(cubes) > 300
+        slices = [len(part) for _, _, parts in runs for part in parts]
         # the σ clause runs for the all family only; its slices keep to the bound
         assert bool(slices) == (kind == "all") and max(slices, default=0) <= max(1, bound // 64)
         if kind == "all" and bound > 300:
@@ -811,7 +808,7 @@ class TestTreePropertyB:
         g = broom_tree(6).graph
         for a, b in [(0, 5), (3, 17), (20, 8)]:
             checker = geodesics._TreePairChecker(g, g.tree_metric(), a, b, 0, 1, 3)
-            pool = checker.qualifying_pool()
+            pool = checker.pool
             depth = dict(zip(pool, checker.depths(pool).tolist()))
             for r in range(4):
                 deep = [c for c in pool if depth[c] >= r]
@@ -835,7 +832,7 @@ class TestTreePropertyB:
         fam = GeodesicFamily.all_of(g)
         checker = geodesics._TreePairChecker(g, tm, a, b, 0, 1, 3)
         assert queried == [1]  # the a-b path
-        pool = checker.qualifying_pool()
+        pool = checker.pool
         depth = checker.depths(pool)
         for r in range(4):
             cs = [c for c, d in zip(pool, depth.tolist()) if d >= r]
@@ -864,23 +861,90 @@ class TestTreePropertyB:
         assert rep.qualifying_found and rep.violations_total == 0
 
 
-def eager_sigma_violations(checker, dist, counts, A, B, cs):
-    """The σ clause as a per-cell search: for each c, every (a', b') cell
-    whose shortest paths do not all pass through c, by the Floyd-Warshall
-    distances and the brute path counts, is searched for an avoiding
-    geodesic; the first cell's witness, in row-major order, is built at
-    once, whether the violation is kept or not."""
+def eager_violations(checker, dist, k, A, B, cs, witnesses):
+    """The intersection clause as a per-cell search: for each c, every
+    (a', b') cell outside N(c;k) whose distance in the graph without
+    N(c;k), by a brute BFS there, is its Floyd-Warshall distance holds a
+    geodesic avoiding N(c;k). The first such cell's witness, in row-major
+    order, is built at once into ``witnesses``, whether the violation is
+    kept or not; the violating centres are returned."""
+    g, violating = checker.g, []
     for c in cs:
-        cells = [
-            (ap, bp)
-            for ap in A
-            for bp in B
-            if dist[ap][c] + dist[c][bp] != dist[ap][bp] or counts[ap][c] * counts[c][bp] != counts[ap][bp]
-        ]
-        witnesses = [checker._avoiding_geodesic(ap, bp, {c}) for ap, bp in cells]
-        assert None not in witnesses
-        if witnesses:
-            yield c, lambda witness=witnesses[0]: witness
+        hood = {v for v in range(g.vertex_count) if dist[c][v] <= k}
+        cells = []
+        for ap in A:
+            if ap not in hood:
+                outside = bfs_outside(g, ap, hood)
+                cells += [(ap, bp) for bp in B if bp not in hood and outside.get(bp) == dist[ap][bp]]
+        found = [checker._avoiding_geodesic(ap, bp, hood) for ap, bp in cells]
+        assert None not in found
+        if found:
+            violating.append(c)
+            witnesses[c] = found[0]
+    return violating
+
+
+def bfs_outside(g, s, hood) -> dict[int, int]:
+    """Distances from s in the graph without the vertices of ``hood``."""
+    seen, frontier = {s: 0}, [s]
+    while frontier:
+        nxt = [w for v in frontier for w in g.neighbors(v) if w not in hood and w not in seen]
+        for w in nxt:
+            seen.setdefault(w, seen[frontier[0]] + 1)
+        frontier = list(dict.fromkeys(nxt))
+    return seen
+
+
+def assert_lazy_witnesses_match_the_eager_search(monkeypatch, g, mode):
+    """check_property_b at violation caps 0, 1, 3, 50 and 10**6 against
+    one run with the eager per-cell search in place of ``violations`` and
+    ``witness``: at k = 0 (``sigma``), at k = 1 (``search``, no level
+    pass), or at k = 0 with ``_SIGMA_VECTOR_MAX`` lowered to the median
+    path count, so that pairs fall back to the search (``fallback``). Each
+    lazy run builds a witness for each violation it keeps, and no other."""
+    fam = GeodesicFamily.all_of(g)
+    k = int(mode == "search")
+    params = dict(ell=0, k=k, r_max=2, pair_budget=120, seed=3)
+    real_violations, real_witness = geodesics._PairChecker.violations, geodesics._PairChecker.witness
+    built, fell_back = [], []
+
+    def violations(checker, r, cs):
+        fell_back.append(checker._first is None)
+        return real_violations(checker, r, cs)
+
+    def witness(checker, r, c):
+        built.append((checker.a, checker.b, r, c))
+        return real_witness(checker, r, c)
+
+    monkeypatch.setattr(geodesics._PairChecker, "violations", violations)
+    monkeypatch.setattr(geodesics._PairChecker, "witness", witness)
+    if mode == "fallback":
+        counts = sorted(set(itertools.chain.from_iterable(brute_path_counts(g))))
+        monkeypatch.setattr(geodesics, "_SIGMA_VECTOR_MAX", counts[len(counts) // 2])
+    lazy = {}
+    for cap in (0, 1, 3, 50, 10**6):
+        built.clear()
+        lazy[cap] = check_property_b(fam, violation_cap=cap, **params)
+        assert built == [(v.a, v.b, v.r, v.c) for v in lazy[cap].intersection_violations]
+    assert any(fell_back) == (mode != "sigma") or not lazy[0].qualifying_found
+    dist = floyd_warshall(g)
+    witnesses = {}
+
+    def eager(checker, r, cs):
+        found = witnesses[checker.a, checker.b, r] = {}
+        return eager_violations(checker, dist, k, *checker._sets_at(r), cs, found)
+
+    monkeypatch.setattr(geodesics._PairChecker, "violations", eager)
+    monkeypatch.setattr(geodesics._PairChecker, "witness", lambda checker, r, c: witnesses[checker.a, checker.b, r][c])
+    full = check_property_b(fam, violation_cap=10**6, **params)
+    assert witnesses or not full.qualifying_found
+    assert len(full.intersection_violations) == full.violations_total
+    for cap, rep in lazy.items():
+        assert rep.violations_total == full.violations_total
+        assert rep.intersection_violations == full.intersection_violations[:cap]
+        assert dataclasses.replace(rep, intersection_violations=()) == dataclasses.replace(
+            full, intersection_violations=()
+        )
 
 
 SIGMA_GRAPHS = {
@@ -893,64 +957,48 @@ SIGMA_GRAPHS = {
 
 class TestSigmaClause:
     """The σ clause (k = 0, all geodesics) is settled by one level pass per
-    run of pairs, and builds a witness, by one single-centre product, only
-    for the violations kept; a per-radius, per-cell search with eager
-    witnesses is its oracle."""
+    run of pairs; a checker names its violating centres, and builds a
+    witness, by one row-major search of the cells, only for the violations
+    kept. A per-radius, per-cell search with eager witnesses is its
+    oracle, at k = 0, at k = 1 (no level pass), and at k = 0 with some
+    pairs falling back to the search."""
 
     @pytest.mark.parametrize("name", SIGMA_GRAPHS)
     def test_lazy_witnesses_match_the_eager_search(self, monkeypatch, name):
-        g = SIGMA_GRAPHS[name]
-        fam = GeodesicFamily.all_of(g)
-        params = dict(ell=0, k=0, r_max=2, pair_budget=120, seed=3)
-        products = []
-        real_product = geodesics._PairChecker._on_every_geodesic
+        assert_lazy_witnesses_match_the_eager_search(monkeypatch, SIGMA_GRAPHS[name], "sigma")
 
-        def product(checker, A, B, c):
-            products.append(c)
-            return real_product(checker, A, B, c)
-
-        monkeypatch.setattr(geodesics._PairChecker, "_on_every_geodesic", product)
-        lazy = {cap: check_property_b(fam, violation_cap=cap, **params) for cap in (0, 1, 3, 50)}
-        dist = floyd_warshall(g)
-        counts = brute_path_counts(g)
-        searched = []
-
-        def eager(checker, r, cs):
-            searched.append(len(cs))
-            return eager_sigma_violations(checker, dist, counts, *checker._sets_at(r), cs)
-
-        monkeypatch.setattr(geodesics._PairChecker, "violations", eager)
-        full = check_property_b(fam, violation_cap=10**6, **params)
-        assert searched or not full.qualifying_found
-        assert len(full.intersection_violations) == full.violations_total
-        for cap, rep in lazy.items():
-            assert rep.violations_total == full.violations_total
-            assert rep.intersection_violations == full.intersection_violations[:cap]
-            assert dataclasses.replace(rep, intersection_violations=()) == dataclasses.replace(
-                full, intersection_violations=()
-            )
-        # one single-centre product per witness built, and no other
-        assert len(products) == sum(len(rep.intersection_violations) for rep in lazy.values())
+    @pytest.mark.parametrize("mode", ["search", "fallback"])
+    @pytest.mark.parametrize("name", SIGMA_GRAPHS)
+    def test_searched_witnesses_match_the_eager_search(self, monkeypatch, name, mode):
+        assert_lazy_witnesses_match_the_eager_search(monkeypatch, SIGMA_GRAPHS[name], mode)
 
     def test_the_witness_product_leaves_large_counts_to_the_search(self, monkeypatch):
         # A cell whose counts reach the bound is not taken as one whose
         # geodesics all pass through c, even where they do: the witness
-        # search decides it
-        g = grid(6).graph
+        # search decides it. Two 4 x 4 grids share the vertex 15, a corner
+        # of each, which every geodesic between them passes through, in up
+        # to 20 x 20 ways. The cells are read a row at a time, or whole.
+        square = list(grid(4).graph.edges())
+        g = MetricGraph(31, [*square, *((u + 15, v + 15) for u, v in square)])
         dist = floyd_warshall(g)
         counts = brute_path_counts(g)
+        assert dist[0][15] == dist[15][30] == 6
         monkeypatch.setattr(geodesics, "_SIGMA_VECTOR_MAX", 6)
         rows = graphs._Rows(g, counts=True)
-        (checker,) = geodesics._PairChecker.run(GeodesicFamily.all_of(g), rows, [(0, 35)], 0, 0, 2, {})
+        (checker,), _, _ = geodesics._PairChecker.run(GeodesicFamily.all_of(g), rows, [(0, 30)], 0, 0, 2, {})
         A, B = checker._sets_at(2)
         unsure = 0
-        for c in checker.qualifying_pool():
-            mask = checker._on_every_geodesic(A, B, c)
-            for (i, ap), (j, bp) in itertools.product(enumerate(A), enumerate(B)):
+        for c in checker.pool:
+            expected = []
+            for ap, bp in itertools.product(A, B):
                 exact = max(counts[ap][bp], counts[ap][c], counts[c][bp]) < 6
                 on_all = dist[ap][c] + dist[c][bp] == dist[ap][bp] and counts[ap][c] * counts[c][bp] == counts[ap][bp]
-                assert mask[i, j] == (exact and on_all)
-                unsure += on_all and not exact
+                if c not in (ap, bp) and not (exact and on_all):
+                    expected.append((ap, bp))
+                    unsure += on_all
+            for bound in (64 * 7, geodesics._CUBE_CELLS):
+                monkeypatch.setattr(geodesics, "_CUBE_CELLS", bound)
+                assert list(checker._cells(A, B, c, {c})) == expected
         assert unsure
 
     def test_the_structured_spaces_violate(self):
@@ -961,16 +1009,20 @@ class TestSigmaClause:
 
 def spy_sigma_runs(monkeypatch) -> list:
     """Record each level pass: its run's checkers and centres, and the
-    (centre, a', b') entries it reads, one slice per ``_avoided`` call."""
-    runs = []
+    (centre, a', b') entries it reads, one slice per ``_avoided`` call made
+    inside the pass (the witness search makes others)."""
+    runs, passing = [], []
     real_levels, real_avoided = geodesics._sigma_levels, geodesics._avoided
 
-    def levels(rows, checkers, centres):
+    def levels(rows, checkers, centres, *ends):
         runs.append((checkers, centres, []))
-        real_levels(rows, checkers, centres)
+        passing.append(True)
+        real_levels(rows, checkers, centres, *ends)
+        passing.pop()
 
     def avoided(rows, ap, bp, c):
-        runs[-1][2].append(list(zip(c.tolist(), ap.tolist(), bp.tolist())))
+        if passing:
+            runs[-1][2].append(list(zip(c.tolist(), ap.tolist(), bp.tolist())))
         return real_avoided(rows, ap, bp, c)
 
     monkeypatch.setattr(geodesics, "_sigma_levels", levels)
@@ -1043,14 +1095,17 @@ class TestSigmaLevels:
         default = check_property_b(fam, **params)
         counts = sorted(set(itertools.chain.from_iterable(brute_path_counts(g))))
         runs = spy_sigma_runs(monkeypatch)
-        general = []
-        real_general = geodesics._PairChecker._violations_general
-        monkeypatch.setattr(
-            geodesics._PairChecker, "_violations_general", lambda *args: general.append(1) or real_general(*args)
-        )
+        searched = []
+        real_violations = geodesics._PairChecker.violations
+
+        def violations(checker, r, cs):
+            searched.append(checker._first is None)
+            return real_violations(checker, r, cs)
+
+        monkeypatch.setattr(geodesics._PairChecker, "violations", violations)
         monkeypatch.setattr(geodesics, "_SIGMA_VECTOR_MAX", counts[len(counts) // 2])
         assert check_property_b(fam, **params) == default
         mixed = [
             {checker._first is None for checker, cs in zip(checkers, centres) if cs} for checkers, centres, _ in runs
         ]
-        assert {True, False} in mixed and general
+        assert {True, False} in mixed and any(searched)

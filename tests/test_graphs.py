@@ -988,6 +988,14 @@ class TestSetKernels:
         assert dict(zip(keys.tolist(), _set_depths(g, keys).tolist())) == expected
 
 
+def count_block(rows: _Rows, X, cols) -> tuple[np.ndarray, np.ndarray]:
+    """The distance and path-count rows of ``X`` at ``cols``, as two
+    matrices, read through ``rows.cells``."""
+    X, cols = np.asarray(X, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    dist, sig = rows.cells(np.repeat(X, cols.size), np.tile(cols, X.size))
+    return dist.reshape(X.size, cols.size), sig.reshape(X.size, cols.size)
+
+
 class TestRowStore:
     @pytest.mark.parametrize("seed", range(30))
     @pytest.mark.parametrize("memoised", [True, False])
@@ -1012,7 +1020,7 @@ class TestRowStore:
         assert single == list(range(n)) + [0] * (not memoised)
         rows = _Rows(g, counts=True)
         for s in range(n):
-            dist, sig = rows.block([s], range(n))
+            dist, sig = count_block(rows, [s], range(n))
             assert dist.tolist() == [rows[s].tolist()]
             assert sig.dtype == np.int64
             assert sig.tolist() == [[len(brute_shortest_paths(g, s, v)) for v in range(n)]]
@@ -1023,7 +1031,7 @@ class TestRowStore:
 
         monkeypatch.setattr(graphs, "_SIGMA_MAX", 7)
         g = grid(6).graph
-        sig = _Rows(g, counts=True).block([0], range(36))[1][0].tolist()
+        sig = count_block(_Rows(g, counts=True), [0], range(36))[1][0].tolist()
         exact = [len(brute_shortest_paths(g, 0, v)) for v in range(36)]
         assert max(exact) == 252
         assert sig == [min(c, 7) for c in exact]
@@ -1040,7 +1048,10 @@ class TestRowStore:
             capacity = max(cells // (36 * (1 + 2 * counts)), 1)
             assert rows.capacity == capacity
             for s in range(36):
-                rows.block([s, (s + 7) % 36, (s + 14) % 36], [0, 35], sigma=counts)
+                X = [s, (s + 7) % 36, (s + 14) % 36]
+                rows.block(X, [0, 35])
+                if counts:
+                    count_block(rows, X, [0, 35])
                 rows[s]
                 # each held source has its own slot, in matrices of
                 # ``capacity`` rows
@@ -1085,12 +1096,13 @@ class TestRowStore:
         for size, width in itertools.product((1, 2, 5), (1, 2 * n, None)):
             X = rng.sample(range(n), min(size, n))
             cols = range(n) if width is None else [rng.randrange(n) for _ in range(width)]
-            dist, sig = rows.block(X, cols)
-            assert dist.dtype == np.int32 and sig.dtype == np.int64
+            dist = rows.block(X, cols)
+            assert dist.dtype == np.int32
             assert dist.tolist() == [[bfs_distances(g, x)[v] for v in cols] for x in X]
+            # the counts at the same cells, one entry each
+            cell_dist, sig = count_block(rows, X, cols)
+            assert sig.dtype == np.int64 and cell_dist.tolist() == dist.tolist()
             assert sig.tolist() == [[len(brute_shortest_paths(g, x, v)) for v in cols] for x in X]
-            only, none = rows.block(X, cols, sigma=False)
-            assert only.tolist() == dist.tolist() and none is None
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("held", [1, 2, 3])
@@ -1107,10 +1119,12 @@ class TestRowStore:
         X = [rng.randrange(n) for _ in range(3 * held + 1)]
         paths = brute_path_counts(g)
         for cols in (range(n), [rng.randrange(n) for _ in range(3)]):
-            dist, sig = rows.block(X, cols, sigma=counts)
+            dist = rows.block(X, cols)
             assert dist.tolist() == [[brute_bfs(g, [x], None, None).get(v, -1) for v in cols] for x in X]
-            assert (sig.tolist() if counts else sig) == ([[paths[x][v] for v in cols] for x in X] if counts else None)
             assert len(rows._slot) <= held
+            if counts:
+                assert count_block(rows, X, cols)[1].tolist() == [[paths[x][v] for v in cols] for x in X]
+                assert len(rows._slot) <= held
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("held", [1, 2, 3, None])
@@ -1172,7 +1186,7 @@ class TestCountRows:
             got = _count_rows(g, sources, dist)
             assert got.dtype == np.int64 and got.shape == (size, n)
             assert got.tolist() == [expected[s] for s in sources]
-        assert _Rows(g, counts=True).block(list(range(n)), range(n))[1].tolist() == expected
+        assert count_block(_Rows(g, counts=True), range(n), range(n))[1].tolist() == expected
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("cells", [0, 16 * 5])
@@ -1204,10 +1218,10 @@ class TestCountRows:
         assert calls == [first[:4], first[4:]][: 1 + (n > 4)]
         expected = brute_path_counts(g)
         calls.clear()
-        assert rows.block(first, range(n))[1].tolist() == [expected[s] for s in first]
+        assert count_block(rows, first, range(n))[1].tolist() == [expected[s] for s in first]
         assert not calls  # every row held: nothing to fill
         # the whole graph 5 sources at a time, each count row filled once
-        assert rows.block(list(range(n)), range(n))[1].tolist() == expected
+        assert count_block(rows, range(n), range(n))[1].tolist() == expected
         assert all(0 < len(block) <= 4 for block in calls)
         assert sorted(s for block in calls for s in block) == list(range(5, n))
         assert len(rows._slot) <= 5
@@ -1268,7 +1282,7 @@ class TestDistanceRows:
         assert single == [0] and batched == [list(range(1, 12))]
         # a block of every row reads them 12 at a time, the store starting
         # over before each chunk but the first, each chunk one kernel call
-        dist, _ = rows.block(list(range(n)), range(n), sigma=False)
+        dist = rows.block(list(range(n)), range(n))
         blocks = [list(range(lo, lo + 12)) for lo in range(0, n, 12)]
         assert single == [0]
         assert batched == [blocks[0][1:], *blocks[1:]]
