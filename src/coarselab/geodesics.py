@@ -852,12 +852,12 @@ class _PairChecker:
     def _cells(self, A: list[int], B: list[int], c: int, hood: set[int]) -> Iterator[tuple[int, int]]:
         """The cells (a', b') of A x B outside ``hood`` = N(c;k) that might
         hold a geodesic avoiding it, in row-major order, for A = N(a;r) and
-        B = N(b;r). With k = 0 and all geodesics, those where the σ test
-        fails or a count too large for it leaves the search to decide
+        B = N(b;r). For a pair the level pass settled, those where the σ
+        test fails or a count too large for it leaves the search to decide
         (``_avoided``), read in slices of rows of at most ``_CUBE_CELLS //
         64`` cells; else all of them."""
         A, B = [ap for ap in A if ap not in hood], [bp for bp in B if bp not in hood]
-        if self.canonical is not None or self.k or not B:
+        if self._first is None or not B:
             yield from itertools.product(A, B)
             return
         step = max(1, _CUBE_CELLS // 64 // len(B))

@@ -977,15 +977,19 @@ class TestSigmaClause:
         # geodesics all pass through c, even where they do: the witness
         # search decides it. Two 4 x 4 grids share the vertex 15, a corner
         # of each, which every geodesic between them passes through, in up
-        # to 20 x 20 ways. The cells are read a row at a time, or whole.
+        # to 20 x 20 ways. The level pass settles the pair at the default
+        # bound; the cells are then read at bound 6, a row at a time or
+        # whole.
         square = list(grid(4).graph.edges())
         g = MetricGraph(31, [*square, *((u + 15, v + 15) for u, v in square)])
         dist = floyd_warshall(g)
         counts = brute_path_counts(g)
         assert dist[0][15] == dist[15][30] == 6
-        monkeypatch.setattr(geodesics, "_SIGMA_VECTOR_MAX", 6)
         rows = graphs._Rows(g, counts=True)
-        (checker,), _, _ = geodesics._PairChecker.run(GeodesicFamily.all_of(g), rows, [(0, 30)], 0, 0, 2, {})
+        (checker,), Da, Db = geodesics._PairChecker.run(GeodesicFamily.all_of(g), rows, [(0, 30)], 0, 0, 2, {})
+        geodesics._sigma_levels(rows, [checker], [checker.pool], Da, Db)
+        assert checker._first is not None
+        monkeypatch.setattr(geodesics, "_SIGMA_VECTOR_MAX", 6)
         A, B = checker._sets_at(2)
         unsure = 0
         for c in checker.pool:
