@@ -40,9 +40,13 @@ violated, so every centre gets its first violating radius and leaves the
 pass there. A checker names the violating centres (``violations``) and
 builds a witness geodesic, by one row-major search of the endpoint cells,
 only for a violation the report keeps (``witness``). :func:`thin_delta`
-takes one path on every graph. Its triples go in runs whose far ends'
-rows the same kind of store loads at once, as many as it holds (one kernel block for the all
-family, which turns each row into a list). A run's distinct sides are
+takes one path on every graph. Its triples, all of them or the seeded
+sample, which ``coarselab.triples`` draws from the generator's words in
+bulk, exactly as one ``random.sample`` call per attempt would, are the
+rows of (T, 3) arrays. Sorts of windows of far ends cut them into runs
+whose far ends' rows the same kind of store loads at once, as many as it
+holds (one kernel block for the all family, which turns each row into a
+list), with no Python work per triple. A run's distinct sides are
 the rows of one array, each padded with its far end, and its triangles
 are rows of three indices into it: canonical sides all walk down the far
 ends' rows together (``graphs._canonical_walks``), and all-family sides
@@ -184,6 +188,16 @@ def thin_delta(
     union of the other two sides. All triangles over all vertex triples
     are checked when their total fits the budget; otherwise a seeded
     sample of vertex triples is used and the report says so.
+
+    The sample is that of the loop ``tuple(sorted(rng.sample(range(n),
+    3)))``, ``rng = random.Random(seed)``, run until ``budget`` triples
+    are distinct or for 4 * budget + 64 draws, sorted. It is drawn from
+    the generator's 32-bit words in bulk, with every ``sample`` call
+    replayed by array operations (``triples._sampled_triples``); all
+    triples arrive in chunks of ``itertools.combinations``. Either way
+    the triples are the rows of (T, 3) arrays, which
+    ``triples._triple_runs`` cuts into the runs whose far ends' rows the
+    store loads at once.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -195,20 +209,12 @@ def thin_delta(
     if n < 3:
         return HyperbolicityReport(0, None, 0, True)
 
+    from .triples import _all_triples, _sampled_triples, _triple_runs  # here, so runs without a δ never load it
+
     rows = _Rows(g)
 
-    total_triples = math.comb(n, 3)
-    exhaustive_triples = total_triples <= budget
-    if exhaustive_triples:
-        triples: Iterable[tuple[int, int, int]] = itertools.combinations(range(n), 3)
-    else:
-        rng = random.Random(seed)
-        chosen: set[tuple[int, int, int]] = set()
-        attempts = 0
-        while len(chosen) < budget and attempts < 4 * budget + 64:
-            attempts += 1
-            chosen.add(tuple(sorted(rng.sample(range(n), 3))))
-        triples = sorted(chosen)
+    exhaustive_triples = math.comb(n, 3) <= budget
+    parts = _all_triples(n) if exhaustive_triples else [_sampled_triples(n, budget, seed)]
 
     delta = 0
     witness: tuple[Path, Path, Path] | None = None
@@ -224,7 +230,7 @@ def thin_delta(
         room, most = None, max(_walk_room(rows) // 3, 1)
     else:
         room, most = _BLOCK, None
-    for chunk, far_ends in _loaded_runs(triples, rows, lambda triple: triple[1:], room, most):
+    for chunk, far_ends in _triple_runs(parts, rows, room, most):
         if fam.kind == "canonical":
             sides, tris = _canonical_sides(rows, chunk)
         else:
@@ -244,10 +250,10 @@ def thin_delta(
     return HyperbolicityReport(delta, witness, checked, exhaustive)
 
 
-def _canonical_sides(rows: _Rows, chunk: list) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical triangles of the triples of ``chunk``: every distinct
-    side walked once (``_canonical_walks``), and each triangle as the row
-    of its sides x-y, y-z and x-z in those walks."""
+def _canonical_sides(rows: _Rows, chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical triangles of the triples (rows) of ``chunk``: every
+    distinct side walked once (``_canonical_walks``), and each triangle as
+    the row of its sides x-y, y-z and x-z in those walks."""
     n = rows.g.vertex_count
     tri = np.asarray(chunk, dtype=np.min_scalar_type(n * n))  # holds every key s * n + v
     keys = tri[:, [0, 1, 0]] * n + tri[:, [1, 2, 2]]
@@ -255,9 +261,9 @@ def _canonical_sides(rows: _Rows, chunk: list) -> tuple[np.ndarray, np.ndarray]:
     return _canonical_walks(rows, *np.divmod(pairs, n)), np.searchsorted(pairs, keys)
 
 
-def _all_family_sides(rows: _Rows, chunk: list, far_ends: list[int], room: int):
-    """The all family's triangles over the triples of ``chunk``, at most
-    ``room`` of them, in enumeration order: triple by triple, and within a
+def _all_family_sides(rows: _Rows, chunk: np.ndarray, far_ends: list[int], room: int):
+    """The all family's triangles over the triples (rows) of ``chunk``, at
+    most ``room`` of them, in enumeration order: triple by triple, and within a
     triple the product of its sides' geodesics in ``itertools.product``
     order, each side's geodesics in lexicographic order (``_all_walks``).
     Returns every distinct side's geodesics as the rows of one array,
@@ -265,6 +271,7 @@ def _all_family_sides(rows: _Rows, chunk: list, far_ends: list[int], room: int):
     into it, whether some side's enumeration stopped at ``GEODESIC_CAP``,
     and whether ``room`` cut the enumeration short."""
     adj = rows.g._adj
+    chunk = chunk.tolist()
     walk_rows = {v: rows[v].tolist() for v in far_ends}
     width = 1 + max(max(walk_rows[y][x], walk_rows[z][y], walk_rows[z][x]) for x, y, z in chunk)
     blocks: list[np.ndarray] = []  # each distinct side's geodesics
@@ -305,7 +312,9 @@ def _loaded_runs(
     blocks. A run has at least one item and at most ``most``; beyond its
     first item, its vertices fit the store and number at most ``room``.
     Each item's ends are checked against the run's once, so a run costs
-    time linear in the ends of its items."""
+    time linear in the ends of its items. Property B's runs of pairs and
+    of checkers go through it; ``thin_delta``'s triples, which are arrays,
+    through ``triples._triple_runs``."""
     room = rows.capacity if room is None else min(room, rows.capacity)
     chunk: list = []
     used: dict[int, None] = {}
@@ -716,10 +725,11 @@ class _PairChecker:
     int64 products, and falls back to the search.
 
     ``violations(r, cs)`` returns the violating centres, from ``_first``
-    or the search; ``witness(r, c)`` runs the search for a kept one. The
-    search takes N(a;r) and N(b;r) once per (pair, r) and asks their cells
-    outside N(c;k), in row-major order (``_cells``), for a geodesic
-    avoiding N(c;k) (``_avoiding_geodesic``).
+    or the search, which keeps each one's geodesic for ``witness(r, c)``;
+    for a settled pair ``witness`` runs the search for a kept one. Counts
+    and the search take N(a;r) and N(b;r) once per (pair, r); the search
+    asks their cells outside N(c;k), in row-major order (``_cells``), for
+    a geodesic avoiding N(c;k) (``_avoiding_geodesic``).
     """
 
     def __init__(self, fam: GeodesicFamily, rows: _Rows, a: int, b: int, ell: int, k: int, r_max: int, hoods: dict):
@@ -737,6 +747,10 @@ class _PairChecker:
             self.canonical = functools.cache(lambda u, v: tuple(_canonical_walk(adj, row_list(v), u)))
         # each centre's first violating radius, once the level pass settles it
         self._first: dict[int, int] | None = None
+        # N(a;r) and N(b;r) at the last radius asked, and the geodesic the
+        # search found for each violating centre there
+        self._sets: tuple[int, tuple[list[int], list[int]] | None] = (-1, None)
+        self._found: tuple[int, dict[int, Path]] = (-1, {})
 
     @classmethod
     def run(cls, fam: GeodesicFamily, rows: _Rows, pairs: list, ell: int, k: int, r_max: int, hoods: dict) -> tuple:
@@ -790,10 +804,11 @@ class _PairChecker:
         return hood
 
     def _sets_at(self, r: int) -> tuple[list[int], list[int]]:
-        return (
-            np.flatnonzero(self.reach & (self.da <= r)).tolist(),
-            np.flatnonzero(self.reach & (self.db <= r)).tolist(),
-        )
+        """N(a;r) and N(b;r), taken once per radius."""
+        if self._sets[0] != r:
+            A = np.flatnonzero(self.reach & (self.da <= r)).tolist()
+            self._sets = (r, (A, np.flatnonzero(self.reach & (self.db <= r)).tolist()))
+        return self._sets[1]
 
     # -- counting --
 
@@ -829,17 +844,20 @@ class _PairChecker:
     def violations(self, r: int, cs: list[int]) -> list[int]:
         """The centres of ``cs`` that some family geodesic from N(a;r) to
         N(b;r) avoids, in order: from the level pass where it settled the
-        pair, else by the witness search."""
+        pair, else by the witness search, which keeps the geodesic it found
+        for each."""
         if self._first is not None:
             return [c for c in cs if self._first[c] <= r]
         A, B = self._sets_at(r)
-        return [c for c in cs if self._search(A, B, c) is not None]
+        found = ((c, self._search(A, B, c)) for c in cs)
+        self._found = (r, {c: path for c, path in found if path is not None})
+        return list(self._found[1])
 
     def witness(self, r: int, c: int) -> Path:
         """A family geodesic from N(a;r) to N(b;r) that avoids N(c;k), for a
         violating centre c: that of the first cell (a', b'), in row-major
-        order, that has one."""
-        found = self._search(*self._sets_at(r), c)
+        order, that has one; the one ``violations`` found, if it searched."""
+        found = self._found[1].get(c) if self._found[0] == r else self._search(*self._sets_at(r), c)
         if found is None:
             raise ClaimViolation(f"centre {c} of pair ({self.a}, {self.b}) violates at radius {r}, but no geodesic avoids it")
         return found

@@ -487,6 +487,11 @@ def test_one_center_label_computes_one_label(labels_computed, capsys):
             "ebaf5ffb633d3e66df2a9d39c68c56a48ba75209688c24838cbd324466d5e07c",
         ),
         ("delta --space farey:30 --budget 500 --seed 0", "ae8b1e7a7418789337adccce50ef75c5831b5476232e8497af3b6639745b22e4"),
+        # recorded while the triple draw called random.sample once per
+        # attempt: its pool draw (16 vertices), and a draw that stops at
+        # the attempt cap with 552 of its 559 triples
+        ("delta --space grid:4 --budget 100 --seed 5", "4b84355e9680b5030be85e7a6a6bfa2d425eb72edfaec4f8668110bf636284b8"),
+        ("delta --space grid:4 --budget 559", "890d0962a50fe74c95d8747469739df4e35e6ebc318c11ae429681a142dde89f"),
         (
             "probe growth --generator farey --params 25,50,100 --d 2 --radius 2",
             "832bd2a7ac8848d5cb626444c2cbe52d914a8ed65cb291eeedb88b54e0e0844a",

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+import math
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_path_counts, brute_shortest_paths, floyd_warshall, kernel_graph, random_graph, spy_rows
 from coarselab import geodesics, graphs
+from coarselab import triples as triples_mod
 from coarselab.geodesics import (
     GeodesicFamily,
     _pair_from_rank,
@@ -282,14 +284,14 @@ class TestThinDelta:
         dist = floyd_warshall(g)
         monkeypatch.setattr(graphs, "_ROW_CELLS", 6 * g.vertex_count)
         runs = []
-        real = geodesics._loaded_runs
+        real = triples_mod._triple_runs
 
-        def spy(items, rows, ends, *bounds):
-            for chunk, far_ends in real(items, rows, ends, *bounds):
-                runs.append(list(chunk))
+        def spy(parts, rows, *bounds):
+            for chunk, far_ends in real(parts, rows, *bounds):
+                runs.append(list(map(tuple, chunk.tolist())))
                 yield chunk, far_ends
 
-        monkeypatch.setattr(geodesics, "_loaded_runs", spy)
+        monkeypatch.setattr(triples_mod, "_triple_runs", spy)
         budget = 1000
         rep = thin_delta(g, GeodesicFamily(g, kind), budget=budget, seed=7)
         triples = [triple for run in runs for triple in run]
@@ -303,6 +305,82 @@ class TestThinDelta:
         assert rep.triangles_checked == len(first) == budget and not rep.exhaustive
         assert rep.delta == max(defects)
         assert tuple(side.vertices for side in rep.witness_triangle) == first[defects.index(rep.delta)]
+
+    @staticmethod
+    def looped_triples(n, budget, seed):
+        """The seeded triple draw as one ``random.sample`` call per attempt."""
+        rng = random.Random(seed)
+        chosen = set()
+        attempts = 0
+        while len(chosen) < budget and attempts < 4 * budget + 64:
+            attempts += 1
+            chosen.add(tuple(sorted(rng.sample(range(n), 3))))
+        return sorted(chosen)
+
+    @pytest.mark.parametrize("n", [*range(3, 26), 56, 64, 1112])
+    def test_bulk_draw_matches_the_sample_loop(self, n):
+        # n <= 21 takes random.sample's pool draw, n > 21 its set draw; on
+        # 64 vertices half the words are drawn again. Past C(n, 3) every
+        # draw runs to the attempt cap, as budget 500 does below 16 vertices.
+        cases = itertools.product([1, 5, 50, 500], range(20))
+        if n <= 25:
+            cases = itertools.chain(cases, itertools.product([math.comb(n, 3) + 1], range(5)))
+        for budget, seed in cases:
+            expected = self.looped_triples(n, budget, seed)
+            drawn = triples_mod._sampled_triples(n, budget, seed)
+            assert drawn.shape == (len(expected), 3)
+            assert list(map(tuple, drawn.tolist())) == expected
+        assert len(expected) < budget or n > 25
+
+    @pytest.mark.parametrize("n", [22, 56])
+    def test_bulk_draw_matches_the_sample_loop_at_the_attempt_cap(self, n):
+        # Long draws: their calls span many batches of words, and the set
+        # draw repeats values often at 22 vertices.
+        budget = math.comb(n, 3) + 1
+        for seed in range(3):
+            expected = self.looped_triples(n, budget, seed)
+            assert len(expected) < budget
+            assert list(map(tuple, triples_mod._sampled_triples(n, budget, seed).tolist())) == expected
+
+    def test_bulk_draw_refuses_keys_beyond_int64(self):
+        with pytest.raises(ValueError, match="fewer than 2\\*\\*21 vertices"):
+            triples_mod._sampled_triples(2**21, 5, 0)
+
+    def test_all_triples_are_the_combinations(self):
+        for n in (3, 4, 30):
+            parts = list(triples_mod._all_triples(n))
+            assert all(len(part) <= triples_mod._DRAW_WORDS for part in parts)
+            assert list(map(tuple, np.concatenate(parts).tolist())) == list(itertools.combinations(range(n), 3))
+
+    @pytest.mark.parametrize("kind", ["canonical", "all"])
+    @pytest.mark.parametrize("cells", ["none", "six rows", "default"])
+    def test_array_runs_match_the_loaded_runs(self, monkeypatch, kind, cells):
+        # The runs thin_delta cuts from a triple array, in parts of uneven
+        # sizes, against _loaded_runs over the same triples as tuples:
+        # the same runs, the same far ends, and the same loads (recorded,
+        # not computed).
+        g = farey_truncation(12).graph
+        n = g.vertex_count
+        monkeypatch.setattr(graphs, "_ROW_CELLS", {"none": 0, "six rows": 6 * n, "default": graphs._ROW_CELLS}[cells])
+        loads = []
+        monkeypatch.setattr(graphs._Rows, "load", lambda rows, sources: loads.append((rows, sources)))
+        drawn = triples_mod._sampled_triples(n, 3000, 11)
+        rows = graphs._Rows(g)
+        bounds = [(None, max(graphs._walk_room(rows) // 3, 1))] if kind == "canonical" else [(graphs._BLOCK, None)]
+        bounds += [(40, 7), (3, None), (None, 1)]
+        cuts = np.cumsum([0, 1, 5, 400, 1, 2000])
+        parts = [drawn[lo:hi] for lo, hi in zip(cuts, [*cuts[1:], len(drawn)])]
+        tuples = list(map(tuple, drawn.tolist()))
+        for room, most in bounds:
+            cut = triples_mod._triple_runs(parts, rows, room, most)
+            runs = [(list(map(tuple, chunk.tolist())), ends) for chunk, ends in cut]
+            array_loads = [list(ends) for _, ends in loads]
+            loads.clear()
+            listed = list(geodesics._loaded_runs(tuples, graphs._Rows(g), lambda t: t[1:], room, most))
+            assert runs == listed
+            assert array_loads == [list(ends) for _, ends in loads]
+            assert len(runs) > 1 or (room, most) == bounds[0]
+            loads.clear()
 
     def test_seed_independent_when_exhaustive(self):
         g = cycle_graph(6)
@@ -694,6 +772,39 @@ class TestRowsComputedOnce:
         dist, counts = single + sum(batched, []), sum(counted, [])
         assert dist and len(dist) == len(set(dist)) and len(counts) == len(set(counts))
         assert bool(counts) == (kind == "all" and k == 0)
+
+    @pytest.mark.parametrize("kind, k", [("canonical", 0), ("all", 1), ("all", 2)])
+    def test_search_path_takes_each_radius_and_centre_once(self, monkeypatch, kind, k):
+        # Off the level pass, a (pair, r) takes N(a;r) and N(b;r) once for
+        # its counts and its violations, and each centre is searched once:
+        # a kept violation's witness is the geodesic its search found.
+        g = grid(6).graph
+        checker = geodesics._PairChecker
+        sets, asked, searched = [], [], []
+        real_sets, real_violations, real_search = checker._sets_at, checker.violations, checker._search
+
+        def spy_sets(self, r):
+            found = real_sets(self, r)
+            sets.append((self, r, found))
+            return found
+
+        def spy_violations(self, r, cs):
+            asked.extend(cs)
+            return real_violations(self, r, cs)
+
+        def spy_search(self, A, B, c):
+            searched.append(c)
+            return real_search(self, A, B, c)
+
+        monkeypatch.setattr(checker, "_sets_at", spy_sets)
+        monkeypatch.setattr(checker, "violations", spy_violations)
+        monkeypatch.setattr(checker, "_search", spy_search)
+        rep = check_property_b(GeodesicFamily(g, kind), ell=0, k=k, r_max=2, pair_budget=80, seed=3)
+        assert rep.intersection_violations and len(searched) == len(asked)
+        first = {}
+        for pair, r, found in sets:
+            assert first.setdefault((pair, r), found) is found
+        assert (len(sets) > len(first)) == (k > 0)  # k = 0 asks for no counts
 
 
 def shuffled_tree(rng, n, parent_of, name):

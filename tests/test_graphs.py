@@ -1411,6 +1411,20 @@ def test_geodesics_reads_row_blocks_without_stacking():
     assert called.isdisjoint({"stack", "vstack", "row_stack"})
 
 
+def test_no_module_calls_np_unique():
+    """``np.unique`` costs milliseconds and memory on its first call in an
+    interpreter; the package takes distinct values by a sort and a
+    first-of-run mask (``_sorted_unique``)."""
+    package = FilePath(__file__).resolve().parent.parent / "src" / "coarselab"
+    for source in sorted(package.rglob("*.py")):
+        called = {
+            node.func.attr
+            for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        }
+        assert "unique" not in called, source.name
+
+
 def test_covers_run_no_search_per_set():
     """a1.py and cover.py neither import nor call the single-source ball
     search: their sets grow through the set-labelled kernels, not one search
